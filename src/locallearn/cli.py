@@ -234,6 +234,8 @@ def cmd_predict_local(args) -> int:
     sys.stderr.write(
         f"timing: search {timing.search_s:.2f}s train {timing.train_s:.2f}s "
         f"predict {timing.predict_s:.2f}s wall {timing.total_s:.2f}s\n"
+        f"solver: {timing.solves} binary models, {timing.nonconverged} stopped "
+        f"at max passes without converging\n"
     )
     sys.stdout.write(f"predicted {test.n_samples} samples\n")
     return 0
@@ -350,7 +352,8 @@ def cmd_pipeline(args) -> int:
     _write_text(
         out / "timing.txt",
         f"wall_s {wall:.3f}\nlocal_search_s {timing.search_s:.3f}\n"
-        f"local_train_s {timing.train_s:.3f}\nlocal_predict_s {timing.predict_s:.3f}\n",
+        f"local_train_s {timing.train_s:.3f}\nlocal_predict_s {timing.predict_s:.3f}\n"
+        f"local_solves {timing.solves}\nlocal_nonconverged {timing.nonconverged}\n",
     )
     sys.stderr.write(f"pipeline wall time {wall:.2f}s\n")
     sys.stdout.write(comparison)

@@ -16,6 +16,22 @@ from .core import FeatureMatrix, reindex
 from .errors import IdMismatch, NonFiniteValue, UnknownSource, ValidationError
 
 
+def max_abs_scaled(values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Split each row (last axis) of ``values`` into scale * scaled rows.
+
+    The scale is the row's max-abs entry (1 for a zero row), so scaled
+    entries lie in [-1, 1] and their squares neither underflow nor
+    overflow.  Returns (scaled, norm of each scaled row, scale), the last
+    two with the row axis kept; a row's norm is scale * scaled norm.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    scale = np.maximum(values.max(axis=-1, keepdims=True, initial=0.0),
+                       -values.min(axis=-1, keepdims=True, initial=0.0))
+    scale[scale == 0.0] = 1.0
+    scaled = values / scale
+    return scaled, np.sqrt(np.einsum("...i,...i->...", scaled, scaled))[..., None], scale
+
+
 def l2_normalize(v: np.ndarray) -> np.ndarray:
     """Scale a vector to unit Euclidean norm; the zero vector is returned
     unchanged (empty presence bins are legitimate)."""
@@ -23,18 +39,14 @@ def l2_normalize(v: np.ndarray) -> np.ndarray:
     if not np.isfinite(v).all():
         idx = int(np.argwhere(~np.isfinite(v.ravel()))[0][0])
         raise NonFiniteValue(f"non-finite entry at index {idx}", col=idx)
-    norm = np.linalg.norm(v)
-    if norm == 0.0:
-        return v.copy()
-    return v / norm
+    return l2_normalize_rows(v)
 
 
 def l2_normalize_rows(values: np.ndarray) -> np.ndarray:
     """Row-wise l2_normalize; zero rows pass through unchanged."""
-    values = np.asarray(values, dtype=np.float64)
-    norms = np.linalg.norm(values, axis=1, keepdims=True)
-    safe = np.where(norms == 0.0, 1.0, norms)
-    return values / safe
+    scaled, norms, _ = max_abs_scaled(values)
+    scaled /= np.where(norms == 0.0, 1.0, norms)
+    return scaled
 
 
 @dataclass(frozen=True)

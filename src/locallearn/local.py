@@ -3,9 +3,11 @@ cosine-nearest training samples and predict that single sample.
 
 A linear base learner wrapped this way yields a globally non-linear
 decision function, because every query gets its own hyperplanes fitted to
-its neighborhood.  The selected neighbor rows are presented to the solver
-in ascending original row order, so with k >= n_train the local problem
-is bit-identical to the global one.
+its neighborhood.  Queries reach the solver in blocks (Gram stack within
+``_BLOCK_BYTES``) and no result depends on the block.  The selected
+neighbor rows are presented to the solver in ascending original row
+order, so with k >= n_train the local problem is bit-identical to the
+global one.
 
 Classes absent from a neighborhood cannot be predicted (decision -inf);
 a single-class neighborhood returns that class with a +inf sentinel and
@@ -23,9 +25,9 @@ import numpy as np
 from .core import FeatureMatrix
 from .errors import MissingLabels, ValidationError
 from .neighbors import CosineIndex, top_k
-from .svm import SvmConfig, decisions_ova, predict_ova, train_ova
+from .svm import SvmConfig, decisions_ova, predict_ova, train_ova_sets
 
-_SINGLE_CLASS_SENTINEL = np.inf
+_BLOCK_BYTES = 10 * 2**20  # 32 queries at k=200
 
 
 @dataclass(frozen=True)
@@ -42,19 +44,40 @@ class LocalLearnerConfig:
 
 @dataclass
 class BatchTiming:
-    """Per-stage wall-clock seconds for a batch of local predictions."""
+    """Per-stage wall-clock seconds for a batch of local predictions, and
+    the binary models fitted and those left unconverged at max_passes."""
 
     search_s: float = 0.0
     train_s: float = 0.0
     predict_s: float = 0.0
     total_s: float = 0.0
     n_queries: int = 0
+    solves: int = 0
+    nonconverged: int = 0
 
 
 def _require_labels(train: FeatureMatrix) -> np.ndarray:
     if train.labels is None:
         raise MissingLabels("local learning requires a labeled training matrix")
+    if train.n_samples == 0:
+        raise ValidationError("cannot train on an empty dataset")
     return train.labels
+
+
+def _predict_block(train: FeatureMatrix, index: CosineIndex, block: np.ndarray,
+                   cfg: LocalLearnerConfig):
+    """(class id, decision values) per query row, and the block's timing."""
+    t0 = time.perf_counter()
+    neighborhoods = [np.array(sorted(i for i, _ in top_k(index, q, cfg.k))) for q in block]
+    t1 = time.perf_counter()
+    fitted = train_ova_sets(train.values, train.labels, neighborhoods, cfg.svm)
+    t2 = time.perf_counter()
+    results = [(predict_ova(m, q), decisions_ova(m, q)) for (m, _), q in zip(fitted, block)]
+    infos = [info for _, infos in fitted for info in infos]
+    return results, BatchTiming(
+        search_s=t1 - t0, train_s=t2 - t1, predict_s=time.perf_counter() - t2,
+        solves=len(infos), nonconverged=sum(not info["converged"] for info in infos),
+    )
 
 
 def local_predict_one(
@@ -67,20 +90,14 @@ def local_predict_one(
 
     Returns (class id, per-class decision values over the neighborhood's
     classes).  Pass a prebuilt CosineIndex over ``train`` to amortize norm
-    computation across queries.
+    computation across queries.  This is a one-query block of
+    ``local_predict_batch``.
     """
-    labels = _require_labels(train)
+    _require_labels(train)
     if index is None:
         index = CosineIndex(train)
-    neighbor_ids = sorted(i for i, _ in top_k(index, q, cfg.k))
-    local_labels = labels[neighbor_ids]
-    classes = np.unique(local_labels)
-    if classes.size == 1:
-        cls = int(classes[0])
-        return cls, {cls: _SINGLE_CLASS_SENTINEL}
-    model = train_ova(train.values[neighbor_ids], local_labels, cfg.svm)
-    decs = decisions_ova(model, np.asarray(q, dtype=np.float64))
-    return predict_ova(model, np.asarray(q, dtype=np.float64)), decs
+    results, _ = _predict_block(train, index, np.asarray(q, dtype=np.float64)[None, :], cfg)
+    return results[0]
 
 
 def local_predict_batch(
@@ -89,44 +106,23 @@ def local_predict_batch(
     cfg: LocalLearnerConfig,
     workers: int = 1,
 ) -> tuple[np.ndarray, BatchTiming]:
-    """Element-wise local_predict_one over query rows, in input order.
+    """Local predictions for the query rows, in input order.
 
-    ``workers`` fans queries out over a thread pool; the training matrix
-    and index are shared read-only, so results are identical for any
+    ``workers`` fans blocks of queries out over a thread pool; the training
+    matrix and index are shared read-only, so results are identical for any
     worker count.  Stage timings are summed across workers.
     """
-    labels = _require_labels(train)
+    _require_labels(train)
     timing = BatchTiming(n_queries=queries.n_samples)
-    if queries.n_samples == 0:
-        return np.zeros(0, dtype=np.int64), timing
     t_start = time.perf_counter()
     index = CosineIndex(train)
-
-    def one(q: np.ndarray) -> tuple[int, float, float, float]:
-        t0 = time.perf_counter()
-        neighbor_ids = sorted(i for i, _ in top_k(index, q, cfg.k))
-        t1 = time.perf_counter()
-        local_labels = labels[neighbor_ids]
-        classes = np.unique(local_labels)
-        if classes.size == 1:
-            t2 = time.perf_counter()
-            return int(classes[0]), t1 - t0, t2 - t1, 0.0
-        model = train_ova(train.values[neighbor_ids], local_labels, cfg.svm)
-        t2 = time.perf_counter()
-        pred = predict_ova(model, q)
-        t3 = time.perf_counter()
-        return pred, t1 - t0, t2 - t1, t3 - t2
-
-    rows = list(queries.values)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, rows))
-    else:
-        results = [one(q) for q in rows]
-    preds = np.array([r[0] for r in results], dtype=np.int64)
-    timing.search_s = sum(r[1] for r in results)
-    timing.train_s = sum(r[2] for r in results)
-    timing.predict_s = sum(r[3] for r in results)
+    size = max(1, _BLOCK_BYTES // (8 * min(cfg.k, train.n_samples) ** 2))
+    blocks = [queries.values[s:s + size] for s in range(0, queries.n_samples, size)]
+    with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
+        parts = list(pool.map(lambda block: _predict_block(train, index, block, cfg), blocks))
+    preds = np.array([cls for results, _ in parts for cls, _ in results], dtype=np.int64)
+    for name in ("search_s", "train_s", "predict_s", "solves", "nonconverged"):
+        setattr(timing, name, sum(getattr(part, name) for _, part in parts))
     timing.total_s = time.perf_counter() - t_start
     return preds, timing
 

@@ -19,6 +19,7 @@ import numpy as np
 
 from .core import FeatureMatrix
 from .errors import DimMismatch, ValidationError
+from .features import max_abs_scaled
 
 
 class CosineIndex:
@@ -31,7 +32,8 @@ class CosineIndex:
             self.values = np.ascontiguousarray(matrix, dtype=np.float64)
             if self.values.ndim != 2:
                 raise ValidationError("index matrix must be 2-D")
-        self.norms = np.linalg.norm(self.values, axis=1)
+        _, norms, scale = max_abs_scaled(self.values)
+        self.norms = (scale * norms)[:, 0]
 
     @property
     def n(self) -> int:
@@ -47,10 +49,10 @@ class CosineIndex:
         q = np.asarray(q, dtype=np.float64)
         if q.shape != (self.dim,):
             raise DimMismatch(f"query dim {q.shape} vs index dim {self.dim}")
-        qn = np.linalg.norm(q)
-        if qn == 0.0:
+        scaled, qn, _ = max_abs_scaled(q)
+        if qn[0] == 0.0:
             return np.zeros(self.n)
-        sims = self.values @ (q / qn)
+        sims = self.values @ (scaled / qn)
         nz = self.norms != 0.0
         sims[nz] /= self.norms[nz]
         sims[~nz] = 0.0

@@ -1,10 +1,14 @@
 """Soft-margin linear SVM (L1 hinge) and one-versus-all multiclass wrapper.
 
-The binary solver is dual coordinate ascent over the box-constrained dual
-with a random permutation per pass and a shrinking heuristic.  The bias is
-handled by augmenting every sample with a constant feature of value 1, so
-the bias is regularized and a generic QP solver on the augmented dual
-reproduces the same optimum.
+The solver is dual coordinate ascent over the box-constrained dual with a
+random permutation per pass.  The bias is handled by augmenting every
+sample with a constant feature of value 1, so the bias is regularized and a
+generic QP solver on the augmented dual reproduces the same optimum.
+
+Training takes row sets of one matrix (all rows, or one neighbourhood per
+query) with one problem per class.  Mid-size problems of all sets step in
+lockstep over Gram matrices built once per set, and no result depends on
+which others share the call.  Low-dim and large problems run one by one.
 
 Models serialize to a text format: header line ``#locallearn-ova v1``,
 then one ``class_id b w1 ... wD`` line per trained class.  Comment lines
@@ -30,12 +34,13 @@ from .errors import (
 )
 
 # Low-dim problems run the inner loop on plain Python floats (cheaper than
-# numpy scalar ops); mid-size problems precompute the signed Gram matrix so
-# each coordinate update is one axpy; anything else recomputes gradients
-# from features.  The choice is a pure function of the problem shape, so
-# identical data always takes the identical path.
+# numpy scalar ops); mid-size problems share a precomputed Gram matrix in
+# the lockstep core; anything else recomputes gradients from features.  The
+# choice is a pure function of the problem shape, so identical data always
+# takes the identical path.
 _LOWDIM_LIMIT = 8  # augmented dim (d + 1)
 _GRAM_LIMIT = 2048  # samples
+_LOOP_LIMIT = 3  # live problems the lockstep core steps one at a time
 
 
 @dataclass(frozen=True)
@@ -109,181 +114,68 @@ def train_binary_full(X, y, cfg: SvmConfig) -> tuple[SvmModel, np.ndarray, dict]
         raise ValidationError("y entries must be -1 or +1")
     if np.unique(y).size < 2:
         raise SingleClass("training data contains a single class")
-    Xa = np.hstack([Xv, np.ones((Xv.shape[0], 1))])
-    alpha, w_aug, info = _solve_dual(Xa, y, cfg)
-    return SvmModel(w_aug[:-1], float(w_aug[-1])), alpha, info
+    [(W, alphas, infos)] = _solve_sets(Xv, [(slice(None), y[None, :])], cfg)
+    return SvmModel(W[0, :-1], float(W[0, -1])), alphas[0], infos[0]
 
 
-class _GramState:
-    """Pass loop over a precomputed signed Gram matrix; the gradient vector
-    is maintained incrementally, one axpy per moved coordinate."""
-
-    def __init__(self, Xa, y):
-        Z = Xa * y[:, None]
-        self.qrows = list(Z @ Z.T)
-        self.grad = -np.ones(Xa.shape[0])
-        self.alpha = np.zeros(Xa.shape[0])
-        self.qdiag = np.einsum("ij,ij->i", Xa, Xa)
-
-    def run_pass(self, order, C, hi_bound, lo_bound):
-        alpha, grad, qrows, qdiag = self.alpha, self.grad, self.qrows, self.qdiag
-        survivors = []
-        pg_max, pg_min = -np.inf, np.inf
-        for i in order:
-            a_i = alpha[i]
-            g = grad[i]
-            if a_i == 0.0:
-                if g > hi_bound:
-                    continue  # shrink
-                pg = g if g < 0.0 else 0.0
-            elif a_i == C:
-                if g < lo_bound:
-                    continue  # shrink
-                pg = g if g > 0.0 else 0.0
-            else:
-                pg = g
-            survivors.append(i)
-            if pg > pg_max:
-                pg_max = pg
-            if pg < pg_min:
-                pg_min = pg
-            if pg > 1e-12 or pg < -1e-12:
-                a_new = min(max(a_i - g / qdiag[i], 0.0), C)
-                delta = a_new - a_i
-                if delta != 0.0:
-                    alpha[i] = a_new
-                    grad += delta * qrows[i]
-        return survivors, pg_max, pg_min
-
-    def full_gradient(self):
-        return self.grad
-
-    def alphas(self):
-        return self.alpha
+def _augment(X: np.ndarray) -> np.ndarray:
+    return np.hstack([X, np.ones((X.shape[0], 1))])
 
 
-class _LowDimState:
-    """Pass loop on plain Python floats; fastest when the augmented dim is
-    tiny, since per-coordinate numpy scalar overhead dominates there."""
+class _LowDimWeights:
+    """Primal weights on plain Python floats; fastest when the augmented dim
+    is tiny, since per-coordinate numpy scalar overhead dominates there."""
 
-    def __init__(self, Xa, y):
-        self.Xa = Xa
-        self.y = y
+    def __init__(self, Xa):
         self.rows = Xa.tolist()
-        self.ys = y.tolist()
-        self.qdiag = np.einsum("ij,ij->i", Xa, Xa).tolist()
-        self.alpha = [0.0] * Xa.shape[0]
         self.w = [0.0] * Xa.shape[1]
 
-    def run_pass(self, order, C, hi_bound, lo_bound):
-        alpha, w, rows, ys, qdiag = self.alpha, self.w, self.rows, self.ys, self.qdiag
-        dims = range(len(w))
-        survivors = []
-        pg_max, pg_min = -np.inf, np.inf
-        for i in order:
-            a_i = alpha[i]
-            xi = rows[i]
-            s = 0.0
-            for t in dims:
-                s += w[t] * xi[t]
-            g = ys[i] * s - 1.0
-            if a_i == 0.0:
-                if g > hi_bound:
-                    continue  # shrink
-                pg = g if g < 0.0 else 0.0
-            elif a_i == C:
-                if g < lo_bound:
-                    continue  # shrink
-                pg = g if g > 0.0 else 0.0
-            else:
-                pg = g
-            survivors.append(i)
-            if pg > pg_max:
-                pg_max = pg
-            if pg < pg_min:
-                pg_min = pg
-            if pg > 1e-12 or pg < -1e-12:
-                a_new = min(max(a_i - g / qdiag[i], 0.0), C)
-                delta = a_new - a_i
-                if delta != 0.0:
-                    alpha[i] = a_new
-                    dy = delta * ys[i]
-                    for t in dims:
-                        w[t] += dy * xi[t]
-        return survivors, pg_max, pg_min
+    def dot(self, i):
+        s = 0.0
+        for w_t, x_t in zip(self.w, self.rows[i]):
+            s += w_t * x_t
+        return s
 
-    def full_gradient(self):
-        return self.y * (self.Xa @ np.asarray(self.w)) - 1.0
-
-    def alphas(self):
-        return np.asarray(self.alpha)
+    def add(self, i, c):
+        self.w = [w_t + c * x_t for w_t, x_t in zip(self.w, self.rows[i])]
 
 
-class _FeatureState:
-    """Pass loop maintaining the primal weights with numpy ops; used for
-    problems too large for a Gram matrix and too wide for the float loop."""
+class _FeatureWeights:
+    """Primal weights with numpy ops; used for problems too large for a Gram
+    matrix and too wide for the float loop."""
 
-    def __init__(self, Xa, y):
+    def __init__(self, Xa):
         self.Xa = Xa
-        self.y = y
-        self.qdiag = np.einsum("ij,ij->i", Xa, Xa)
-        self.alpha = np.zeros(Xa.shape[0])
         self.w = np.zeros(Xa.shape[1])
 
-    def run_pass(self, order, C, hi_bound, lo_bound):
-        alpha, w, Xa, y, qdiag = self.alpha, self.w, self.Xa, self.y, self.qdiag
-        survivors = []
-        pg_max, pg_min = -np.inf, np.inf
-        for i in order:
-            a_i = alpha[i]
-            g = y[i] * float(w @ Xa[i]) - 1.0
-            if a_i == 0.0:
-                if g > hi_bound:
-                    continue  # shrink
-                pg = g if g < 0.0 else 0.0
-            elif a_i == C:
-                if g < lo_bound:
-                    continue  # shrink
-                pg = g if g > 0.0 else 0.0
-            else:
-                pg = g
-            survivors.append(i)
-            if pg > pg_max:
-                pg_max = pg
-            if pg < pg_min:
-                pg_min = pg
-            if pg > 1e-12 or pg < -1e-12:
-                a_new = min(max(a_i - g / qdiag[i], 0.0), C)
-                delta = a_new - a_i
-                if delta != 0.0:
-                    alpha[i] = a_new
-                    w += (delta * y[i]) * Xa[i]
-        return survivors, pg_max, pg_min
+    def dot(self, i):
+        return float(self.w @ self.Xa[i])
 
-    def full_gradient(self):
-        return self.y * (self.Xa @ self.w) - 1.0
+    def add(self, i, c):
+        self.w += c * self.Xa[i]
 
-    def alphas(self):
-        return self.alpha
+
+def _kkt_gap(alpha: np.ndarray, G: np.ndarray, C: float) -> np.ndarray:
+    """Largest projected-gradient violation along the last axis."""
+    pg = np.where(alpha == 0.0, np.minimum(G, 0.0), np.where(alpha == C, np.maximum(G, 0.0), G))
+    return np.abs(pg).max(axis=-1)
 
 
 def _solve_dual(Xa: np.ndarray, y: np.ndarray, cfg: SvmConfig):
-    """Dual coordinate ascent with shrinking (per-pass random permutation).
+    """Dual coordinate ascent with shrinking (per-pass random permutation),
+    one problem, gradients taken from the primal weights.
 
     Convergence is certified against the true projected gradient of the
     full variable set, never against the pass-sampled extremes alone
     (those mix gradients taken at different alpha states).
     """
     n = Xa.shape[0]
-    C = float(cfg.C)
-    tol = float(cfg.tolerance)
+    C, tol = float(cfg.C), float(cfg.tolerance)
     rng = np.random.default_rng(cfg.seed)
-    if Xa.shape[1] <= _LOWDIM_LIMIT:
-        state = _LowDimState(Xa, y)
-    elif n <= _GRAM_LIMIT:
-        state = _GramState(Xa, y)
-    else:
-        state = _FeatureState(Xa, y)
+    weights = (_LowDimWeights if Xa.shape[1] <= _LOWDIM_LIMIT else _FeatureWeights)(Xa)
+    dot, add = weights.dot, weights.add
+    ys, qdiag = y.tolist(), np.einsum("ij,ij->i", Xa, Xa).tolist()
+    alpha = [0.0] * n
     active = list(range(n))
     hi_bound, lo_bound = np.inf, -np.inf
     converged = False
@@ -292,8 +184,32 @@ def _solve_dual(Xa: np.ndarray, y: np.ndarray, cfg: SvmConfig):
     while passes < cfg.max_passes:
         passes += 1
         perm = rng.permutation(len(active))
-        order = [active[j] for j in perm]
-        survivors, pg_max, pg_min = state.run_pass(order, C, hi_bound, lo_bound)
+        survivors = []
+        pg_max, pg_min = -np.inf, np.inf
+        for i in [active[j] for j in perm]:
+            a_i = alpha[i]
+            g = ys[i] * dot(i) - 1.0
+            if a_i == 0.0:
+                if g > hi_bound:
+                    continue  # shrink
+                pg = g if g < 0.0 else 0.0
+            elif a_i == C:
+                if g < lo_bound:
+                    continue  # shrink
+                pg = g if g > 0.0 else 0.0
+            else:
+                pg = g
+            survivors.append(i)
+            if pg > pg_max:
+                pg_max = pg
+            if pg < pg_min:
+                pg_min = pg
+            if pg > 1e-12 or pg < -1e-12:
+                a_new = min(max(a_i - g / qdiag[i], 0.0), C)
+                delta = a_new - a_i
+                if delta != 0.0:
+                    alpha[i] = a_new
+                    add(i, delta * ys[i])
         if pg_max == -np.inf:  # everything shrunk this pass
             pg_max, pg_min = 0.0, 0.0
         gap = pg_max - pg_min
@@ -303,14 +219,8 @@ def _solve_dual(Xa: np.ndarray, y: np.ndarray, cfg: SvmConfig):
                 active = list(range(n))
                 hi_bound, lo_bound = np.inf, -np.inf
                 continue
-            g_all = state.full_gradient()
-            alpha = state.alphas()
-            pg_all = np.where(
-                alpha == 0.0,
-                np.minimum(g_all, 0.0),
-                np.where(alpha == C, np.maximum(g_all, 0.0), g_all),
-            )
-            final_gap = float(np.max(np.abs(pg_all)))
+            g_all = y * (Xa @ np.asarray(weights.w)) - 1.0
+            final_gap = float(_kkt_gap(np.asarray(alpha), g_all, C))
             if final_gap <= tol:
                 converged = True
                 break
@@ -319,18 +229,96 @@ def _solve_dual(Xa: np.ndarray, y: np.ndarray, cfg: SvmConfig):
         hi_bound = pg_max if pg_max > 0.0 else np.inf
         lo_bound = pg_min if pg_min < 0.0 else -np.inf
         final_gap = gap
-    alpha = state.alphas()
+    alpha = np.asarray(alpha)
     w_aug = (alpha * y) @ Xa
     info = {"passes": passes, "converged": converged, "kkt_gap": float(final_gap)}
     return alpha, w_aug, info
 
 
-def dual_objective(X, y, alpha: np.ndarray) -> float:
-    """Dual objective sum(a) - 0.5 ||sum a_i y_i x~_i||^2 (bias-augmented)."""
-    Xv = _as_values(X)
-    Xa = np.hstack([Xv, np.ones((Xv.shape[0], 1))])
-    v = (np.asarray(alpha) * np.asarray(y, dtype=np.float64)) @ Xa
-    return float(np.sum(alpha) - 0.5 * (v @ v))
+def _gram_ascent(K: np.ndarray, Y: np.ndarray, owner: np.ndarray, cfg: SvmConfig):
+    """Dual coordinate ascent on many problems in lockstep.
+
+    Problem p has labels Y[p] on the samples with bias-augmented Gram
+    matrix K[owner[p]].  Pass p walks the p-th permutation of
+    ``rng(cfg.seed)`` for every problem, each step elementwise with
+    V = K(alpha * y) kept exact, so a problem's iterates never depend on
+    the others.  After each pass a problem whose KKT gap is within
+    ``tolerance`` is frozen and dropped; one left at ``max_passes`` reports
+    converged=False.
+    """
+    C, tol = float(cfg.C), float(cfg.tolerance)
+    rng = np.random.default_rng(cfg.seed)
+    P, n = Y.shape
+    alpha, gaps = np.zeros((P, n)), np.full(P, np.inf)
+    passes, converged = np.zeros(P, dtype=np.int64), np.zeros(P, dtype=bool)
+    live, A, V = np.arange(P), np.zeros((P, n)), np.zeros((P, n))
+    inv_diag = 1.0 / np.einsum("bii->bi", K)[owner]
+    for p in range(1, cfg.max_passes + 1):
+        order = rng.permutation(n)
+        if live.size > _LOOP_LIMIT:
+            for i in order:
+                y, a = Y[:, i], A[:, i]
+                a_new = a - (y * V[:, i] - 1.0) * inv_diag[:, i]
+                np.clip(a_new, 0.0, C, out=a_new)
+                step = (a_new - a) * y
+                A[:, i] = a_new
+                V += step[:, None] * K[owner, i]
+        else:
+            # The same arithmetic on Python floats, one problem at a time:
+            # for a few problems numpy call overhead outweighs the batching.
+            order = order.tolist()
+            for j in range(live.size):
+                a, y, inv = A[j].tolist(), Y[j].tolist(), inv_diag[j].tolist()
+                v, k = V[j], K[owner[j]]
+                for i in order:
+                    a_new = min(max(a[i] - (y[i] * v.item(i) - 1.0) * inv[i], 0.0), C)
+                    if a_new != a[i]:
+                        v += ((a_new - a[i]) * y[i]) * k[i]
+                        a[i] = a_new
+                A[j] = a
+        gap = _kkt_gap(A, Y * V - 1.0, C)
+        done = gap <= tol
+        alpha[live], passes[live], gaps[live], converged[live] = A, p, gap, done
+        if done.any():
+            live, A, V, Y, owner, inv_diag = (
+                x[~done] for x in (live, A, V, Y, owner, inv_diag))
+            if not live.size:
+                break
+    return alpha, [
+        {"passes": int(done_at), "converged": bool(c), "kkt_gap": float(g)}
+        for done_at, c, g in zip(passes, converged, gaps)
+    ]
+
+
+def _solve_sets(X: np.ndarray, sets, cfg: SvmConfig):
+    """Solve ``sets``, pairs (rows, Y) of one size: ``rows`` picks rows of X
+    (an index array or a slice), Y holds one +/-1 label row per problem.
+    Returns per set (augmented weights, alphas, infos), one row or entry
+    per problem.  Rows are gathered one set at a time."""
+    n = sets[0][1].shape[1] if sets else 0
+    if not sets or X.shape[1] + 1 <= _LOWDIM_LIMIT or n > _GRAM_LIMIT:
+        out = []
+        for rows, Y in sets:
+            Xa = _augment(X[rows])
+            alphas, W, infos = zip(*(_solve_dual(Xa, y, cfg) for y in Y))
+            out.append((np.array(W), np.array(alphas), list(infos)))
+        return out
+    K = np.empty((len(sets), n, n))
+    for b, (rows, _) in enumerate(sets):
+        Xa = _augment(X[rows])
+        K[b] = Xa @ Xa.T
+    sizes = [Y.shape[0] for _, Y in sets]
+    owner = np.repeat(np.arange(len(sets)), sizes)
+    alphas, infos = _gram_ascent(K, np.vstack([Y for _, Y in sets]), owner, cfg)
+    del K
+    out, start = [], 0
+    for (rows, Y), size in zip(sets, sizes):
+        Xa = _augment(X[rows])
+        part = alphas[start:start + size]
+        W = np.array([(a * y) @ Xa for a, y in zip(part, Y)])
+        out.append((W, part, infos[start:start + size]))
+        start += size
+    return out
 
 
 @dataclass
@@ -379,22 +367,38 @@ def train_ova(
         raise ValidationError("labels length does not match X")
     if labels.size == 0:
         raise ValidationError("cannot train on an empty dataset")
-    present = np.unique(labels)
-    if n_classes is None:
-        n_classes = int(present.max()) + 1
-    names = tuple(class_names) if class_names is not None else None
-    if present.size == 1:
-        return OvaModel(
-            models={},
-            n_classes=n_classes,
-            class_names=names,
-            constant_class=int(present[0]),
-        )
-    models: dict[int, SvmModel] = {}
-    for cls in present:
-        y = np.where(labels == cls, 1.0, -1.0)
-        models[int(cls)] = train_binary(Xv, y, cfg)
-    return OvaModel(models=models, n_classes=n_classes, class_names=names)
+    [(model, _)] = train_ova_sets(Xv, labels, [slice(None)], cfg)
+    if n_classes is not None:
+        model.n_classes = n_classes
+    model.class_names = tuple(class_names) if class_names is not None else None
+    return model
+
+
+def train_ova_sets(X, labels, row_sets, cfg: SvmConfig) -> list[tuple[OvaModel, list[dict]]]:
+    """One OvA model per row set of X (an index array, or a slice), with the
+    solver info of each of its binary problems.
+
+    The problems of all sets go to the solver in one call.  Each set's rows
+    enter its problems in the order given, so a set of every row in order
+    trains exactly what ``train_ova`` does.  A single-class set gets the
+    constant model and no solve.
+    """
+    Xv, labels = _as_values(X), np.asarray(labels, dtype=np.int64)
+    classes = [np.unique(labels[rows]) for rows in row_sets]
+    out = [(OvaModel(n_classes=int(c.max()) + 1, constant_class=int(c[0])), []) for c in classes]
+    multi = [j for j, c in enumerate(classes) if c.size > 1]
+    # Two classes pose one dual (y -> -y leaves (y y')K alone): solve for
+    # the second, and the first's weights are the negation.
+    sets = []
+    for j in multi:
+        solved = classes[j][1:] if classes[j].size == 2 else classes[j]
+        sets.append((row_sets[j], np.where(labels[row_sets[j]] == solved[:, None], 1.0, -1.0)))
+    for j, (W, _, infos) in zip(multi, _solve_sets(Xv, sets, cfg)):
+        if classes[j].size == 2:
+            W, infos = np.vstack([-W, W]), infos * 2
+        models = {int(c): SvmModel(w[:-1], float(w[-1])) for c, w in zip(classes[j], W)}
+        out[j] = (OvaModel(models=models, n_classes=int(classes[j].max()) + 1), infos)
+    return out
 
 
 def decisions_ova(model: OvaModel, x: np.ndarray) -> dict[int, float]:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from locallearn.core import FeatureMatrix
@@ -30,6 +30,7 @@ class TestL2Normalize:
 
     @settings(max_examples=50, deadline=None)
     @given(arrays(np.float64, 5, elements=st.floats(-1e6, 1e6)))
+    @example(np.full(5, 5.87e-162))  # squares underflow to subnormals
     def test_norm_is_one_or_zero(self, v):
         out = l2_normalize(v)
         n = np.linalg.norm(out)

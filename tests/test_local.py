@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import locallearn.local as local_mod
 from locallearn.core import FeatureMatrix
 from locallearn.errors import MissingLabels
 from locallearn.local import (
@@ -10,7 +11,13 @@ from locallearn.local import (
     local_predict_batch,
     local_predict_one,
 )
-from locallearn.svm import SvmConfig, decisions_ova, predict_ova, train_ova
+from locallearn.svm import (
+    SvmConfig,
+    decisions_ova,
+    predict_ova,
+    predict_ova_batch,
+    train_ova,
+)
 from locallearn.synth import as_feature_matrix, gaussian_blobs, two_arcs
 
 
@@ -20,22 +27,32 @@ def labeled(X, y, prefix="s"):
 
 class TestDegeneracy:
     def test_k_covering_train_equals_global(self):
+        self.check_k_covering_train_equals_global(d=4)  # low-dim float loop
+
+    def test_k_covering_train_equals_global_in_the_lockstep_core(self):
+        self.check_k_covering_train_equals_global(d=16)
+
+    @staticmethod
+    def check_k_covering_train_equals_global(d):
         # With k >= n_train the local problem is the global problem: both
         # class predictions and decision values must match bit for bit.
         rng = np.random.default_rng(0)
         for trial in range(5):
-            X = rng.normal(size=(30, 4))
+            X = rng.normal(size=(30, d))
             y = rng.integers(0, 3, 30)
             train = labeled(X, y)
             cfg = LocalLearnerConfig(k=50, svm=SvmConfig(C=10.0, seed=trial))
             ova = train_ova(X, y, cfg.svm)
-            for q in rng.normal(size=(8, 4)):
+            queries = rng.normal(size=(8, d))
+            for q in queries:
                 local_cls, local_dec = local_predict_one(train, q, cfg)
                 assert local_cls == predict_ova(ova, q)
                 global_dec = decisions_ova(ova, q)
                 assert local_dec.keys() == global_dec.keys()
                 for cls in global_dec:
                     assert local_dec[cls] == global_dec[cls]  # bit-equal
+            batch, _ = local_predict_batch(train, as_feature_matrix(queries, prefix="q"), cfg)
+            assert np.array_equal(batch, predict_ova_batch(ova, queries))
 
 
 class TestSingleClassNeighborhood:
@@ -128,6 +145,29 @@ class TestBatch:
         p1, _ = local_predict_batch(train, queries, cfg, workers=1)
         p4, _ = local_predict_batch(train, queries, cfg, workers=4)
         assert np.array_equal(p1, p4)
+
+    def test_block_and_worker_invariance_in_the_lockstep_core(self, monkeypatch):
+        # d=16 takes the lockstep core.  One block of 40 queries, then
+        # blocks of 3 on one and on four workers: identical predictions.
+        rng = np.random.default_rng(8)
+        train = labeled(rng.normal(size=(120, 16)), rng.integers(0, 4, 120))
+        queries = as_feature_matrix(rng.normal(size=(40, 16)), prefix="q")
+        cfg = LocalLearnerConfig(k=30, svm=SvmConfig(C=1.0, seed=3))
+        p_one, t_one = local_predict_batch(train, queries, cfg)
+        monkeypatch.setattr(local_mod, "_BLOCK_BYTES", 3 * 8 * 30 * 30)
+        p1, t1 = local_predict_batch(train, queries, cfg, workers=1)
+        p4, t4 = local_predict_batch(train, queries, cfg, workers=4)
+        assert np.array_equal(p_one, p1) and np.array_equal(p1, p4)
+        assert t_one.solves == t1.solves == t4.solves > 40
+        assert t_one.nonconverged == t1.nonconverged == t4.nonconverged == 0
+
+    def test_solver_stops_are_counted(self):
+        rng = np.random.default_rng(9)
+        train = labeled(rng.normal(size=(60, 16)), rng.integers(0, 3, 60))
+        queries = as_feature_matrix(rng.normal(size=(5, 16)), prefix="q")
+        cfg = LocalLearnerConfig(k=20, svm=SvmConfig(C=100.0, max_passes=1))
+        _, timing = local_predict_batch(train, queries, cfg)
+        assert timing.solves > 0 and timing.nonconverged == timing.solves
 
     def test_requires_labels(self):
         train = FeatureMatrix(np.eye(3), ["a", "b", "c"])

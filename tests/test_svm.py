@@ -15,7 +15,6 @@ from locallearn.svm import (
     SvmModel,
     decision,
     decisions_ova,
-    dual_objective,
     load_ova,
     predict_ova,
     predict_ova_batch,
@@ -135,6 +134,67 @@ class TestTrainBinary:
                 train_ova(c * Xtr, ytr, SvmConfig(C=10.0 / c**2, seed=1)), c * Xte
             )
             assert np.array_equal(base, scaled)
+
+
+def _neighbourhood_sets(seed: int, n_sets: int = 6, n: int = 24, d: int = 10):
+    """Row sets of one size over a d-dim matrix, with 2, 3 and 4 classes."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(60, d))
+    sets = []
+    for j in range(n_sets):
+        rows = np.sort(rng.choice(60, n, replace=False))
+        n_cls = 2 + j % 3
+        labels = rng.integers(0, n_cls, n)
+        labels[:n_cls] = np.arange(n_cls)
+        sets.append((rows, np.where(labels == np.arange(n_cls)[:, None], 1.0, -1.0)))
+    return X, sets
+
+
+class TestLockstepCore:
+    # d >= 8 and n <= _GRAM_LIMIT: every problem goes to the lockstep core.
+
+    def test_every_problem_of_a_block_matches_oracle(self):
+        X, sets = _neighbourhood_sets(31)
+        cfg = SvmConfig(C=10.0, tolerance=1e-9, max_passes=200_000, seed=4)
+        for (rows, Y), (W, alphas, infos) in zip(sets, svm_mod._solve_sets(X, sets, cfg)):
+            assert W.shape == (Y.shape[0], X.shape[1] + 1)
+            for y, alpha, info in zip(Y, alphas, infos):
+                assert info["converged"] and info["kkt_gap"] <= 1e-9
+                oracle, _ = box_qp_max(svm_dual_gram(X[rows], y), 10.0)
+                mine = svm_dual_value(X[rows], y, alpha)
+                assert abs(mine - oracle) <= 1e-6 * max(1.0, abs(oracle))
+
+    def test_alone_and_in_block_bit_identical(self):
+        X, sets = _neighbourhood_sets(32)
+        cfg = SvmConfig(C=100.0, tolerance=1e-6, seed=5)
+        block = svm_mod._solve_sets(X, sets, cfg)
+        for (rows, Y), (W, alphas, infos) in zip(sets, block):
+            for p in range(Y.shape[0]):
+                [(W1, alpha1, info1)] = svm_mod._solve_sets(X, [(rows, Y[p:p + 1])], cfg)
+                assert np.array_equal(alpha1[0], alphas[p])
+                assert np.array_equal(W1[0], W[p])
+                assert info1 == [infos[p]]
+
+    def test_max_passes_reported_not_converged(self):
+        X, sets = _neighbourhood_sets(33)
+        cfg = SvmConfig(C=100.0, tolerance=1e-9, max_passes=1)
+        for _, _, infos in svm_mod._solve_sets(X, sets, cfg):
+            for info in infos:
+                assert info["passes"] == 1 and not info["converged"]
+                assert info["kkt_gap"] > 1e-9
+
+    @pytest.mark.parametrize("n_classes", [2, 5])
+    def test_ova_models_equal_binary_solves(self, n_classes):
+        # Two classes are solved once and mirrored; five step in lockstep.
+        rng = np.random.default_rng(34)
+        X = rng.normal(size=(40, 12))
+        labels = rng.integers(0, n_classes, 40)
+        cfg = SvmConfig(C=10.0, seed=2)
+        ova = train_ova(X, labels, cfg)
+        assert ova.trained_classes == tuple(range(n_classes))
+        for cls, model in ova.models.items():
+            alone = train_binary(X, np.where(labels == cls, 1.0, -1.0), cfg)
+            assert np.array_equal(alone.w, model.w) and alone.b == model.b
 
 
 class TestDecision:
