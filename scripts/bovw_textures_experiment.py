@@ -25,7 +25,6 @@ from locallearn.bovw import (
     encode,
 )
 from locallearn.features import l2_normalize_rows
-from locallearn.neighbors import KdForestParams
 from locallearn.svm import SvmConfig, predict_ova_batch, train_ova
 from locallearn.synth import texture_corpus
 
@@ -62,7 +61,6 @@ def main() -> int:
     vocab = build_vocab_from_descriptors(
         pooled, sift, pyramid, seed=args.seed,
         subsample_cap=args.subsample_cap,
-        forest_params=KdForestParams(n_trees=1, seed=args.seed),
     )
     print(f"vocabulary built in {time.perf_counter() - t0:.1f}s")
 

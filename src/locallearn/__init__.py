@@ -30,14 +30,7 @@ from .svm import (
     train_binary,
     train_ova,
 )
-from .neighbors import (
-    CosineIndex,
-    KdForest,
-    KdForestParams,
-    kdforest_build,
-    kdforest_nn,
-    top_k,
-)
+from .neighbors import CosineIndex, top_k
 from .local import (
     LocalLearnerConfig,
     knn_classify,

@@ -6,9 +6,9 @@ Descriptors are the classic 4x4x8 gradient-orientation histograms with
 trilinear binning and Gaussian spatial weighting, extracted upright (no
 orientation assignment) on a regular grid at several bin sizes.  Low
 contrast descriptors are zeroed.  Each pyramid level owns a k-means
-vocabulary and a kd-forest over its centroids; a cell's bit for a word is
-set iff some descriptor centered in the cell quantizes to that word at
-that level.
+vocabulary; a cell's bit for a word is set iff some descriptor centered in
+the cell has that word as its exact nearest centroid at that level.  One
+helper, ``_nearest``, makes that decision for both k-means and encoding.
 
 Default vocabulary sizes follow the full-scale recipe (17000/14000/11000/
 8000 over 1x1..4x4 grids); ``DESK_VOCAB_SIZES`` ships a small profile for
@@ -16,9 +16,10 @@ tests and experiments.
 
 Images are 8-bit grayscale arrays; ``read_pgm``/``write_pgm`` handle the
 only supported container (binary PGM, P5).  The vocabulary serializes to
-a binary format: magic ``LLVB``, u32 version, the extraction and forest
-settings, then per level u32 grid, u32 k, u32 dim and the centroid rows
-as little-endian f64.
+a binary format: magic ``LLVB``, u32 version (2), u32 level count, the
+extraction settings, then per level u32 grid, u32 k, u32 dim and the
+centroid rows as little-endian f64.  Version 1 files, which also hold a
+24-byte forest block after the level count, still load.
 """
 
 from __future__ import annotations
@@ -29,12 +30,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ImageTooSmall, LevelMismatch, MalformedFile, ValidationError
-from .neighbors import KdForest, KdForestParams, kdforest_build, kdforest_nn
+from .errors import DimMismatch, ImageTooSmall, LevelMismatch, MalformedFile, ValidationError
 
 VOCAB_MAGIC = b"LLVB"
 FULL_VOCAB_SIZES = (17000, 14000, 11000, 8000)
 DESK_VOCAB_SIZES = (100, 80, 60, 40)
+_CHUNK_BYTES = 16 * 2**20  # distance block per chunk; 4,000 x 340 k-means rows fit one
 
 
 def read_pgm(path) -> np.ndarray:
@@ -291,20 +292,41 @@ def _kmeanspp(points: np.ndarray, k: int, rng) -> np.ndarray:
 def _sq_dists(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     p2 = np.einsum("ij,ij->i", points, points)[:, None]
     c2 = np.einsum("ij,ij->i", centroids, centroids)[None, :]
-    d2 = p2 - 2.0 * points @ centroids.T + c2
+    d2 = points @ centroids.T
+    d2 *= -2.0
+    d2 += p2
+    d2 += c2
     np.maximum(d2, 0.0, out=d2)
     return d2
 
 
+def _nearest(points: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each point's exact nearest centroid and the squared distance to it.
+
+    Ties go to the lowest centroid id.  Rows are taken in chunks whose
+    distance block stays within ``_CHUNK_BYTES``; every row's answer is
+    independent of the chunking.
+    """
+    n = points.shape[0]
+    words = np.empty(n, dtype=np.intp)
+    d2_min = np.empty(n)
+    step = max(1, _CHUNK_BYTES // (8 * centroids.shape[0]))
+    for start in range(0, n, step):
+        d2 = _sq_dists(points[start : start + step], centroids)
+        w = np.argmin(d2, axis=1)
+        words[start : start + w.size] = w
+        d2_min[start : start + w.size] = d2[np.arange(w.size), w]
+    return words, d2_min
+
+
 def _assign_step(points: np.ndarray, centroids: np.ndarray, workers: int):
-    """Nearest-centroid assignment plus its cost; parallel over row chunks
+    """Nearest-centroid assignment plus its cost; parallel over row slices
     with in-order concatenation (per-row argmin is order-independent)."""
     n = points.shape[0]
 
     def chunk(rows: slice):
-        d2 = _sq_dists(points[rows], centroids)
-        a = np.argmin(d2, axis=1)
-        return a, float(d2[np.arange(a.size), a].sum())
+        a, d2_min = _nearest(points[rows], centroids)
+        return a, float(d2_min.sum())
 
     if workers <= 1 or n < 2 * workers:
         return chunk(slice(0, n))
@@ -342,17 +364,15 @@ class PyramidConfig:
 class VocabularyLevel:
     grid: int
     centroids: np.ndarray
-    forest: KdForest
 
 
 @dataclass
 class Vocabulary:
-    """Per-level centroid matrices with kd-forest indexes, plus the SIFT
-    settings the centroids were built from."""
+    """Per-level centroid matrices plus the SIFT settings the centroids
+    were built from."""
 
     levels: list[VocabularyLevel]
     sift: DenseSiftConfig
-    forest_params: KdForestParams
 
     def __post_init__(self):
         for lv in self.levels:
@@ -363,6 +383,8 @@ class Vocabulary:
 def subsample_rows(points: np.ndarray, cap: int, seed) -> np.ndarray:
     """Uniform without-replacement row subsample (identity when under cap);
     surviving rows keep their relative order."""
+    if cap < 1:
+        raise ValidationError(f"subsample cap must be >= 1, got {cap}")
     n = points.shape[0]
     if n <= cap:
         return points
@@ -377,30 +399,14 @@ def build_vocab(
     pyramid: PyramidConfig,
     seed: int,
     subsample_cap: int = 200_000,
-    forest_params: KdForestParams | None = None,
     workers: int = 1,
 ) -> Vocabulary:
     """Cluster descriptors of all training images into one vocabulary per
-    pyramid level and index each with a kd-forest."""
+    pyramid level."""
     if not images:
         raise ValidationError("need at least one training image")
     pooled = np.vstack([dense_sift(img, sift).vectors for img in images])
-    return build_vocab_from_descriptors(
-        pooled, sift, pyramid, seed, subsample_cap, forest_params, workers
-    )
-
-
-def _level_forest_params(base: KdForestParams, level_index: int) -> KdForestParams:
-    """Per-level forest seed derived from the base seed, identically at
-    build and load time so round-trips rebuild the same trees."""
-    seed = int(np.random.SeedSequence([base.seed, 29, level_index]).generate_state(1)[0])
-    return KdForestParams(
-        base.n_trees,
-        base.leaf_capacity,
-        base.backtrack_budget,
-        base.top_variance_dims,
-        seed,
-    )
+    return build_vocab_from_descriptors(pooled, sift, pyramid, seed, subsample_cap, workers)
 
 
 def build_vocab_from_descriptors(
@@ -409,27 +415,23 @@ def build_vocab_from_descriptors(
     pyramid: PyramidConfig,
     seed: int,
     subsample_cap: int = 200_000,
-    forest_params: KdForestParams | None = None,
     workers: int = 1,
 ) -> Vocabulary:
-    base = forest_params or KdForestParams()
     sample = subsample_rows(descriptors, subsample_cap, [seed, 17])
     levels = []
     for li, (grid, k) in enumerate(zip(pyramid.levels, pyramid.vocab_sizes)):
         centroids = kmeans(sample, k, seed=[seed, 23, li], workers=workers)
-        params = _level_forest_params(base, li)
-        levels.append(VocabularyLevel(grid, centroids, kdforest_build(centroids, params)))
-    return Vocabulary(levels=levels, sift=sift, forest_params=base)
+        levels.append(VocabularyLevel(grid, centroids))
+    return Vocabulary(levels=levels, sift=sift)
 
 
-def _cell_index(coord: int, extent: int, grid: int) -> int:
-    """Grid cell of a pixel coordinate; exact boundaries fall to the lower
-    cell."""
-    u = coord * grid
+def _cell_index(coord, extent: int, grid: int):
+    """Grid cell of pixel coordinates (a scalar or an array, truncated to
+    integers); exact boundaries fall to the lower cell."""
+    u = np.asarray(coord, dtype=np.intp) * grid
     c = u // extent
-    if c > 0 and u % extent == 0:
-        c -= 1
-    return min(int(c), grid - 1)
+    c -= (c > 0) & (u % extent == 0)
+    return np.minimum(c, grid - 1)
 
 
 def encode(
@@ -437,13 +439,13 @@ def encode(
     vocab: Vocabulary,
     pyramid: PyramidConfig,
     image_size: tuple[int, int],
-    budget: int | None = None,
 ) -> np.ndarray:
     """Binary word-presence vector over the spatial pyramid.
 
     Output blocks follow pyramid level order; within a level, cells in
     row-major order; within a cell, word index.  Entry is 1 iff some
-    descriptor centered in the cell quantizes to the word at that level.
+    descriptor centered in the cell has the word as its nearest centroid
+    at that level (ties to the lowest word id).
     """
     if len(vocab.levels) != len(pyramid.levels):
         raise LevelMismatch(
@@ -455,28 +457,29 @@ def encode(
                 f"vocabulary level (grid {lv.grid}, k {lv.centroids.shape[0]}) does "
                 f"not match pyramid level (grid {grid}, k {k})"
             )
+        if lv.centroids.shape[1] != descriptors.vectors.shape[1]:
+            raise DimMismatch(
+                f"descriptor dim {descriptors.vectors.shape[1]} vs vocabulary "
+                f"dim {lv.centroids.shape[1]}"
+            )
     width, height = image_size
     out = np.zeros(pyramid.encoded_dim)
     offset = 0
-    n_desc = len(descriptors)
     for lv in vocab.levels:
         grid, k = lv.grid, lv.centroids.shape[0]
-        for i in range(n_desc):
-            word, _ = kdforest_nn(lv.forest, descriptors.vectors[i], budget)
-            row = _cell_index(int(descriptors.y[i]), height, grid)
-            col = _cell_index(int(descriptors.x[i]), width, grid)
-            out[offset + (row * grid + col) * k + word] = 1.0
+        words, _ = _nearest(descriptors.vectors, lv.centroids)
+        cells = (_cell_index(descriptors.y, height, grid) * grid
+                 + _cell_index(descriptors.x, width, grid))
+        out[offset + cells * k + words] = 1.0
         offset += grid * grid * k
     return out
 
 
 def save_vocab(vocab: Vocabulary, path) -> None:
-    s, fp = vocab.sift, vocab.forest_params
+    s = vocab.sift
     with open(path, "wb") as fh:
         fh.write(VOCAB_MAGIC)
-        fh.write(struct.pack("<II", 1, len(vocab.levels)))
-        fh.write(struct.pack("<IIIIq", fp.n_trees, fp.leaf_capacity,
-                             fp.backtrack_budget, fp.top_variance_dims, fp.seed))
+        fh.write(struct.pack("<II", 2, len(vocab.levels)))
         fh.write(struct.pack("<I", len(s.bin_sizes)))
         for b in s.bin_sizes:
             fh.write(struct.pack("<I", b))
@@ -494,11 +497,9 @@ def load_vocab(path) -> Vocabulary:
         raise MalformedFile(f"{path}: bad vocabulary magic")
     try:
         version, n_levels = struct.unpack_from("<II", blob, 4)
-        if version != 1:
+        if version not in (1, 2):
             raise MalformedFile(f"{path}: unsupported vocabulary version {version}")
-        off = 12
-        n_trees, leaf_cap, budget, topvar, fseed = struct.unpack_from("<IIIIq", blob, off)
-        off += struct.calcsize("<IIIIq")
+        off = 12 if version == 2 else 36  # v1 holds a 24-byte kd-forest block here
         (n_bins,) = struct.unpack_from("<I", blob, off)
         off += 4
         bin_sizes = struct.unpack_from(f"<{n_bins}I", blob, off)
@@ -506,18 +507,17 @@ def load_vocab(path) -> Vocabulary:
         step, orient, sbins, contrast = struct.unpack_from("<IIId", blob, off)
         off += struct.calcsize("<IIId")
         sift = DenseSiftConfig(tuple(bin_sizes), step, orient, sbins, contrast)
-        base = KdForestParams(n_trees, leaf_cap, budget, topvar, fseed)
         levels = []
-        for li in range(n_levels):
+        for _ in range(n_levels):
             grid, k, dim = struct.unpack_from("<III", blob, off)
             off += 12
+            if len(blob) - off < 8 * k * dim:
+                raise MalformedFile(f"{path}: truncated vocabulary centroid block")
             cents = np.frombuffer(blob, dtype="<f8", count=k * dim, offset=off)
             off += k * dim * 8
-            cents = cents.reshape(k, dim).copy()
-            params = _level_forest_params(base, li)
-            levels.append(VocabularyLevel(grid, cents, kdforest_build(cents, params)))
+            levels.append(VocabularyLevel(grid, cents.reshape(k, dim).copy()))
     except struct.error as exc:
         raise MalformedFile(f"{path}: truncated vocabulary file: {exc}")
     if off != len(blob):
         raise MalformedFile(f"{path}: {len(blob) - off} trailing bytes")
-    return Vocabulary(levels=levels, sift=sift, forest_params=base)
+    return Vocabulary(levels=levels, sift=sift)

@@ -25,7 +25,6 @@ from . import bovw, core, dsd, report, svm
 from .errors import ComputeError, MalformedFile, ValidationError
 from .features import FusionSpec, fuse
 from .local import LocalLearnerConfig, knn_classify_batch, local_predict_batch
-from .neighbors import KdForestParams
 from .pipeline import ingest_and_fuse, run_pipeline
 
 
@@ -87,9 +86,13 @@ def cmd_ingest(args) -> int:
     return 0
 
 
-def _read_bovw_config(path) -> tuple[bovw.DenseSiftConfig, bovw.PyramidConfig, dict]:
+_BOVW_KEYS = ("levels", "vocab", "bin-sizes", "step", "contrast-threshold", "subsample-cap")
+
+
+def _read_bovw_config(path) -> tuple[bovw.DenseSiftConfig, bovw.PyramidConfig, int]:
     """Key-value config for build-vocab: levels, vocab, bin-sizes, step,
-    contrast-threshold, subsample-cap, trees, leaf-capacity, budget."""
+    contrast-threshold, subsample-cap.  Returns the SIFT and pyramid
+    settings and the subsample cap."""
     values: dict[str, str] = {}
     for lineno, raw in enumerate(
         Path(path).read_text(encoding="utf-8").splitlines(), start=1
@@ -100,27 +103,26 @@ def _read_bovw_config(path) -> tuple[bovw.DenseSiftConfig, bovw.PyramidConfig, d
         parts = line.split(None, 1)
         if len(parts) != 2:
             raise MalformedFile(f"{path}:{lineno}: expected 'key value'")
+        if parts[0] not in _BOVW_KEYS:
+            raise MalformedFile(f"{path}:{lineno}: unknown key {parts[0]!r}")
         values[parts[0]] = parts[1].strip()
 
     def ints(key, default):
         return tuple(int(v) for v in values[key].split(",")) if key in values else default
 
-    sift = bovw.DenseSiftConfig(
-        bin_sizes=ints("bin-sizes", (4, 6, 8, 10)),
-        step=int(values.get("step", "2")),
-        contrast_threshold=float(values.get("contrast-threshold", "0.005")),
-    )
-    pyramid = bovw.PyramidConfig(
-        levels=ints("levels", (1, 2, 3, 4)),
-        vocab_sizes=ints("vocab", bovw.FULL_VOCAB_SIZES),
-    )
-    extras = {
-        "subsample_cap": int(values.get("subsample-cap", "200000")),
-        "n_trees": int(values.get("trees", "4")),
-        "leaf_capacity": int(values.get("leaf-capacity", "96")),
-        "budget": int(values.get("budget", "512")),
-    }
-    return sift, pyramid, extras
+    try:
+        sift = bovw.DenseSiftConfig(
+            bin_sizes=ints("bin-sizes", (4, 6, 8, 10)),
+            step=int(values.get("step", "2")),
+            contrast_threshold=float(values.get("contrast-threshold", "0.005")),
+        )
+        pyramid = bovw.PyramidConfig(
+            levels=ints("levels", (1, 2, 3, 4)),
+            vocab_sizes=ints("vocab", bovw.FULL_VOCAB_SIZES),
+        )
+        return sift, pyramid, int(values.get("subsample-cap", "200000"))
+    except ValueError as exc:
+        raise MalformedFile(f"{path}: {exc}")
 
 
 def _image_dir(path) -> tuple[list[str], list[np.ndarray]]:
@@ -132,18 +134,10 @@ def _image_dir(path) -> tuple[list[str], list[np.ndarray]]:
 
 def cmd_build_vocab(args) -> int:
     seed = _resolve_seed(args.seed)
-    sift, pyramid, extras = _read_bovw_config(args.config)
+    sift, pyramid, subsample_cap = _read_bovw_config(args.config)
     _, images = _image_dir(args.images)
-    params = KdForestParams(
-        n_trees=extras["n_trees"],
-        leaf_capacity=extras["leaf_capacity"],
-        backtrack_budget=extras["budget"],
-        seed=seed,
-    )
     vocab = bovw.build_vocab(
-        images, sift, pyramid, seed,
-        subsample_cap=extras["subsample_cap"], forest_params=params,
-        workers=args.workers,
+        images, sift, pyramid, seed, subsample_cap=subsample_cap, workers=args.workers
     )
     bovw.save_vocab(vocab, args.out)
     sizes = ", ".join(str(lv.centroids.shape[0]) for lv in vocab.levels)

@@ -436,7 +436,7 @@ def parse_manifest(path) -> DatasetManifest:
             normalize = True
             for opt in tokens[3:]:
                 if opt.startswith("dim="):
-                    dim = int(opt[4:])
+                    dim = _parse_int(opt[4:], path, lineno)
                 elif opt.startswith("normalize="):
                     normalize = _parse_on_off(opt[10:], path, lineno)
                 else:
@@ -458,10 +458,17 @@ def parse_manifest(path) -> DatasetManifest:
         labels_path=base / scalars["labels"],
         labelmap_path=base / scalars["labelmap"],
         splits_path=base / scalars["splits"],
-        seed=int(scalars.get("seed", "0")),
-        cap=int(scalars["cap"]) if "cap" in scalars else None,
+        seed=_parse_int(scalars.get("seed", "0"), path, 0),
+        cap=_parse_int(scalars["cap"], path, 0) if "cap" in scalars else None,
         renormalize=_parse_on_off(scalars.get("renormalize", "off"), path, 0),
     )
+
+
+def _parse_int(value: str, path, lineno) -> int:
+    try:
+        return int(value)
+    except ValueError:
+        raise MalformedFile(f"{path}:{lineno}: expected an integer, got {value!r}")
 
 
 def _parse_on_off(value: str, path, lineno) -> bool:

@@ -455,18 +455,18 @@ def load_ova(path) -> OvaModel:
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
-        if line.startswith("#"):
-            if line.startswith("#n_classes "):
-                n_classes = int(line.split(None, 1)[1])
-            elif line.startswith("#classes "):
-                class_names = tuple(line.split(None, 1)[1].split(","))
-            elif line.startswith("#constant "):
-                constant = int(line.split(None, 1)[1])
-            continue
-        parts = line.split()
-        if len(parts) < 3:
-            raise MalformedFile(f"{path}:{lineno}: expected 'class_id b w1 ... wD'")
         try:
+            if line.startswith("#"):
+                if line.startswith("#n_classes "):
+                    n_classes = int(line.split(None, 1)[1])
+                elif line.startswith("#classes "):
+                    class_names = tuple(line.split(None, 1)[1].split(","))
+                elif line.startswith("#constant "):
+                    constant = int(line.split(None, 1)[1])
+                continue
+            parts = line.split()
+            if len(parts) < 3:
+                raise MalformedFile(f"{path}:{lineno}: expected 'class_id b w1 ... wD'")
             cls = int(parts[0])
             b = float(parts[1])
             w = np.array([float(p) for p in parts[2:]])

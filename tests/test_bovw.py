@@ -1,6 +1,9 @@
+import struct
+
 import numpy as np
 import pytest
 
+from locallearn import bovw
 from locallearn.bovw import (
     DESK_VOCAB_SIZES,
     DenseSiftConfig,
@@ -9,6 +12,7 @@ from locallearn.bovw import (
     Vocabulary,
     VocabularyLevel,
     _cell_index,
+    _nearest,
     build_vocab,
     build_vocab_from_descriptors,
     dense_sift,
@@ -20,8 +24,15 @@ from locallearn.bovw import (
     subsample_rows,
     write_pgm,
 )
-from locallearn.errors import ImageTooSmall, LevelMismatch, MalformedFile
-from locallearn.neighbors import KdForestParams, kdforest_build
+from locallearn.errors import (
+    DimMismatch,
+    ImageTooSmall,
+    LevelMismatch,
+    MalformedFile,
+    ValidationError,
+)
+
+from oracles import brute_nn_euclidean
 
 
 class TestPgm:
@@ -142,14 +153,32 @@ class TestKmeans:
         assert np.array_equal(a, b)
 
 
+class TestNearest:
+    def test_matches_oracle_at_every_chunking(self, monkeypatch):
+        rng = np.random.default_rng(15)
+        cents = rng.normal(size=(37, 6))
+        pts = rng.normal(size=(200, 6))
+        oracle = [brute_nn_euclidean(cents, q) for q in pts]
+        for chunk_bytes in (bovw._CHUNK_BYTES, 8 * 37 * 7, 1):  # 1, 29 and 200 chunks
+            monkeypatch.setattr(bovw, "_CHUNK_BYTES", chunk_bytes)
+            words, d2 = _nearest(pts, cents)
+            assert words.tolist() == [w for w, _ in oracle]
+            assert np.allclose(np.sqrt(d2), [d for _, d in oracle], atol=1e-12)
+
+    def test_ties_go_to_lowest_id(self):
+        cents = np.array([[1.0, 1.0]] * 5 + [[3.0, 3.0]] * 5)
+        words, d2 = _nearest(np.array([[1.0, 1.0], [3.0, 3.0], [2.0, 2.0]]), cents)
+        assert words.tolist() == [0, 5, 0]  # the last query is equidistant
+        assert d2.tolist() == [0.0, 0.0, 2.0]
+
+
 class TestEncode:
     def _toy_vocab(self, centroids_per_level, grids):
-        levels = []
-        for cents, grid in zip(centroids_per_level, grids):
-            cents = np.asarray(cents, dtype=np.float64)
-            forest = kdforest_build(cents, KdForestParams(n_trees=1, seed=0))
-            levels.append(VocabularyLevel(grid, cents, forest))
-        return Vocabulary(levels=levels, sift=DenseSiftConfig(), forest_params=KdForestParams())
+        levels = [
+            VocabularyLevel(grid, np.asarray(cents, dtype=np.float64))
+            for cents, grid in zip(centroids_per_level, grids)
+        ]
+        return Vocabulary(levels=levels, sift=DenseSiftConfig())
 
     def _descset(self, vectors, xs, ys):
         vectors = np.asarray(vectors, dtype=np.float64)
@@ -201,6 +230,12 @@ class TestEncode:
         with pytest.raises(LevelMismatch):
             encode(self._descset([[0.5]], [1], [1]), vocab, pyr, (16, 16))
 
+    def test_descriptor_dim_mismatch(self):
+        vocab = self._toy_vocab([[[0.0, 0.0], [1.0, 1.0]]], [1])
+        pyr = PyramidConfig(levels=(1,), vocab_sizes=(2,))
+        with pytest.raises(DimMismatch):
+            encode(self._descset([[0.5, 0.5, 0.5]], [1], [1]), vocab, pyr, (16, 16))
+
     def test_full_scale_dim_closed_form(self):
         pyr = PyramidConfig()  # full-scale defaults: 1..4 grids, 17k/14k/11k/8k
         assert pyr.encoded_dim == 1 * 17000 + 4 * 14000 + 9 * 11000 + 16 * 8000
@@ -215,25 +250,39 @@ class TestEncode:
         assert _cell_index(17, 32, 2) == 1
         assert _cell_index(0, 32, 2) == 0
         assert _cell_index(31, 32, 2) == 1
+        # arrays follow the same rule element by element
+        coords = np.arange(-3, 52)
+        cells = _cell_index(coords, 48, 3)
+        assert cells.tolist() == [_cell_index(int(c), 48, 3) for c in coords]
 
     def test_matches_brute_force_nearest_centroid(self):
         rng = np.random.default_rng(8)
-        words = rng.normal(size=(17, 6))
-        vocab = self._toy_vocab([words], [2])
-        pyr = PyramidConfig(levels=(2,), vocab_sizes=(17,))
-        descs = self._descset(
-            rng.normal(size=(30, 6)), rng.integers(0, 48, 30), rng.integers(0, 48, 30)
-        )
-        forest = vocab.levels[0].forest
-        out = encode(descs, vocab, pyr, (48, 48), budget=forest.node_count)
-        expected = np.zeros(pyr.encoded_dim)
-        for i in range(30):
-            d2 = np.sum((words - descs.vectors[i]) ** 2, axis=1)
-            word = int(np.argmin(d2))
-            row = _cell_index(int(descs.y[i]), 48, 2)
-            col = _cell_index(int(descs.x[i]), 48, 2)
-            expected[(row * 2 + col) * 17 + word] = 1.0
-        assert np.array_equal(out, expected)
+        # Real-valued data, then small integers with duplicated centroids:
+        # there every distance is exact, so ties are real and must go to
+        # the lowest word id.
+        lattice = rng.integers(-2, 3, size=(17, 3)).astype(float)
+        lattice[[9, 13]] = lattice[[2, 5]]
+        cases = [
+            (rng.normal(size=(17, 6)), rng.normal(size=(30, 6))),
+            (lattice, rng.integers(-2, 3, size=(60, 3)).astype(float)),
+        ]
+        ties = 0
+        for words, vectors in cases:
+            n = len(vectors)
+            vocab = self._toy_vocab([words], [2])
+            pyr = PyramidConfig(levels=(2,), vocab_sizes=(17,))
+            descs = self._descset(vectors, rng.integers(0, 48, n), rng.integers(0, 48, n))
+            out = encode(descs, vocab, pyr, (48, 48))
+            expected = np.zeros(pyr.encoded_dim)
+            for i in range(n):
+                word, _ = brute_nn_euclidean(words, descs.vectors[i])
+                d2 = np.sum((words - descs.vectors[i]) ** 2, axis=1)
+                ties += np.count_nonzero(d2 == d2.min()) > 1
+                row = _cell_index(int(descs.y[i]), 48, 2)
+                col = _cell_index(int(descs.x[i]), 48, 2)
+                expected[(row * 2 + col) * 17 + word] = 1.0
+            assert np.array_equal(out, expected)
+        assert ties > 0
 
 
 class TestVocabulary:
@@ -264,26 +313,71 @@ class TestVocabulary:
         assert rows_as_set <= all_rows
         under = subsample_rows(pool[:100], 1200, seed=4)
         assert np.array_equal(under, pool[:100])
+        with pytest.raises(ValidationError):
+            subsample_rows(pool, -1, seed=4)
 
-    def test_save_load_roundtrip(self, tmp_path):
+    def _small_vocab(self):
         rng = np.random.default_rng(12)
         descs = rng.normal(size=(300, 16))
         sift = DenseSiftConfig(bin_sizes=(4, 6), step=3)
         pyr = PyramidConfig(levels=(1, 2), vocab_sizes=(6, 4))
-        vocab = build_vocab_from_descriptors(descs, sift, pyr, seed=5)
+        return build_vocab_from_descriptors(descs, sift, pyr, seed=5), pyr
+
+    def test_save_load_roundtrip(self, tmp_path):
+        vocab, pyr = self._small_vocab()
         save_vocab(vocab, tmp_path / "v.llvb")
+        assert (tmp_path / "v.llvb").read_bytes()[4:8] == struct.pack("<I", 2)
         back = load_vocab(tmp_path / "v.llvb")
-        assert back.sift == sift
+        assert back.sift == vocab.sift
         assert len(back.levels) == 2
         for lv, lv2 in zip(vocab.levels, back.levels):
             assert lv.grid == lv2.grid
             assert np.array_equal(lv.centroids, lv2.centroids)
-        # rebuilt forests answer identically
-        q = rng.normal(size=16)
-        from locallearn.neighbors import kdforest_nn
+        # the loaded vocabulary encodes identically
+        rng = np.random.default_rng(13)
+        descs = DescriptorSet(rng.normal(size=(50, 16)), rng.integers(0, 32, 50),
+                              rng.integers(0, 32, 50), np.full(50, 4))
+        assert np.array_equal(encode(descs, vocab, pyr, (32, 32)),
+                              encode(descs, back, pyr, (32, 32)))
 
+    @staticmethod
+    def _pack_v1(vocab) -> bytes:
+        """A version-1 file: as version 2, plus the kd-forest settings block
+        (trees, leaf capacity, budget, top-variance dims, seed) that
+        version 1 kept after the level count."""
+        s = vocab.sift
+        blob = b"LLVB" + struct.pack("<II", 1, len(vocab.levels))
+        blob += struct.pack("<IIIIq", 4, 96, 512, 5, 7)
+        blob += struct.pack("<I", len(s.bin_sizes))
+        blob += struct.pack(f"<{len(s.bin_sizes)}I", *s.bin_sizes)
+        blob += struct.pack("<IIId", s.step, s.orientations, s.spatial_bins,
+                            s.contrast_threshold)
+        for lv in vocab.levels:
+            blob += struct.pack("<III", lv.grid, *lv.centroids.shape)
+            blob += lv.centroids.astype("<f8").tobytes()
+        return blob
+
+    def test_loads_version_1(self, tmp_path):
+        vocab, _ = self._small_vocab()
+        (tmp_path / "v1.llvb").write_bytes(self._pack_v1(vocab))
+        back = load_vocab(tmp_path / "v1.llvb")
+        assert back.sift == vocab.sift
         for lv, lv2 in zip(vocab.levels, back.levels):
-            assert kdforest_nn(lv.forest, q) == kdforest_nn(lv2.forest, q)
+            assert lv.grid == lv2.grid
+            assert np.array_equal(lv.centroids, lv2.centroids)
+
+    def test_truncated_file_is_malformed_at_every_length(self, tmp_path):
+        vocab, _ = self._small_vocab()
+        save_vocab(vocab, tmp_path / "v2.llvb")
+        path = tmp_path / "cut.llvb"
+        for blob in ((tmp_path / "v2.llvb").read_bytes(), self._pack_v1(vocab)):
+            for length in range(len(blob)):
+                path.write_bytes(blob[:length])
+                with pytest.raises(MalformedFile):
+                    load_vocab(path)
+            path.write_bytes(blob + b"\0")
+            with pytest.raises(MalformedFile, match="trailing"):
+                load_vocab(path)
 
     def test_flip_invariance_on_symmetric_image(self):
         # A horizontally symmetric image equals its flip, so the whole

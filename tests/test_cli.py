@@ -150,7 +150,7 @@ class TestBovwCommands:
             bovw.write_pgm(img_dir / f"img{i:03d}.pgm", img)
         cfg = tmp_path / "bovw.conf"
         cfg.write_text(
-            "levels 1,2\nvocab 6,4\nbin-sizes 4,6\nstep 4\ntrees 1\n"
+            "levels 1,2\nvocab 6,4\nbin-sizes 4,6\nstep 4\n"
             "subsample-cap 5000\n"
         )
         vocab_path = tmp_path / "vocab.llvb"
@@ -168,6 +168,49 @@ class TestBovwCommands:
         assert run(["encode", "--images", img_dir, "--vocab", vocab_path,
                     "--workers", "4", "--out", feats4]) == 0
         assert np.array_equal(core.load_features(feats4).values, m.values)
+        # a vocabulary cut short is a malformed file, not a crash
+        cut = tmp_path / "cut.llvb"
+        cut.write_bytes(vocab_path.read_bytes()[:-8])
+        assert run(["encode", "--images", img_dir, "--vocab", cut,
+                    "--out", tmp_path / "cut.fv"]) == 2
+
+    @pytest.mark.parametrize("line,detail", [
+        ("vocab-size 5", ":3: unknown key 'vocab-size'"),
+        ("trees 1", ":3: unknown key 'trees'"),
+        ("leaf-capacity 8", ":3: unknown key 'leaf-capacity'"),
+        ("budget 64", ":3: unknown key 'budget'"),
+        ("step x", "invalid literal for int()"),
+    ])
+    def test_bad_config_line_exits_2(self, tmp_path, capsys, line, detail):
+        img_dir = tmp_path / "imgs"
+        img_dir.mkdir()
+        bovw.write_pgm(img_dir / "a.pgm", texture_corpus(1, size=32, seed=0)[0][0])
+        cfg = tmp_path / "bovw.conf"
+        cfg.write_text(f"levels 1\nvocab 2\n{line}\n")
+        assert run(["build-vocab", "--images", img_dir, "--config", cfg,
+                    "--out", tmp_path / "v.llvb"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: MalformedFile:") and detail in err
+
+
+class TestMalformedInputExits2:
+    def test_manifest_non_integer_dim(self, arcs_dataset, tmp_path, capsys):
+        d, _ = arcs_dataset
+        (d / "manifest.conf").write_text(
+            "source arcs arcs.fv dim=x\n"
+            "labels labels.csv\nlabelmap classes.txt\nsplits splits.csv\n"
+        )
+        assert run(["pipeline", "--manifest", d / "manifest.conf",
+                    "--out", tmp_path / "p"]) == 2
+        assert capsys.readouterr().err.startswith("error: MalformedFile:")
+
+    def test_model_non_integer_class_count(self, arcs_dataset, tmp_path, capsys):
+        d, _ = arcs_dataset
+        model = tmp_path / "m.ova"
+        model.write_text("#locallearn-ova v1\n#n_classes abc\n0 0.5 1.0 1.0\n")
+        assert run(["predict-global", "--model", model, "--features", d / "test.fv",
+                    "--labelmap", d / "classes.txt", "--out", tmp_path / "p.csv"]) == 2
+        assert capsys.readouterr().err.startswith("error: MalformedFile:")
 
 
 class TestDsdCommands:

@@ -267,6 +267,14 @@ class TestManifest:
         with pytest.raises(MalformedFile):
             parse_manifest(tmp_path / "m.conf")
 
+    @pytest.mark.parametrize("line", ["source a a.fv dim=x", "seed x", "cap 1.5"])
+    def test_non_integer_value(self, tmp_path, line):
+        (tmp_path / "m.conf").write_text(
+            f"{line}\nlabels l\nlabelmap m\nsplits s\n"
+        )
+        with pytest.raises(MalformedFile, match="expected an integer"):
+            parse_manifest(tmp_path / "m.conf")
+
     def test_splits(self, tmp_path):
         (tmp_path / "s.csv").write_text("a,train\nb,validation\nc,test\n")
         assert read_splits(tmp_path / "s.csv") == {"a": "train", "b": "val", "c": "test"}

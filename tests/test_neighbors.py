@@ -3,15 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from locallearn.errors import DimMismatch, ValidationError
-from locallearn.neighbors import (
-    CosineIndex,
-    KdForestParams,
-    kdforest_build,
-    kdforest_nn,
-    top_k,
-)
+from locallearn.neighbors import CosineIndex, top_k
 
-from oracles import brute_cosine_topk, brute_nn_euclidean
+from oracles import brute_cosine_topk
 
 
 class TestTopK:
@@ -84,81 +78,3 @@ class TestTopK:
         base = [i for i, _ in top_k(index, q, 10)]
         scaled = [i for i, _ in top_k(index, c * q, 10)]
         assert base == scaled
-
-
-class TestKdForest:
-    def test_single_point_single_leaf(self):
-        forest = kdforest_build(np.array([[1.0, 2.0]]), KdForestParams(n_trees=3))
-        assert forest.node_count == 3  # one leaf per tree
-        pid, dist = kdforest_nn(forest, np.array([1.0, 2.0]))
-        assert pid == 0 and dist == 0.0
-
-    def test_all_points_reachable(self):
-        rng = np.random.default_rng(3)
-        pts = rng.normal(size=(1000, 8))
-        forest = kdforest_build(pts, KdForestParams(n_trees=2, leaf_capacity=16, seed=1))
-
-        def leaf_ids(node):
-            if node.is_leaf:
-                return set(node.point_ids.tolist())
-            return leaf_ids(node.left) | leaf_ids(node.right)
-
-        for tree in forest.trees:
-            assert leaf_ids(tree) == set(range(1000))
-
-    def test_duplicates_retrievable(self):
-        pts = np.array([[1.0, 1.0]] * 5 + [[2.0, 2.0]] * 5)
-        forest = kdforest_build(pts, KdForestParams(n_trees=2, leaf_capacity=2))
-        pid, dist = kdforest_nn(forest, np.array([1.0, 1.0]), budget=forest.node_count)
-        assert pid == 0 and dist == 0.0  # lowest id among the duplicates
-
-    def test_exact_hit_any_budget(self):
-        rng = np.random.default_rng(4)
-        pts = rng.normal(size=(200, 6))
-        forest = kdforest_build(pts, KdForestParams(seed=2))
-        pid, dist = kdforest_nn(forest, pts[17].copy(), budget=8)
-        # The descent to the query's own leaf happens within a tiny budget.
-        assert pid == 17 and dist == 0.0
-
-    def test_exhaustive_budget_is_exact(self):
-        rng = np.random.default_rng(5)
-        pts = rng.normal(size=(500, 10))
-        forest = kdforest_build(pts, KdForestParams(n_trees=3, leaf_capacity=8, seed=3))
-        for qi in range(30):
-            q = rng.normal(size=10)
-            pid, dist = kdforest_nn(forest, q, budget=forest.node_count)
-            ref_id, ref_dist = brute_nn_euclidean(pts, q)
-            assert pid == ref_id
-            assert abs(dist - ref_dist) < 1e-9
-
-    def test_distance_never_below_true_nearest(self):
-        rng = np.random.default_rng(6)
-        pts = rng.normal(size=(400, 12))
-        forest = kdforest_build(pts, KdForestParams(n_trees=2, leaf_capacity=4, seed=4))
-        for qi in range(20):
-            q = rng.normal(size=12)
-            _, dist = kdforest_nn(forest, q, budget=10)
-            _, ref_dist = brute_nn_euclidean(pts, q)
-            assert dist >= ref_dist - 1e-12
-
-    def test_depth_bound_on_distinct_data(self):
-        rng = np.random.default_rng(8)
-        pts = rng.normal(size=(1024, 5))
-        leaf = 16
-        forest = kdforest_build(pts, KdForestParams(n_trees=1, leaf_capacity=leaf, seed=5))
-        bound = int(np.ceil(np.log2(1024 / leaf))) + 1
-        assert forest.max_depth <= bound
-
-    def test_deterministic_given_seed(self):
-        rng = np.random.default_rng(9)
-        pts = rng.normal(size=(300, 4))
-        params = KdForestParams(n_trees=2, leaf_capacity=8, seed=11)
-        f1 = kdforest_build(pts, params)
-        f2 = kdforest_build(pts, params)
-        q = rng.normal(size=4)
-        assert kdforest_nn(f1, q, 64) == kdforest_nn(f2, q, 64)
-
-    def test_dim_mismatch(self):
-        forest = kdforest_build(np.ones((4, 3)))
-        with pytest.raises(DimMismatch):
-            kdforest_nn(forest, np.ones(2))

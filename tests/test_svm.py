@@ -285,6 +285,12 @@ class TestModelIO:
         with pytest.raises(MalformedFile):
             load_ova(tmp_path / "m.ova")
 
+    @pytest.mark.parametrize("line", ["#n_classes abc", "#constant abc"])
+    def test_non_integer_header(self, tmp_path, line):
+        (tmp_path / "m.ova").write_text(f"#locallearn-ova v1\n{line}\n0 0.5 1.0\n")
+        with pytest.raises(MalformedFile, match=":2:"):
+            load_ova(tmp_path / "m.ova")
+
 
 class TestConfig:
     def test_validation(self):
