@@ -61,6 +61,8 @@ def read_pgm(path) -> np.ndarray:
             raise MalformedFile(f"{path}: bad PGM header token {blob[start:pos]!r}")
     pos += 1  # single whitespace after maxval
     width, height, maxval = fields
+    if min(fields) < 0:
+        raise MalformedFile(f"{path}: negative PGM header field in {fields}")
     if maxval > 255:
         raise MalformedFile(f"{path}: only 8-bit PGM supported, maxval={maxval}")
     data = blob[pos : pos + width * height]
@@ -253,12 +255,10 @@ def kmeans(
         if np.array_equal(new_assign, assign):
             break
         assign = new_assign
-        for c in range(k):
-            members = assign == c
-            if members.any():
-                centroids[c] = points[members].mean(axis=0)
-        empties = [c for c in range(k) if not np.any(assign == c)]
-        for e in empties:
+        counts = np.bincount(assign, minlength=k)
+        for c in np.flatnonzero(counts):
+            centroids[c] = points[assign == c].mean(axis=0)
+        for e in np.flatnonzero(counts == 0):
             costs = np.linalg.norm(points - centroids[assign], axis=1)
             per_cluster = np.zeros(k)
             np.add.at(per_cluster, assign, costs**2)

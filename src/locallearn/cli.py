@@ -94,9 +94,7 @@ def _read_bovw_config(path) -> tuple[bovw.DenseSiftConfig, bovw.PyramidConfig, i
     contrast-threshold, subsample-cap.  Returns the SIFT and pyramid
     settings and the subsample cap."""
     values: dict[str, str] = {}
-    for lineno, raw in enumerate(
-        Path(path).read_text(encoding="utf-8").splitlines(), start=1
-    ):
+    for lineno, raw in enumerate(core.read_lines(path), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

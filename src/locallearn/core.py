@@ -47,6 +47,15 @@ _ID_FORBIDDEN = (",", "\n", "\r")
 SPLIT_NAMES = ("train", "val", "test")
 
 
+def read_lines(path) -> list[str]:
+    """The lines of a UTF-8 text file; bytes that are not UTF-8 raise
+    MalformedFile."""
+    try:
+        return Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise MalformedFile(f"{path}: not UTF-8: {exc}")
+
+
 def _check_id(sample_id: str) -> str:
     if not sample_id:
         raise ValidationError("empty sample id")
@@ -186,7 +195,9 @@ def _load_text(blob: bytes, path: Path, expected_dim) -> FeatureMatrix:
     m = _HEADER_RE.match(lines[0])
     if m is None:
         raise MalformedFile(f"{path}: bad header {lines[0][:64]!r}")
-    dim = int(m.group(1))
+    dim = _parse_int(m.group(1), path, 1)
+    if dim > 0xFFFFFFFF:  # the binary format's u32 dim field
+        raise MalformedFile(f"{path}: header dim={dim} is out of range")
     if expected_dim is not None and dim != expected_dim:
         raise DimMismatch(f"{path}: header dim={dim}, expected {expected_dim}")
     ids: list[str] = []
@@ -221,9 +232,11 @@ def _load_binary(blob: bytes, path: Path, expected_dim) -> FeatureMatrix:
     if expected_dim is not None and dim != expected_dim:
         raise DimMismatch(f"{path}: header dim={dim}, expected {expected_dim}")
     offset = 4 + struct.calcsize("<IIQ")
+    row_bytes = dim * 8
+    if n * (2 + row_bytes) > len(blob) - offset:
+        raise MalformedFile(f"{path}: header names {n} samples, more than the file holds")
     ids = []
     values = np.empty((n, dim), dtype=np.float64)
-    row_bytes = dim * 8
     for i in range(n):
         try:
             (id_len,) = struct.unpack_from("<H", blob, offset)
@@ -233,7 +246,10 @@ def _load_binary(blob: bytes, path: Path, expected_dim) -> FeatureMatrix:
         end = offset + id_len + row_bytes
         if end > len(blob):
             raise MalformedFile(f"{path}: truncated at sample {i}")
-        ids.append(blob[offset : offset + id_len].decode("utf-8"))
+        try:
+            ids.append(blob[offset : offset + id_len].decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise MalformedFile(f"{path}: sample {i} id is not UTF-8: {exc}")
         offset += id_len
         values[i] = np.frombuffer(blob, dtype="<f8", count=dim, offset=offset)
         offset += row_bytes
@@ -277,7 +293,7 @@ class LabelMap:
 
     @classmethod
     def from_file(cls, path) -> "LabelMap":
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        lines = read_lines(path)
         return cls(tuple(ln.strip() for ln in lines if ln.strip()))
 
     def save(self, path) -> None:
@@ -289,9 +305,7 @@ class LabelMap:
 def read_labels(path) -> dict[str, str]:
     """Read a ``sample_id,class_name`` label file into an id -> name dict."""
     out: dict[str, str] = {}
-    for lineno, line in enumerate(
-        Path(path).read_text(encoding="utf-8").splitlines(), start=1
-    ):
+    for lineno, line in enumerate(read_lines(path), start=1):
         if not line.strip():
             continue
         if "," not in line:
@@ -420,9 +434,7 @@ def parse_manifest(path) -> DatasetManifest:
     base = path.parent
     sources: list[SourceSpec] = []
     scalars: dict[str, str] = {}
-    for lineno, raw in enumerate(
-        path.read_text(encoding="utf-8").splitlines(), start=1
-    ):
+    for lineno, raw in enumerate(read_lines(path), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -482,9 +494,7 @@ def _parse_on_off(value: str, path, lineno) -> bool:
 def read_splits(path) -> dict[str, str]:
     """Read a ``sample_id,split`` file; split is train, val(idation), or test."""
     out: dict[str, str] = {}
-    for lineno, line in enumerate(
-        Path(path).read_text(encoding="utf-8").splitlines(), start=1
-    ):
+    for lineno, line in enumerate(read_lines(path), start=1):
         if not line.strip():
             continue
         if "," not in line:

@@ -434,10 +434,15 @@ def load_mlp(path) -> MlpModel:
         for _ in range(n_layers):
             (name_len,) = struct.unpack_from("<H", blob, off)
             off += 2
-            name = blob[off : off + name_len].decode("utf-8")
+            try:
+                name = blob[off : off + name_len].decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise MalformedFile(f"{path}: layer name is not UTF-8: {exc}")
             off += name_len
             rows, cols = struct.unpack_from("<II", blob, off)
             off += 8
+            if len(blob) - off < 8 * (rows + 1) * cols:
+                raise MalformedFile(f"{path}: truncated weights of layer {name!r}")
             W = np.frombuffer(blob, dtype="<f8", count=rows * cols, offset=off)
             off += rows * cols * 8
             b = np.frombuffer(blob, dtype="<f8", count=cols, offset=off)

@@ -6,9 +6,10 @@ sample with a constant feature of value 1, so the bias is regularized and a
 generic QP solver on the augmented dual reproduces the same optimum.
 
 Training takes row sets of one matrix (all rows, or one neighbourhood per
-query) with one problem per class.  Mid-size problems of all sets step in
-lockstep over Gram matrices built once per set, and no result depends on
-which others share the call.  Low-dim and large problems run one by one.
+query) with one problem per class.  Problems of up to ``_GRAM_LIMIT``
+samples step in lockstep over Gram matrices built once per set, and no
+result depends on which others share the call.  Larger problems run one by
+one in a feature-space loop with shrinking.
 
 Models serialize to a text format: header line ``#locallearn-ova v1``,
 then one ``class_id b w1 ... wD`` line per trained class.  Comment lines
@@ -19,12 +20,11 @@ them to embed class names and the degenerate constant-class marker.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .core import FeatureMatrix
+from .core import FeatureMatrix, read_lines
 from .errors import (
     DimMismatch,
     MalformedFile,
@@ -33,12 +33,13 @@ from .errors import (
     ValidationError,
 )
 
-# Low-dim problems run the inner loop on plain Python floats (cheaper than
-# numpy scalar ops); mid-size problems share a precomputed Gram matrix in
-# the lockstep core; anything else recomputes gradients from features.  The
-# choice is a pure function of the problem shape, so identical data always
-# takes the identical path.
-_LOWDIM_LIMIT = 8  # augmented dim (d + 1)
+# Two loops, chosen by sample count alone, so identical data always takes
+# the identical path.  Problems of up to _GRAM_LIMIT samples (local
+# neighbourhoods, small training sets) step in lockstep over one Gram matrix
+# per row set.  Larger ones (fused global training, n >= 3,000) run one at a
+# time in the feature-space loop: it shrinks, which the lockstep core does
+# not, and their 3,000 x 3,000 Gram matrix would add 72 MB to a peak RSS of
+# 238 MB.  The benchmark has workloads on both sides of the limit.
 _GRAM_LIMIT = 2048  # samples
 _LOOP_LIMIT = 3  # live problems the lockstep core steps one at a time
 
@@ -122,39 +123,6 @@ def _augment(X: np.ndarray) -> np.ndarray:
     return np.hstack([X, np.ones((X.shape[0], 1))])
 
 
-class _LowDimWeights:
-    """Primal weights on plain Python floats; fastest when the augmented dim
-    is tiny, since per-coordinate numpy scalar overhead dominates there."""
-
-    def __init__(self, Xa):
-        self.rows = Xa.tolist()
-        self.w = [0.0] * Xa.shape[1]
-
-    def dot(self, i):
-        s = 0.0
-        for w_t, x_t in zip(self.w, self.rows[i]):
-            s += w_t * x_t
-        return s
-
-    def add(self, i, c):
-        self.w = [w_t + c * x_t for w_t, x_t in zip(self.w, self.rows[i])]
-
-
-class _FeatureWeights:
-    """Primal weights with numpy ops; used for problems too large for a Gram
-    matrix and too wide for the float loop."""
-
-    def __init__(self, Xa):
-        self.Xa = Xa
-        self.w = np.zeros(Xa.shape[1])
-
-    def dot(self, i):
-        return float(self.w @ self.Xa[i])
-
-    def add(self, i, c):
-        self.w += c * self.Xa[i]
-
-
 def _kkt_gap(alpha: np.ndarray, G: np.ndarray, C: float) -> np.ndarray:
     """Largest projected-gradient violation along the last axis."""
     pg = np.where(alpha == 0.0, np.minimum(G, 0.0), np.where(alpha == C, np.maximum(G, 0.0), G))
@@ -172,8 +140,7 @@ def _solve_dual(Xa: np.ndarray, y: np.ndarray, cfg: SvmConfig):
     n = Xa.shape[0]
     C, tol = float(cfg.C), float(cfg.tolerance)
     rng = np.random.default_rng(cfg.seed)
-    weights = (_LowDimWeights if Xa.shape[1] <= _LOWDIM_LIMIT else _FeatureWeights)(Xa)
-    dot, add = weights.dot, weights.add
+    w = np.zeros(Xa.shape[1])
     ys, qdiag = y.tolist(), np.einsum("ij,ij->i", Xa, Xa).tolist()
     alpha = [0.0] * n
     active = list(range(n))
@@ -188,7 +155,7 @@ def _solve_dual(Xa: np.ndarray, y: np.ndarray, cfg: SvmConfig):
         pg_max, pg_min = -np.inf, np.inf
         for i in [active[j] for j in perm]:
             a_i = alpha[i]
-            g = ys[i] * dot(i) - 1.0
+            g = ys[i] * float(w @ Xa[i]) - 1.0
             if a_i == 0.0:
                 if g > hi_bound:
                     continue  # shrink
@@ -209,7 +176,7 @@ def _solve_dual(Xa: np.ndarray, y: np.ndarray, cfg: SvmConfig):
                 delta = a_new - a_i
                 if delta != 0.0:
                     alpha[i] = a_new
-                    add(i, delta * ys[i])
+                    w += (delta * ys[i]) * Xa[i]
         if pg_max == -np.inf:  # everything shrunk this pass
             pg_max, pg_min = 0.0, 0.0
         gap = pg_max - pg_min
@@ -219,7 +186,7 @@ def _solve_dual(Xa: np.ndarray, y: np.ndarray, cfg: SvmConfig):
                 active = list(range(n))
                 hi_bound, lo_bound = np.inf, -np.inf
                 continue
-            g_all = y * (Xa @ np.asarray(weights.w)) - 1.0
+            g_all = y * (Xa @ w) - 1.0
             final_gap = float(_kkt_gap(np.asarray(alpha), g_all, C))
             if final_gap <= tol:
                 converged = True
@@ -229,10 +196,8 @@ def _solve_dual(Xa: np.ndarray, y: np.ndarray, cfg: SvmConfig):
         hi_bound = pg_max if pg_max > 0.0 else np.inf
         lo_bound = pg_min if pg_min < 0.0 else -np.inf
         final_gap = gap
-    alpha = np.asarray(alpha)
-    w_aug = (alpha * y) @ Xa
     info = {"passes": passes, "converged": converged, "kkt_gap": float(final_gap)}
-    return alpha, w_aug, info
+    return np.asarray(alpha), info
 
 
 def _gram_ascent(K: np.ndarray, Y: np.ndarray, owner: np.ndarray, cfg: SvmConfig):
@@ -295,22 +260,23 @@ def _solve_sets(X: np.ndarray, sets, cfg: SvmConfig):
     (an index array or a slice), Y holds one +/-1 label row per problem.
     Returns per set (augmented weights, alphas, infos), one row or entry
     per problem.  Rows are gathered one set at a time."""
-    n = sets[0][1].shape[1] if sets else 0
-    if not sets or X.shape[1] + 1 <= _LOWDIM_LIMIT or n > _GRAM_LIMIT:
-        out = []
-        for rows, Y in sets:
-            Xa = _augment(X[rows])
-            alphas, W, infos = zip(*(_solve_dual(Xa, y, cfg) for y in Y))
-            out.append((np.array(W), np.array(alphas), list(infos)))
-        return out
-    K = np.empty((len(sets), n, n))
-    for b, (rows, _) in enumerate(sets):
-        Xa = _augment(X[rows])
-        K[b] = Xa @ Xa.T
+    if not sets:
+        return []
+    n = sets[0][1].shape[1]
     sizes = [Y.shape[0] for _, Y in sets]
-    owner = np.repeat(np.arange(len(sets)), sizes)
-    alphas, infos = _gram_ascent(K, np.vstack([Y for _, Y in sets]), owner, cfg)
-    del K
+    if n <= _GRAM_LIMIT:
+        K = np.empty((len(sets), n, n))
+        for b, (rows, _) in enumerate(sets):
+            Xa = _augment(X[rows])
+            K[b] = Xa @ Xa.T
+        owner = np.repeat(np.arange(len(sets)), sizes)
+        alphas, infos = _gram_ascent(K, np.vstack([Y for _, Y in sets]), owner, cfg)
+        del K
+    else:
+        # One augmented copy per set, freed before the weights are recovered.
+        solved = [_solve_dual(Xa, y, cfg)
+                  for rows, Y in sets for Xa in [_augment(X[rows])] for y in Y]
+        alphas, infos = np.array([a for a, _ in solved]), [info for _, info in solved]
     out, start = [], 0
     for (rows, Y), size in zip(sets, sizes):
         Xa = _augment(X[rows])
@@ -444,7 +410,7 @@ def save_ova(model: OvaModel, path) -> None:
 
 
 def load_ova(path) -> OvaModel:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = read_lines(path)
     if not lines or lines[0].strip() != "#locallearn-ova v1":
         raise MalformedFile(f"{path}: bad model header")
     n_classes = 0
@@ -457,12 +423,15 @@ def load_ova(path) -> OvaModel:
             continue
         try:
             if line.startswith("#"):
-                if line.startswith("#n_classes "):
-                    n_classes = int(line.split(None, 1)[1])
-                elif line.startswith("#classes "):
-                    class_names = tuple(line.split(None, 1)[1].split(","))
-                elif line.startswith("#constant "):
-                    constant = int(line.split(None, 1)[1])
+                key, _, value = line.partition(" ")
+                if key in ("#n_classes", "#classes", "#constant") and not value.strip():
+                    raise MalformedFile(f"{path}:{lineno}: {key} has no value")
+                if key == "#n_classes":
+                    n_classes = int(value)
+                elif key == "#classes":
+                    class_names = tuple(value.strip().split(","))
+                elif key == "#constant":
+                    constant = int(value)
                 continue
             parts = line.split()
             if len(parts) < 3:

@@ -100,9 +100,9 @@ class TestTrainBinary:
 
     @pytest.mark.parametrize("shape", [(12, 2), (30, 20)])
     def test_every_solver_path_matches_oracle(self, shape, monkeypatch):
-        # (12, 2) takes the low-dim float loop, (30, 20) the Gram path, and
-        # with _GRAM_LIMIT forced down the same problem takes the feature
-        # path; all three must land on the same QP optimum.
+        # Both shapes take the lockstep Gram core, and with _GRAM_LIMIT
+        # forced down the same problem takes the feature-space loop; both
+        # loops must land on the same QP optimum.
         n, d = shape
         rng = np.random.default_rng(n * d)
         X = rng.normal(size=(n, d))
@@ -116,7 +116,6 @@ class TestTrainBinary:
         assert abs(svm_dual_value(X, y, alpha) - oracle) <= 1e-6 * max(1.0, abs(oracle))
 
         monkeypatch.setattr(svm_mod, "_GRAM_LIMIT", 1)
-        monkeypatch.setattr(svm_mod, "_LOWDIM_LIMIT", 1)
         _, alpha2, info2 = train_binary_full(X, y, cfg)
         assert info2["converged"]
         assert abs(svm_dual_value(X, y, alpha2) - oracle) <= 1e-6 * max(1.0, abs(oracle))
@@ -151,7 +150,7 @@ def _neighbourhood_sets(seed: int, n_sets: int = 6, n: int = 24, d: int = 10):
 
 
 class TestLockstepCore:
-    # d >= 8 and n <= _GRAM_LIMIT: every problem goes to the lockstep core.
+    # n <= _GRAM_LIMIT: every problem goes to the lockstep core.
 
     def test_every_problem_of_a_block_matches_oracle(self):
         X, sets = _neighbourhood_sets(31)
