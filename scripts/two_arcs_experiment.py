@@ -50,7 +50,7 @@ def main() -> int:
         k=args.k, svm=SvmConfig(C=args.C, seed=args.seed, tolerance=1e-3, max_passes=200)
     )
     t0 = time.perf_counter()
-    local_pred, timing = local_predict_batch(train, test, local_cfg, workers=args.workers)
+    local_pred, _, timing = local_predict_batch(train, test, local_cfg, workers=args.workers)
     t_local = time.perf_counter() - t0
 
     t0 = time.perf_counter()

@@ -33,7 +33,6 @@ from .svm import (
 from .neighbors import CosineIndex, top_k
 from .local import (
     LocalLearnerConfig,
-    knn_classify,
     knn_classify_batch,
     local_predict_batch,
     local_predict_one,

@@ -100,6 +100,12 @@ class DenseSiftConfig:
             raise ValidationError("bin_sizes must be positive")
         if self.step < 1:
             raise ValidationError("step must be >= 1")
+        if self.orientations < 1 or self.spatial_bins < 1:
+            raise ValidationError("orientations and spatial_bins must be >= 1")
+        if not (np.isfinite(self.contrast_threshold) and self.contrast_threshold > 0):
+            raise ValidationError(
+                f"contrast_threshold must be finite and > 0, got {self.contrast_threshold}"
+            )
 
     @property
     def descriptor_dim(self) -> int:

@@ -119,7 +119,7 @@ def _read_bovw_config(path) -> tuple[bovw.DenseSiftConfig, bovw.PyramidConfig, i
             vocab_sizes=ints("vocab", bovw.FULL_VOCAB_SIZES),
         )
         return sift, pyramid, int(values.get("subsample-cap", "200000"))
-    except ValueError as exc:
+    except (ValueError, ValidationError) as exc:
         raise MalformedFile(f"{path}: {exc}")
 
 
@@ -221,7 +221,7 @@ def cmd_predict_local(args) -> int:
     train, label_map = _labeled_matrix(args.train, args.train_labels, args)
     test = core.load_features(args.test)
     cfg = LocalLearnerConfig(k=args.k, svm=svm.SvmConfig(C=args.C, seed=seed))
-    preds, timing = local_predict_batch(train, test, cfg, workers=args.workers)
+    preds, _, timing = local_predict_batch(train, test, cfg, workers=args.workers)
     _write_predictions(args.out, test.sample_ids, preds, label_map)
     sys.stderr.write(
         f"timing: search {timing.search_s:.2f}s train {timing.train_s:.2f}s "

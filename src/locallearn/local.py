@@ -9,6 +9,9 @@ neighbor rows are presented to the solver in ascending original row
 order, so with k >= n_train the local problem is bit-identical to the
 global one.
 
+Each query is searched once: the same k nearest rows give the local SVM
+its training set and the cosine k-NN baseline its vote.
+
 Classes absent from a neighborhood cannot be predicted (decision -inf);
 a single-class neighborhood returns that class with a +inf sentinel and
 never invokes the solver.
@@ -25,7 +28,7 @@ import numpy as np
 from .core import FeatureMatrix
 from .errors import MissingLabels, ValidationError
 from .neighbors import CosineIndex, top_k
-from .svm import SvmConfig, decisions_ova, predict_ova, train_ova_sets
+from .svm import SvmConfig, best_class, decisions_ova, train_ova_sets
 
 _BLOCK_BYTES = 10 * 2**20  # 32 queries at k=200
 
@@ -64,17 +67,33 @@ def _require_labels(train: FeatureMatrix) -> np.ndarray:
     return train.labels
 
 
+def _search(index: CosineIndex, labels: np.ndarray, q: np.ndarray, k: int):
+    """One top-k search of q: its neighbor rows in ascending order, and
+    their majority vote.  Vote ties break by the class with the highest
+    summed similarity, then by the lowest class id."""
+    hits = top_k(index, q, k)
+    rows = np.array([i for i, _ in hits])
+    classes = labels[rows]
+    votes = np.bincount(classes)
+    sim_sums = np.bincount(classes, weights=[sim for _, sim in hits])
+    best = np.flatnonzero(votes == votes.max())
+    best = best[sim_sums[best] == sim_sums[best].max()]
+    return np.sort(rows), int(best[0])
+
+
 def _predict_block(train: FeatureMatrix, index: CosineIndex, block: np.ndarray,
                    cfg: LocalLearnerConfig):
-    """(class id, decision values) per query row, and the block's timing."""
+    """(class id, decision values) per query row, each row's k-NN vote, and
+    the block's timing."""
     t0 = time.perf_counter()
-    neighborhoods = [np.array(sorted(i for i, _ in top_k(index, q, cfg.k))) for q in block]
+    searched = [_search(index, train.labels, q, cfg.k) for q in block]
     t1 = time.perf_counter()
-    fitted = train_ova_sets(train.values, train.labels, neighborhoods, cfg.svm)
+    fitted = train_ova_sets(train.values, train.labels, [rows for rows, _ in searched], cfg.svm)
     t2 = time.perf_counter()
-    results = [(predict_ova(m, q), decisions_ova(m, q)) for (m, _), q in zip(fitted, block)]
+    decisions = [decisions_ova(m, q) for (m, _), q in zip(fitted, block)]
+    results = [(best_class(d), d) for d in decisions]
     infos = [info for _, infos in fitted for info in infos]
-    return results, BatchTiming(
+    return results, [vote for _, vote in searched], BatchTiming(
         search_s=t1 - t0, train_s=t2 - t1, predict_s=time.perf_counter() - t2,
         solves=len(infos), nonconverged=sum(not info["converged"] for info in infos),
     )
@@ -96,7 +115,7 @@ def local_predict_one(
     _require_labels(train)
     if index is None:
         index = CosineIndex(train)
-    results, _ = _predict_block(train, index, np.asarray(q, dtype=np.float64)[None, :], cfg)
+    results, _, _ = _predict_block(train, index, np.asarray(q, dtype=np.float64)[None, :], cfg)
     return results[0]
 
 
@@ -105,12 +124,14 @@ def local_predict_batch(
     queries: FeatureMatrix,
     cfg: LocalLearnerConfig,
     workers: int = 1,
-) -> tuple[np.ndarray, BatchTiming]:
-    """Local predictions for the query rows, in input order.
+) -> tuple[np.ndarray, np.ndarray, BatchTiming]:
+    """Local predictions and k-NN votes (k = ``cfg.k``) for the query rows,
+    in input order.
 
     ``workers`` fans blocks of queries out over a thread pool; the training
     matrix and index are shared read-only, so results are identical for any
-    worker count.  Stage timings are summed across workers.
+    worker count.  Stage timings are summed across workers; the vote is
+    part of the search stage.
     """
     _require_labels(train)
     timing = BatchTiming(n_queries=queries.n_samples)
@@ -120,46 +141,19 @@ def local_predict_batch(
     blocks = [queries.values[s:s + size] for s in range(0, queries.n_samples, size)]
     with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
         parts = list(pool.map(lambda block: _predict_block(train, index, block, cfg), blocks))
-    preds = np.array([cls for results, _ in parts for cls, _ in results], dtype=np.int64)
+    local = np.array([cls for results, _, _ in parts for cls, _ in results], dtype=np.int64)
+    knn = np.array([vote for _, votes, _ in parts for vote in votes], dtype=np.int64)
     for name in ("search_s", "train_s", "predict_s", "solves", "nonconverged"):
-        setattr(timing, name, sum(getattr(part, name) for _, part in parts))
+        setattr(timing, name, sum(getattr(part, name) for _, _, part in parts))
     timing.total_s = time.perf_counter() - t_start
-    return preds, timing
-
-
-def knn_classify(
-    train: FeatureMatrix,
-    q: np.ndarray,
-    k: int,
-    index: CosineIndex | None = None,
-) -> int:
-    """Majority vote over the k cosine-nearest labels.
-
-    Ties break by the class with the highest summed similarity, then by
-    the lowest class id.
-    """
-    labels = _require_labels(train)
-    if index is None:
-        index = CosineIndex(train)
-    votes: dict[int, int] = {}
-    sim_sum: dict[int, float] = {}
-    for row, sim in top_k(index, q, k):
-        cls = int(labels[row])
-        votes[cls] = votes.get(cls, 0) + 1
-        sim_sum[cls] = sim_sum.get(cls, 0.0) + sim
-    best = None
-    for cls in sorted(votes):
-        key = (votes[cls], sim_sum[cls], -cls)
-        if best is None or key > best[0]:
-            best = (key, cls)
-    return best[1]
+    return local, knn, timing
 
 
 def knn_classify_batch(
     train: FeatureMatrix, queries: FeatureMatrix, k: int
 ) -> np.ndarray:
+    """Majority vote over each query row's k cosine-nearest labels, with
+    the tie rule of ``local_predict_batch``'s votes."""
+    labels = _require_labels(train)
     index = CosineIndex(train)
-    return np.array(
-        [knn_classify(train, q, k, index=index) for q in queries.values],
-        dtype=np.int64,
-    )
+    return np.array([_search(index, labels, q, k)[1] for q in queries.values], dtype=np.int64)

@@ -21,7 +21,7 @@ from .core import (
 )
 from .errors import ValidationError
 from .features import FusionSpec, fuse
-from .local import BatchTiming, LocalLearnerConfig, knn_classify_batch, local_predict_batch
+from .local import BatchTiming, LocalLearnerConfig, local_predict_batch
 from .report import EvalReport, evaluate
 from .svm import SvmConfig, predict_ova_batch, train_ova
 
@@ -81,7 +81,8 @@ def run_pipeline(
     seed: int | None = None,
 ) -> PipelineResult:
     """Train and evaluate {global SVM, local SVM, k-NN} on the manifest's
-    train/test splits, returning one report per method."""
+    train/test splits, returning one report per method.  The k-NN baseline
+    is the majority vote over the local SVM's own neighborhoods."""
     seed = manifest.seed if seed is None else seed
     data = ingest_and_fuse(manifest, seed=seed)
     if "train" not in data.fused or "test" not in data.fused:
@@ -99,9 +100,7 @@ def run_pipeline(
     global_pred = predict_ova_batch(ova, test.values)
 
     local_cfg = LocalLearnerConfig(k=k, svm=svm_cfg)
-    local_pred, timing = local_predict_batch(train, test, local_cfg, workers=workers)
-
-    knn_pred = knn_classify_batch(train, test, k)
+    local_pred, knn_pred, timing = local_predict_batch(train, test, local_cfg, workers=workers)
 
     predictions = {}
     reports = {}
@@ -113,10 +112,4 @@ def run_pipeline(
         named = {sid: names[p] for sid, p in zip(test.sample_ids, pred)}
         predictions[method] = named
         reports[method] = evaluate(named, truth, data.label_map)
-    reports["local-svm"].timings = {
-        "search_s": timing.search_s,
-        "train_s": timing.train_s,
-        "predict_s": timing.predict_s,
-        "total_s": timing.total_s,
-    }
     return PipelineResult(reports=reports, predictions=predictions, local_timing=timing)

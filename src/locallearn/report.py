@@ -1,13 +1,12 @@
 """Accuracy, per-class precision/recall, and confusion-matrix reporting.
 
 Rendered reports (text and CSV) are deterministic byte-for-byte for
-identical inputs: stage timings are carried on the report object but are
-never written into the rendered report, only to diagnostics.
+identical inputs: they hold no timings (those go to ``timing.txt``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -22,7 +21,6 @@ class EvalReport:
     confusion: np.ndarray  # (n_classes, n_classes), rows = true class
     label_names: tuple[str, ...]
     n_samples: int
-    timings: dict[str, float] = field(default_factory=dict)
 
     @property
     def precision(self) -> np.ndarray:
@@ -74,7 +72,7 @@ def evaluate(
 
 
 def render_text(report: EvalReport) -> str:
-    """Human-readable report; excludes timings so output is reproducible."""
+    """Human-readable report; it holds no timings, so output is reproducible."""
     lines = [
         f"samples  {report.n_samples}",
         f"accuracy {report.accuracy:.6f}",

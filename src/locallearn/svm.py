@@ -376,16 +376,21 @@ def decisions_ova(model: OvaModel, x: np.ndarray) -> dict[int, float]:
     return {cls: decision(model.models[cls], x) for cls in sorted(model.models)}
 
 
+def best_class(decisions: dict[int, float]) -> int:
+    """The class with the highest decision value; ties break to the lowest
+    class id."""
+    best_cls = None
+    best_val = -np.inf
+    for cls in sorted(decisions):
+        if decisions[cls] > best_val:
+            best_cls, best_val = cls, decisions[cls]
+    return int(best_cls)
+
+
 def predict_ova(model: OvaModel, x: np.ndarray) -> int:
     """Argmax of decision values over trained classes; ties break to the
     lowest class id; untrained classes behave as decision -inf."""
-    decs = decisions_ova(model, x)
-    best_cls = None
-    best_val = -np.inf
-    for cls in sorted(decs):
-        if decs[cls] > best_val:
-            best_cls, best_val = cls, decs[cls]
-    return int(best_cls)
+    return best_class(decisions_ova(model, x))
 
 
 def predict_ova_batch(model: OvaModel, X) -> np.ndarray:

@@ -31,7 +31,7 @@ from locallearn.dsd import (
     sensitivity_scan,
 )
 from locallearn.features import l2_normalize_rows
-from locallearn.local import LocalLearnerConfig, knn_classify_batch, local_predict_batch
+from locallearn.local import LocalLearnerConfig, local_predict_batch
 from locallearn.neighbors import CosineIndex, top_k
 from locallearn.svm import SvmConfig, predict_ova_batch, train_binary_full, train_ova
 from locallearn.synth import as_feature_matrix, gaussian_blobs, texture_corpus, two_arcs
@@ -81,7 +81,7 @@ def test_c02_local_with_full_coverage_equals_global():
         train = as_feature_matrix(X, y)
         queries = as_feature_matrix(rng.normal(size=(10, d)), prefix="q")
         svm_cfg = SvmConfig(C=[1.0, 100.0][trial % 2], seed=trial)
-        local_pred, _ = local_predict_batch(
+        local_pred, _, _ = local_predict_batch(
             train, queries, LocalLearnerConfig(k=n + 5, svm=svm_cfg)
         )
         global_pred = predict_ova_batch(train_ova(X, y, svm_cfg), queries.values)
@@ -102,7 +102,7 @@ def test_c03_two_arcs_local_beats_global_by_ten_points():
     local_cfg = LocalLearnerConfig(
         k=50, svm=SvmConfig(C=100.0, seed=0, tolerance=1e-3, max_passes=200)
     )
-    local_pred, _ = local_predict_batch(train, test, local_cfg, workers=1)
+    local_pred, _, _ = local_predict_batch(train, test, local_cfg, workers=1)
     local_acc = float(np.mean(local_pred == yte))
     elapsed = time.perf_counter() - t0
     assert local_acc >= 0.95, f"local accuracy {local_acc}"
@@ -122,10 +122,9 @@ def test_c04_method_ordering_local_above_knn_above_chance():
         Xte, yte = two_arcs(150, seed=200 + s)
         train = as_feature_matrix(Xtr, ytr)
         test = as_feature_matrix(Xte, yte, prefix="t")
-        local_pred, _ = local_predict_batch(
+        local_pred, knn_pred, _ = local_predict_batch(
             train, test, LocalLearnerConfig(k=200, svm=cfg)
         )
-        knn_pred = knn_classify_batch(train, test, 200)
         local_accs.append(float(np.mean(local_pred == yte)))
         knn_accs.append(float(np.mean(knn_pred == yte)))
     local_med = float(np.median(local_accs))

@@ -98,6 +98,16 @@ class TestDenseSift:
         with pytest.raises(ImageTooSmall):
             dense_sift(np.zeros((15, 40), dtype=np.uint8), DenseSiftConfig(bin_sizes=(4,)))
 
+    @pytest.mark.parametrize("name,value", [
+        ("contrast_threshold", 0.0), ("contrast_threshold", float("nan")),
+        ("contrast_threshold", -1.0), ("contrast_threshold", float("inf")),
+        ("orientations", 0), ("spatial_bins", 0),
+    ])
+    def test_config_rejects_bad_settings(self, name, value):
+        # A zero or NaN threshold let flat windows divide by a zero norm.
+        with pytest.raises(ValidationError):
+            DenseSiftConfig(**{name: value})
+
     def test_grid_positions_and_scales(self):
         img = np.zeros((20, 26), dtype=np.uint8)
         descs = dense_sift(img, DenseSiftConfig(bin_sizes=(4,), step=2))
@@ -365,6 +375,16 @@ class TestVocabulary:
         for lv, lv2 in zip(vocab.levels, back.levels):
             assert lv.grid == lv2.grid
             assert np.array_equal(lv.centroids, lv2.centroids)
+
+    def test_nan_contrast_header_rejected(self, tmp_path):
+        vocab, _ = self._small_vocab()
+        save_vocab(vocab, tmp_path / "v.llvb")
+        blob = (tmp_path / "v.llvb").read_bytes()
+        good = struct.pack("<d", vocab.sift.contrast_threshold)
+        assert blob.count(good) == 1
+        (tmp_path / "bad.llvb").write_bytes(blob.replace(good, struct.pack("<d", np.nan)))
+        with pytest.raises(ValidationError, match="contrast_threshold"):
+            load_vocab(tmp_path / "bad.llvb")
 
     def test_truncated_file_is_malformed_at_every_length(self, tmp_path):
         vocab, _ = self._small_vocab()

@@ -180,6 +180,9 @@ class TestBovwCommands:
         ("leaf-capacity 8", ":3: unknown key 'leaf-capacity'"),
         ("budget 64", ":3: unknown key 'budget'"),
         ("step x", "invalid literal for int()"),
+        ("contrast-threshold 0", "contrast_threshold must be finite and > 0, got 0.0"),
+        ("contrast-threshold nan", "contrast_threshold must be finite and > 0, got nan"),
+        ("contrast-threshold -1", "contrast_threshold must be finite and > 0, got -1.0"),
     ])
     def test_bad_config_line_exits_2(self, tmp_path, capsys, line, detail):
         img_dir = tmp_path / "imgs"

@@ -6,7 +6,6 @@ from locallearn.core import FeatureMatrix
 from locallearn.errors import MissingLabels
 from locallearn.local import (
     LocalLearnerConfig,
-    knn_classify,
     knn_classify_batch,
     local_predict_batch,
     local_predict_one,
@@ -51,7 +50,7 @@ class TestDegeneracy:
                 assert local_dec.keys() == global_dec.keys()
                 for cls in global_dec:
                     assert local_dec[cls] == global_dec[cls]  # bit-equal
-            batch, _ = local_predict_batch(train, as_feature_matrix(queries, prefix="q"), cfg)
+            batch, _, _ = local_predict_batch(train, as_feature_matrix(queries, prefix="q"), cfg)
             assert np.array_equal(batch, predict_ova_batch(ova, queries))
 
 
@@ -119,8 +118,8 @@ class TestBatch:
     def test_empty_queries(self):
         train = labeled(np.eye(3), [0, 1, 0])
         queries = FeatureMatrix(np.zeros((0, 3)), [])
-        preds, timing = local_predict_batch(train, queries, LocalLearnerConfig(k=2))
-        assert preds.shape == (0,)
+        preds, votes, timing = local_predict_batch(train, queries, LocalLearnerConfig(k=2))
+        assert preds.shape == votes.shape == (0,)
         assert timing.n_queries == 0
 
     def test_singleton_matches_one(self):
@@ -132,7 +131,7 @@ class TestBatch:
         cfg = LocalLearnerConfig(k=5, svm=SvmConfig(C=2.0, seed=1))
         q = rng.normal(size=3)
         queries = FeatureMatrix(q[None, :], ["q0"])
-        preds, _ = local_predict_batch(train, queries, cfg)
+        preds, _, _ = local_predict_batch(train, queries, cfg)
         assert preds[0] == local_predict_one(train, q, cfg)[0]
 
     def test_worker_count_invariance(self):
@@ -142,8 +141,8 @@ class TestBatch:
         train = labeled(Xtr, ytr)
         queries = as_feature_matrix(Xte, prefix="q")
         cfg = LocalLearnerConfig(k=25, svm=SvmConfig(C=100.0, seed=0, max_passes=200))
-        p1, _ = local_predict_batch(train, queries, cfg, workers=1)
-        p4, _ = local_predict_batch(train, queries, cfg, workers=4)
+        p1, _, _ = local_predict_batch(train, queries, cfg, workers=1)
+        p4, _, _ = local_predict_batch(train, queries, cfg, workers=4)
         assert np.array_equal(p1, p4)
 
     def test_block_and_worker_invariance_in_the_lockstep_core(self, monkeypatch):
@@ -153,10 +152,10 @@ class TestBatch:
         train = labeled(rng.normal(size=(120, 16)), rng.integers(0, 4, 120))
         queries = as_feature_matrix(rng.normal(size=(40, 16)), prefix="q")
         cfg = LocalLearnerConfig(k=30, svm=SvmConfig(C=1.0, seed=3))
-        p_one, t_one = local_predict_batch(train, queries, cfg)
+        p_one, _, t_one = local_predict_batch(train, queries, cfg)
         monkeypatch.setattr(local_mod, "_BLOCK_BYTES", 3 * 8 * 30 * 30)
-        p1, t1 = local_predict_batch(train, queries, cfg, workers=1)
-        p4, t4 = local_predict_batch(train, queries, cfg, workers=4)
+        p1, _, t1 = local_predict_batch(train, queries, cfg, workers=1)
+        p4, _, t4 = local_predict_batch(train, queries, cfg, workers=4)
         assert np.array_equal(p_one, p1) and np.array_equal(p1, p4)
         assert t_one.solves == t1.solves == t4.solves > 40
         assert t_one.nonconverged == t1.nonconverged == t4.nonconverged == 0
@@ -166,7 +165,7 @@ class TestBatch:
         train = labeled(rng.normal(size=(60, 16)), rng.integers(0, 3, 60))
         queries = as_feature_matrix(rng.normal(size=(5, 16)), prefix="q")
         cfg = LocalLearnerConfig(k=20, svm=SvmConfig(C=100.0, max_passes=1))
-        _, timing = local_predict_batch(train, queries, cfg)
+        _, _, timing = local_predict_batch(train, queries, cfg)
         assert timing.solves > 0 and timing.nonconverged == timing.solves
 
     def test_requires_labels(self):
@@ -187,7 +186,7 @@ class TestTwoArcs:
         from locallearn.svm import predict_ova_batch
 
         global_acc = np.mean(predict_ova_batch(ova, Xte) == yte)
-        local_pred, _ = local_predict_batch(
+        local_pred, _, _ = local_predict_batch(
             train, as_feature_matrix(Xte, prefix="t"),
             LocalLearnerConfig(k=40, svm=cfg),
         )
@@ -216,35 +215,49 @@ class TestTwoArcs:
         assert fixed > 0
 
 
+def knn_one(train, q, k):
+    """knn_classify_batch on a one-row query matrix."""
+    return knn_classify_batch(train, as_feature_matrix(np.asarray(q)[None, :], prefix="q"), k)[0]
+
+
 class TestKnn:
     def test_k1_nearest_label(self):
         X = np.array([[1.0, 0.0], [0.0, 1.0]])
         train = labeled(X, [0, 1])
-        assert knn_classify(train, np.array([0.9, 0.1]), 1) == 0
+        assert knn_one(train, [0.9, 0.1], 1) == 0
 
     def test_majority(self):
         X = np.array([[1.0, 0.0], [1.0, 0.1], [0.0, 1.0]])
         train = labeled(X, [0, 0, 1])
-        assert knn_classify(train, np.array([1.0, 0.05]), 3) == 0
+        assert knn_one(train, [1.0, 0.05], 3) == 0
 
     def test_tie_broken_by_summed_similarity(self):
         # Two votes each; class 1's neighbors are more similar to q.
         X = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.2], [0.8, 0.25]])
         y = [0, 0, 1, 1]
         train = labeled(X, y)
-        assert knn_classify(train, np.array([1.0, 0.2]), 4) == 1
+        assert knn_one(train, [1.0, 0.2], 4) == 1
 
     def test_tie_final_fallback_lowest_class(self):
         X = np.array([[1.0, 0.0], [1.0, 0.0]])
         train = labeled(X, [1, 0])
-        assert knn_classify(train, np.array([1.0, 0.0]), 2) == 0
+        assert knn_one(train, [1.0, 0.0], 2) == 0
 
-    def test_batch_matches_single(self):
+    def test_local_batch_votes_match_knn_batch(self, monkeypatch):
+        # The local learner's votes over its own neighborhoods are the k-NN
+        # baseline at the same k: in one block, in blocks of 3, and on one
+        # and on four workers.  Small integer features make vote and
+        # similarity ties common.
         rng = np.random.default_rng(7)
-        X = rng.normal(size=(30, 3))
-        y = rng.integers(0, 3, 30)
-        train = labeled(X, y)
-        queries = rng.normal(size=(5, 3))
-        batch = knn_classify_batch(train, as_feature_matrix(queries, prefix="q"), 7)
-        singles = [knn_classify(train, q, 7) for q in queries]
-        assert batch.tolist() == singles
+        train = labeled(rng.integers(-2, 3, size=(60, 3)), rng.integers(0, 4, 60))
+        queries = as_feature_matrix(rng.integers(-2, 3, size=(25, 3)).astype(float), prefix="q")
+        for k in (1, 6, 7, 60):
+            cfg = LocalLearnerConfig(k=k, svm=SvmConfig(C=1.0, seed=0))
+            knn = knn_classify_batch(train, queries, k)
+            _, votes, _ = local_predict_batch(train, queries, cfg)
+            assert np.array_equal(votes, knn)
+            with monkeypatch.context() as m:
+                m.setattr(local_mod, "_BLOCK_BYTES", 3 * 8 * min(k, 60) ** 2)
+                for workers in (1, 4):
+                    _, votes, _ = local_predict_batch(train, queries, cfg, workers=workers)
+                    assert np.array_equal(votes, knn)

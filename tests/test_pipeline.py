@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import locallearn.local as local_mod
 from locallearn.core import FeatureMatrix, parse_manifest, save_features, write_labels
 from locallearn.errors import ValidationError
 from locallearn.pipeline import ingest_and_fuse, run_pipeline
@@ -63,6 +64,27 @@ class TestRunPipeline:
         for m in METHODS:
             assert r1.predictions[m] == r2.predictions[m]
             assert r1.reports[m].accuracy == r2.reports[m].accuracy
+
+    def test_each_query_searched_once(self, tmp_path, monkeypatch):
+        # The local SVM and the k-NN baseline share one top_k search per
+        # test query over one index.
+        X, y = gaussian_blobs(30, n_classes=3, spread=0.8, seed=6)
+        manifest = write_dataset(tmp_path, X, y, ("a", "b", "c"), n_train=70)
+        calls = {"top_k": 0, "CosineIndex": 0}
+
+        def counted(name):
+            original = getattr(local_mod, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(local_mod, name, wrapper)
+
+        counted("top_k")
+        counted("CosineIndex")
+        result = run_pipeline(parse_manifest(manifest), k=9, C=10.0)
+        assert result.reports["knn"].n_samples == 20
+        assert calls == {"top_k": 20, "CosineIndex": 1}
 
     def test_missing_test_split_rejected(self, tmp_path):
         X, y = gaussian_blobs(10, n_classes=2, spread=0.5, seed=4)

@@ -96,6 +96,12 @@ def _mlp_layer(name: bytes, rows: int, cols: int, n_values: int) -> bytes:
             + struct.pack("<II", rows, cols) + bytes(8 * n_values))
 
 
+def _vocab_with_contrast(contrast: float) -> bytes:
+    """A one-level LLVB v2 file whose SIFT settings carry ``contrast``."""
+    return (b"LLVB" + struct.pack("<III", 2, 1, 1) + struct.pack("<I", 4)
+            + struct.pack("<IIId", 4, 8, 4, contrast) + struct.pack("<III", 1, 1, 2) + bytes(16))
+
+
 # Malformed inputs that once escaped as raw exceptions (exit 1 at the CLI).
 REGRESSIONS = {
     "features-text": b"#locallearn-features v1 dim=1\n\xff,1.0\n",
@@ -152,6 +158,7 @@ def fuzz_file(tmp_path_factory):
 @example(case=("ova", b"#locallearn-ova v1\n#n_classes abc\n"))
 @example(case=("ova", b"#locallearn-ova v1\n0 0.5 \xff 1.0\n"))
 @example(case=("vocab", REGRESSIONS["vocab"]))
+@example(case=("vocab", _vocab_with_contrast(np.nan)))  # loaded, then NaN descriptors
 @example(case=("mlp", REGRESSIONS["mlp"]))  # W block cut short
 @example(case=("mlp", _mlp_layer(b"\xff", 1, 1, 2)))  # layer name not UTF-8
 @example(case=("pgm", REGRESSIONS["pgm"]))
