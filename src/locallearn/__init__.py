@@ -20,11 +20,8 @@ from .features import FusionSpec, fuse, l2_normalize, l2_normalize_rows
 from .svm import (
     OvaModel,
     SvmConfig,
-    SvmModel,
-    decision,
-    decisions_ova,
+    decisions,
     load_ova,
-    predict_ova,
     predict_ova_batch,
     save_ova,
     train_binary,
@@ -35,7 +32,6 @@ from .local import (
     LocalLearnerConfig,
     knn_classify_batch,
     local_predict_batch,
-    local_predict_one,
 )
 from .bovw import (
     DESK_VOCAB_SIZES,

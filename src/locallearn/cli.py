@@ -198,7 +198,7 @@ def cmd_train_global(args) -> int:
     )
     svm.save_ova(model, args.out)
     sys.stdout.write(
-        f"trained {len(model.trained_classes)} one-vs-all model(s), dim {matrix.dim}\n"
+        f"trained {model.classes.size} one-vs-all model(s), dim {matrix.dim}\n"
     )
     return 0
 

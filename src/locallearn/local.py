@@ -7,7 +7,7 @@ its neighborhood.  Queries reach the solver in blocks (Gram stack within
 ``_BLOCK_BYTES``) and no result depends on the block.  The selected
 neighbor rows are presented to the solver in ascending original row
 order, so with k >= n_train the local problem is bit-identical to the
-global one.
+global one, and ``svm.decisions`` scores it as the global model.
 
 Each query is searched once: the same k nearest rows give the local SVM
 its training set and the cosine k-NN baseline its vote.
@@ -28,7 +28,7 @@ import numpy as np
 from .core import FeatureMatrix
 from .errors import MissingLabels, ValidationError
 from .neighbors import CosineIndex, top_k
-from .svm import SvmConfig, best_class, decisions_ova, train_ova_sets
+from .svm import SvmConfig, predict_ova_batch, train_ova_sets
 
 _BLOCK_BYTES = 10 * 2**20  # 32 queries at k=200
 
@@ -83,40 +83,18 @@ def _search(index: CosineIndex, labels: np.ndarray, q: np.ndarray, k: int):
 
 def _predict_block(train: FeatureMatrix, index: CosineIndex, block: np.ndarray,
                    cfg: LocalLearnerConfig):
-    """(class id, decision values) per query row, each row's k-NN vote, and
-    the block's timing."""
+    """The class id of each query row, its k-NN vote, and the block's timing."""
     t0 = time.perf_counter()
     searched = [_search(index, train.labels, q, cfg.k) for q in block]
     t1 = time.perf_counter()
     fitted = train_ova_sets(train.values, train.labels, [rows for rows, _ in searched], cfg.svm)
     t2 = time.perf_counter()
-    decisions = [decisions_ova(m, q) for (m, _), q in zip(fitted, block)]
-    results = [(best_class(d), d) for d in decisions]
+    preds = [predict_ova_batch(m, q[None, :])[0] for (m, _), q in zip(fitted, block)]
     infos = [info for _, infos in fitted for info in infos]
-    return results, [vote for _, vote in searched], BatchTiming(
+    return preds, [vote for _, vote in searched], BatchTiming(
         search_s=t1 - t0, train_s=t2 - t1, predict_s=time.perf_counter() - t2,
         solves=len(infos), nonconverged=sum(not info["converged"] for info in infos),
     )
-
-
-def local_predict_one(
-    train: FeatureMatrix,
-    q: np.ndarray,
-    cfg: LocalLearnerConfig,
-    index: CosineIndex | None = None,
-) -> tuple[int, dict[int, float]]:
-    """Predict one query from its k nearest training rows.
-
-    Returns (class id, per-class decision values over the neighborhood's
-    classes).  Pass a prebuilt CosineIndex over ``train`` to amortize norm
-    computation across queries.  This is a one-query block of
-    ``local_predict_batch``.
-    """
-    _require_labels(train)
-    if index is None:
-        index = CosineIndex(train)
-    results, _, _ = _predict_block(train, index, np.asarray(q, dtype=np.float64)[None, :], cfg)
-    return results[0]
 
 
 def local_predict_batch(
@@ -141,7 +119,7 @@ def local_predict_batch(
     blocks = [queries.values[s:s + size] for s in range(0, queries.n_samples, size)]
     with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
         parts = list(pool.map(lambda block: _predict_block(train, index, block, cfg), blocks))
-    local = np.array([cls for results, _, _ in parts for cls, _ in results], dtype=np.int64)
+    local = np.array([cls for classes, _, _ in parts for cls in classes], dtype=np.int64)
     knn = np.array([vote for _, votes, _ in parts for vote in votes], dtype=np.int64)
     for name in ("search_s", "train_s", "predict_s", "solves", "nonconverged"):
         setattr(timing, name, sum(getattr(part, name) for _, _, part in parts))

@@ -11,15 +11,21 @@ samples step in lockstep over Gram matrices built once per set, and no
 result depends on which others share the call.  Larger problems run one by
 one in a feature-space loop with shrinking.
 
+A one-vs-all model is the ascending ids of its trained classes, a weight
+matrix with one row per class and a bias vector.  ``decisions`` computes
+every decision value, for local, global and command-line prediction alike.
+
 Models serialize to a text format: header line ``#locallearn-ova v1``,
 then one ``class_id b w1 ... wD`` line per trained class.  Comment lines
 starting with ``#`` after the header are ignored on read; the writer uses
-them to embed class names and the degenerate constant-class marker.
+them to embed class names and the degenerate constant-class marker.  A
+repeated or out-of-range class id, or weight lines in a constant model,
+are ``MalformedFile``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -59,35 +65,11 @@ class SvmConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.C <= 0:
-            raise ValidationError(f"C must be positive, got {self.C}")
-        if self.tolerance <= 0:
-            raise ValidationError(f"tolerance must be positive, got {self.tolerance}")
-
-
-@dataclass
-class SvmModel:
-    """Weights and bias of one binary hyperplane."""
-
-    w: np.ndarray
-    b: float
-
-    def __post_init__(self):
-        self.w = np.asarray(self.w, dtype=np.float64)
-        if not (np.isfinite(self.w).all() and np.isfinite(self.b)):
-            raise ValidationError("model parameters must be finite")
-
-    @property
-    def dim(self) -> int:
-        return self.w.shape[0]
-
-
-def decision(model: SvmModel, x: np.ndarray) -> float:
-    """Signed distance surrogate w.x + b."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != model.w.shape:
-        raise DimMismatch(f"x has dim {x.shape}, model expects {model.w.shape}")
-    return float(model.w @ x + model.b)
+        for name, value in (("C", self.C), ("tolerance", self.tolerance)):
+            if not (np.isfinite(value) and value > 0):
+                raise ValidationError(f"{name} must be finite and positive, got {value}")
+        if self.max_passes < 1:
+            raise ValidationError(f"max_passes must be >= 1, got {self.max_passes}")
 
 
 def _as_values(X) -> np.ndarray:
@@ -99,14 +81,9 @@ def _as_values(X) -> np.ndarray:
     return X
 
 
-def train_binary(X, y, cfg: SvmConfig) -> SvmModel:
-    """Train one binary L1-hinge SVM; deterministic given (data, cfg, seed)."""
-    model, _, _ = train_binary_full(X, y, cfg)
-    return model
-
-
-def train_binary_full(X, y, cfg: SvmConfig) -> tuple[SvmModel, np.ndarray, dict]:
-    """Like train_binary but also returns the dual variables and solver info."""
+def train_binary(X, y, cfg: SvmConfig) -> tuple[np.ndarray, float, np.ndarray, dict]:
+    """Train one binary L1-hinge SVM; deterministic given (data, cfg, seed).
+    Returns the weights, the bias, the dual variables and the solver info."""
     Xv = _as_values(X)
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (Xv.shape[0],):
@@ -116,7 +93,7 @@ def train_binary_full(X, y, cfg: SvmConfig) -> tuple[SvmModel, np.ndarray, dict]
     if np.unique(y).size < 2:
         raise SingleClass("training data contains a single class")
     [(W, alphas, infos)] = _solve_sets(Xv, [(slice(None), y[None, :])], cfg)
-    return SvmModel(W[0, :-1], float(W[0, -1])), alphas[0], infos[0]
+    return W[0, :-1], float(W[0, -1]), alphas[0], infos[0]
 
 
 def _augment(X: np.ndarray) -> np.ndarray:
@@ -289,29 +266,39 @@ def _solve_sets(X: np.ndarray, sets, cfg: SvmConfig):
 
 @dataclass
 class OvaModel:
-    """One binary model per trained class, keyed by class id.
+    """A one-vs-all linear model: the trained class ids in ascending order,
+    one row of ``W`` and one entry of ``b`` per class.  Classes absent from
+    training have no row, so they are never predicted (decision -inf).
 
     A training set with a single distinct class produces the degenerate
-    constant model: no hyperplanes, every prediction is that class with a
-    +inf decision sentinel.
+    constant model: ``classes`` holds that class and ``W`` has no columns;
+    every prediction is that class with a +inf decision sentinel.
     """
 
-    models: dict[int, SvmModel] = field(default_factory=dict)
+    classes: np.ndarray  # (m,) int64, ascending
+    W: np.ndarray  # (m, d), C-contiguous
+    b: np.ndarray  # (m,)
     n_classes: int = 0
     class_names: tuple[str, ...] | None = None
     constant_class: int | None = None
 
-    @property
-    def trained_classes(self) -> tuple[int, ...]:
-        if self.constant_class is not None:
-            return (self.constant_class,)
-        return tuple(sorted(self.models))
+    def __post_init__(self):
+        self.classes = np.asarray(self.classes, dtype=np.int64)
+        self.W = np.ascontiguousarray(self.W, dtype=np.float64)
+        self.b = np.asarray(self.b, dtype=np.float64)
+        m = self.classes.shape
+        if len(m) != 1 or self.W.ndim != 2 or self.W.shape[:1] != m or self.b.shape != m:
+            raise ValidationError("classes (m,), W (m, d) and b (m,) disagree in shape")
+        if np.any(np.diff(self.classes) <= 0):
+            raise ValidationError("classes must be ascending and distinct")
+        if self.constant_class is not None and self.classes.tolist() != [self.constant_class]:
+            raise ValidationError("a constant model has its class and no other")
+        if not (np.isfinite(self.W).all() and np.isfinite(self.b).all()):
+            raise ValidationError("model parameters must be finite")
 
-    @property
-    def dim(self) -> int | None:
-        for m in self.models.values():
-            return m.dim
-        return None
+
+def _constant(cls: int, n_classes: int, class_names=None) -> OvaModel:
+    return OvaModel(np.array([cls]), np.zeros((1, 0)), np.zeros(1), n_classes, class_names, cls)
 
 
 def train_ova(
@@ -333,6 +320,8 @@ def train_ova(
         raise ValidationError("labels length does not match X")
     if labels.size == 0:
         raise ValidationError("cannot train on an empty dataset")
+    if labels.min() < 0 or (n_classes is not None and labels.max() >= n_classes):
+        raise ValidationError("labels must be class ids in [0, n_classes)")
     [(model, _)] = train_ova_sets(Xv, labels, [slice(None)], cfg)
     if n_classes is not None:
         model.n_classes = n_classes
@@ -351,7 +340,7 @@ def train_ova_sets(X, labels, row_sets, cfg: SvmConfig) -> list[tuple[OvaModel, 
     """
     Xv, labels = _as_values(X), np.asarray(labels, dtype=np.int64)
     classes = [np.unique(labels[rows]) for rows in row_sets]
-    out = [(OvaModel(n_classes=int(c.max()) + 1, constant_class=int(c[0])), []) for c in classes]
+    out = [(_constant(int(c[0]), int(c.max()) + 1), []) for c in classes]
     multi = [j for j, c in enumerate(classes) if c.size > 1]
     # Two classes pose one dual (y -> -y leaves (y y')K alone): solve for
     # the second, and the first's weights are the negation.
@@ -362,42 +351,27 @@ def train_ova_sets(X, labels, row_sets, cfg: SvmConfig) -> list[tuple[OvaModel, 
     for j, (W, _, infos) in zip(multi, _solve_sets(Xv, sets, cfg)):
         if classes[j].size == 2:
             W, infos = np.vstack([-W, W]), infos * 2
-        models = {int(c): SvmModel(w[:-1], float(w[-1])) for c, w in zip(classes[j], W)}
-        out[j] = (OvaModel(models=models, n_classes=int(classes[j].max()) + 1), infos)
+        out[j] = (OvaModel(classes[j], W[:, :-1], W[:, -1], int(classes[j].max()) + 1), infos)
     return out
 
 
-def decisions_ova(model: OvaModel, x: np.ndarray) -> dict[int, float]:
-    """Per-trained-class decision values for one sample."""
+def decisions(model: OvaModel, X) -> np.ndarray:
+    """Decision values (n, m) of the rows of X for the model's classes: one
+    ``W @ x + b`` per row, never one product over the batch, so a row scores
+    the same bits alone or in any batch, and a local model like its equal."""
+    Xv = _as_values(X)
     if model.constant_class is not None:
-        return {model.constant_class: np.inf}
-    if not model.models:
+        return np.full((Xv.shape[0], 1), np.inf)
+    if not model.classes.size:
         raise NoTrainedClasses("OvA model has no trained classes")
-    return {cls: decision(model.models[cls], x) for cls in sorted(model.models)}
-
-
-def best_class(decisions: dict[int, float]) -> int:
-    """The class with the highest decision value; ties break to the lowest
-    class id."""
-    best_cls = None
-    best_val = -np.inf
-    for cls in sorted(decisions):
-        if decisions[cls] > best_val:
-            best_cls, best_val = cls, decisions[cls]
-    return int(best_cls)
-
-
-def predict_ova(model: OvaModel, x: np.ndarray) -> int:
-    """Argmax of decision values over trained classes; ties break to the
-    lowest class id; untrained classes behave as decision -inf."""
-    return best_class(decisions_ova(model, x))
+    if Xv.shape[1] != model.W.shape[1]:
+        raise DimMismatch(f"X has dim {Xv.shape[1]}, model expects {model.W.shape[1]}")
+    return np.array([model.W @ x for x in Xv]).reshape(-1, model.classes.size) + model.b
 
 
 def predict_ova_batch(model: OvaModel, X) -> np.ndarray:
-    """Row-wise predict_ova.  Implemented as a plain map over rows so batch
-    and single-sample paths produce bit-identical decision values."""
-    Xv = _as_values(X)
-    return np.array([predict_ova(model, row) for row in Xv], dtype=np.int64)
+    """Per row of X, the class of the highest decision; ties to the lowest id."""
+    return model.classes[np.argmax(decisions(model, X), axis=1)]
 
 
 def save_ova(model: OvaModel, path) -> None:
@@ -408,21 +382,19 @@ def save_ova(model: OvaModel, path) -> None:
             fh.write("#classes " + ",".join(model.class_names) + "\n")
         if model.constant_class is not None:
             fh.write(f"#constant {model.constant_class}\n")
-        for cls in sorted(model.models):
-            m = model.models[cls]
-            parts = [str(cls), repr(float(m.b))] + [repr(v) for v in m.w.tolist()]
-            fh.write(" ".join(parts) + "\n")
+            return
+        for cls, b, w in zip(model.classes.tolist(), model.b.tolist(), model.W):
+            fh.write(" ".join([str(cls), repr(b)] + [repr(v) for v in w.tolist()]) + "\n")
 
 
 def load_ova(path) -> OvaModel:
     lines = read_lines(path)
     if not lines or lines[0].strip() != "#locallearn-ova v1":
         raise MalformedFile(f"{path}: bad model header")
-    n_classes = 0
+    n_classes: int | None = None
     class_names: tuple[str, ...] | None = None
     constant: int | None = None
-    models: dict[int, SvmModel] = {}
-    dim: int | None = None
+    rows: list[tuple[int, int, float, list[float]]] = []  # line, class id, b, w
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -441,22 +413,25 @@ def load_ova(path) -> OvaModel:
             parts = line.split()
             if len(parts) < 3:
                 raise MalformedFile(f"{path}:{lineno}: expected 'class_id b w1 ... wD'")
-            cls = int(parts[0])
-            b = float(parts[1])
-            w = np.array([float(p) for p in parts[2:]])
+            rows.append((lineno, int(parts[0]), float(parts[1]), [float(p) for p in parts[2:]]))
         except ValueError as exc:
             raise MalformedFile(f"{path}:{lineno}: {exc}")
-        if dim is None:
-            dim = w.shape[0]
-        elif w.shape[0] != dim:
+    if constant is not None:
+        if rows:
+            raise MalformedFile(f"{path}:{rows[0][0]}: weight line in a #constant model")
+        return _constant(constant, constant + 1 if n_classes is None else n_classes, class_names)
+    seen: set[int] = set()
+    for lineno, cls, _, w in rows:
+        if cls < 0 or (n_classes is not None and cls >= n_classes):
+            raise MalformedFile(f"{path}:{lineno}: class id {cls} out of range")
+        if cls in seen:
+            raise MalformedFile(f"{path}:{lineno}: repeated class id {cls}")
+        if len(w) != len(rows[0][3]):
             raise MalformedFile(f"{path}:{lineno}: inconsistent weight dim")
-        models[cls] = SvmModel(w, b)
-    if not n_classes:
-        ids = list(models) + ([constant] if constant is not None else [])
-        n_classes = max(ids) + 1 if ids else 0
-    return OvaModel(
-        models=models,
-        n_classes=n_classes,
-        class_names=class_names,
-        constant_class=constant,
-    )
+        seen.add(cls)
+    if n_classes is None:
+        n_classes = max(seen, default=-1) + 1
+    rows.sort(key=lambda row: row[1])
+    W = np.array([w for _, _, _, w in rows]) if rows else np.zeros((0, 0))
+    return OvaModel([cls for _, cls, _, _ in rows], W, [b for _, _, b, _ in rows],
+                    n_classes, class_names)

@@ -33,7 +33,7 @@ from locallearn.dsd import (
 from locallearn.features import l2_normalize_rows
 from locallearn.local import LocalLearnerConfig, local_predict_batch
 from locallearn.neighbors import CosineIndex, top_k
-from locallearn.svm import SvmConfig, predict_ova_batch, train_binary_full, train_ova
+from locallearn.svm import SvmConfig, predict_ova_batch, train_binary, train_ova
 from locallearn.synth import as_feature_matrix, gaussian_blobs, texture_corpus, two_arcs
 
 from oracles import box_qp_max, brute_cosine_topk, finite_diff_grads, max_rel_grad_err, svm_dual_gram, svm_dual_value
@@ -56,7 +56,7 @@ def test_c01_svm_dual_matches_qp_oracle_on_50_problems():
         if np.unique(y).size < 2:
             y[0] = -y[0]
         cfg = SvmConfig(C=C, tolerance=1e-10, max_passes=300_000, seed=trial)
-        _, alpha, info = train_binary_full(X, y, cfg)
+        _, _, alpha, info = train_binary(X, y, cfg)
         assert info["converged"], f"solver failed to certify on trial {trial}"
         mine = svm_dual_value(X, y, alpha)
         oracle, gap = box_qp_max(svm_dual_gram(X, y), C)

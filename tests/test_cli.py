@@ -215,6 +215,29 @@ class TestMalformedInputExits2:
                     "--labelmap", d / "classes.txt", "--out", tmp_path / "p.csv"]) == 2
         assert capsys.readouterr().err.startswith("error: MalformedFile:")
 
+    def test_model_repeated_class_id(self, arcs_dataset, tmp_path, capsys):
+        d, _ = arcs_dataset
+        model = tmp_path / "m.ova"
+        model.write_text("#locallearn-ova v1\n#n_classes 2\n0 0.5 1.0 1.0\n0 -9 1.0 1.0\n")
+        assert run(["predict-global", "--model", model, "--features", d / "test.fv",
+                    "--labelmap", d / "classes.txt", "--out", tmp_path / "p.csv"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: MalformedFile:") and ":4: repeated class id 0" in err
+        assert not (tmp_path / "p.csv").exists()
+
+    @pytest.mark.parametrize("command", ["train-global", "predict-local"])
+    def test_nan_C_exits_2(self, arcs_dataset, tmp_path, capsys, command):
+        d, _ = arcs_dataset
+        args = {"train-global": ["--features", d / "train.fv", "--labels", d / "labels.csv"],
+                "predict-local": ["--train", d / "train.fv", "--train-labels", d / "labels.csv",
+                                  "--test", d / "test.fv", "-k", "20"]}[command]
+        assert run([command, *args, "--labelmap", d / "classes.txt", "-C", "nan",
+                    "--out", tmp_path / "out"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ValidationError: C must be finite and positive")
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "out").exists()
+
 
 class TestDsdCommands:
     def _features(self, tmp_path):

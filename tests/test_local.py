@@ -8,12 +8,10 @@ from locallearn.local import (
     LocalLearnerConfig,
     knn_classify_batch,
     local_predict_batch,
-    local_predict_one,
 )
+from locallearn.neighbors import CosineIndex, top_k
 from locallearn.svm import (
     SvmConfig,
-    decisions_ova,
-    predict_ova,
     predict_ova_batch,
     train_ova,
 )
@@ -24,17 +22,35 @@ def labeled(X, y, prefix="s"):
     return as_feature_matrix(np.asarray(X, dtype=np.float64), np.asarray(y), prefix)
 
 
-class TestDegeneracy:
-    def test_k_covering_train_equals_global(self):
-        self.check_k_covering_train_equals_global(d=4)  # low-dim float loop
+def local_one(train, q, cfg):
+    """local_predict_batch on a one-row query matrix."""
+    queries = as_feature_matrix(np.asarray(q, dtype=np.float64)[None, :], prefix="q")
+    return local_predict_batch(train, queries, cfg)[0][0]
 
-    def test_k_covering_train_equals_global_in_the_lockstep_core(self):
-        self.check_k_covering_train_equals_global(d=16)
+
+class TestDegeneracy:
+    def test_k_covering_train_equals_global(self, monkeypatch):
+        self.check_k_covering_train_equals_global(monkeypatch, d=4)
+
+    def test_k_covering_train_equals_global_in_the_lockstep_core(self, monkeypatch):
+        self.check_k_covering_train_equals_global(monkeypatch, d=16)
 
     @staticmethod
-    def check_k_covering_train_equals_global(d):
-        # With k >= n_train the local problem is the global problem: both
-        # class predictions and decision values must match bit for bit.
+    def check_k_covering_train_equals_global(monkeypatch, d):
+        # With k >= n_train the local problem is the global problem: every
+        # query's model equals the global one bit for bit, and so do the
+        # predictions.  The 8 queries x 3 classes of a block step in the
+        # vectorised lockstep loop; the global model's 3 problems take the
+        # Python-float loop (_LOOP_LIMIT), so the two loops must agree.
+        fitted = []
+        train_ova_sets = local_mod.train_ova_sets
+
+        def capture(*args):
+            out = train_ova_sets(*args)
+            fitted.extend(model for model, _ in out)
+            return out
+
+        monkeypatch.setattr(local_mod, "train_ova_sets", capture)
         rng = np.random.default_rng(0)
         for trial in range(5):
             X = rng.normal(size=(30, d))
@@ -43,14 +59,12 @@ class TestDegeneracy:
             cfg = LocalLearnerConfig(k=50, svm=SvmConfig(C=10.0, seed=trial))
             ova = train_ova(X, y, cfg.svm)
             queries = rng.normal(size=(8, d))
-            for q in queries:
-                local_cls, local_dec = local_predict_one(train, q, cfg)
-                assert local_cls == predict_ova(ova, q)
-                global_dec = decisions_ova(ova, q)
-                assert local_dec.keys() == global_dec.keys()
-                for cls in global_dec:
-                    assert local_dec[cls] == global_dec[cls]  # bit-equal
+            fitted.clear()
             batch, _, _ = local_predict_batch(train, as_feature_matrix(queries, prefix="q"), cfg)
+            assert len(fitted) == 8
+            for model in fitted:
+                for name in ("classes", "W", "b"):
+                    assert np.array_equal(getattr(model, name), getattr(ova, name))
             assert np.array_equal(batch, predict_ova_batch(ova, queries))
 
 
@@ -61,9 +75,10 @@ class TestSingleClassNeighborhood:
         y = np.array([0] * 5 + [1] * 5)
         train = labeled(X, y)
         cfg = LocalLearnerConfig(k=3, svm=SvmConfig(C=1.0))
-        cls, decs = local_predict_one(train, np.array([10.0, 10.0]), cfg)
-        assert cls == 0
-        assert decs == {0: np.inf}
+        queries = as_feature_matrix(np.array([[10.0, 10.0]]), prefix="q")
+        preds, _, timing = local_predict_batch(train, queries, cfg)
+        assert preds.tolist() == [0]
+        assert timing.solves == 0
 
     def test_absent_class_never_predicted(self):
         rng = np.random.default_rng(1)
@@ -71,9 +86,8 @@ class TestSingleClassNeighborhood:
         train = labeled(X, y)
         cfg = LocalLearnerConfig(k=10, svm=SvmConfig(C=10.0))
         q = X[y == 2].mean(axis=0)
-        cls, decs = local_predict_one(train, q, cfg)
-        present = set(decs)
-        assert cls in present
+        neighbours = [i for i, _ in top_k(CosineIndex(train), q, 10)]
+        assert local_one(train, q, cfg) in set(y[neighbours])
 
 
 class TestLocality:
@@ -85,8 +99,6 @@ class TestLocality:
         train = labeled(X, y)
         cfg = LocalLearnerConfig(k=10, svm=SvmConfig(C=5.0, seed=0))
         q = rng.normal(size=3)
-        from locallearn.neighbors import CosineIndex, top_k
-
         neighbor_ids = {i for i, _ in top_k(CosineIndex(train), q, 10)}
         outsider = next(i for i in range(40) if i not in neighbor_ids)
         X2 = X.copy()
@@ -94,9 +106,7 @@ class TestLocality:
         train2 = labeled(X2, y)
         neighbor_ids2 = {i for i, _ in top_k(CosineIndex(train2), q, 10)}
         assert neighbor_ids2 == neighbor_ids
-        r1 = local_predict_one(train, q, cfg)
-        r2 = local_predict_one(train2, q, cfg)
-        assert r1 == r2
+        assert local_one(train, q, cfg) == local_one(train2, q, cfg)
 
     def test_query_scale_invariance_of_neighbors(self):
         # Cosine selection ignores the query's magnitude, so the id set is
@@ -104,8 +114,6 @@ class TestLocality:
         rng = np.random.default_rng(4)
         X = rng.normal(size=(50, 4))
         train = labeled(X, rng.integers(0, 2, 50))
-        from locallearn.neighbors import CosineIndex, top_k
-
         index = CosineIndex(train)
         q = rng.normal(size=4)
         for c in (0.01, 3.5, 1000.0):
@@ -132,7 +140,7 @@ class TestBatch:
         q = rng.normal(size=3)
         queries = FeatureMatrix(q[None, :], ["q0"])
         preds, _, _ = local_predict_batch(train, queries, cfg)
-        assert preds[0] == local_predict_one(train, q, cfg)[0]
+        assert preds[0] == local_one(train, q, cfg)
 
     def test_worker_count_invariance(self):
         rng = np.random.default_rng(6)
@@ -210,8 +218,7 @@ class TestTwoArcs:
         local_cfg = LocalLearnerConfig(k=50, svm=cfg)
         fixed = 0
         for i in wrong[:20]:
-            cls, _ = local_predict_one(train, Xte[i], local_cfg)
-            fixed += cls == yte[i]
+            fixed += local_one(train, Xte[i], local_cfg) == yte[i]
         assert fixed > 0
 
 

@@ -33,11 +33,8 @@ def _write_seeds(d: Path) -> None:
         "labels labels.csv\nlabelmap classes.txt\nsplits splits.csv\n"
         "seed 3\ncap 5\nrenormalize off\n"
     )
-    model = svm.OvaModel(
-        models={0: svm.SvmModel(np.array([1.0, -0.5]), 0.25),
-                1: svm.SvmModel(np.array([-1.0, 0.5]), -0.25)},
-        n_classes=2, class_names=("x", "y"),
-    )
+    model = svm.OvaModel([0, 1], [[1.0, -0.5], [-1.0, 0.5]], [0.25, -0.25],
+                         n_classes=2, class_names=("x", "y"))
     svm.save_ova(model, d / "model.ova")
     vocab = bovw.Vocabulary(
         levels=[bovw.VocabularyLevel(1, np.arange(8.0).reshape(2, 4)),
