@@ -6,7 +6,6 @@ from .core import (
     DatasetManifest,
     FeatureMatrix,
     LabelMap,
-    align_by_id,
     attach_labels,
     balanced_downsample,
     load_features,

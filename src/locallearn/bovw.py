@@ -241,6 +241,8 @@ def kmeans(
         raise ValidationError("need a non-empty 2-D point set")
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
+    if workers < 1:
+        raise ValidationError(f"workers must be >= 1, got {workers}")
     n = points.shape[0]
     rng = np.random.default_rng(seed)
     if k >= n:

@@ -6,7 +6,8 @@ eval, pipeline.
 
 Exit codes: 0 success, 2 validation error, 3 compute error.  Errors print
 ``error: <ErrorName>: <detail>`` on stderr.  The ``--seed`` flag falls
-back to the LOCALLEARN_SEED environment variable, then to 0.  Timings go
+back to the LOCALLEARN_SEED environment variable, then to the manifest's
+``seed`` for ingest and pipeline, then to 0.  Timings go
 to stderr and sidecar ``timing.txt`` files only, so written reports are
 byte-reproducible.
 """
@@ -17,6 +18,7 @@ import argparse
 import os
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +30,7 @@ from .local import LocalLearnerConfig, knn_classify_batch, local_predict_batch
 from .pipeline import ingest_and_fuse, run_pipeline
 
 
-def _resolve_seed(value: int | None) -> int:
+def _resolve_seed(value: int | None, default: int = 0) -> int:
     if value is not None:
         return value
     env = os.environ.get("LOCALLEARN_SEED")
@@ -37,7 +39,7 @@ def _resolve_seed(value: int | None) -> int:
             return int(env)
         except ValueError:
             raise ValidationError(f"LOCALLEARN_SEED={env!r} is not an integer")
-    return 0
+    return default
 
 
 def _write_text(path, text: str) -> None:
@@ -68,7 +70,7 @@ def _write_predictions(path, sample_ids, pred_ids, label_map) -> None:
 
 def cmd_ingest(args) -> int:
     manifest = core.parse_manifest(args.manifest)
-    data = ingest_and_fuse(manifest, seed=_resolve_seed(args.seed))
+    data = ingest_and_fuse(manifest, seed=_resolve_seed(args.seed, manifest.seed))
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     summary = []
@@ -103,6 +105,8 @@ def _read_bovw_config(path) -> tuple[bovw.DenseSiftConfig, bovw.PyramidConfig, i
             raise MalformedFile(f"{path}:{lineno}: expected 'key value'")
         if parts[0] not in _BOVW_KEYS:
             raise MalformedFile(f"{path}:{lineno}: unknown key {parts[0]!r}")
+        if parts[0] in values:
+            raise MalformedFile(f"{path}:{lineno}: duplicate key {parts[0]!r}")
         values[parts[0]] = parts[1].strip()
 
     def ints(key, default):
@@ -144,6 +148,8 @@ def cmd_build_vocab(args) -> int:
 
 
 def cmd_encode(args) -> int:
+    if args.workers < 1:
+        raise ValidationError(f"workers must be >= 1, got {args.workers}")
     vocab = bovw.load_vocab(args.vocab)
     pyramid = bovw.PyramidConfig(
         levels=tuple(lv.grid for lv in vocab.levels),
@@ -155,13 +161,8 @@ def cmd_encode(args) -> int:
         descs = bovw.dense_sift(img, vocab.sift)
         return bovw.encode(descs, vocab, pyramid, (img.shape[1], img.shape[0]))
 
-    if args.workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=args.workers) as pool:
-            rows = list(pool.map(one, images))  # in input order
-    else:
-        rows = [one(img) for img in images]
+    with ThreadPoolExecutor(max_workers=args.workers) as pool:
+        rows = list(pool.map(one, images))  # in input order
     matrix = core.FeatureMatrix(np.vstack(rows), ids)
     core.save_features(matrix, args.out, fmt=args.format)
     sys.stdout.write(f"encoded {matrix.n_samples} images, dim {matrix.dim}\n")
@@ -322,8 +323,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    seed = _resolve_seed(args.seed)
     manifest = core.parse_manifest(args.manifest)
+    seed = _resolve_seed(args.seed, manifest.seed)
     t0 = time.perf_counter()
     result = run_pipeline(
         manifest, k=args.k, C=args.C, workers=args.workers, seed=seed

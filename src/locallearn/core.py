@@ -24,7 +24,7 @@ import re
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -339,31 +339,6 @@ def attach_labels(
     return matrix.with_labels(ids)
 
 
-def reindex(matrix: FeatureMatrix, sample_ids: Sequence[str]) -> FeatureMatrix:
-    """Reorder rows to follow ``sample_ids`` exactly (must be a permutation)."""
-    if set(sample_ids) != set(matrix.sample_ids) or len(sample_ids) != len(
-        matrix.sample_ids
-    ):
-        diff = set(sample_ids) ^ set(matrix.sample_ids)
-        raise IdMismatch(f"id sets differ on {len(diff)} id(s)", missing=diff)
-    return matrix.take([matrix.row_of(s) for s in sample_ids])
-
-
-def align_by_id(
-    a: FeatureMatrix, b: FeatureMatrix
-) -> tuple[FeatureMatrix, FeatureMatrix]:
-    """Row-order both matrices by their shared sorted sample id sequence."""
-    sa, sb = set(a.sample_ids), set(b.sample_ids)
-    if sa != sb:
-        diff = sa ^ sb
-        raise IdMismatch(
-            f"sample id sets differ on {len(diff)} id(s): {sorted(diff)[:5]}",
-            missing=diff,
-        )
-    order = sorted(sa)
-    return reindex(a, order), reindex(b, order)
-
-
 def balanced_downsample(matrix: FeatureMatrix, cap: int, seed: int) -> FeatureMatrix:
     """Retain at most ``cap`` samples per class, seeded, preserving row order.
 
@@ -513,21 +488,10 @@ def read_splits(path) -> dict[str, str]:
     return out
 
 
-def check_manifest_ids(
-    matrices: Iterable[FeatureMatrix], splits: Mapping[str, str]
-) -> None:
-    """Check that all sources share one id set and splits cover it exactly."""
-    mats = list(matrices)
-    base = set(mats[0].sample_ids)
-    for m in mats[1:]:
-        if set(m.sample_ids) != base:
-            diff = set(m.sample_ids) ^ base
-            raise IdMismatch(
-                f"feature sources disagree on {len(diff)} id(s)", missing=diff
-            )
-    split_ids = set(splits)
-    if split_ids != base:
-        diff = split_ids ^ base
+def check_split_ids(matrix: FeatureMatrix, splits: Mapping[str, str]) -> None:
+    """Check that the split assignment covers the matrix's sample ids exactly."""
+    diff = set(splits) ^ set(matrix.sample_ids)
+    if diff:
         raise IdMismatch(
             f"split assignment and feature sources disagree on {len(diff)} id(s)",
             missing=diff,

@@ -12,7 +12,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .core import FeatureMatrix, reindex
+from .core import FeatureMatrix
 from .errors import IdMismatch, NonFiniteValue, UnknownSource, ValidationError
 
 
@@ -78,26 +78,28 @@ def fuse(spec: FusionSpec, sources: Mapping[str, FeatureMatrix]) -> FeatureMatri
     """Concatenate per-source rows (optionally L2-normalized) in spec order.
 
     All sources must share one sample id set.  Rows follow the first
-    source's order, so fusing a single source with normalization off is
-    the identity.  The output carries no labels; attach them by id.
+    source's order, so a single source with normalization off keeps its
+    values, in a new matrix.  Each block is filled and normalized in place
+    in the output, so at most one block-sized temporary is alive at a time.
+    The output carries no labels; attach them by id.
     """
     missing = [n for n in spec.sources if n not in sources]
     if missing:
         raise UnknownSource(f"sources not provided: {missing}")
-    first = sources[spec.sources[0]]
-    order = first.sample_ids
-    blocks = []
-    for name in spec.sources:
+    order = sources[spec.sources[0]].sample_ids
+    dims = [sources[n].dim for n in spec.sources]
+    fused = np.empty((len(order), sum(dims)))
+    for name, end in zip(spec.sources, np.cumsum(dims)):
         m = sources[name]
-        if set(m.sample_ids) != set(order):
-            diff = set(m.sample_ids) ^ set(order)
+        diff = set(m.sample_ids) ^ set(order)
+        if diff:
             raise IdMismatch(
                 f"source {name!r} disagrees on {len(diff)} sample id(s)", missing=diff
             )
-        if m.sample_ids != order:
-            m = reindex(m, order)
-        blocks.append(l2_normalize_rows(m.values) if spec.normalizes(name) else m.values)
-    fused = blocks[0] if len(blocks) == 1 else np.hstack(blocks)
+        block = fused[:, end - m.dim:end]
+        block[:] = m.values if m.sample_ids == order else m.values[[m.row_of(s) for s in order]]
+        if spec.normalizes(name):
+            block[:] = l2_normalize_rows(block)
     if spec.renormalize:
         fused = l2_normalize_rows(fused)
     return FeatureMatrix(fused, order)

@@ -112,12 +112,14 @@ def local_predict_batch(
     part of the search stage.
     """
     _require_labels(train)
+    if workers < 1:
+        raise ValidationError(f"workers must be >= 1, got {workers}")
     timing = BatchTiming(n_queries=queries.n_samples)
     t_start = time.perf_counter()
     index = CosineIndex(train)
     size = max(1, _BLOCK_BYTES // (8 * min(cfg.k, train.n_samples) ** 2))
     blocks = [queries.values[s:s + size] for s in range(0, queries.n_samples, size)]
-    with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         parts = list(pool.map(lambda block: _predict_block(train, index, block, cfg), blocks))
     local = np.array([cls for classes, _, _ in parts for cls in classes], dtype=np.int64)
     knn = np.array([vote for _, votes, _ in parts for vote in votes], dtype=np.int64)

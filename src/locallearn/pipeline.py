@@ -9,12 +9,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    SPLIT_NAMES,
     DatasetManifest,
     FeatureMatrix,
     LabelMap,
     attach_labels,
     balanced_downsample,
-    check_manifest_ids,
+    check_split_ids,
     load_features,
     read_labels,
     read_splits,
@@ -36,26 +37,25 @@ class IngestResult:
 
 
 def ingest_and_fuse(manifest: DatasetManifest, seed: int | None = None) -> IngestResult:
-    """Load all sources, validate id agreement, fuse, split, and attach
-    labels; the train split is capped per class when the manifest says so."""
+    """Load and fuse all sources, check the splits cover the fused ids, split,
+    and attach labels; the train split is capped per class if the manifest says so."""
     seed = manifest.seed if seed is None else seed
     label_map = LabelMap.from_file(manifest.labelmap_path)
     labels = read_labels(manifest.labels_path)
     splits = read_splits(manifest.splits_path)
-    sources = {
-        s.name: load_features(s.path, expected_dim=s.expected_dim)
-        for s in manifest.sources
-    }
-    check_manifest_ids(sources.values(), splits)
     spec = FusionSpec(
         sources=tuple(s.name for s in manifest.sources),
         skip_normalize=frozenset(s.name for s in manifest.sources if not s.normalize),
         renormalize=manifest.renormalize,
     )
-    fused_all = fuse(spec, sources)
+    fused_all = fuse(spec, {
+        s.name: load_features(s.path, expected_dim=s.expected_dim)
+        for s in manifest.sources
+    })
+    check_split_ids(fused_all, splits)
     fused_all = attach_labels(fused_all, labels, label_map)
     by_split: dict[str, FeatureMatrix] = {}
-    for split in ("train", "val", "test"):
+    for split in SPLIT_NAMES:
         rows = [
             i for i, sid in enumerate(fused_all.sample_ids) if splits[sid] == split
         ]

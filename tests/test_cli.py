@@ -122,6 +122,20 @@ class TestIngestAndPipeline:
         assert (out_dir / "test.labels").exists()
         assert (out_dir / "labelmap.txt").exists()
 
+    def test_ingest_seed_falls_back_to_manifest(self, arcs_dataset, tmp_path, monkeypatch):
+        d, _ = arcs_dataset
+        monkeypatch.delenv("LOCALLEARN_SEED", raising=False)
+        conf = (d / "manifest.conf").read_text().replace("seed 3\n", "cap 5\n")
+        runs = {"m1": ("seed 1", []), "m2": ("seed 2", []), "m1-seed2": ("seed 1", ["--seed", "2"])}
+        train = {}
+        for name, (line, flags) in runs.items():
+            (d / f"{name}.conf").write_text(f"{conf}{line}\n")
+            out = tmp_path / name
+            assert run(["ingest", "--manifest", d / f"{name}.conf", "--out-dir", out, *flags]) == 0
+            train[name] = (out / "train.features").read_bytes()
+        assert train["m1"] != train["m2"]
+        assert train["m1-seed2"] == train["m2"]
+
     def test_pipeline_reports_and_determinism(self, arcs_dataset, tmp_path, capsys):
         d, _ = arcs_dataset
         outputs = []
@@ -183,6 +197,7 @@ class TestBovwCommands:
         ("contrast-threshold 0", "contrast_threshold must be finite and > 0, got 0.0"),
         ("contrast-threshold nan", "contrast_threshold must be finite and > 0, got nan"),
         ("contrast-threshold -1", "contrast_threshold must be finite and > 0, got -1.0"),
+        ("vocab 3", ":3: duplicate key 'vocab'"),
     ])
     def test_bad_config_line_exits_2(self, tmp_path, capsys, line, detail):
         img_dir = tmp_path / "imgs"
@@ -236,6 +251,27 @@ class TestMalformedInputExits2:
         err = capsys.readouterr().err
         assert err.startswith("error: ValidationError: C must be finite and positive")
         assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "out").exists()
+
+
+    @pytest.mark.parametrize("command", ["predict-local", "pipeline", "encode", "build-vocab"])
+    def test_workers_below_one_exits_2(self, arcs_dataset, tmp_path, capsys, command):
+        d, _ = arcs_dataset
+        img_dir = tmp_path / "imgs"
+        img_dir.mkdir()
+        bovw.write_pgm(img_dir / "a.pgm", texture_corpus(1, size=32, seed=0)[0][0])
+        cfg = tmp_path / "bovw.conf"
+        cfg.write_text("levels 1\nvocab 2\nbin-sizes 4\nstep 4\n")
+        vocab = tmp_path / "v.llvb"
+        assert run(["build-vocab", "--images", img_dir, "--config", cfg, "--out", vocab]) == 0
+        args = {"predict-local": ["--train", d / "train.fv", "--train-labels", d / "labels.csv",
+                                  "--labelmap", d / "classes.txt", "--test", d / "test.fv",
+                                  "-k", "20"],
+                "pipeline": ["--manifest", d / "manifest.conf", "-k", "20"],
+                "encode": ["--images", img_dir, "--vocab", vocab],
+                "build-vocab": ["--images", img_dir, "--config", cfg]}[command]
+        assert run([command, *args, "--workers", "-3", "--out", tmp_path / "out"]) == 2
+        assert capsys.readouterr().err == "error: ValidationError: workers must be >= 1, got -3\n"
         assert not (tmp_path / "out").exists()
 
 

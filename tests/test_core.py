@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 from locallearn.core import (
     FeatureMatrix,
     LabelMap,
-    align_by_id,
     attach_labels,
     balanced_downsample,
     load_features,
@@ -138,28 +137,6 @@ class TestFeatureFiles:
         assert back.sample_ids == m.sample_ids
 
 
-class TestAlignById:
-    def test_sorts_shared_ids(self):
-        a = make_matrix([[1.0], [2.0]], ids=["x", "y"])
-        b = make_matrix([[20.0], [10.0]], ids=["y", "x"])
-        a2, b2 = align_by_id(a, b)
-        assert a2.sample_ids == b2.sample_ids == ("x", "y")
-        assert b2.values[0, 0] == 10.0
-
-    def test_id_mismatch_symmetric_difference(self):
-        a = make_matrix([[1.0]], ids=["x"])
-        b = make_matrix([[1.0], [2.0]], ids=["x", "y"])
-        with pytest.raises(IdMismatch) as exc:
-            align_by_id(a, b)
-        assert exc.value.missing == {"y"}
-
-    def test_same_matrix_sorted(self):
-        a = make_matrix([[3.0], [1.0]], ids=["b", "a"])
-        a2, a3 = align_by_id(a, a)
-        assert a2.sample_ids == ("a", "b")
-        assert np.array_equal(a2.values, a3.values)
-
-
 class TestBalancedDownsample:
     def test_min_rule(self):
         labels = np.array([0] * 5 + [1] * 2)
@@ -285,13 +262,13 @@ class TestManifest:
             read_splits(tmp_path / "s.csv")
 
     def test_check_manifest_ids(self):
-        from locallearn.core import check_manifest_ids
+        from locallearn.core import check_split_ids
 
         a = make_matrix(np.zeros((2, 1)), ids=["x", "y"])
-        b = make_matrix(np.zeros((2, 1)), ids=["y", "x"])
-        check_manifest_ids([a, b], {"x": "train", "y": "test"})
-        with pytest.raises(IdMismatch):
-            check_manifest_ids([a, b], {"x": "train"})
-        c = make_matrix(np.zeros((2, 1)), ids=["x", "z"])
-        with pytest.raises(IdMismatch):
-            check_manifest_ids([a, c], {"x": "train", "y": "test"})
+        check_split_ids(a, {"x": "train", "y": "test"})
+        with pytest.raises(IdMismatch) as exc:
+            check_split_ids(a, {"x": "train"})
+        assert exc.value.missing == {"y"}
+        with pytest.raises(IdMismatch) as exc:
+            check_split_ids(a, {"x": "train", "y": "test", "z": "val"})
+        assert exc.value.missing == {"z"}

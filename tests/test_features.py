@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -104,8 +106,45 @@ class TestFuse:
     def test_id_mismatch(self):
         a = fm([[1.0]], ["x"])
         b = fm([[1.0], [2.0]], ["x", "y"])
-        with pytest.raises(IdMismatch):
+        with pytest.raises(IdMismatch) as exc:
             fuse(FusionSpec(("a", "b")), {"a": a, "b": b})
+        assert exc.value.missing == {"y"}
+
+    @pytest.mark.parametrize("renormalize", [False, True])
+    def test_bits_equal_hstack_of_blocks(self, renormalize):
+        # Source b arrives row-permuted and source c is not normalized; the
+        # fused values must be bit-equal to stacking each source's rows in
+        # a's order, normalized on their own where the spec says so.
+        rng = np.random.default_rng(3)
+        ids = [f"s{i}" for i in range(40)]
+        perm = rng.permutation(40)
+        a = rng.normal(size=(40, 7)) * 10.0 ** rng.integers(-150, 150, size=(40, 1))
+        a[5] = 0.0
+        b, c = rng.normal(size=(40, 5)), rng.normal(size=(40, 3))
+        sources = {"a": fm(a, ids), "b": fm(b[perm], [ids[i] for i in perm]), "c": fm(c, ids)}
+        spec = FusionSpec(("a", "b", "c"), frozenset({"c"}), renormalize=renormalize)
+        expected = np.hstack([l2_normalize_rows(a), l2_normalize_rows(b), c])
+        if renormalize:
+            expected = l2_normalize_rows(expected)
+        out = fuse(spec, sources)
+        assert out.sample_ids == tuple(ids)
+        assert np.array_equal(out.values, expected)
+
+    def test_peak_memory_output_plus_one_block(self):
+        rng = np.random.default_rng(4)
+        ids = [f"s{i}" for i in range(2000)]
+        perm = rng.permutation(2000)
+        sources = {
+            "a": fm(rng.normal(size=(2000, 300)), ids),
+            "b": fm(rng.normal(size=(2000, 500)), [ids[i] for i in perm]),
+        }
+        tracemalloc.start()
+        try:
+            out = fuse(FusionSpec(("a", "b")), sources)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= out.values.nbytes + sources["b"].values.nbytes + 2**20
 
     def test_unknown_source(self):
         with pytest.raises(UnknownSource):
