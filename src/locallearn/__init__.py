@@ -26,7 +26,7 @@ from .svm import (
     train_binary,
     train_ova,
 )
-from .neighbors import CosineIndex, top_k
+from .neighbors import CosineIndex, top_k, top_k_batch
 from .local import (
     LocalLearnerConfig,
     knn_classify_batch,

@@ -64,7 +64,9 @@ class TestFuseCommand:
     def test_missing_file_exits_2(self, tmp_path, capsys):
         code = run(["fuse", "--source", f"a={tmp_path}/nope.fv",
                     "--out", tmp_path / "o.fv"])
-        assert code == 2 or code != 0  # FileNotFoundError propagates separately
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: FileNotFoundError:") and err.count("\n") == 1
         # a validation failure must name the error on stderr
         bad = tmp_path / "bad.fv"
         bad.write_text("#wrong header\n")

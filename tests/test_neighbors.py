@@ -1,11 +1,23 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import locallearn.local as local_mod
 from locallearn.errors import DimMismatch, ValidationError
-from locallearn.neighbors import CosineIndex, top_k
+from locallearn.local import LocalLearnerConfig, local_predict_batch
+from locallearn.neighbors import _TILE, CosineIndex, top_k, top_k_batch
+from locallearn.svm import SvmConfig
+from locallearn.synth import as_feature_matrix
 
 from oracles import brute_cosine_topk
+
+ROOT = Path(__file__).resolve().parents[1]
+BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 class TestTopK:
@@ -78,3 +90,106 @@ class TestTopK:
         base = [i for i, _ in top_k(index, q, 10)]
         scaled = [i for i, _ in top_k(index, c * q, 10)]
         assert base == scaled
+
+
+class TestTopKBatch:
+    def test_ties_at_the_kth_row_match_brute_force(self):
+        # Duplicated and zero-norm rows make many rows tie at the k-th
+        # similarity; the partial sort must keep every tied row a candidate
+        # so that the lowest row ids win, as in the full scan.
+        rng = np.random.default_rng(5)
+        base = rng.normal(size=(6, 4))
+        rows = np.vstack([base[rng.integers(0, 6, 40)], np.zeros((8, 4)), base[rng.integers(0, 6, 20)]])
+        queries = np.vstack([rng.normal(size=(40, 4)), np.zeros((1, 4)), base])
+        index = CosineIndex(rows)
+        for k in (1, 3, 7, 20, 47, 68, 100):
+            ids, sims = top_k_batch(index, queries, k)
+            assert ids.shape == sims.shape == (len(queries), min(k, len(rows)))
+            for q, q_ids, q_sims in zip(queries, ids, sims):
+                ref = brute_cosine_topk(rows, q, k)
+                assert q_ids.tolist() == [i for i, _ in ref]
+                assert np.allclose(q_sims, [s for _, s in ref], atol=1e-12)
+        zero_ids, zero_sims = top_k_batch(index, np.zeros((1, 4)), 5)
+        assert zero_ids.tolist() == [[0, 1, 2, 3, 4]] and not zero_sims.any()
+
+    def test_no_queries(self):
+        ids, sims = top_k_batch(CosineIndex(np.ones((4, 3))), np.empty((0, 3)), 2)
+        assert ids.shape == sims.shape == (0, 2)
+
+    def test_dim_mismatch(self):
+        index = CosineIndex(np.ones((2, 3)))
+        for bad in (np.ones((5, 4)), np.ones(3), np.ones((1, 1, 3))):
+            with pytest.raises(DimMismatch):
+                top_k_batch(index, bad, 1)
+
+    def test_k_validation(self):
+        with pytest.raises(ValidationError):
+            top_k_batch(CosineIndex(np.ones((2, 3))), np.ones((4, 3)), 0)
+
+    @pytest.mark.parametrize("threads", ["default", "1"])
+    def test_similarities_independent_of_batch(self, threads):
+        # The tiled search relies on BLAS giving a query's column of a
+        # fixed-width product the same bits at any position of the tile, at
+        # the BLAS thread count in use.  Each thread count runs in a fresh
+        # process, because BLAS reads it at start-up.
+        env = {name: value for name, value in os.environ.items() if name not in BLAS_ENV}
+        if threads != "default":
+            env.update(dict.fromkeys(BLAS_ENV, threads))
+        env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")])
+        proc = subprocess.run(
+            [sys.executable, "-c", "import test_neighbors; test_neighbors.check_similarities_independent_of_batch()"],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+
+
+def query_similarity_rows(q, run):
+    """Every similarity row that the index computes for query q while
+    ``run()`` executes, as bytes."""
+    found = []
+    similarities = CosineIndex.similarities
+
+    def recording(self, tile):
+        sims = similarities(self, tile)
+        found.extend(sims[i].tobytes() for i in np.flatnonzero((tile == q).all(axis=1)))
+        return sims
+
+    CosineIndex.similarities = recording
+    try:
+        run()
+    finally:
+        CosineIndex.similarities = similarities
+    return found
+
+
+def check_similarities_independent_of_batch():
+    """One query's similarity row is bit-equal searched alone, at every
+    position of a tile, inside blocks of 3, and through
+    ``local_predict_batch`` on 1 and 4 workers.  The index is large enough
+    for a multi-threaded BLAS to split the product, and its width is no
+    multiple of a SIMD vector."""
+    rng = np.random.default_rng(3)
+    rows = rng.normal(size=(1500, 301))
+    queries = rng.normal(size=(2 * _TILE + 5, 301))
+    q = queries[7]
+    others = np.delete(queries, 7, axis=0)
+    index = CosineIndex(rows)
+    train = as_feature_matrix(rows, rng.integers(0, 3, len(rows)), "t")
+    cfg = LocalLearnerConfig(k=10, svm=SvmConfig(C=1.0, seed=0))
+
+    def every_case():
+        top_k(index, q, 10)
+        for pos in range(_TILE):
+            top_k_batch(index, np.vstack([others[:pos], q, others[pos:pos + _TILE + 3]]), 10)
+        for s in range(0, len(queries), 3):
+            top_k_batch(index, queries[s:s + 3], 10)
+        block_bytes = local_mod._BLOCK_BYTES
+        local_mod._BLOCK_BYTES = 3 * 8 * cfg.k ** 2
+        try:
+            for workers in (1, 4):
+                local_predict_batch(train, as_feature_matrix(queries, prefix="q"), cfg, workers=workers)
+        finally:
+            local_mod._BLOCK_BYTES = block_bytes
+
+    seen = query_similarity_rows(q, every_case)
+    assert len(seen) == 1 + _TILE + 1 + 2, len(seen)
+    assert len(set(seen)) == 1, f"{len(set(seen))} distinct similarity rows for one query"

@@ -66,25 +66,30 @@ class TestRunPipeline:
             assert r1.reports[m].accuracy == r2.reports[m].accuracy
 
     def test_each_query_searched_once(self, tmp_path, monkeypatch):
-        # The local SVM and the k-NN baseline share one top_k search per
-        # test query over one index.
+        # The local SVM and the k-NN baseline share one index, and each test
+        # query enters the batched search exactly once.
         X, y = gaussian_blobs(30, n_classes=3, spread=0.8, seed=6)
-        manifest = write_dataset(tmp_path, X, y, ("a", "b", "c"), n_train=70)
-        calls = {"top_k": 0, "CosineIndex": 0}
+        manifest = parse_manifest(write_dataset(tmp_path, X, y, ("a", "b", "c"), n_train=70))
+        indexes, searched = [], []
+        index_cls, search = local_mod.CosineIndex, local_mod.top_k_batch
 
-        def counted(name):
-            original = getattr(local_mod, name)
+        def counted_index(*args):
+            indexes.append(index_cls(*args))
+            return indexes[-1]
 
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return original(*args, **kwargs)
-            monkeypatch.setattr(local_mod, name, wrapper)
+        def recorded_search(index, queries, k):
+            assert index is indexes[0]
+            searched.extend(q.tobytes() for q in queries)
+            return search(index, queries, k)
 
-        counted("top_k")
-        counted("CosineIndex")
-        result = run_pipeline(parse_manifest(manifest), k=9, C=10.0)
+        monkeypatch.setattr(local_mod, "CosineIndex", counted_index)
+        monkeypatch.setattr(local_mod, "top_k_batch", recorded_search)
+        result = run_pipeline(manifest, k=9, C=10.0)
+        test = ingest_and_fuse(manifest).fused["test"].values
         assert result.reports["knn"].n_samples == 20
-        assert calls == {"top_k": 20, "CosineIndex": 1}
+        assert len(indexes) == 1
+        assert sorted(searched) == sorted(q.tobytes() for q in test)
+        assert len(set(searched)) == 20
 
     def test_missing_test_split_rejected(self, tmp_path):
         X, y = gaussian_blobs(10, n_classes=2, spread=0.5, seed=4)
