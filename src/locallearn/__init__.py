@@ -15,7 +15,7 @@ from .core import (
     save_features,
     write_labels,
 )
-from .features import FusionSpec, fuse, l2_normalize, l2_normalize_rows
+from .features import fuse, l2_normalize_rows
 from .svm import (
     OvaModel,
     SvmConfig,

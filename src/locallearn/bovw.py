@@ -25,6 +25,8 @@ centroid rows as little-endian f64.  Version 1 files, which also hold a
 from __future__ import annotations
 
 import struct
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -233,8 +235,8 @@ def kmeans(
     the point count, every point becomes a centroid and the remaining slots
     are filled with copies of the points farthest from the data mean.
     Nearest-centroid ties break to the lowest centroid id.  ``workers``
-    fans the assignment step out over row chunks; chunk results are
-    concatenated in order, so the outcome is identical for any count.
+    threads share the assignment step's row chunks; every row's answer is
+    independent of the chunking, so the outcome is identical for any count.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[0] < 1:
@@ -257,25 +259,32 @@ def kmeans(
     centroids = points[_kmeanspp(points, k, rng)].copy()
     assign = np.full(n, -1, dtype=np.intp)
     history: list[float] = []
-    for _ in range(max_iters):
-        new_assign, cost = _assign_step(points, centroids, workers)
-        history.append(cost)
-        if np.array_equal(new_assign, assign):
-            break
-        assign = new_assign
-        counts = np.bincount(assign, minlength=k)
-        for c in np.flatnonzero(counts):
-            centroids[c] = points[assign == c].mean(axis=0)
-        for e in np.flatnonzero(counts == 0):
-            costs = np.linalg.norm(points - centroids[assign], axis=1)
-            per_cluster = np.zeros(k)
-            np.add.at(per_cluster, assign, costs**2)
-            donor = int(np.argmax(per_cluster))
-            donor_rows = np.flatnonzero(assign == donor)
-            far = donor_rows[int(np.argmax(costs[donor_rows]))]
-            centroids[e] = points[far]
-            assign[far] = e
-            centroids[donor] = points[assign == donor].mean(axis=0)
+    # One worker assigns in the calling thread: with a one-thread pool, the
+    # bovw-textures bench read a 10 MB (10%) higher peak RSS.
+    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        for _ in range(max_iters):
+            new_assign, d2_min = _nearest(points, centroids, pool, workers)
+            history.append(float(d2_min.sum()))
+            if np.array_equal(new_assign, assign):
+                break
+            assign = new_assign
+            counts = np.bincount(assign, minlength=k)
+            # stable grouping keeps each cluster's rows in index order
+            grouped = points[np.argsort(assign, kind="stable")]
+            ends = np.cumsum(counts)
+            for c in np.flatnonzero(counts):
+                centroids[c] = grouped[ends[c] - counts[c]:ends[c]].mean(axis=0)
+            del grouped  # an n x d copy: not kept through the repair and next assignment
+            for e in np.flatnonzero(counts == 0):
+                costs = np.linalg.norm(points - centroids[assign], axis=1)
+                per_cluster = np.zeros(k)
+                np.add.at(per_cluster, assign, costs**2)
+                donor = int(np.argmax(per_cluster))
+                donor_rows = np.flatnonzero(assign == donor)
+                far = donor_rows[int(np.argmax(costs[donor_rows]))]
+                centroids[e] = points[far]
+                assign[far] = e
+                centroids[donor] = points[assign == donor].mean(axis=0)
     return (centroids, history) if return_history else centroids
 
 
@@ -308,44 +317,29 @@ def _sq_dists(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     return d2
 
 
-def _nearest(points: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _nearest(
+    points: np.ndarray, centroids: np.ndarray, pool=None, workers: int = 1
+) -> tuple[np.ndarray, np.ndarray]:
     """Each point's exact nearest centroid and the squared distance to it.
 
     Ties go to the lowest centroid id.  Rows are taken in chunks whose
-    distance block stays within ``_CHUNK_BYTES``; every row's answer is
-    independent of the chunking.
+    distance block stays within ``_CHUNK_BYTES``, and of at most
+    ceil(n / workers) rows; with a ``pool`` the chunks run on it.  Every
+    row's answer is independent of the chunking.
     """
     n = points.shape[0]
     words = np.empty(n, dtype=np.intp)
     d2_min = np.empty(n)
-    step = max(1, _CHUNK_BYTES // (8 * centroids.shape[0]))
-    for start in range(0, n, step):
+    step = max(1, min(_CHUNK_BYTES // (8 * centroids.shape[0]), -(-n // workers)))
+
+    def chunk(start: int) -> None:
         d2 = _sq_dists(points[start : start + step], centroids)
         w = np.argmin(d2, axis=1)
         words[start : start + w.size] = w
         d2_min[start : start + w.size] = d2[np.arange(w.size), w]
+
+    list((pool.map if pool else map)(chunk, range(0, n, step)))
     return words, d2_min
-
-
-def _assign_step(points: np.ndarray, centroids: np.ndarray, workers: int):
-    """Nearest-centroid assignment plus its cost; parallel over row slices
-    with in-order concatenation (per-row argmin is order-independent)."""
-    n = points.shape[0]
-
-    def chunk(rows: slice):
-        a, d2_min = _nearest(points[rows], centroids)
-        return a, float(d2_min.sum())
-
-    if workers <= 1 or n < 2 * workers:
-        return chunk(slice(0, n))
-    from concurrent.futures import ThreadPoolExecutor
-
-    bounds = np.linspace(0, n, workers + 1, dtype=int)
-    slices = [slice(int(a), int(b)) for a, b in zip(bounds, bounds[1:])]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(chunk, slices))
-    assign = np.concatenate([p[0] for p in parts])
-    return assign, float(sum(p[1] for p in parts))
 
 
 @dataclass(frozen=True)

@@ -24,8 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from . import bovw, core, dsd, report, svm
-from .errors import ComputeError, MalformedFile, ValidationError
-from .features import FusionSpec, fuse
+from .errors import ComputeError, MalformedFile, UnknownSource, ValidationError
+from .features import fuse
 from .local import LocalLearnerConfig, knn_classify_batch, local_predict_batch
 from .pipeline import ingest_and_fuse, run_pipeline
 
@@ -170,20 +170,19 @@ def cmd_encode(args) -> int:
 
 
 def cmd_fuse(args) -> int:
-    sources = {}
-    order = []
+    pairs = []
     for item in args.source:
         if "=" not in item:
             raise ValidationError(f"--source expects name=path, got {item!r}")
-        name, path = item.split("=", 1)
-        order.append(name)
-        sources[name] = core.load_features(path)
-    spec = FusionSpec(
-        sources=tuple(order),
-        skip_normalize=frozenset(args.no_normalize or ()),
+        pairs.append(item.split("=", 1))
+    skip = set(args.no_normalize or ())
+    unknown = skip - {name for name, _ in pairs}
+    if unknown:
+        raise UnknownSource(f"--no-normalize names unknown sources {sorted(unknown)}")
+    fused = fuse(
+        [(name, core.load_features(path), name not in skip) for name, path in pairs],
         renormalize=args.renormalize,
     )
-    fused = fuse(spec, sources)
     core.save_features(fused, args.out, fmt=args.format)
     sys.stdout.write(f"fused {fused.n_samples} samples, dim {fused.dim}\n")
     return 0
@@ -295,7 +294,10 @@ def cmd_dsd_train(args) -> int:
 def cmd_sensitivity_scan(args) -> int:
     model = dsd.load_mlp(args.model)
     matrix, _ = _labeled_matrix(args.features, args.labels, args)
-    rates = tuple(float(r) for r in args.rates.split(","))
+    try:
+        rates = tuple(float(r) for r in args.rates.split(","))
+    except ValueError:
+        raise ValidationError(f"--rates expects comma-separated numbers, got {args.rates!r}")
     table = dsd.sensitivity_scan(model, matrix.values, matrix.labels, rates)
     selected = dsd.select_rates(table, max_drop_points=args.threshold)
     lines = ["layer,rate,val_acc"]

@@ -45,8 +45,8 @@ class TrainerConfig:
     flip_augment: bool = False
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ValidationError("lr must be positive")
+        if not (np.isfinite(self.lr) and self.lr > 0):
+            raise ValidationError(f"lr must be finite and positive, got {self.lr}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValidationError("momentum must be in [0, 1)")
         if self.batch_size < 1:
@@ -316,6 +316,8 @@ def dsd_train(
     X, y = train
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.intp)
+    if X.shape[0] == 0:
+        raise ValidationError("training set is empty")
     if cfg.flip_augment:
         if image_shape is None:
             raise ValidationError("flip augmentation requires image_shape")

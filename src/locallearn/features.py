@@ -1,19 +1,18 @@
 """L2 normalization and feature fusion by concatenation.
 
 Each source block is normalized independently (per row), then blocks are
-concatenated in spec order.  Normalizing the final concatenation is
-available behind ``FusionSpec.renormalize`` and is off by default.
+concatenated in source order.  Normalizing the final concatenation is
+available behind ``renormalize`` and is off by default.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Sequence
 
 import numpy as np
 
 from .core import FeatureMatrix
-from .errors import IdMismatch, NonFiniteValue, UnknownSource, ValidationError
+from .errors import IdMismatch, ValidationError
 
 
 def max_abs_scaled(values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -32,65 +31,38 @@ def max_abs_scaled(values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return scaled, np.sqrt(np.einsum("...i,...i->...", scaled, scaled))[..., None], scale
 
 
-def l2_normalize(v: np.ndarray) -> np.ndarray:
-    """Scale a vector to unit Euclidean norm; the zero vector is returned
-    unchanged (empty presence bins are legitimate)."""
-    v = np.asarray(v, dtype=np.float64)
-    if not np.isfinite(v).all():
-        idx = int(np.argwhere(~np.isfinite(v.ravel()))[0][0])
-        raise NonFiniteValue(f"non-finite entry at index {idx}", col=idx)
-    return l2_normalize_rows(v)
-
-
 def l2_normalize_rows(values: np.ndarray) -> np.ndarray:
-    """Row-wise l2_normalize; zero rows pass through unchanged."""
+    """Scale each row (last axis) to unit Euclidean norm; zero rows pass
+    through unchanged (empty presence bins are legitimate)."""
     scaled, norms, _ = max_abs_scaled(values)
     scaled /= np.where(norms == 0.0, 1.0, norms)
     return scaled
 
 
-@dataclass(frozen=True)
-class FusionSpec:
-    """Ordered fusion recipe: which sources, and whether to normalize each.
 
-    ``normalize`` defaults every source to on; list a source in
-    ``skip_normalize`` to pass its block through raw.
+
+def fuse(
+    sources: Sequence[tuple[str, FeatureMatrix, bool]], renormalize: bool = False
+) -> FeatureMatrix:
+    """Concatenate ordered ``(name, matrix, normalize)`` sources, each block
+    L2-normalized per row where its flag says so.
+
+    Names must be unique and all sources must share one sample id set.
+    Rows follow the first source's order, so a single source with
+    normalization off keeps its values, in a new matrix.  Each block is
+    filled and normalized in place in the output, so at most one
+    block-sized temporary is alive at a time.  The output carries no
+    labels; attach them by id.
     """
-
-    sources: tuple[str, ...]
-    skip_normalize: frozenset[str] = field(default_factory=frozenset)
-    renormalize: bool = False
-
-    def __post_init__(self):
-        if not self.sources:
-            raise ValidationError("fusion spec needs at least one source")
-        if len(set(self.sources)) != len(self.sources):
-            raise ValidationError("fusion spec sources must be unique")
-        unknown = self.skip_normalize - set(self.sources)
-        if unknown:
-            raise UnknownSource(f"skip_normalize names unknown sources {sorted(unknown)}")
-
-    def normalizes(self, name: str) -> bool:
-        return name not in self.skip_normalize
-
-
-def fuse(spec: FusionSpec, sources: Mapping[str, FeatureMatrix]) -> FeatureMatrix:
-    """Concatenate per-source rows (optionally L2-normalized) in spec order.
-
-    All sources must share one sample id set.  Rows follow the first
-    source's order, so a single source with normalization off keeps its
-    values, in a new matrix.  Each block is filled and normalized in place
-    in the output, so at most one block-sized temporary is alive at a time.
-    The output carries no labels; attach them by id.
-    """
-    missing = [n for n in spec.sources if n not in sources]
-    if missing:
-        raise UnknownSource(f"sources not provided: {missing}")
-    order = sources[spec.sources[0]].sample_ids
-    dims = [sources[n].dim for n in spec.sources]
+    if not sources:
+        raise ValidationError("fusion needs at least one source")
+    names = [name for name, _, _ in sources]
+    if len(set(names)) != len(names):
+        raise ValidationError(f"fusion source names must be unique, got {names}")
+    order = sources[0][1].sample_ids
+    dims = [m.dim for _, m, _ in sources]
     fused = np.empty((len(order), sum(dims)))
-    for name, end in zip(spec.sources, np.cumsum(dims)):
-        m = sources[name]
+    for (name, m, normalize), end in zip(sources, np.cumsum(dims)):
         diff = set(m.sample_ids) ^ set(order)
         if diff:
             raise IdMismatch(
@@ -98,8 +70,8 @@ def fuse(spec: FusionSpec, sources: Mapping[str, FeatureMatrix]) -> FeatureMatri
             )
         block = fused[:, end - m.dim:end]
         block[:] = m.values if m.sample_ids == order else m.values[[m.row_of(s) for s in order]]
-        if spec.normalizes(name):
+        if normalize:
             block[:] = l2_normalize_rows(block)
-    if spec.renormalize:
+    if renormalize:
         fused = l2_normalize_rows(fused)
     return FeatureMatrix(fused, order)

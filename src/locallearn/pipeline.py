@@ -21,7 +21,7 @@ from .core import (
     read_splits,
 )
 from .errors import ValidationError
-from .features import FusionSpec, fuse
+from .features import fuse
 from .local import BatchTiming, LocalLearnerConfig, local_predict_batch
 from .report import EvalReport, evaluate
 from .svm import SvmConfig, predict_ova_batch, train_ova
@@ -43,15 +43,11 @@ def ingest_and_fuse(manifest: DatasetManifest, seed: int | None = None) -> Inges
     label_map = LabelMap.from_file(manifest.labelmap_path)
     labels = read_labels(manifest.labels_path)
     splits = read_splits(manifest.splits_path)
-    spec = FusionSpec(
-        sources=tuple(s.name for s in manifest.sources),
-        skip_normalize=frozenset(s.name for s in manifest.sources if not s.normalize),
+    fused_all = fuse(
+        [(s.name, load_features(s.path, expected_dim=s.expected_dim), s.normalize)
+         for s in manifest.sources],
         renormalize=manifest.renormalize,
     )
-    fused_all = fuse(spec, {
-        s.name: load_features(s.path, expected_dim=s.expected_dim)
-        for s in manifest.sources
-    })
     check_split_ids(fused_all, splits)
     fused_all = attach_labels(fused_all, labels, label_map)
     by_split: dict[str, FeatureMatrix] = {}

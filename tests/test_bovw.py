@@ -158,9 +158,10 @@ class TestKmeans:
     def test_worker_count_invariance(self):
         rng = np.random.default_rng(14)
         pts = rng.normal(size=(500, 6))
-        a = kmeans(pts, 8, seed=3, workers=1)
-        b = kmeans(pts, 8, seed=3, workers=4)
+        a, history_a = kmeans(pts, 8, seed=3, workers=1, return_history=True)
+        b, history_b = kmeans(pts, 8, seed=3, workers=4, return_history=True)
         assert np.array_equal(a, b)
+        assert history_a == history_b  # one cost sum, whatever the chunking
 
 
 class TestNearest:

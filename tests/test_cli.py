@@ -75,6 +75,19 @@ class TestFuseCommand:
         assert code == 2
         assert "MalformedFile" in captured.err
 
+    @pytest.mark.parametrize("extra, error", [
+        (["--source", "b={d}/a.fv", "--no-normalize", "zz"], "error: UnknownSource:"),
+        (["--source", "a={d}/a.fv"], "error: ValidationError:"),
+    ], ids=["no-normalize-unknown", "repeated-source"])
+    def test_bad_source_list_exits_2(self, tmp_path, capsys, extra, error):
+        core.save_features(core.FeatureMatrix(np.eye(2), ["x", "y"]), tmp_path / "a.fv")
+        code = run(["fuse", "--source", f"a={tmp_path}/a.fv",
+                    *[a.format(d=tmp_path) for a in extra], "--out", tmp_path / "o.fv"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(error) and err.count("\n") == 1
+        assert not (tmp_path / "o.fv").exists()
+
 
 class TestTrainPredictEval:
     def test_global_flow(self, arcs_dataset, tmp_path, capsys):
@@ -320,6 +333,48 @@ class TestDsdCommands:
                     "--labels", tmp_path / "l.csv", "--labelmap", tmp_path / "map.txt",
                     "--schedule", "D2", "--hidden", "4", "--lr", "0.1",
                     "--flip-augment", "junk", "--out", tmp_path / "m.llmb"]) == 2
+
+    def _train(self, tmp_path, *extra):
+        return run(["dsd-train", "--features", tmp_path / "f.fv",
+                    "--labels", tmp_path / "l.csv", "--labelmap", tmp_path / "map.txt",
+                    "--schedule", "D2", "--hidden", "4", *extra,
+                    "--out", tmp_path / "m.llmb"])
+
+    @staticmethod
+    def _one_error_line(capsys, prefix):
+        err = capsys.readouterr().err
+        assert err.startswith(prefix) and err.count("\n") == 1
+
+    def test_one_row_file_exits_2(self, tmp_path, capsys):
+        self._features(tmp_path)
+        one = core.load_features(tmp_path / "f.fv").take([0])
+        core.save_features(one, tmp_path / "f.fv")
+        assert self._train(tmp_path) == 2
+        self._one_error_line(capsys, "error: ValidationError: training set is empty")
+        assert not (tmp_path / "m.llmb").exists()
+
+    @pytest.mark.parametrize("extra, error", [
+        (["--val-fraction", "1.0"], "error: ValidationError: training set is empty"),
+        (["--lr", "nan"], "error: ValidationError: lr must be finite and positive"),
+        (["--lr", "inf"], "error: ValidationError: lr must be finite and positive"),
+    ], ids=["val-fraction-1", "lr-nan", "lr-inf"])
+    def test_bad_training_setting_exits_2(self, tmp_path, capsys, extra, error):
+        self._features(tmp_path)
+        assert self._train(tmp_path, *extra) == 2
+        self._one_error_line(capsys, error)
+        assert not (tmp_path / "m.llmb").exists()
+
+    @pytest.mark.parametrize("rates", ["abc", "0.3,0.4,"])
+    def test_bad_rates_exit_2(self, tmp_path, capsys, rates):
+        self._features(tmp_path)
+        assert self._train(tmp_path) == 0
+        capsys.readouterr()
+        assert run(["sensitivity-scan", "--model", tmp_path / "m.llmb",
+                    "--features", tmp_path / "f.fv", "--labels", tmp_path / "l.csv",
+                    "--labelmap", tmp_path / "map.txt", "--rates", rates,
+                    "--out", tmp_path / "scan.csv"]) == 2
+        self._one_error_line(capsys, "error: ValidationError: --rates expects")
+        assert not (tmp_path / "scan.csv").exists()
 
     def test_divergence_exits_3(self, tmp_path, capsys):
         self._features(tmp_path)

@@ -44,6 +44,12 @@ class TestFeatureMatrix:
             make_matrix(vals)
         assert exc.value.row == 3 and exc.value.col == 1
 
+    def test_rejects_infinity(self):
+        # the only guard in front of fusion's normalization
+        with pytest.raises(NonFiniteValue) as exc:
+            make_matrix([[1.0, np.inf]])
+        assert exc.value.row == 0 and exc.value.col == 1
+
     def test_rejects_duplicate_ids(self):
         with pytest.raises(ValidationError, match="duplicate"):
             make_matrix(np.zeros((2, 1)), ids=["a", "a"])
