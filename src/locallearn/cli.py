@@ -264,6 +264,8 @@ def cmd_dsd_train(args) -> int:
         Xt, yt = matrix.values, matrix.labels
         Xv, yv = val_matrix.values, val_matrix.labels
     else:
+        if not (np.isfinite(args.val_fraction) and args.val_fraction > 0):
+            raise ValidationError(f"--val-fraction must be finite and positive, got {args.val_fraction}")
         rng = np.random.default_rng([seed, 41])
         order = rng.permutation(matrix.n_samples)
         n_val = max(1, int(matrix.n_samples * args.val_fraction))
@@ -482,10 +484,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValidationError as exc:
-        sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
-        return 2
-    except OSError as exc:
+    except (ValidationError, OSError) as exc:
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         return 2
     except ComputeError as exc:

@@ -177,14 +177,16 @@ def load_features(path, expected_dim: int | None = None) -> FeatureMatrix:
     it disagrees.
     """
     path = Path(path)
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] == BINARY_MAGIC:
-        return _load_binary(blob, path, expected_dim)
-    return _load_text(blob, path, expected_dim)
+    blob = path.read_bytes()
+    load = _load_binary if blob[:4] == BINARY_MAGIC else _load_text
+    values, ids = load(blob, path, expected_dim)
+    try:
+        return FeatureMatrix(values, ids)
+    except NonFiniteValue as exc:
+        raise NonFiniteValue(f"{path}: {exc}", row=exc.row, col=exc.col)
 
 
-def _load_text(blob: bytes, path: Path, expected_dim) -> FeatureMatrix:
+def _load_text(blob: bytes, path: Path, expected_dim) -> tuple[np.ndarray, list[str]]:
     try:
         text = blob.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -215,14 +217,10 @@ def _load_text(blob: bytes, path: Path, expected_dim) -> FeatureMatrix:
             rows.append([float(p) for p in parts[1:]])
         except ValueError as exc:
             raise MalformedFile(f"{path}:{lineno}: {exc}")
-    values = np.array(rows, dtype=np.float64).reshape(len(ids), dim)
-    try:
-        return FeatureMatrix(values, ids)
-    except NonFiniteValue as exc:
-        raise NonFiniteValue(f"{path}: {exc}", row=exc.row, col=exc.col)
+    return np.array(rows, dtype=np.float64).reshape(len(ids), dim), ids
 
 
-def _load_binary(blob: bytes, path: Path, expected_dim) -> FeatureMatrix:
+def _load_binary(blob: bytes, path: Path, expected_dim) -> tuple[np.ndarray, list[str]]:
     try:
         version, dim, n = struct.unpack_from("<IIQ", blob, 4)
     except struct.error:
@@ -255,10 +253,7 @@ def _load_binary(blob: bytes, path: Path, expected_dim) -> FeatureMatrix:
         offset += row_bytes
     if offset != len(blob):
         raise MalformedFile(f"{path}: {len(blob) - offset} trailing bytes")
-    try:
-        return FeatureMatrix(values, ids)
-    except NonFiniteValue as exc:
-        raise NonFiniteValue(f"{path}: {exc}", row=exc.row, col=exc.col)
+    return values, ids
 
 
 @dataclass(frozen=True)

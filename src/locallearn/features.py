@@ -14,6 +14,8 @@ import numpy as np
 from .core import FeatureMatrix
 from .errors import IdMismatch, ValidationError
 
+_ROWS = 256  # rows gathered and normalized at a time by fuse
+
 
 def max_abs_scaled(values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Split each row (last axis) of ``values`` into scale * scaled rows.
@@ -39,8 +41,6 @@ def l2_normalize_rows(values: np.ndarray) -> np.ndarray:
     return scaled
 
 
-
-
 def fuse(
     sources: Sequence[tuple[str, FeatureMatrix, bool]], renormalize: bool = False
 ) -> FeatureMatrix:
@@ -49,10 +49,10 @@ def fuse(
 
     Names must be unique and all sources must share one sample id set.
     Rows follow the first source's order, so a single source with
-    normalization off keeps its values, in a new matrix.  Each block is
-    filled and normalized in place in the output, so at most one
-    block-sized temporary is alive at a time.  The output carries no
-    labels; attach them by id.
+    normalization off keeps its values, in a new matrix.  The output is
+    filled and normalized ``_ROWS`` rows at a time, so no temporary as
+    large as a block is made.  The output carries no labels; attach them
+    by id.
     """
     if not sources:
         raise ValidationError("fusion needs at least one source")
@@ -68,10 +68,11 @@ def fuse(
             raise IdMismatch(
                 f"source {name!r} disagrees on {len(diff)} sample id(s)", missing=diff
             )
-        block = fused[:, end - m.dim:end]
-        block[:] = m.values if m.sample_ids == order else m.values[[m.row_of(s) for s in order]]
-        if normalize:
-            block[:] = l2_normalize_rows(block)
+        rows = np.arange(len(order)) if m.sample_ids == order else [m.row_of(s) for s in order]
+        for start in range(0, len(order), _ROWS):
+            part = m.values[rows[start:start + _ROWS]]
+            fused[start:start + _ROWS, end - m.dim:end] = l2_normalize_rows(part) if normalize else part
     if renormalize:
-        fused = l2_normalize_rows(fused)
+        for start in range(0, len(order), _ROWS):
+            fused[start:start + _ROWS] = l2_normalize_rows(fused[start:start + _ROWS])
     return FeatureMatrix(fused, order)

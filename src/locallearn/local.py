@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -135,9 +136,12 @@ def local_predict_batch(
     def predict(s):
         return _predict_block(train, queries.values[s:s + size], rows[s:s + size], cfg)
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        timing.search_s = sum(pool.map(search, range(0, queries.n_samples, _TILE)))
-        parts = list(pool.map(predict, range(0, queries.n_samples, size)))
+    # One worker runs in the calling thread: memory freed in a pool thread's
+    # own malloc arena stayed resident and raised the bench's peak RSS.
+    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        fan_out = pool.map if pool else map
+        timing.search_s = sum(fan_out(search, range(0, queries.n_samples, _TILE)))
+        parts = list(fan_out(predict, range(0, queries.n_samples, size)))
     local = np.array([cls for classes, _ in parts for cls in classes], dtype=np.int64)
     for name in ("train_s", "predict_s", "solves", "nonconverged"):
         setattr(timing, name, sum(getattr(part, name) for _, part in parts))

@@ -35,8 +35,10 @@ class CosineIndex:
             self.values = np.ascontiguousarray(matrix, dtype=np.float64)
             if self.values.ndim != 2:
                 raise ValidationError("index matrix must be 2-D")
-        _, norms, scale = max_abs_scaled(self.values)
-        self.norms = (scale * norms)[:, 0]
+        self.norms = np.empty(self.n)
+        for start in range(0, self.n, _TILE):  # never a scaled copy of every row
+            _, norms, scale = max_abs_scaled(self.values[start:start + _TILE])
+            self.norms[start:start + _TILE] = (scale * norms)[:, 0]
 
     @property
     def n(self) -> int:

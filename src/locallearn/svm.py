@@ -1,15 +1,21 @@
 """Soft-margin linear SVM (L1 hinge) and one-versus-all multiclass wrapper.
 
-The solver is dual coordinate ascent over the box-constrained dual with a
-random permutation per pass.  The bias is handled by augmenting every
-sample with a constant feature of value 1, so the bias is regularized and a
-generic QP solver on the augmented dual reproduces the same optimum.
+The bias is handled by augmenting every sample with a constant feature of
+value 1, so the bias is regularized and a generic QP solver on the
+augmented dual reproduces the same optimum.
+
+Each dual is finished, where it can be, by an exact active-set Newton
+step (one pass each): it puts every index at 0, at C or free, solves the
+free block with the bounded ones fixed, and stops when the sets repeat.
+Its result is kept only on a certificate, 0 <= alpha <= C and a KKT gap
+within ``tolerance``; otherwise dual coordinate ascent solves the problem.
 
 Training takes row sets of one matrix (all rows, or one neighbourhood per
 query) with one problem per class.  Problems of up to ``_GRAM_LIMIT``
-samples step in lockstep over Gram matrices built once per set, and no
-result depends on which others share the call.  Larger problems run one by
-one in a feature-space loop with shrinking.
+samples get one Gram matrix per row set: Newton starts from alpha = 0, and
+the problems it does not finish step in lockstep, so no result depends on
+which others share the call.  Larger problems run one by one in feature
+space, Newton starting after ``_WARM_PASSES`` of coordinate ascent.
 
 A one-vs-all model is the ascending ids of its trained classes, a weight
 matrix with one row per class and a bias vector.  ``decisions`` computes
@@ -39,15 +45,14 @@ from .errors import (
     ValidationError,
 )
 
-# Two loops, chosen by sample count alone, so identical data always takes
-# the identical path.  Problems of up to _GRAM_LIMIT samples (local
-# neighbourhoods, small training sets) step in lockstep over one Gram matrix
-# per row set.  Larger ones (fused global training, n >= 3,000) run one at a
-# time in the feature-space loop: it shrinks, which the lockstep core does
-# not, and their 3,000 x 3,000 Gram matrix would add 72 MB to a peak RSS of
-# 238 MB.  The benchmark has workloads on both sides of the limit.
+# The path is chosen by sample count alone, so identical data always takes
+# the identical path.  A Gram matrix for fused global training (n >= 3,000)
+# would add 72 MB to a peak RSS of 194 MB; the benchmark has workloads on
+# both sides of the limit.
 _GRAM_LIMIT = 2048  # samples
 _LOOP_LIMIT = 3  # live problems the lockstep core steps one at a time
+_WARM_PASSES = 10  # feature-space passes before the Newton finish
+_NEWTON_STEPS = 25  # active-set steps before falling back to coordinate ascent
 
 
 @dataclass(frozen=True)
@@ -96,107 +101,65 @@ def train_binary(X, y, cfg: SvmConfig) -> tuple[np.ndarray, float, np.ndarray, d
     return W[0, :-1], float(W[0, -1]), alphas[0], infos[0]
 
 
-def _augment(X: np.ndarray) -> np.ndarray:
-    return np.hstack([X, np.ones((X.shape[0], 1))])
-
-
 def _kkt_gap(alpha: np.ndarray, G: np.ndarray, C: float) -> np.ndarray:
-    """Largest projected-gradient violation along the last axis."""
+    """Largest projected-gradient violation along the last axis, infinite outside [0, C]."""
     pg = np.where(alpha == 0.0, np.minimum(G, 0.0), np.where(alpha == C, np.maximum(G, 0.0), G))
-    return np.abs(pg).max(axis=-1)
+    return np.where((alpha < 0.0) | (alpha > C), np.inf, np.abs(pg)).max(axis=-1)
 
 
-def _solve_dual(Xa: np.ndarray, y: np.ndarray, cfg: SvmConfig):
-    """Dual coordinate ascent with shrinking (per-pass random permutation),
-    one problem, gradients taken from the primal weights.
-
-    Convergence is certified against the true projected gradient of the
-    full variable set, never against the pass-sampled extremes alone
-    (those mix gradients taken at different alpha states).
-    """
-    n = Xa.shape[0]
-    C, tol = float(cfg.C), float(cfg.tolerance)
-    rng = np.random.default_rng(cfg.seed)
-    w = np.zeros(Xa.shape[1])
-    ys, qdiag = y.tolist(), np.einsum("ij,ij->i", Xa, Xa).tolist()
-    alpha = [0.0] * n
-    active = list(range(n))
-    hi_bound, lo_bound = np.inf, -np.inf
-    converged = False
-    passes = 0
-    final_gap = np.inf
-    while passes < cfg.max_passes:
-        passes += 1
-        perm = rng.permutation(len(active))
-        survivors = []
-        pg_max, pg_min = -np.inf, np.inf
-        for i in [active[j] for j in perm]:
-            a_i = alpha[i]
-            g = ys[i] * float(w @ Xa[i]) - 1.0
-            if a_i == 0.0:
-                if g > hi_bound:
-                    continue  # shrink
-                pg = g if g < 0.0 else 0.0
-            elif a_i == C:
-                if g < lo_bound:
-                    continue  # shrink
-                pg = g if g > 0.0 else 0.0
-            else:
-                pg = g
-            survivors.append(i)
-            if pg > pg_max:
-                pg_max = pg
-            if pg < pg_min:
-                pg_min = pg
-            if pg > 1e-12 or pg < -1e-12:
-                a_new = min(max(a_i - g / qdiag[i], 0.0), C)
-                delta = a_new - a_i
-                if delta != 0.0:
-                    alpha[i] = a_new
-                    w += (delta * ys[i]) * Xa[i]
-        if pg_max == -np.inf:  # everything shrunk this pass
-            pg_max, pg_min = 0.0, 0.0
-        gap = pg_max - pg_min
-        if gap <= tol:
-            if len(active) < n:
-                # Unshrink and keep iterating over the full variable set.
-                active = list(range(n))
-                hi_bound, lo_bound = np.inf, -np.inf
-                continue
-            g_all = y * (Xa @ w) - 1.0
-            final_gap = float(_kkt_gap(np.asarray(alpha), g_all, C))
-            if final_gap <= tol:
-                converged = True
-                break
-            continue
-        active = survivors if survivors else list(range(n))
-        hi_bound = pg_max if pg_max > 0.0 else np.inf
-        lo_bound = pg_min if pg_min < 0.0 else -np.inf
-        final_gap = gap
-    info = {"passes": passes, "converged": converged, "kkt_gap": float(final_gap)}
-    return np.asarray(alpha), info
+def _newton(alpha: np.ndarray, grad, block, diag, width: int, cfg: SvmConfig, steps: int):
+    """Active-set Newton finish of one dual from a feasible ``alpha``, given
+    ``grad(a)`` = Q a - 1, ``block(F)`` = Q_FF and ``diag`` = diag(Q).  A step
+    puts index i at 0 where alpha_i - g_i / Q_ii <= 0, at C where it is >= C,
+    and solves for the free rest; at most ``steps`` solves, none with more
+    free indices than ``width`` (Q_FF is then singular).  Returns the
+    certified alpha, or the given one, and the info."""
+    C, start, g, sets = float(cfg.C), alpha, grad(alpha), None
+    for solves in range(steps + 1):
+        z = alpha - g / diag
+        new = np.where(z <= 0.0, 0, np.where(z >= C, 2, 1))
+        if sets is not None and np.array_equal(new, sets):
+            gap = float(_kkt_gap(alpha, g, C))
+            if gap <= cfg.tolerance:
+                return alpha, {"passes": solves, "converged": True, "kkt_gap": gap}
+            break
+        free = np.flatnonzero(new == 1)
+        if solves == steps or free.size > width:
+            break
+        alpha = np.where(new == 2, C, 0.0)
+        try:
+            alpha[free] = np.linalg.solve(block(free), -grad(alpha)[free])
+        except np.linalg.LinAlgError:
+            return start, {"passes": solves + 1, "converged": False, "kkt_gap": np.inf}
+        g, sets = grad(alpha), new
+    return start, {"passes": solves, "converged": False, "kkt_gap": np.inf}
 
 
-def _gram_ascent(K: np.ndarray, Y: np.ndarray, owner: np.ndarray, cfg: SvmConfig):
-    """Dual coordinate ascent on many problems in lockstep.
+def _gram_ascent(K: np.ndarray, Y: np.ndarray, owner: np.ndarray, solved, cfg: SvmConfig):
+    """Dual coordinate ascent from alpha = 0, in lockstep, on the problems
+    that ``solved`` (Newton's alpha and info per problem) left unconverged.
 
     Problem p has labels Y[p] on the samples with bias-augmented Gram
     matrix K[owner[p]].  Pass p walks the p-th permutation of
     ``rng(cfg.seed)`` for every problem, each step elementwise with
     V = K(alpha * y) kept exact, so a problem's iterates never depend on
     the others.  After each pass a problem whose KKT gap is within
-    ``tolerance`` is frozen and dropped; one left at ``max_passes`` reports
-    converged=False.
+    ``tolerance`` is frozen and dropped; one that runs out of passes, its
+    Newton steps included, reports converged=False.
     """
     C, tol = float(cfg.C), float(cfg.tolerance)
     rng = np.random.default_rng(cfg.seed)
-    P, n = Y.shape
-    alpha, gaps = np.zeros((P, n)), np.full(P, np.inf)
-    passes, converged = np.zeros(P, dtype=np.int64), np.zeros(P, dtype=bool)
-    live, A, V = np.arange(P), np.zeros((P, n)), np.zeros((P, n))
+    alpha = np.array([a for a, _ in solved])
+    passes, converged, gaps = (np.array([info[key] for _, info in solved])
+                               for key in ("passes", "converged", "kkt_gap"))
+    live = np.flatnonzero(~converged)
+    used, Y, owner = passes[live], Y[live], owner[live]
+    A, V = np.zeros((live.size, Y.shape[1])), np.zeros((live.size, Y.shape[1]))
     inv_diag = 1.0 / np.einsum("bii->bi", K)[owner]
     for p in range(1, cfg.max_passes + 1):
-        order = rng.permutation(n)
+        if not live.size:
+            break
+        order = rng.permutation(Y.shape[1])
         if live.size > _LOOP_LIMIT:
             for i in order:
                 y, a = Y[:, i], A[:, i]
@@ -220,16 +183,61 @@ def _gram_ascent(K: np.ndarray, Y: np.ndarray, owner: np.ndarray, cfg: SvmConfig
                 A[j] = a
         gap = _kkt_gap(A, Y * V - 1.0, C)
         done = gap <= tol
-        alpha[live], passes[live], gaps[live], converged[live] = A, p, gap, done
-        if done.any():
-            live, A, V, Y, owner, inv_diag = (
-                x[~done] for x in (live, A, V, Y, owner, inv_diag))
-            if not live.size:
-                break
+        alpha[live], passes[live], gaps[live], converged[live] = A, used + p, gap, done
+        stop = done | (passes[live] == cfg.max_passes)
+        if stop.any():
+            live, used, A, V, Y, owner, inv_diag = (
+                x[~stop] for x in (live, used, A, V, Y, owner, inv_diag))
     return alpha, [
         {"passes": int(done_at), "converged": bool(c), "kkt_gap": float(g)}
         for done_at, c, g in zip(passes, converged, gaps)
     ]
+
+
+def _solve_alone(X: np.ndarray, y: np.ndarray, cfg: SvmConfig):
+    """Dual coordinate ascent on one problem in feature space, the bias
+    kept apart so that X is not copied.  A pass visits, in a random order,
+    every index that is free or has a nonzero projected gradient, which
+    after the pass certifies convergence.  After ``_WARM_PASSES`` passes
+    Newton is tried, with Q_FF built from the free rows alone."""
+    n, C = X.shape[0], float(cfg.C)
+    rng = np.random.default_rng(cfg.seed)
+    a, w, bias, g = np.zeros(n), np.zeros(X.shape[1]), 0.0, -np.ones(n)
+    diag = np.einsum("ij,ij->i", X, X) + 1.0
+    ys, qdiag = y.tolist(), diag.tolist()
+
+    def grad(alpha):
+        ay = alpha * y
+        return y * (X @ (ay @ X) + ay.sum()) - 1.0
+
+    def block(F):
+        Z = X[F]
+        Z *= y[F, None]
+        return Z @ Z.T + np.outer(y[F], y[F])
+
+    passes = 0
+    while passes < cfg.max_passes:
+        if passes == _WARM_PASSES and passes < cfg.max_passes - 1:
+            done, info = _newton(a, grad, block, diag, X.shape[1] + 1, cfg,
+                                 min(_NEWTON_STEPS, cfg.max_passes - passes - 1))
+            passes += info["passes"]
+            if info["converged"]:
+                return done, {**info, "passes": passes}
+        visit = np.flatnonzero(np.where(a == 0.0, g < 0.0, np.where(a == C, g > 0.0, True)))
+        al = a.tolist()
+        for i in visit[rng.permutation(visit.size)].tolist():
+            a_new = min(max(al[i] - (ys[i] * (float(w @ X[i]) + bias) - 1.0) / qdiag[i], 0.0), C)
+            if a_new != al[i]:
+                step = (a_new - al[i]) * ys[i]
+                w += step * X[i]
+                bias += step
+                al[i] = a_new
+        a, g, passes = np.array(al), y * (X @ w + bias) - 1.0, passes + 1
+        gap = float(_kkt_gap(a, g, C))
+        info = {"passes": passes, "converged": gap <= cfg.tolerance, "kkt_gap": gap}
+        if info["converged"]:
+            break
+    return a, info
 
 
 def _solve_sets(X: np.ndarray, sets, cfg: SvmConfig):
@@ -244,21 +252,23 @@ def _solve_sets(X: np.ndarray, sets, cfg: SvmConfig):
     if n <= _GRAM_LIMIT:
         K = np.empty((len(sets), n, n))
         for b, (rows, _) in enumerate(sets):
-            Xa = _augment(X[rows])
+            Xa = np.hstack([X[rows], np.ones((n, 1))])
             K[b] = Xa @ Xa.T
         owner = np.repeat(np.arange(len(sets)), sizes)
-        alphas, infos = _gram_ascent(K, np.vstack([Y for _, Y in sets]), owner, cfg)
+        Y = np.vstack([Y for _, Y in sets])
+        steps = min(_NEWTON_STEPS, cfg.max_passes - 1)
+        solved = [_newton(np.zeros(n), lambda a: y * (K[b] @ (a * y)) - 1.0,
+                          lambda F: np.outer(y[F], y[F]) * K[b][np.ix_(F, F)],
+                          np.diagonal(K[b]), X.shape[1] + 1, cfg, steps) for y, b in zip(Y, owner)]
+        alphas, infos = _gram_ascent(K, Y, owner, solved, cfg)
         del K
     else:
-        # One augmented copy per set, freed before the weights are recovered.
-        solved = [_solve_dual(Xa, y, cfg)
-                  for rows, Y in sets for Xa in [_augment(X[rows])] for y in Y]
+        solved = [_solve_alone(Xs, y, cfg) for rows, Y in sets for Xs in [X[rows]] for y in Y]
         alphas, infos = np.array([a for a, _ in solved]), [info for _, info in solved]
     out, start = [], 0
     for (rows, Y), size in zip(sets, sizes):
-        Xa = _augment(X[rows])
-        part = alphas[start:start + size]
-        W = np.array([(a * y) @ Xa for a, y in zip(part, Y)])
+        Xs, part = X[rows], alphas[start:start + size]
+        W = np.array([np.append(ay @ Xs, ay.sum()) for ay in part * Y])
         out.append((W, part, infos[start:start + size]))
         start += size
     return out

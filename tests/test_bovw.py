@@ -163,6 +163,17 @@ class TestKmeans:
         assert np.array_equal(a, b)
         assert history_a == history_b  # one cost sum, whatever the chunking
 
+    def test_fewer_distinct_points_than_k_stops(self):
+        # The empty-cluster repair moves a duplicate onto an empty centroid
+        # and the next assignment sends it back to the lowest id at its spot:
+        # the loop must still stop when the assignment repeats.
+        rng = np.random.default_rng(16)
+        pts = rng.normal(size=(6, 5))[np.arange(600) % 6]
+        _, history = kmeans(pts, 30, seed=4, max_iters=100, return_history=True)
+        assert len(history) < 100
+        _, history_2 = kmeans(pts, 30, seed=4, max_iters=100, return_history=True, workers=2)
+        assert history_2 == history
+
 
 class TestNearest:
     def test_matches_oracle_at_every_chunking(self, monkeypatch):

@@ -355,9 +355,12 @@ class TestDsdCommands:
 
     @pytest.mark.parametrize("extra, error", [
         (["--val-fraction", "1.0"], "error: ValidationError: training set is empty"),
+        *[(["--val-fraction", bad], "error: ValidationError: --val-fraction must be finite and positive")
+          for bad in ("0.0", "-0.5", "nan", "inf")],
         (["--lr", "nan"], "error: ValidationError: lr must be finite and positive"),
         (["--lr", "inf"], "error: ValidationError: lr must be finite and positive"),
-    ], ids=["val-fraction-1", "lr-nan", "lr-inf"])
+    ], ids=["val-fraction-1", "val-fraction-0", "val-fraction-negative", "val-fraction-nan",
+            "val-fraction-inf", "lr-nan", "lr-inf"])
     def test_bad_training_setting_exits_2(self, tmp_path, capsys, extra, error):
         self._features(tmp_path)
         assert self._train(tmp_path, *extra) == 2

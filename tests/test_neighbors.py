@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import locallearn.local as local_mod
 from locallearn.errors import DimMismatch, ValidationError
+from locallearn.features import max_abs_scaled
 from locallearn.local import LocalLearnerConfig, local_predict_batch
 from locallearn.neighbors import _TILE, CosineIndex, top_k, top_k_batch
 from locallearn.svm import SvmConfig
@@ -26,6 +27,17 @@ class TestTopK:
         rows = rng.normal(size=(20, 6))
         index = CosineIndex(rows)
         assert np.allclose(index.norms, np.linalg.norm(rows, axis=1), atol=1e-12)
+
+    def test_norms_bit_equal_to_one_scaled_pass(self):
+        # The index scales a tile of rows at a time; its norms must be the
+        # bits of one max_abs_scaled pass over every row, so that no
+        # similarity, and no top-k order, can move.
+        rng = np.random.default_rng(13)
+        n = 3 * _TILE + 5
+        rows = rng.normal(size=(n, 37)) * np.logspace(-150, 150, n)[:, None]
+        rows[4] = 0.0
+        _, norms, scale = max_abs_scaled(rows)
+        assert np.array_equal(CosineIndex(rows).norms, (scale * norms)[:, 0])
 
     def test_self_similarity_first(self):
         rng = np.random.default_rng(0)

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -19,10 +24,12 @@ from locallearn.svm import (
     train_binary,
     train_ova,
 )
-from locallearn.synth import gaussian_blobs
+from locallearn.synth import gaussian_blobs, two_arcs
 
 from oracles import box_qp_max, svm_dual_gram, svm_dual_value
 
+ROOT = Path(__file__).resolve().parents[1]
+BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 TIGHT = SvmConfig(C=1.0, tolerance=1e-10, max_passes=200_000)
 
 PAIR_X = np.array([[0.0, 0.0], [2.0, 2.0]])
@@ -191,6 +198,116 @@ class TestLockstepCore:
         for cls, w, b in zip(ova.classes, ova.W, ova.b):
             alone_w, alone_b, _, _ = train_binary(X, np.where(labels == cls, 1.0, -1.0), cfg)
             assert np.array_equal(alone_w, w) and alone_b == b
+
+
+def _newton_spy(monkeypatch):
+    """Record whether each Newton finish certified its problem."""
+    certified, newton = [], svm_mod._newton
+
+    def spy(*args):
+        alpha, info = newton(*args)
+        certified.append(info["converged"])
+        return alpha, info
+
+    monkeypatch.setattr(svm_mod, "_newton", spy)
+    return certified
+
+
+class TestNewtonFinish:
+    def test_certificate_is_box_aware(self):
+        # An entry outside [0, C] is no optimum, whatever its gradient.
+        G = np.zeros(3)
+        assert not svm_mod._kkt_gap(np.array([-1e-3, 0.5, 0.5]), G, 1.0) <= 1e-4
+        assert not svm_mod._kkt_gap(np.array([0.5, 1.0 + 1e-3, 0.5]), G, 1.0) <= 1e-4
+        assert svm_mod._kkt_gap(np.array([0.0, 0.5, 1.0]), np.array([1.0, 0.0, -1.0]), 1.0) == 0.0
+
+    def test_repeated_sets_without_certificate_are_not_kept(self):
+        # A free block 1% off Q (as from an inaccurate solve) leaves the
+        # free gradient near -0.01: the sets repeat, the certificate fails,
+        # and the start comes back uncertified.
+        Q = np.array([[2.0, 0.5], [0.5, 1.0]])
+        start = np.zeros(2)
+        alpha, info = svm_mod._newton(start, lambda a: Q @ a - 1.0, lambda F: 1.01 * Q[np.ix_(F, F)],
+                                      np.diag(Q), 3, SvmConfig(C=100.0), 10)
+        assert alpha is start and not info["converged"] and info["passes"] == 1
+
+    @pytest.mark.parametrize("gram_limit", [2048, 1])
+    def test_k_below_d_takes_the_newton_finish(self, gram_limit, monkeypatch):
+        # Fewer samples than dimensions: Newton certifies the optimum, from
+        # alpha = 0 on the Gram matrix or after the feature-space warm start,
+        # and coordinate ascent never finishes the problem.
+        rng = np.random.default_rng(41)
+        X = rng.normal(size=(30, 60))
+        y = np.where(rng.random(30) > 0.5, 1.0, -1.0)
+        y[:2] = [1.0, -1.0]
+        monkeypatch.setattr(svm_mod, "_GRAM_LIMIT", gram_limit)
+        certified = _newton_spy(monkeypatch)
+        cfg = SvmConfig(C=100.0, tolerance=1e-9, max_passes=300_000)
+        _, _, alpha, info = train_binary(X, y, cfg)
+        assert certified == [True]
+        assert info["converged"] and info["kkt_gap"] <= 1e-9
+        warm = 0 if gram_limit > 30 else svm_mod._WARM_PASSES
+        assert info["passes"] <= warm + svm_mod._NEWTON_STEPS
+        oracle, _ = box_qp_max(svm_dual_gram(X, y), 100.0)
+        assert abs(svm_dual_value(X, y, alpha) - oracle) <= 1e-6 * max(1.0, abs(oracle))
+
+    def test_rank_deficient_certifies_through_the_fallback(self, monkeypatch):
+        # Two-arcs has d = 2, so rank(Q) <= 3 while far more indices are free
+        # at alpha = 0 and after the warm start: Newton cannot finish, and
+        # coordinate ascent certifies on both paths.
+        X, labels = two_arcs(200, seed=3)
+        y = np.where(labels == 1, 1.0, -1.0)
+        cfg = SvmConfig(C=100.0, tolerance=1e-4, max_passes=100_000)
+        oracle, _ = box_qp_max(svm_dual_gram(X, y), 100.0)
+        certified = _newton_spy(monkeypatch)
+        for gram_limit in (2048, 1):
+            monkeypatch.setattr(svm_mod, "_GRAM_LIMIT", gram_limit)
+            _, _, alpha, info = train_binary(X, y, cfg)
+            assert info["converged"] and info["kkt_gap"] <= 1e-4
+            assert abs(svm_dual_value(X, y, alpha) - oracle) <= 1e-6 * abs(oracle)
+        assert len(certified) == 2 and not any(certified)
+
+    @pytest.mark.parametrize("threads", ["default", "1"])
+    def test_alone_and_in_block_bit_identical(self, threads):
+        # Each BLAS thread count runs in a fresh process, because BLAS reads
+        # it at start-up.
+        env = {name: value for name, value in os.environ.items() if name not in BLAS_ENV}
+        if threads != "default":
+            env.update(dict.fromkeys(BLAS_ENV, threads))
+        env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")])
+        proc = subprocess.run(
+            [sys.executable, "-c", "import test_svm; test_svm.check_alone_and_in_block()"],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+
+
+def check_alone_and_in_block():
+    """Every problem's alpha, weights and info are bit-equal solved alone
+    and in a block of sets of 120 rows in 301 dimensions.  Newton finishes
+    most from alpha = 0; in every third set each row appears twice, so
+    Q_FF is singular and the lockstep core finishes it."""
+    rng = np.random.default_rng(8)
+    X = rng.normal(size=(400, 301))
+    sets = []
+    for j in range(6):
+        n_cls = 2 + j % 3
+        rows = np.sort(rng.choice(400, 120 if n_cls < 4 else 60, replace=False))
+        labels = rng.integers(0, n_cls, rows.size)
+        labels[:n_cls] = np.arange(n_cls)
+        if n_cls == 4:
+            rows, labels = np.repeat(rows, 2), np.repeat(labels, 2)
+        sets.append((rows, np.where(labels == np.arange(n_cls)[:, None], 1.0, -1.0)))
+    cfg = SvmConfig(C=100.0, tolerance=1e-6, seed=5)
+    with pytest.MonkeyPatch.context() as mp:
+        certified = _newton_spy(mp)
+        block = svm_mod._solve_sets(X, sets, cfg)
+    assert certified.count(False) == 8 and len(certified) == 18, certified
+    for (rows, Y), (W, alphas, infos) in zip(sets, block):
+        for p in range(Y.shape[0]):
+            [(W1, alpha1, info1)] = svm_mod._solve_sets(X, [(rows, Y[p:p + 1])], cfg)
+            assert np.array_equal(alpha1[0], alphas[p])
+            assert np.array_equal(W1[0], W[p])
+            assert info1 == [infos[p]] and infos[p]["converged"]
 
 
 class TestDecision:
