@@ -272,8 +272,13 @@ def cmd_dsd_train(args) -> int:
         val_rows, train_rows = order[:n_val], order[n_val:]
         Xt, yt = matrix.values[train_rows], matrix.labels[train_rows]
         Xv, yv = matrix.values[val_rows], matrix.labels[val_rows]
+    if args.hidden < 0:
+        raise ValidationError(f"--hidden must be >= 0, got {args.hidden}")
     dims = [matrix.dim] + ([args.hidden] if args.hidden > 0 else []) + [label_map.n_classes]
     model = dsd.init_mlp(dims, seed=seed)
+    unknown = sorted(set(args.exclude or ()) - set(model.layer_names()))
+    if unknown:
+        raise ValidationError(f"--exclude names no layer of the model: {', '.join(unknown)}")
     logs = dsd.dsd_train(model, (Xt, yt), (Xv, yv), schedule, cfg, image_shape=image_shape)
     dsd.save_mlp(model, args.out)
     if args.log:

@@ -130,11 +130,20 @@ class FeatureMatrix:
             raise IdMismatch(f"unknown sample id {sample_id!r}", missing={sample_id})
 
     def take(self, rows: Sequence[int]) -> "FeatureMatrix":
+        """The given rows, each in [0, n_samples) and at most once; the
+        constructor's checks held for them already and are not repeated."""
         rows = np.asarray(rows, dtype=np.intp)
-        labels = None if self.labels is None else self.labels[rows]
-        return FeatureMatrix(
-            self.values[rows], [self.sample_ids[i] for i in rows], labels
-        )
+        if rows.ndim != 1 or ((rows < 0) | (rows >= self.n_samples)).any():
+            raise ValidationError(f"row indices must be a list in [0, {self.n_samples})")
+        if np.unique(rows).size != rows.size:
+            raise ValidationError("repeated row index")
+        out = object.__new__(FeatureMatrix)
+        out.values, out.labels = self.values[rows], None if self.labels is None else self.labels[rows]
+        out.sample_ids, out._row_of = tuple(self.sample_ids[i] for i in rows.tolist()), None
+        for array in (out.values, out.labels):
+            if array is not None:
+                array.setflags(write=False)
+        return out
 
     def with_labels(self, labels) -> "FeatureMatrix":
         return FeatureMatrix(self.values, self.sample_ids, labels)

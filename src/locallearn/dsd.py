@@ -51,6 +51,8 @@ class TrainerConfig:
             raise ValidationError("momentum must be in [0, 1)")
         if self.batch_size < 1:
             raise ValidationError("batch size must be >= 1")
+        if self.patience < 0:
+            raise ValidationError(f"patience must be >= 0, got {self.patience}")
 
 
 @dataclass(frozen=True)

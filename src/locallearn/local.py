@@ -3,17 +3,16 @@ cosine-nearest training samples and predict that single sample.
 
 A linear base learner wrapped this way yields a globally non-linear
 decision function, because every query gets its own hyperplanes fitted to
-its neighborhood.  Queries reach the solver in blocks (Gram stack within
-``_BLOCK_BYTES``) and no result depends on the block.  The selected
-neighbor rows are presented to the solver in ascending original row
-order, so with k >= n_train the local problem is bit-identical to the
-global one, and ``svm.decisions`` scores it as the global model.
+its neighborhood.  Each query's neighbor rows go to the solver in one
+call of ``svm.train_ova_rows``, in ascending original row order, so with
+k >= n_train the local model is the global one bit for bit, and
+``svm.decisions`` scores it as the global model.
 
 Each query is searched once: the same k nearest rows give the local SVM
 its training set and the cosine k-NN baseline its vote.  The search runs
-over tiles of ``neighbors._TILE`` queries, not over the solver's blocks,
-and keeps only each query's k rows and its vote; a query's neighbors and
-vote are the same whatever tile, block or worker it lands in.
+over tiles of ``neighbors._TILE`` queries and keeps only each query's k
+rows and its vote; a query's neighbors and vote are the same whatever
+tile or worker it lands in.
 
 Classes absent from a neighborhood cannot be predicted (decision -inf);
 a single-class neighborhood returns that class with a +inf sentinel and
@@ -32,9 +31,7 @@ import numpy as np
 from .core import FeatureMatrix
 from .errors import MissingLabels, ValidationError
 from .neighbors import _TILE, CosineIndex, top_k_batch
-from .svm import SvmConfig, predict_ova_batch, train_ova_sets
-
-_BLOCK_BYTES = 10 * 2**20  # 32 queries at k=200
+from .svm import SvmConfig, predict_ova_batch, train_ova_rows
 
 
 @dataclass(frozen=True)
@@ -87,21 +84,6 @@ def _search(index: CosineIndex, labels: np.ndarray, queries: np.ndarray, k: int)
     return rows, votes
 
 
-def _predict_block(train: FeatureMatrix, block: np.ndarray, rows: np.ndarray,
-                   cfg: LocalLearnerConfig):
-    """The class id of each query row, given its neighbor rows, and the
-    block's timing."""
-    t0 = time.perf_counter()
-    fitted = train_ova_sets(train.values, train.labels, list(rows), cfg.svm)
-    t1 = time.perf_counter()
-    preds = [predict_ova_batch(m, q[None, :])[0] for (m, _), q in zip(fitted, block)]
-    infos = [info for _, infos in fitted for info in infos]
-    return preds, BatchTiming(
-        train_s=t1 - t0, predict_s=time.perf_counter() - t1,
-        solves=len(infos), nonconverged=sum(not info["converged"] for info in infos),
-    )
-
-
 def local_predict_batch(
     train: FeatureMatrix,
     queries: FeatureMatrix,
@@ -112,7 +94,7 @@ def local_predict_batch(
     in input order.
 
     ``workers`` fans tiles of queries out over a thread pool for the
-    search, then blocks of queries for the solver; the training matrix and
+    search, then single queries for the solver; the training matrix and
     index are shared read-only, so results are identical for any worker
     count.  Stage timings are summed across workers; the vote is part of
     the search stage.
@@ -131,18 +113,23 @@ def local_predict_batch(
         rows[s:s + _TILE], knn[s:s + _TILE] = _search(index, labels, queries.values[s:s + _TILE], cfg.k)
         return time.perf_counter() - t0
 
-    size = max(1, _BLOCK_BYTES // (8 * rows.shape[1] ** 2))
-
-    def predict(s):
-        return _predict_block(train, queries.values[s:s + size], rows[s:s + size], cfg)
+    def predict(j):
+        t0 = time.perf_counter()
+        model, infos = train_ova_rows(train.values, labels, rows[j], cfg.svm)
+        t1 = time.perf_counter()
+        pred = predict_ova_batch(model, queries.values[j:j + 1])[0]
+        return pred, BatchTiming(
+            train_s=t1 - t0, predict_s=time.perf_counter() - t1,
+            solves=len(infos), nonconverged=sum(not info["converged"] for info in infos),
+        )
 
     # One worker runs in the calling thread: memory freed in a pool thread's
     # own malloc arena stayed resident and raised the bench's peak RSS.
     with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
         fan_out = pool.map if pool else map
         timing.search_s = sum(fan_out(search, range(0, queries.n_samples, _TILE)))
-        parts = list(fan_out(predict, range(0, queries.n_samples, size)))
-    local = np.array([cls for classes, _ in parts for cls in classes], dtype=np.int64)
+        parts = list(fan_out(predict, range(queries.n_samples)))
+    local = np.array([pred for pred, _ in parts], dtype=np.int64)
     for name in ("train_s", "predict_s", "solves", "nonconverged"):
         setattr(timing, name, sum(getattr(part, name) for _, part in parts))
     timing.total_s = time.perf_counter() - t_start

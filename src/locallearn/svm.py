@@ -10,12 +10,13 @@ free block with the bounded ones fixed, and stops when the sets repeat.
 Its result is kept only on a certificate, 0 <= alpha <= C and a KKT gap
 within ``tolerance``; otherwise dual coordinate ascent solves the problem.
 
-Training takes row sets of one matrix (all rows, or one neighbourhood per
-query) with one problem per class.  Problems of up to ``_GRAM_LIMIT``
-samples get one Gram matrix per row set: Newton starts from alpha = 0, and
-the problems it does not finish step in lockstep, so no result depends on
-which others share the call.  Larger problems run one by one in feature
-space, Newton starting after ``_WARM_PASSES`` of coordinate ascent.
+Training takes one row set of a matrix (all rows, or one query's
+neighbourhood) and poses one problem per class.  A set of up to
+``_GRAM_LIMIT`` rows gets one augmented Gram matrix, on which Newton
+starts every problem from alpha = 0.  A problem it does not certify, and
+every problem of a larger set, is solved by dual coordinate ascent in
+feature space (Hsieh et al., ICML 2008) on the same rows, keeping the
+passes already spent and retrying Newton every ``_WARM_PASSES`` passes.
 
 A one-vs-all model is the ascending ids of its trained classes, a weight
 matrix with one row per class and a bias vector.  ``decisions`` computes
@@ -50,8 +51,7 @@ from .errors import (
 # would add 72 MB to a peak RSS of 194 MB; the benchmark has workloads on
 # both sides of the limit.
 _GRAM_LIMIT = 2048  # samples
-_LOOP_LIMIT = 3  # live problems the lockstep core steps one at a time
-_WARM_PASSES = 10  # feature-space passes before the Newton finish
+_WARM_PASSES = 10  # coordinate-ascent passes between Newton finishes
 _NEWTON_STEPS = 25  # active-set steps before falling back to coordinate ascent
 
 
@@ -97,7 +97,7 @@ def train_binary(X, y, cfg: SvmConfig) -> tuple[np.ndarray, float, np.ndarray, d
         raise ValidationError("y entries must be -1 or +1")
     if np.unique(y).size < 2:
         raise SingleClass("training data contains a single class")
-    [(W, alphas, infos)] = _solve_sets(Xv, [(slice(None), y[None, :])], cfg)
+    W, alphas, infos = _solve_rows(Xv, slice(None), y[None, :], cfg)
     return W[0, :-1], float(W[0, -1]), alphas[0], infos[0]
 
 
@@ -135,71 +135,13 @@ def _newton(alpha: np.ndarray, grad, block, diag, width: int, cfg: SvmConfig, st
     return start, {"passes": solves, "converged": False, "kkt_gap": np.inf}
 
 
-def _gram_ascent(K: np.ndarray, Y: np.ndarray, owner: np.ndarray, solved, cfg: SvmConfig):
-    """Dual coordinate ascent from alpha = 0, in lockstep, on the problems
-    that ``solved`` (Newton's alpha and info per problem) left unconverged.
-
-    Problem p has labels Y[p] on the samples with bias-augmented Gram
-    matrix K[owner[p]].  Pass p walks the p-th permutation of
-    ``rng(cfg.seed)`` for every problem, each step elementwise with
-    V = K(alpha * y) kept exact, so a problem's iterates never depend on
-    the others.  After each pass a problem whose KKT gap is within
-    ``tolerance`` is frozen and dropped; one that runs out of passes, its
-    Newton steps included, reports converged=False.
-    """
-    C, tol = float(cfg.C), float(cfg.tolerance)
-    rng = np.random.default_rng(cfg.seed)
-    alpha = np.array([a for a, _ in solved])
-    passes, converged, gaps = (np.array([info[key] for _, info in solved])
-                               for key in ("passes", "converged", "kkt_gap"))
-    live = np.flatnonzero(~converged)
-    used, Y, owner = passes[live], Y[live], owner[live]
-    A, V = np.zeros((live.size, Y.shape[1])), np.zeros((live.size, Y.shape[1]))
-    inv_diag = 1.0 / np.einsum("bii->bi", K)[owner]
-    for p in range(1, cfg.max_passes + 1):
-        if not live.size:
-            break
-        order = rng.permutation(Y.shape[1])
-        if live.size > _LOOP_LIMIT:
-            for i in order:
-                y, a = Y[:, i], A[:, i]
-                a_new = a - (y * V[:, i] - 1.0) * inv_diag[:, i]
-                np.clip(a_new, 0.0, C, out=a_new)
-                step = (a_new - a) * y
-                A[:, i] = a_new
-                V += step[:, None] * K[owner, i]
-        else:
-            # The same arithmetic on Python floats, one problem at a time:
-            # for a few problems numpy call overhead outweighs the batching.
-            order = order.tolist()
-            for j in range(live.size):
-                a, y, inv = A[j].tolist(), Y[j].tolist(), inv_diag[j].tolist()
-                v, k = V[j], K[owner[j]]
-                for i in order:
-                    a_new = min(max(a[i] - (y[i] * v.item(i) - 1.0) * inv[i], 0.0), C)
-                    if a_new != a[i]:
-                        v += ((a_new - a[i]) * y[i]) * k[i]
-                        a[i] = a_new
-                A[j] = a
-        gap = _kkt_gap(A, Y * V - 1.0, C)
-        done = gap <= tol
-        alpha[live], passes[live], gaps[live], converged[live] = A, used + p, gap, done
-        stop = done | (passes[live] == cfg.max_passes)
-        if stop.any():
-            live, used, A, V, Y, owner, inv_diag = (
-                x[~stop] for x in (live, used, A, V, Y, owner, inv_diag))
-    return alpha, [
-        {"passes": int(done_at), "converged": bool(c), "kkt_gap": float(g)}
-        for done_at, c, g in zip(passes, converged, gaps)
-    ]
-
-
-def _solve_alone(X: np.ndarray, y: np.ndarray, cfg: SvmConfig):
-    """Dual coordinate ascent on one problem in feature space, the bias
-    kept apart so that X is not copied.  A pass visits, in a random order,
-    every index that is free or has a nonzero projected gradient, which
-    after the pass certifies convergence.  After ``_WARM_PASSES`` passes
-    Newton is tried, with Q_FF built from the free rows alone."""
+def _solve_alone(X: np.ndarray, y: np.ndarray, cfg: SvmConfig, passes: int = 0):
+    """Dual coordinate ascent on one problem in feature space from alpha = 0,
+    ``passes`` already spent, the bias kept apart so that X is not copied.
+    A pass visits, in a random order, every index that is free or has a
+    nonzero projected gradient, which after the pass certifies convergence.
+    Every ``_WARM_PASSES`` passes Newton is tried, with Q_FF built from the
+    free rows alone."""
     n, C = X.shape[0], float(cfg.C)
     rng = np.random.default_rng(cfg.seed)
     a, w, bias, g = np.zeros(n), np.zeros(X.shape[1]), 0.0, -np.ones(n)
@@ -215,9 +157,9 @@ def _solve_alone(X: np.ndarray, y: np.ndarray, cfg: SvmConfig):
         Z *= y[F, None]
         return Z @ Z.T + np.outer(y[F], y[F])
 
-    passes = 0
+    sweeps = 0
     while passes < cfg.max_passes:
-        if passes == _WARM_PASSES and passes < cfg.max_passes - 1:
+        if sweeps and sweeps % _WARM_PASSES == 0 and passes < cfg.max_passes - 1:
             done, info = _newton(a, grad, block, diag, X.shape[1] + 1, cfg,
                                  min(_NEWTON_STEPS, cfg.max_passes - passes - 1))
             passes += info["passes"]
@@ -232,7 +174,7 @@ def _solve_alone(X: np.ndarray, y: np.ndarray, cfg: SvmConfig):
                 w += step * X[i]
                 bias += step
                 al[i] = a_new
-        a, g, passes = np.array(al), y * (X @ w + bias) - 1.0, passes + 1
+        a, g, passes, sweeps = np.array(al), y * (X @ w + bias) - 1.0, passes + 1, sweeps + 1
         gap = float(_kkt_gap(a, g, C))
         info = {"passes": passes, "converged": gap <= cfg.tolerance, "kkt_gap": gap}
         if info["converged"]:
@@ -240,38 +182,27 @@ def _solve_alone(X: np.ndarray, y: np.ndarray, cfg: SvmConfig):
     return a, info
 
 
-def _solve_sets(X: np.ndarray, sets, cfg: SvmConfig):
-    """Solve ``sets``, pairs (rows, Y) of one size: ``rows`` picks rows of X
-    (an index array or a slice), Y holds one +/-1 label row per problem.
-    Returns per set (augmented weights, alphas, infos), one row or entry
-    per problem.  Rows are gathered one set at a time."""
-    if not sets:
-        return []
-    n = sets[0][1].shape[1]
-    sizes = [Y.shape[0] for _, Y in sets]
+def _solve_rows(X: np.ndarray, rows, Y: np.ndarray, cfg: SvmConfig):
+    """Solve the problems on ``rows`` of X (an index array or a slice), one
+    per +/-1 label row of Y.  Returns the augmented weights and alphas, one
+    row per problem, and the infos."""
+    Xs = X[rows]
+    n = Xs.shape[0]
     if n <= _GRAM_LIMIT:
-        K = np.empty((len(sets), n, n))
-        for b, (rows, _) in enumerate(sets):
-            Xa = np.hstack([X[rows], np.ones((n, 1))])
-            K[b] = Xa @ Xa.T
-        owner = np.repeat(np.arange(len(sets)), sizes)
-        Y = np.vstack([Y for _, Y in sets])
+        Xa = np.hstack([Xs, np.ones((n, 1))])
+        K = Xa @ Xa.T
         steps = min(_NEWTON_STEPS, cfg.max_passes - 1)
-        solved = [_newton(np.zeros(n), lambda a: y * (K[b] @ (a * y)) - 1.0,
-                          lambda F: np.outer(y[F], y[F]) * K[b][np.ix_(F, F)],
-                          np.diagonal(K[b]), X.shape[1] + 1, cfg, steps) for y, b in zip(Y, owner)]
-        alphas, infos = _gram_ascent(K, Y, owner, solved, cfg)
-        del K
+        solved = []
+        for y in Y:
+            alpha, info = _newton(np.zeros(n), lambda a: y * (K @ (a * y)) - 1.0,
+                                  lambda F: np.outer(y[F], y[F]) * K[np.ix_(F, F)],
+                                  np.diagonal(K), X.shape[1] + 1, cfg, steps)
+            solved.append((alpha, info) if info["converged"] else _solve_alone(Xs, y, cfg, info["passes"]))
     else:
-        solved = [_solve_alone(Xs, y, cfg) for rows, Y in sets for Xs in [X[rows]] for y in Y]
-        alphas, infos = np.array([a for a, _ in solved]), [info for _, info in solved]
-    out, start = [], 0
-    for (rows, Y), size in zip(sets, sizes):
-        Xs, part = X[rows], alphas[start:start + size]
-        W = np.array([np.append(ay @ Xs, ay.sum()) for ay in part * Y])
-        out.append((W, part, infos[start:start + size]))
-        start += size
-    return out
+        solved = [_solve_alone(Xs, y, cfg) for y in Y]
+    alphas = np.array([a for a, _ in solved])
+    W = np.array([np.append(ay @ Xs, ay.sum()) for ay in alphas * Y])
+    return W, alphas, [info for _, info in solved]
 
 
 @dataclass
@@ -332,37 +263,32 @@ def train_ova(
         raise ValidationError("cannot train on an empty dataset")
     if labels.min() < 0 or (n_classes is not None and labels.max() >= n_classes):
         raise ValidationError("labels must be class ids in [0, n_classes)")
-    [(model, _)] = train_ova_sets(Xv, labels, [slice(None)], cfg)
+    model, _ = train_ova_rows(Xv, labels, slice(None), cfg)
     if n_classes is not None:
         model.n_classes = n_classes
     model.class_names = tuple(class_names) if class_names is not None else None
     return model
 
 
-def train_ova_sets(X, labels, row_sets, cfg: SvmConfig) -> list[tuple[OvaModel, list[dict]]]:
-    """One OvA model per row set of X (an index array, or a slice), with the
-    solver info of each of its binary problems.
+def train_ova_rows(X, labels, rows, cfg: SvmConfig) -> tuple[OvaModel, list[dict]]:
+    """The OvA model of the given rows of X (an index array, or a slice),
+    with the solver info of each of its binary problems.
 
-    The problems of all sets go to the solver in one call.  Each set's rows
-    enter its problems in the order given, so a set of every row in order
-    trains exactly what ``train_ova`` does.  A single-class set gets the
-    constant model and no solve.
+    The rows enter the problems in the order given, so every row in order
+    trains exactly what ``train_ova`` does.  A single-class row set gets
+    the constant model and no solve.
     """
-    Xv, labels = _as_values(X), np.asarray(labels, dtype=np.int64)
-    classes = [np.unique(labels[rows]) for rows in row_sets]
-    out = [(_constant(int(c[0]), int(c.max()) + 1), []) for c in classes]
-    multi = [j for j, c in enumerate(classes) if c.size > 1]
+    Xv, labels = _as_values(X), np.asarray(labels, dtype=np.int64)[rows]
+    classes = np.unique(labels)
+    if classes.size == 1:
+        return _constant(int(classes[0]), int(classes[0]) + 1), []
     # Two classes pose one dual (y -> -y leaves (y y')K alone): solve for
     # the second, and the first's weights are the negation.
-    sets = []
-    for j in multi:
-        solved = classes[j][1:] if classes[j].size == 2 else classes[j]
-        sets.append((row_sets[j], np.where(labels[row_sets[j]] == solved[:, None], 1.0, -1.0)))
-    for j, (W, _, infos) in zip(multi, _solve_sets(Xv, sets, cfg)):
-        if classes[j].size == 2:
-            W, infos = np.vstack([-W, W]), infos * 2
-        out[j] = (OvaModel(classes[j], W[:, :-1], W[:, -1], int(classes[j].max()) + 1), infos)
-    return out
+    solved = classes[1:] if classes.size == 2 else classes
+    W, _, infos = _solve_rows(Xv, rows, np.where(labels == solved[:, None], 1.0, -1.0), cfg)
+    if classes.size == 2:
+        W, infos = np.vstack([-W, W]), infos * 2
+    return OvaModel(classes, W[:, :-1], W[:, -1], int(classes.max()) + 1), infos
 
 
 def decisions(model: OvaModel, X) -> np.ndarray:

@@ -359,8 +359,12 @@ class TestDsdCommands:
           for bad in ("0.0", "-0.5", "nan", "inf")],
         (["--lr", "nan"], "error: ValidationError: lr must be finite and positive"),
         (["--lr", "inf"], "error: ValidationError: lr must be finite and positive"),
+        (["--hidden", "-1"], "error: ValidationError: --hidden must be >= 0"),
+        (["--patience", "-1"], "error: ValidationError: patience must be >= 0"),
+        (["--exclude", "fc3"], "error: ValidationError: --exclude names no layer of the model: fc3"),
     ], ids=["val-fraction-1", "val-fraction-0", "val-fraction-negative", "val-fraction-nan",
-            "val-fraction-inf", "lr-nan", "lr-inf"])
+            "val-fraction-inf", "lr-nan", "lr-inf", "hidden-negative", "patience-negative",
+            "exclude-unknown-layer"])
     def test_bad_training_setting_exits_2(self, tmp_path, capsys, extra, error):
         self._features(tmp_path)
         assert self._train(tmp_path, *extra) == 2

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import locallearn.core as core_mod
 from locallearn.core import (
     FeatureMatrix,
     LabelMap,
@@ -49,6 +50,22 @@ class TestFeatureMatrix:
         with pytest.raises(NonFiniteValue) as exc:
             make_matrix([[1.0, np.inf]])
         assert exc.value.row == 0 and exc.value.col == 1
+
+    def test_take_does_not_recheck_rows(self, monkeypatch):
+        m = make_matrix(np.arange(8.0).reshape(4, 2), labels=[0, 1, 0, 1])
+        calls = []
+        monkeypatch.setattr(core_mod, "_check_id", lambda s: calls.append(s) or s)
+        sub = m.take([2, 0])
+        assert calls == []
+        assert sub.sample_ids == ("s2", "s0") and sub.row_of("s0") == 1
+        assert sub.values.tolist() == [[4.0, 5.0], [0.0, 1.0]] and sub.labels.tolist() == [0, 0]
+        assert not sub.values.flags.writeable and not sub.labels.flags.writeable
+
+    @pytest.mark.parametrize("rows", [[0, 0], [4], [-1], [[0, 1]]],
+                             ids=["repeated", "past-the-end", "negative", "2-D"])
+    def test_take_rejects_bad_rows(self, rows):
+        with pytest.raises(ValidationError):
+            make_matrix(np.zeros((4, 1))).take(rows)
 
     def test_rejects_duplicate_ids(self):
         with pytest.raises(ValidationError, match="duplicate"):

@@ -32,25 +32,25 @@ class TestDegeneracy:
     def test_k_covering_train_equals_global(self, monkeypatch):
         self.check_k_covering_train_equals_global(monkeypatch, d=4)
 
-    def test_k_covering_train_equals_global_in_the_lockstep_core(self, monkeypatch):
+    def test_k_covering_train_equals_global_through_newton_retries(self, monkeypatch):
         self.check_k_covering_train_equals_global(monkeypatch, d=16)
 
     @staticmethod
     def check_k_covering_train_equals_global(monkeypatch, d):
         # With k >= n_train the local problem is the global problem: every
         # query's model equals the global one bit for bit, and so do the
-        # predictions.  The 8 queries x 3 classes of a block step in the
-        # vectorised lockstep loop; the global model's 3 problems take the
-        # Python-float loop (_LOOP_LIMIT), so the two loops must agree.
+        # predictions.  30 rows are more than d + 1, so Newton hands every
+        # problem to coordinate ascent; at d = 16 a Newton finish retried
+        # during the ascent certifies each one, at d = 4 mostly the ascent.
         fitted = []
-        train_ova_sets = local_mod.train_ova_sets
+        train_ova_rows = local_mod.train_ova_rows
 
         def capture(*args):
-            out = train_ova_sets(*args)
-            fitted.extend(model for model, _ in out)
+            out = train_ova_rows(*args)
+            fitted.append(out[0])
             return out
 
-        monkeypatch.setattr(local_mod, "train_ova_sets", capture)
+        monkeypatch.setattr(local_mod, "train_ova_rows", capture)
         rng = np.random.default_rng(0)
         for trial in range(5):
             X = rng.normal(size=(30, d))
@@ -153,20 +153,18 @@ class TestBatch:
         p4, _, _ = local_predict_batch(train, queries, cfg, workers=4)
         assert np.array_equal(p1, p4)
 
-    def test_block_and_worker_invariance_in_the_lockstep_core(self, monkeypatch):
-        # d=16 takes the lockstep core.  One block of 40 queries, then
-        # blocks of 3 on one and on four workers: identical predictions.
+    def test_worker_invariance_of_solver_counts(self):
+        # d=16, k=30: one and four workers give identical predictions and
+        # solver counts.
         rng = np.random.default_rng(8)
         train = labeled(rng.normal(size=(120, 16)), rng.integers(0, 4, 120))
         queries = as_feature_matrix(rng.normal(size=(40, 16)), prefix="q")
         cfg = LocalLearnerConfig(k=30, svm=SvmConfig(C=1.0, seed=3))
-        p_one, _, t_one = local_predict_batch(train, queries, cfg)
-        monkeypatch.setattr(local_mod, "_BLOCK_BYTES", 3 * 8 * 30 * 30)
         p1, _, t1 = local_predict_batch(train, queries, cfg, workers=1)
         p4, _, t4 = local_predict_batch(train, queries, cfg, workers=4)
-        assert np.array_equal(p_one, p1) and np.array_equal(p1, p4)
-        assert t_one.solves == t1.solves == t4.solves > 40
-        assert t_one.nonconverged == t1.nonconverged == t4.nonconverged == 0
+        assert np.array_equal(p1, p4)
+        assert t1.solves == t4.solves > 40
+        assert t1.nonconverged == t4.nonconverged == 0
 
     def test_solver_stops_are_counted(self):
         rng = np.random.default_rng(9)
@@ -250,21 +248,16 @@ class TestKnn:
         train = labeled(X, [1, 0])
         assert knn_one(train, [1.0, 0.0], 2) == 0
 
-    def test_local_batch_votes_match_knn_batch(self, monkeypatch):
+    def test_local_batch_votes_match_knn_batch(self):
         # The local learner's votes over its own neighborhoods are the k-NN
-        # baseline at the same k: in one block, in blocks of 3, and on one
-        # and on four workers.  Small integer features make vote and
-        # similarity ties common.
+        # baseline at the same k, on one and on four workers.  Small integer
+        # features make vote and similarity ties common.
         rng = np.random.default_rng(7)
         train = labeled(rng.integers(-2, 3, size=(60, 3)), rng.integers(0, 4, 60))
         queries = as_feature_matrix(rng.integers(-2, 3, size=(25, 3)).astype(float), prefix="q")
         for k in (1, 6, 7, 60):
             cfg = LocalLearnerConfig(k=k, svm=SvmConfig(C=1.0, seed=0))
             knn = knn_classify_batch(train, queries, k)
-            _, votes, _ = local_predict_batch(train, queries, cfg)
-            assert np.array_equal(votes, knn)
-            with monkeypatch.context() as m:
-                m.setattr(local_mod, "_BLOCK_BYTES", 3 * 8 * min(k, 60) ** 2)
-                for workers in (1, 4):
-                    _, votes, _ = local_predict_batch(train, queries, cfg, workers=workers)
-                    assert np.array_equal(votes, knn)
+            for workers in (1, 4):
+                _, votes, _ = local_predict_batch(train, queries, cfg, workers=workers)
+                assert np.array_equal(votes, knn)

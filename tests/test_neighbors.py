@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import locallearn.local as local_mod
 from locallearn.errors import DimMismatch, ValidationError
 from locallearn.features import max_abs_scaled
 from locallearn.local import LocalLearnerConfig, local_predict_batch
@@ -175,7 +174,7 @@ def query_similarity_rows(q, run):
 
 def check_similarities_independent_of_batch():
     """One query's similarity row is bit-equal searched alone, at every
-    position of a tile, inside blocks of 3, and through
+    position of a tile, in batches of 3, and through
     ``local_predict_batch`` on 1 and 4 workers.  The index is large enough
     for a multi-threaded BLAS to split the product, and its width is no
     multiple of a SIMD vector."""
@@ -194,13 +193,8 @@ def check_similarities_independent_of_batch():
             top_k_batch(index, np.vstack([others[:pos], q, others[pos:pos + _TILE + 3]]), 10)
         for s in range(0, len(queries), 3):
             top_k_batch(index, queries[s:s + 3], 10)
-        block_bytes = local_mod._BLOCK_BYTES
-        local_mod._BLOCK_BYTES = 3 * 8 * cfg.k ** 2
-        try:
-            for workers in (1, 4):
-                local_predict_batch(train, as_feature_matrix(queries, prefix="q"), cfg, workers=workers)
-        finally:
-            local_mod._BLOCK_BYTES = block_bytes
+        for workers in (1, 4):
+            local_predict_batch(train, as_feature_matrix(queries, prefix="q"), cfg, workers=workers)
 
     seen = query_similarity_rows(q, every_case)
     assert len(seen) == 1 + _TILE + 1 + 2, len(seen)

@@ -104,9 +104,10 @@ class TestTrainBinary:
 
     @pytest.mark.parametrize("shape", [(12, 2), (30, 20)])
     def test_every_solver_path_matches_oracle(self, shape, monkeypatch):
-        # Both shapes take the lockstep Gram core, and with _GRAM_LIMIT
-        # forced down the same problem takes the feature-space loop; both
-        # loops must land on the same QP optimum.
+        # Newton cannot start either shape from alpha = 0 on the Gram
+        # matrix and hands it to coordinate ascent; with _GRAM_LIMIT forced
+        # down the same problem goes straight to the ascent.  Both paths
+        # must land on the same QP optimum.
         n, d = shape
         rng = np.random.default_rng(n * d)
         X = rng.normal(size=(n, d))
@@ -139,41 +140,59 @@ class TestTrainBinary:
             assert np.array_equal(base, scaled)
 
 
-def _neighbourhood_sets(seed: int, n_sets: int = 6, n: int = 24, d: int = 10):
-    """Row sets of one size over a d-dim matrix, with 2, 3 and 4 classes."""
+def _neighbourhood_sets(seed: int, n_sets: int = 6, d: int = 10):
+    """Row sets over a d-dim matrix with 2, 3 and 4 classes: 24 rows, more
+    than the augmented dimension, alternating with 8 rows, fewer."""
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(60, d))
     sets = []
     for j in range(n_sets):
-        rows = np.sort(rng.choice(60, n, replace=False))
+        rows = np.sort(rng.choice(60, 24 if j % 2 else 8, replace=False))
         n_cls = 2 + j % 3
-        labels = rng.integers(0, n_cls, n)
+        labels = rng.integers(0, n_cls, rows.size)
         labels[:n_cls] = np.arange(n_cls)
         sets.append((rows, np.where(labels == np.arange(n_cls)[:, None], 1.0, -1.0)))
     return X, sets
 
 
-class TestLockstepCore:
-    # n <= _GRAM_LIMIT: every problem goes to the lockstep core.
+def _spy(monkeypatch, name):
+    """Record the result of every call of the solver function ``name``."""
+    calls, original = [], getattr(svm_mod, name)
 
-    def test_every_problem_of_a_block_matches_oracle(self):
+    def spy(*args):
+        out = original(*args)
+        calls.append(out)
+        return out
+
+    monkeypatch.setattr(svm_mod, name, spy)
+    return calls
+
+
+class TestRowSets:
+    # n <= _GRAM_LIMIT: Newton starts every problem on the set's Gram
+    # matrix and hands the ones it does not certify to coordinate ascent.
+
+    def test_every_problem_of_a_row_set_matches_oracle(self, monkeypatch):
         X, sets = _neighbourhood_sets(31)
         cfg = SvmConfig(C=10.0, tolerance=1e-9, max_passes=200_000, seed=4)
-        for (rows, Y), (W, alphas, infos) in zip(sets, svm_mod._solve_sets(X, sets, cfg)):
+        handed = _spy(monkeypatch, "_solve_alone")
+        for rows, Y in sets:
+            W, alphas, infos = svm_mod._solve_rows(X, rows, Y, cfg)
             assert W.shape == (Y.shape[0], X.shape[1] + 1)
             for y, alpha, info in zip(Y, alphas, infos):
                 assert info["converged"] and info["kkt_gap"] <= 1e-9
                 oracle, _ = box_qp_max(svm_dual_gram(X[rows], y), 10.0)
                 mine = svm_dual_value(X[rows], y, alpha)
                 assert abs(mine - oracle) <= 1e-6 * max(1.0, abs(oracle))
+        assert 0 < len(handed) < sum(Y.shape[0] for _, Y in sets)
 
-    def test_alone_and_in_block_bit_identical(self):
+    def test_alone_and_with_its_row_set_bit_identical(self):
         X, sets = _neighbourhood_sets(32)
         cfg = SvmConfig(C=100.0, tolerance=1e-6, seed=5)
-        block = svm_mod._solve_sets(X, sets, cfg)
-        for (rows, Y), (W, alphas, infos) in zip(sets, block):
+        for rows, Y in sets:
+            W, alphas, infos = svm_mod._solve_rows(X, rows, Y, cfg)
             for p in range(Y.shape[0]):
-                [(W1, alpha1, info1)] = svm_mod._solve_sets(X, [(rows, Y[p:p + 1])], cfg)
+                W1, alpha1, info1 = svm_mod._solve_rows(X, rows, Y[p:p + 1], cfg)
                 assert np.array_equal(alpha1[0], alphas[p])
                 assert np.array_equal(W1[0], W[p])
                 assert info1 == [infos[p]]
@@ -181,14 +200,14 @@ class TestLockstepCore:
     def test_max_passes_reported_not_converged(self):
         X, sets = _neighbourhood_sets(33)
         cfg = SvmConfig(C=100.0, tolerance=1e-9, max_passes=1)
-        for _, _, infos in svm_mod._solve_sets(X, sets, cfg):
-            for info in infos:
+        for rows, Y in sets:
+            for info in svm_mod._solve_rows(X, rows, Y, cfg)[2]:
                 assert info["passes"] == 1 and not info["converged"]
                 assert info["kkt_gap"] > 1e-9
 
     @pytest.mark.parametrize("n_classes", [2, 5])
     def test_ova_models_equal_binary_solves(self, n_classes):
-        # Two classes are solved once and mirrored; five step in lockstep.
+        # Two classes are solved once and mirrored; five share one Gram matrix.
         rng = np.random.default_rng(34)
         X = rng.normal(size=(40, 12))
         labels = rng.integers(0, n_classes, 40)
@@ -198,19 +217,6 @@ class TestLockstepCore:
         for cls, w, b in zip(ova.classes, ova.W, ova.b):
             alone_w, alone_b, _, _ = train_binary(X, np.where(labels == cls, 1.0, -1.0), cfg)
             assert np.array_equal(alone_w, w) and alone_b == b
-
-
-def _newton_spy(monkeypatch):
-    """Record whether each Newton finish certified its problem."""
-    certified, newton = [], svm_mod._newton
-
-    def spy(*args):
-        alpha, info = newton(*args)
-        certified.append(info["converged"])
-        return alpha, info
-
-    monkeypatch.setattr(svm_mod, "_newton", spy)
-    return certified
 
 
 class TestNewtonFinish:
@@ -241,10 +247,10 @@ class TestNewtonFinish:
         y = np.where(rng.random(30) > 0.5, 1.0, -1.0)
         y[:2] = [1.0, -1.0]
         monkeypatch.setattr(svm_mod, "_GRAM_LIMIT", gram_limit)
-        certified = _newton_spy(monkeypatch)
+        newton = _spy(monkeypatch, "_newton")
         cfg = SvmConfig(C=100.0, tolerance=1e-9, max_passes=300_000)
         _, _, alpha, info = train_binary(X, y, cfg)
-        assert certified == [True]
+        assert [out[1]["converged"] for out in newton] == [True]
         assert info["converged"] and info["kkt_gap"] <= 1e-9
         warm = 0 if gram_limit > 30 else svm_mod._WARM_PASSES
         assert info["passes"] <= warm + svm_mod._NEWTON_STEPS
@@ -253,19 +259,32 @@ class TestNewtonFinish:
 
     def test_rank_deficient_certifies_through_the_fallback(self, monkeypatch):
         # Two-arcs has d = 2, so rank(Q) <= 3 while far more indices are free
-        # at alpha = 0 and after the warm start: Newton cannot finish, and
-        # coordinate ascent certifies on both paths.
+        # at alpha = 0: Newton cannot start there, and coordinate ascent,
+        # with its Newton retries, certifies the optimum on both paths.
         X, labels = two_arcs(200, seed=3)
         y = np.where(labels == 1, 1.0, -1.0)
         cfg = SvmConfig(C=100.0, tolerance=1e-4, max_passes=100_000)
         oracle, _ = box_qp_max(svm_dual_gram(X, y), 100.0)
-        certified = _newton_spy(monkeypatch)
         for gram_limit in (2048, 1):
             monkeypatch.setattr(svm_mod, "_GRAM_LIMIT", gram_limit)
             _, _, alpha, info = train_binary(X, y, cfg)
             assert info["converged"] and info["kkt_gap"] <= 1e-4
             assert abs(svm_dual_value(X, y, alpha) - oracle) <= 1e-6 * abs(oracle)
-        assert len(certified) == 2 and not any(certified)
+
+    def test_ascent_retries_newton(self):
+        # 64 samples in 33 augmented dimensions at C = 100: Newton cannot
+        # start from alpha = 0, and 1,000 passes of coordinate ascent alone
+        # stop short of the tolerance; a Newton finish retried during the
+        # ascent certifies the optimum.
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(64, 32))
+        y = np.where(np.repeat([0, 1], 32) == 1, 1.0, -1.0)
+        cfg = SvmConfig(C=100.0)
+        _, _, alpha, info = train_binary(X, y, cfg)
+        assert info["converged"] and info["kkt_gap"] <= cfg.tolerance
+        assert info["passes"] < cfg.max_passes
+        oracle, _ = box_qp_max(svm_dual_gram(X, y), 100.0)
+        assert abs(svm_dual_value(X, y, alpha) - oracle) <= 1e-6 * abs(oracle)
 
     @pytest.mark.parametrize("threads", ["default", "1"])
     def test_alone_and_in_block_bit_identical(self, threads):
@@ -283,9 +302,10 @@ class TestNewtonFinish:
 
 def check_alone_and_in_block():
     """Every problem's alpha, weights and info are bit-equal solved alone
-    and in a block of sets of 120 rows in 301 dimensions.  Newton finishes
-    most from alpha = 0; in every third set each row appears twice, so
-    Q_FF is singular and the lockstep core finishes it."""
+    and with the other class problems of its row set, sets of 120 rows in
+    301 dimensions.  Newton certifies most from alpha = 0; in every third
+    set each row appears twice, so Q_FF is singular and coordinate ascent
+    finishes it."""
     rng = np.random.default_rng(8)
     X = rng.normal(size=(400, 301))
     sets = []
@@ -299,12 +319,12 @@ def check_alone_and_in_block():
         sets.append((rows, np.where(labels == np.arange(n_cls)[:, None], 1.0, -1.0)))
     cfg = SvmConfig(C=100.0, tolerance=1e-6, seed=5)
     with pytest.MonkeyPatch.context() as mp:
-        certified = _newton_spy(mp)
-        block = svm_mod._solve_sets(X, sets, cfg)
-    assert certified.count(False) == 8 and len(certified) == 18, certified
-    for (rows, Y), (W, alphas, infos) in zip(sets, block):
+        handed = _spy(mp, "_solve_alone")
+        solved = [svm_mod._solve_rows(X, rows, Y, cfg) for rows, Y in sets]
+    assert 0 < len(handed) < 18, len(handed)
+    for (rows, Y), (W, alphas, infos) in zip(sets, solved):
         for p in range(Y.shape[0]):
-            [(W1, alpha1, info1)] = svm_mod._solve_sets(X, [(rows, Y[p:p + 1])], cfg)
+            W1, alpha1, info1 = svm_mod._solve_rows(X, rows, Y[p:p + 1], cfg)
             assert np.array_equal(alpha1[0], alphas[p])
             assert np.array_equal(W1[0], W[p])
             assert info1 == [infos[p]] and infos[p]["converged"]
