@@ -65,10 +65,7 @@ def main() -> int:
     print(f"{'method':<20} {'accuracy':>9} {'seconds':>8}")
     for name, acc, sec in rows:
         print(f"{name:<20} {acc:>9.4f} {sec:>8.2f}")
-    print(
-        f"\nlocal stages: search {timing.search_s:.2f}s  "
-        f"train {timing.train_s:.2f}s  predict {timing.predict_s:.2f}s"
-    )
+    print(f"\nlocal stages: search {timing.search_s:.2f}s  solve {timing.solve_s:.2f}s")
     return 0
 
 

@@ -26,13 +26,12 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .core import fan_out
 from .errors import DimMismatch, ImageTooSmall, LevelMismatch, MalformedFile, ValidationError
 
 VOCAB_MAGIC = b"LLVB"
@@ -115,14 +114,6 @@ class DenseSiftConfig:
         return self.spatial_bins * self.spatial_bins * self.orientations
 
 
-@dataclass(frozen=True)
-class Descriptor:
-    vector: np.ndarray
-    x: int
-    y: int
-    scale: int
-
-
 @dataclass
 class DescriptorSet:
     """Column-oriented batch of descriptors from one image."""
@@ -134,9 +125,6 @@ class DescriptorSet:
 
     def __len__(self) -> int:
         return self.vectors.shape[0]
-
-    def __getitem__(self, i: int) -> Descriptor:
-        return Descriptor(self.vectors[i], int(self.x[i]), int(self.y[i]), int(self.scale[i]))
 
 
 def _orientation_maps(img01: np.ndarray, n_orient: int) -> np.ndarray:
@@ -238,36 +226,33 @@ def kmeans(
     Nearest-centroid ties break to the lowest centroid id.  It stops when
     an assignment repeats the repaired one before it or any earlier one,
     from which the iterations would cycle (as they do with fewer distinct
-    points than k).  ``workers`` threads share the assignment step's row
-    chunks; every row's answer is independent of the chunking, so the
-    outcome is identical for any count.
+    points than k).  The assignment step's row chunks are mapped by one
+    ``core.fan_out(workers)`` per call (a ``workers`` < 1 is rejected,
+    even where k >= n); every row's answer is independent of the
+    chunking, so the outcome is identical for any count.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[0] < 1:
         raise ValidationError("need a non-empty 2-D point set")
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
-    if workers < 1:
-        raise ValidationError(f"workers must be >= 1, got {workers}")
     n = points.shape[0]
     rng = np.random.default_rng(seed)
-    if k >= n:
-        extra = k - n
-        centroids = points.copy()
-        if extra:
-            dist_from_mean = np.linalg.norm(points - points.mean(axis=0), axis=1)
-            order = np.lexsort((np.arange(n), -dist_from_mean))
-            fill = points[np.resize(order, extra)]
-            centroids = np.vstack([centroids, fill])
-        return (centroids, [0.0]) if return_history else centroids
-    centroids = points[_kmeanspp(points, k, rng)].copy()
-    assign, seen = np.full(n, -1, dtype=np.intp), set()
-    history: list[float] = []
-    # One worker assigns in the calling thread: with a one-thread pool, the
-    # bovw-textures bench read a 10 MB (10%) higher peak RSS.
-    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+    with fan_out(workers) as fan:
+        if k >= n:
+            extra = k - n
+            centroids = points.copy()
+            if extra:
+                dist_from_mean = np.linalg.norm(points - points.mean(axis=0), axis=1)
+                order = np.lexsort((np.arange(n), -dist_from_mean))
+                fill = points[np.resize(order, extra)]
+                centroids = np.vstack([centroids, fill])
+            return (centroids, [0.0]) if return_history else centroids
+        centroids = points[_kmeanspp(points, k, rng)].copy()
+        assign, seen = np.full(n, -1, dtype=np.intp), set()
+        history: list[float] = []
         for _ in range(max_iters):
-            new_assign, d2_min = _nearest(points, centroids, pool, workers)
+            new_assign, d2_min = _nearest(points, centroids, fan, workers)
             history.append(float(d2_min.sum()))
             key = hashlib.blake2b(new_assign).digest()
             if np.array_equal(new_assign, assign) or key in seen:
@@ -324,14 +309,14 @@ def _sq_dists(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
 
 
 def _nearest(
-    points: np.ndarray, centroids: np.ndarray, pool=None, workers: int = 1
+    points: np.ndarray, centroids: np.ndarray, fan=map, workers: int = 1
 ) -> tuple[np.ndarray, np.ndarray]:
     """Each point's exact nearest centroid and the squared distance to it.
 
     Ties go to the lowest centroid id.  Rows are taken in chunks whose
     distance block stays within ``_CHUNK_BYTES``, and of at most
-    ceil(n / workers) rows; with a ``pool`` the chunks run on it.  Every
-    row's answer is independent of the chunking.
+    ceil(n / workers) rows, mapped by ``fan`` (a ``core.fan_out`` map for
+    threads).  Every row's answer is independent of the chunking.
     """
     n = points.shape[0]
     words = np.empty(n, dtype=np.intp)
@@ -344,7 +329,7 @@ def _nearest(
         words[start : start + w.size] = w
         d2_min[start : start + w.size] = d2[np.arange(w.size), w]
 
-    list((pool.map if pool else map)(chunk, range(0, n, step)))
+    list(fan(chunk, range(0, n, step)))
     return words, d2_min
 
 

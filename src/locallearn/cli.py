@@ -18,7 +18,6 @@ import argparse
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -148,8 +147,6 @@ def cmd_build_vocab(args) -> int:
 
 
 def cmd_encode(args) -> int:
-    if args.workers < 1:
-        raise ValidationError(f"workers must be >= 1, got {args.workers}")
     vocab = bovw.load_vocab(args.vocab)
     pyramid = bovw.PyramidConfig(
         levels=tuple(lv.grid for lv in vocab.levels),
@@ -161,8 +158,8 @@ def cmd_encode(args) -> int:
         descs = bovw.dense_sift(img, vocab.sift)
         return bovw.encode(descs, vocab, pyramid, (img.shape[1], img.shape[0]))
 
-    with ThreadPoolExecutor(max_workers=args.workers) as pool:
-        rows = list(pool.map(one, images))  # in input order
+    with core.fan_out(args.workers) as fan:
+        rows = list(fan(one, images))  # in input order
     matrix = core.FeatureMatrix(np.vstack(rows), ids)
     core.save_features(matrix, args.out, fmt=args.format)
     sys.stdout.write(f"encoded {matrix.n_samples} images, dim {matrix.dim}\n")
@@ -224,8 +221,8 @@ def cmd_predict_local(args) -> int:
     preds, _, timing = local_predict_batch(train, test, cfg, workers=args.workers)
     _write_predictions(args.out, test.sample_ids, preds, label_map)
     sys.stderr.write(
-        f"timing: search {timing.search_s:.2f}s train {timing.train_s:.2f}s "
-        f"predict {timing.predict_s:.2f}s wall {timing.total_s:.2f}s\n"
+        f"timing: search {timing.search_s:.2f}s solve {timing.solve_s:.2f}s "
+        f"wall {timing.total_s:.2f}s\n"
         f"solver: {timing.solves} binary models, {timing.nonconverged} stopped "
         f"at max passes without converging\n"
     )
@@ -259,7 +256,9 @@ def cmd_dsd_train(args) -> int:
         lr=args.lr, momentum=args.momentum, batch_size=args.batch,
         patience=args.patience, seed=seed, flip_augment=image_shape is not None,
     )
-    if args.val_features and args.val_labels:
+    if (args.val_features is None) != (args.val_labels is None):
+        raise ValidationError("--val-features and --val-labels must be given together")
+    if args.val_features is not None:
         val_matrix, _ = _labeled_matrix(args.val_features, args.val_labels, args)
         Xt, yt = matrix.values, matrix.labels
         Xv, yv = val_matrix.values, val_matrix.labels
@@ -354,7 +353,7 @@ def cmd_pipeline(args) -> int:
     _write_text(
         out / "timing.txt",
         f"wall_s {wall:.3f}\nlocal_search_s {timing.search_s:.3f}\n"
-        f"local_train_s {timing.train_s:.3f}\nlocal_predict_s {timing.predict_s:.3f}\n"
+        f"local_solve_s {timing.solve_s:.3f}\n"
         f"local_solves {timing.solves}\nlocal_nonconverged {timing.nonconverged}\n",
     )
     sys.stderr.write(f"pipeline wall time {wall:.2f}s\n")

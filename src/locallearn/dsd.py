@@ -22,11 +22,11 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import MalformedFile, NonFiniteGradient, ValidationError
+from .errors import DimMismatch, MalformedFile, NonFiniteGradient, ValidationError
 
 MODEL_MAGIC = b"LLMB"
 SCAN_RATES = (0.3, 0.4, 0.5, 0.6)
@@ -59,7 +59,7 @@ class TrainerConfig:
 class DsdPhase:
     kind: str  # "dense" | "sparse"
     epochs: int
-    rate: float | Mapping[str, float] = 0.0
+    rate: float = 0.0
     exclude: frozenset[str] = field(default_factory=frozenset)
 
     def __post_init__(self):
@@ -67,17 +67,10 @@ class DsdPhase:
             raise ValidationError(f"unknown phase kind {self.kind!r}")
         if self.epochs < 1:
             raise ValidationError("phase epochs must be >= 1")
-        rates = self.rate.values() if isinstance(self.rate, Mapping) else (self.rate,)
-        for r in rates:
-            if not 0.0 <= r < 1.0:
-                raise ValidationError(f"sparsity rate {r} outside [0, 1)")
-        if self.kind == "dense" and any(r != 0.0 for r in rates):
+        if not 0.0 <= self.rate < 1.0:
+            raise ValidationError(f"sparsity rate {self.rate} outside [0, 1)")
+        if self.kind == "dense" and self.rate != 0.0:
             raise ValidationError("dense phases must have sparsity 0")
-
-    def rate_for(self, layer: str) -> float:
-        if isinstance(self.rate, Mapping):
-            return float(self.rate.get(layer, 0.0))
-        return float(self.rate)
 
 
 @dataclass(frozen=True)
@@ -146,18 +139,13 @@ class MlpModel:
     def in_dim(self) -> int:
         return self.layers[0].W.shape[0]
 
-    @property
-    def n_classes(self) -> int:
-        return self.layers[-1].W.shape[1]
-
     def layer_names(self) -> list[str]:
         return [layer.name for layer in self.layers]
 
-    def copy(self) -> "MlpModel":
-        return MlpModel([Layer(l.name, l.W.copy(), l.b.copy()) for l in self.layers])
-
     def _forward(self, X: np.ndarray):
         """Returns (pre-activations per layer, activations per layer)."""
+        if X.ndim != 2 or X.shape[1] != self.in_dim:
+            raise DimMismatch(f"X has shape {X.shape}, model expects rows of dim {self.in_dim}")
         acts = [X]
         pres = []
         a = X
@@ -284,6 +272,8 @@ def prune_mask(weights: np.ndarray, sparsity: float) -> np.ndarray:
 def flip_augment(X: np.ndarray, image_shape: tuple[int, int]) -> np.ndarray:
     """Append horizontally flipped copies of row-major images; doubles n."""
     h, w = image_shape
+    if h < 1 or w < 1:
+        raise ValidationError(f"image sides must be >= 1, got {h}x{w}")
     if X.shape[1] != h * w:
         raise ValidationError(f"rows of dim {X.shape[1]} are not {h}x{w} images")
     flipped = X.reshape(-1, h, w)[:, :, ::-1].reshape(X.shape)
@@ -345,9 +335,8 @@ def dsd_train(
                 for layer in model.layers:
                     if layer.name in phase.exclude:
                         continue
-                    rate = phase.rate_for(layer.name)
-                    if rate > 0.0:
-                        layer.W *= prune_mask(layer.W, rate)
+                    if phase.rate > 0.0:
+                        layer.W *= prune_mask(layer.W, phase.rate)
             val_acc = model.accuracy(Xv, yv)
             logs.append(
                 EpochLog(

@@ -3,9 +3,10 @@ cosine-nearest training samples and predict that single sample.
 
 A linear base learner wrapped this way yields a globally non-linear
 decision function, because every query gets its own hyperplanes fitted to
-its neighborhood.  Each query's neighbor rows go to the solver in one
-call of ``svm.train_ova_rows``, in ascending original row order, so with
-k >= n_train the local model is the global one bit for bit, and
+its neighborhood.  Each distinct set of neighbor rows goes to the solver
+in one call of ``svm.train_ova_rows``, in ascending original row order,
+and that model scores every query that chose the set.  So with
+k >= n_train all queries share one model, the global one bit for bit, and
 ``svm.decisions`` scores it as the global model.
 
 Each query is searched once: the same k nearest rows give the local SVM
@@ -22,13 +23,11 @@ never invokes the solver.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import FeatureMatrix
+from .core import FeatureMatrix, fan_out
 from .errors import MissingLabels, ValidationError
 from .neighbors import _TILE, CosineIndex, top_k_batch
 from .svm import SvmConfig, predict_ova_batch, train_ova_rows
@@ -48,12 +47,12 @@ class LocalLearnerConfig:
 
 @dataclass
 class BatchTiming:
-    """Per-stage wall-clock seconds for a batch of local predictions, and
-    the binary models fitted and those left unconverged at max_passes."""
+    """Wall-clock seconds of the search and solve stages and of the whole
+    batch, and the binary models fitted and those left unconverged at
+    max_passes."""
 
     search_s: float = 0.0
-    train_s: float = 0.0
-    predict_s: float = 0.0
+    solve_s: float = 0.0
     total_s: float = 0.0
     n_queries: int = 0
     solves: int = 0
@@ -93,45 +92,41 @@ def local_predict_batch(
     """Local predictions and k-NN votes (k = ``cfg.k``) for the query rows,
     in input order.
 
-    ``workers`` fans tiles of queries out over a thread pool for the
-    search, then single queries for the solver; the training matrix and
-    index are shared read-only, so results are identical for any worker
-    count.  Stage timings are summed across workers; the vote is part of
-    the search stage.
+    Queries whose neighbor rows are the same set share one model: each
+    distinct set is solved once and its model scores all of its queries.
+    ``workers`` fans tiles of queries out over threads for the search, then
+    distinct sets for the solver; the training matrix and index are shared
+    read-only, so results are identical for any worker count.  Stage times
+    are wall-clock; the vote is part of the search stage.
     """
     labels = _require_labels(train)
-    if workers < 1:
-        raise ValidationError(f"workers must be >= 1, got {workers}")
     timing = BatchTiming(n_queries=queries.n_samples)
     t_start = time.perf_counter()
-    index = CosineIndex(train)
-    rows = np.empty((queries.n_samples, min(cfg.k, train.n_samples)), dtype=np.int64)
-    knn = np.empty(queries.n_samples, dtype=np.int64)
+    with fan_out(workers) as fan:
+        index = CosineIndex(train)
+        rows = np.empty((queries.n_samples, min(cfg.k, train.n_samples)), dtype=np.int64)
+        knn = np.empty(queries.n_samples, dtype=np.int64)
+        local = np.empty(queries.n_samples, dtype=np.int64)
 
-    def search(s):
-        t0 = time.perf_counter()
-        rows[s:s + _TILE], knn[s:s + _TILE] = _search(index, labels, queries.values[s:s + _TILE], cfg.k)
-        return time.perf_counter() - t0
+        def search(s):
+            rows[s:s + _TILE], knn[s:s + _TILE] = _search(index, labels, queries.values[s:s + _TILE], cfg.k)
 
-    def predict(j):
-        t0 = time.perf_counter()
-        model, infos = train_ova_rows(train.values, labels, rows[j], cfg.svm)
-        t1 = time.perf_counter()
-        pred = predict_ova_batch(model, queries.values[j:j + 1])[0]
-        return pred, BatchTiming(
-            train_s=t1 - t0, predict_s=time.perf_counter() - t1,
-            solves=len(infos), nonconverged=sum(not info["converged"] for info in infos),
-        )
+        def solve(hits, members):
+            model, infos = train_ova_rows(train.values, labels, hits, cfg.svm)
+            local[members] = predict_ova_batch(model, queries.values[members])
+            return infos
 
-    # One worker runs in the calling thread: memory freed in a pool thread's
-    # own malloc arena stayed resident and raised the bench's peak RSS.
-    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
-        fan_out = pool.map if pool else map
-        timing.search_s = sum(fan_out(search, range(0, queries.n_samples, _TILE)))
-        parts = list(fan_out(predict, range(queries.n_samples)))
-    local = np.array([pred for pred, _ in parts], dtype=np.int64)
-    for name in ("train_s", "predict_s", "solves", "nonconverged"):
-        setattr(timing, name, sum(getattr(part, name) for _, part in parts))
+        list(fan(search, range(0, queries.n_samples, _TILE)))
+        t_search = time.perf_counter()
+        sets, which = np.unique(rows, axis=0, return_inverse=True)
+        which = which.ravel()
+        # each distinct set's queries, in input order
+        members = np.split(np.argsort(which, kind="stable"), np.cumsum(np.bincount(which))[:-1])
+        infos = [info for part in fan(solve, sets, members) for info in part]
+    timing.search_s = t_search - t_start
+    timing.solve_s = time.perf_counter() - t_search
+    timing.solves = len(infos)
+    timing.nonconverged = sum(not info["converged"] for info in infos)
     timing.total_s = time.perf_counter() - t_start
     return local, knn, timing
 

@@ -114,8 +114,7 @@ class TestDenseSift:
         assert descs.x.min() == 8 and descs.x.max() == 18
         assert descs.y.min() == 8 and descs.y.max() == 12
         assert set(descs.scale.tolist()) == {4}
-        d0 = descs[0]
-        assert d0.vector.shape == (128,)
+        assert descs.vectors.shape[1] == 128
 
 
 class TestKmeans:
@@ -124,6 +123,10 @@ class TestKmeans:
         pts = rng.normal(size=(6, 4))
         cents = kmeans(pts, 6, seed=0)
         assert sorted(map(tuple, cents.tolist())) == sorted(map(tuple, pts.tolist()))
+
+    def test_workers_below_one_rejected_where_k_covers_points(self):
+        with pytest.raises(ValidationError, match="workers must be >= 1, got 0"):
+            kmeans(np.eye(4), 5, seed=0, workers=0)
 
     def test_two_blobs_recover_means(self):
         rng = np.random.default_rng(4)

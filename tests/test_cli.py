@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -225,6 +227,27 @@ class TestBovwCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: MalformedFile:") and detail in err
 
+    def test_encode_one_worker_stays_in_main_thread(self, tmp_path, monkeypatch):
+        img_dir = tmp_path / "imgs"
+        img_dir.mkdir()
+        for i, img in enumerate(texture_corpus(1, size=32, seed=0)[0]):
+            bovw.write_pgm(img_dir / f"img{i}.pgm", img)
+        cfg = tmp_path / "bovw.conf"
+        cfg.write_text("levels 1\nvocab 2\nbin-sizes 4\nstep 4\n")
+        vocab = tmp_path / "v.llvb"
+        assert run(["build-vocab", "--images", img_dir, "--config", cfg, "--out", vocab]) == 0
+        threads = []
+        encode = bovw.encode
+
+        def spy(*args):
+            threads.append(threading.current_thread())
+            return encode(*args)
+
+        monkeypatch.setattr(bovw, "encode", spy)
+        assert run(["encode", "--images", img_dir, "--vocab", vocab, "--workers", "1",
+                    "--out", tmp_path / "f.fv"]) == 0
+        assert len(threads) == 2 and set(threads) == {threading.main_thread()}
+
 
 class TestMalformedInputExits2:
     def test_manifest_non_integer_dim(self, arcs_dataset, tmp_path, capsys):
@@ -370,6 +393,46 @@ class TestDsdCommands:
         assert self._train(tmp_path, *extra) == 2
         self._one_error_line(capsys, error)
         assert not (tmp_path / "m.llmb").exists()
+
+    @staticmethod
+    def _widen(tmp_path, name, dim):
+        """The rows of ``f.fv`` tiled to ``dim`` columns, saved as ``name``."""
+        m = core.load_features(tmp_path / "f.fv")
+        core.save_features(core.FeatureMatrix(np.tile(m.values, dim // 2), m.sample_ids), tmp_path / name)
+        return tmp_path / name
+
+    @pytest.mark.parametrize("flags, error", [
+        (["--val-features", "wide.fv", "--val-labels", "l.csv"],
+         "error: DimMismatch: X has shape (120, 4), model expects rows of dim 2"),
+        (["--val-features", "wide.fv"],
+         "error: ValidationError: --val-features and --val-labels must be given together"),
+        (["--val-labels", "l.csv"],
+         "error: ValidationError: --val-features and --val-labels must be given together"),
+    ], ids=["val-dim", "val-features-alone", "val-labels-alone"])
+    def test_bad_validation_set_exits_2(self, tmp_path, capsys, flags, error):
+        self._features(tmp_path)
+        self._widen(tmp_path, "wide.fv", 4)
+        extra = [tmp_path / f if f.endswith((".fv", ".csv")) else f for f in flags]
+        assert self._train(tmp_path, *extra) == 2
+        self._one_error_line(capsys, error)
+        assert not (tmp_path / "m.llmb").exists()
+
+    def test_negative_flip_sides_exit_2(self, tmp_path, capsys):
+        self._features(tmp_path)
+        self._widen(tmp_path, "f.fv", 6)
+        assert self._train(tmp_path, "--flip-augment=-2x-3") == 2
+        self._one_error_line(capsys, "error: ValidationError: image sides must be >= 1, got -2x-3")
+        assert not (tmp_path / "m.llmb").exists()
+
+    def test_scan_of_other_dim_exits_2(self, tmp_path, capsys):
+        self._features(tmp_path)
+        assert self._train(tmp_path) == 0
+        capsys.readouterr()
+        assert run(["sensitivity-scan", "--model", tmp_path / "m.llmb",
+                    "--features", self._widen(tmp_path, "wide.fv", 4), "--labels", tmp_path / "l.csv",
+                    "--labelmap", tmp_path / "map.txt", "--out", tmp_path / "scan.csv"]) == 2
+        self._one_error_line(capsys, "error: DimMismatch: X has shape (120, 4), model expects rows of dim 2")
+        assert not (tmp_path / "scan.csv").exists()
 
     @pytest.mark.parametrize("rates", ["abc", "0.3,0.4,"])
     def test_bad_rates_exit_2(self, tmp_path, capsys, rates):

@@ -37,11 +37,12 @@ class TestDegeneracy:
 
     @staticmethod
     def check_k_covering_train_equals_global(monkeypatch, d):
-        # With k >= n_train the local problem is the global problem: every
-        # query's model equals the global one bit for bit, and so do the
-        # predictions.  30 rows are more than d + 1, so Newton hands every
-        # problem to coordinate ascent; at d = 16 a Newton finish retried
-        # during the ascent certifies each one, at d = 4 mostly the ascent.
+        # With k >= n_train the local problem is the global problem: all 8
+        # queries share one model, equal to the global one bit for bit, and
+        # so do the predictions.  30 rows are more than d + 1, so Newton
+        # hands every problem to coordinate ascent; at d = 16 a Newton
+        # finish retried during the ascent certifies each one, at d = 4
+        # mostly the ascent.
         fitted = []
         train_ova_rows = local_mod.train_ova_rows
 
@@ -61,10 +62,9 @@ class TestDegeneracy:
             queries = rng.normal(size=(8, d))
             fitted.clear()
             batch, _, _ = local_predict_batch(train, as_feature_matrix(queries, prefix="q"), cfg)
-            assert len(fitted) == 8
-            for model in fitted:
-                for name in ("classes", "W", "b"):
-                    assert np.array_equal(getattr(model, name), getattr(ova, name))
+            assert len(fitted) == 1
+            for name in ("classes", "W", "b"):
+                assert np.array_equal(getattr(fitted[0], name), getattr(ova, name))
             assert np.array_equal(batch, predict_ova_batch(ova, queries))
 
 
@@ -165,6 +165,26 @@ class TestBatch:
         assert np.array_equal(p1, p4)
         assert t1.solves == t4.solves > 40
         assert t1.nonconverged == t4.nonconverged == 0
+
+    def test_identical_queries_share_one_solve(self):
+        rng = np.random.default_rng(10)
+        train = labeled(rng.normal(size=(80, 16)), rng.integers(0, 3, 80))
+        q = rng.normal(size=16)
+        cfg = LocalLearnerConfig(k=20, svm=SvmConfig(C=1.0, seed=0))
+        p1, _, t1 = local_predict_batch(train, as_feature_matrix(q[None, :], prefix="q"), cfg)
+        p2, _, t2 = local_predict_batch(train, as_feature_matrix(np.vstack([q, q]), prefix="q"), cfg)
+        assert t1.solves > 0 and t2.solves == t1.solves
+        assert p2.tolist() == [p1[0], p1[0]]
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_stage_times_are_wall_clock(self, workers):
+        rng = np.random.default_rng(11)
+        train = labeled(rng.normal(size=(120, 16)), rng.integers(0, 4, 120))
+        queries = as_feature_matrix(rng.normal(size=(40, 16)), prefix="q")
+        cfg = LocalLearnerConfig(k=30, svm=SvmConfig(C=1.0, seed=3))
+        _, _, timing = local_predict_batch(train, queries, cfg, workers=workers)
+        assert timing.search_s > 0 and timing.solve_s > 0
+        assert timing.search_s + timing.solve_s <= timing.total_s
 
     def test_solver_stops_are_counted(self):
         rng = np.random.default_rng(9)
