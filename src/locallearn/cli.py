@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bovw, core, dsd, report, svm
-from .errors import ComputeError, MalformedFile, UnknownSource, ValidationError
+from .errors import ComputeError, DimMismatch, MalformedFile, UnknownSource, ValidationError
 from .features import fuse
 from .local import LocalLearnerConfig, knn_classify_batch, local_predict_batch
 from .pipeline import ingest_and_fuse, run_pipeline
@@ -262,6 +262,8 @@ def cmd_dsd_train(args) -> int:
         val_matrix, _ = _labeled_matrix(args.val_features, args.val_labels, args)
         Xt, yt = matrix.values, matrix.labels
         Xv, yv = val_matrix.values, val_matrix.labels
+        if Xv.shape[1] != matrix.dim:  # the model's input dim, checked before training
+            raise DimMismatch(f"X has shape {Xv.shape}, model expects rows of dim {matrix.dim}")
     else:
         if not (np.isfinite(args.val_fraction) and args.val_fraction > 0):
             raise ValidationError(f"--val-fraction must be finite and positive, got {args.val_fraction}")
@@ -352,8 +354,8 @@ def cmd_pipeline(args) -> int:
     timing = result.local_timing
     _write_text(
         out / "timing.txt",
-        f"wall_s {wall:.3f}\nlocal_search_s {timing.search_s:.3f}\n"
-        f"local_solve_s {timing.solve_s:.3f}\n"
+        f"wall_s {wall:.3f}\nglobal_train_s {result.global_train_s:.3f}\n"
+        f"local_search_s {timing.search_s:.3f}\nlocal_solve_s {timing.solve_s:.3f}\n"
         f"local_solves {timing.solves}\nlocal_nonconverged {timing.nonconverged}\n",
     )
     sys.stderr.write(f"pipeline wall time {wall:.2f}s\n")

@@ -49,6 +49,11 @@ _ID_FORBIDDEN = (",", "\n", "\r")
 SPLIT_NAMES = ("train", "val", "test")
 
 
+def check_workers(workers: int) -> None:
+    if workers < 1:
+        raise ValidationError(f"workers must be >= 1, got {workers}")
+
+
 @contextmanager
 def fan_out(workers: int):
     """A ``map`` over ``workers`` threads, results in input order.
@@ -56,8 +61,7 @@ def fan_out(workers: int):
     One worker maps in the calling thread: memory freed in a pool thread's
     own malloc arena stayed resident and raised the bench's peak RSS.
     """
-    if workers < 1:
-        raise ValidationError(f"workers must be >= 1, got {workers}")
+    check_workers(workers)
     with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
         yield pool.map if pool else map
 

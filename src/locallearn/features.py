@@ -14,7 +14,7 @@ import numpy as np
 from .core import FeatureMatrix
 from .errors import IdMismatch, ValidationError
 
-_ROWS = 256  # rows gathered and normalized at a time by fuse
+_ROWS = 256  # rows gathered at a time by fuse and by svm's feature-space products
 
 
 def max_abs_scaled(values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

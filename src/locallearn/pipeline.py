@@ -4,6 +4,7 @@ global SVM, the local SVM, and the k-NN baseline on the declared splits.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +17,7 @@ from .core import (
     attach_labels,
     balanced_downsample,
     check_split_ids,
+    check_workers,
     load_features,
     read_labels,
     read_splits,
@@ -67,6 +69,7 @@ class PipelineResult:
     reports: dict[str, EvalReport]  # method -> report
     predictions: dict[str, dict[str, str]]  # method -> sample id -> class name
     local_timing: BatchTiming
+    global_train_s: float  # wall time of the global OvA training
 
 
 def run_pipeline(
@@ -79,6 +82,7 @@ def run_pipeline(
     """Train and evaluate {global SVM, local SVM, k-NN} on the manifest's
     train/test splits, returning one report per method.  The k-NN baseline
     is the majority vote over the local SVM's own neighborhoods."""
+    check_workers(workers)
     seed = manifest.seed if seed is None else seed
     data = ingest_and_fuse(manifest, seed=seed)
     if "train" not in data.fused or "test" not in data.fused:
@@ -89,10 +93,10 @@ def run_pipeline(
     truth = {sid: data.labels[sid] for sid in test.sample_ids}
 
     svm_cfg = SvmConfig(C=C, seed=seed)
-    ova = train_ova(
-        train.values, train.labels, svm_cfg,
-        n_classes=data.label_map.n_classes, class_names=names,
-    )
+    t_global = time.perf_counter()
+    ova = train_ova(train.values, train.labels, svm_cfg,
+                    n_classes=data.label_map.n_classes, class_names=names)
+    global_train_s = time.perf_counter() - t_global
     global_pred = predict_ova_batch(ova, test.values)
 
     local_cfg = LocalLearnerConfig(k=k, svm=svm_cfg)
@@ -100,12 +104,8 @@ def run_pipeline(
 
     predictions = {}
     reports = {}
-    for method, pred in (
-        ("global-svm", global_pred),
-        ("local-svm", local_pred),
-        ("knn", knn_pred),
-    ):
+    for method, pred in (("global-svm", global_pred), ("local-svm", local_pred), ("knn", knn_pred)):
         named = {sid: names[p] for sid, p in zip(test.sample_ids, pred)}
         predictions[method] = named
         reports[method] = evaluate(named, truth, data.label_map)
-    return PipelineResult(reports=reports, predictions=predictions, local_timing=timing)
+    return PipelineResult(reports, predictions, timing, global_train_s)

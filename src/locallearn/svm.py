@@ -17,6 +17,10 @@ starts every problem from alpha = 0.  A problem it does not certify, and
 every problem of a larger set, is solved by dual coordinate ascent in
 feature space (Hsieh et al., ICML 2008) on the same rows, keeping the
 passes already spent and retrying Newton every ``_WARM_PASSES`` passes.
+There Newton's Q_FF comes from a per-problem cache of the dot products of
+the rows free in its steps (LIBSVM's kernel cache), its gradient from the
+rows of nonzero alpha; both gather rows a tile at a time, as a larger
+gather, once freed, stayed resident.
 
 A one-vs-all model is the ascending ids of its trained classes, a weight
 matrix with one row per class and a bias vector.  ``decisions`` computes
@@ -45,6 +49,7 @@ from .errors import (
     SingleClass,
     ValidationError,
 )
+from .features import _ROWS
 
 # The path is chosen by sample count alone, so identical data always takes
 # the identical path.  A Gram matrix for fused global training (n >= 3,000)
@@ -140,22 +145,31 @@ def _solve_alone(X: np.ndarray, y: np.ndarray, cfg: SvmConfig, passes: int = 0):
     ``passes`` already spent, the bias kept apart so that X is not copied.
     A pass visits, in a random order, every index that is free or has a
     nonzero projected gradient, which after the pass certifies convergence.
-    Every ``_WARM_PASSES`` passes Newton is tried, with Q_FF built from the
-    free rows alone."""
+    Every ``_WARM_PASSES`` passes Newton is tried: Q_FF comes from this
+    problem's Gram cache, and the gradient from the rows of nonzero alpha."""
     n, C = X.shape[0], float(cfg.C)
     rng = np.random.default_rng(cfg.seed)
     a, w, bias, g = np.zeros(n), np.zeros(X.shape[1]), 0.0, -np.ones(n)
     diag = np.einsum("ij,ij->i", X, X) + 1.0
     ys, qdiag = y.tolist(), diag.tolist()
+    cached, slot, gram = np.empty(0, dtype=np.intp), np.full(n, -1), np.empty((0, 0))
 
     def grad(alpha):
-        ay = alpha * y
-        return y * (X @ (ay @ X) + ay.sum()) - 1.0
+        nz = np.flatnonzero(alpha)
+        if not nz.size:
+            return -np.ones(n)
+        v = sum((alpha[p] * y[p]) @ X[p] for p in np.split(nz, range(_ROWS, nz.size, _ROWS)))
+        return y * (X @ v + alpha @ y) - 1.0
 
     def block(F):
-        Z = X[F]
-        Z *= y[F, None]
-        return Z @ Z.T + np.outer(y[F], y[F])
+        nonlocal cached, gram
+        new = F[slot[F] < 0]
+        if new.size:
+            Xn = X[new]
+            cross = np.vstack([X[p] @ Xn.T for p in np.split(cached, range(_ROWS, cached.size, _ROWS))])
+            gram, Xn = np.block([[gram, cross], [cross.T, Xn @ Xn.T]]), None  # free the gather first
+            slot[new], cached = np.arange(cached.size, cached.size + new.size), np.append(cached, new)
+        return (gram[np.ix_(slot[F], slot[F])] + 1.0) * y[F] * y[F, None]
 
     sweeps = 0
     while passes < cfg.max_passes:

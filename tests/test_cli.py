@@ -3,7 +3,7 @@ import threading
 import numpy as np
 import pytest
 
-from locallearn import bovw, core
+from locallearn import bovw, core, dsd, pipeline
 from locallearn.cli import main
 from locallearn.synth import texture_corpus, two_arcs
 
@@ -171,6 +171,15 @@ class TestIngestAndPipeline:
         comparison = (tmp_path / "p1" / "comparison.txt").read_text()
         assert "local-svm" in comparison and "global-svm" in comparison and "knn" in comparison
 
+    def test_timing_reports_global_training_within_wall_time(self, arcs_dataset, tmp_path):
+        d, _ = arcs_dataset
+        assert run(["pipeline", "--manifest", d / "manifest.conf", "--out", tmp_path / "p",
+                    "-k", "20", "-C", "100"]) == 0
+        timing = dict(line.split() for line in (tmp_path / "p" / "timing.txt").read_text().splitlines())
+        stages = [float(timing[key]) for key in ("global_train_s", "local_search_s", "local_solve_s")]
+        assert all(s >= 0.0 for s in stages)
+        assert sum(stages) <= float(timing["wall_s"])
+
 
 class TestBovwCommands:
     def test_build_vocab_then_encode(self, tmp_path):
@@ -312,6 +321,16 @@ class TestMalformedInputExits2:
         assert capsys.readouterr().err == "error: ValidationError: workers must be >= 1, got -3\n"
         assert not (tmp_path / "out").exists()
 
+    def test_pipeline_rejects_workers_before_global_training(self, arcs_dataset, tmp_path, capsys,
+                                                             monkeypatch):
+        d, _ = arcs_dataset
+        trained = []
+        monkeypatch.setattr(pipeline, "train_ova", lambda *a, **k: trained.append(a))
+        assert run(["pipeline", "--manifest", d / "manifest.conf", "--workers", "0",
+                    "--out", tmp_path / "out"]) == 2
+        assert capsys.readouterr().err == "error: ValidationError: workers must be >= 1, got 0\n"
+        assert trained == []
+
 
 class TestDsdCommands:
     def _features(self, tmp_path):
@@ -416,6 +435,15 @@ class TestDsdCommands:
         assert self._train(tmp_path, *extra) == 2
         self._one_error_line(capsys, error)
         assert not (tmp_path / "m.llmb").exists()
+
+    def test_val_dim_rejected_before_any_training_step(self, tmp_path, capsys, monkeypatch):
+        self._features(tmp_path)
+        steps = []
+        monkeypatch.setattr(dsd, "sgd_step", lambda *a, **k: steps.append(a) or 0.0)
+        assert self._train(tmp_path, "--val-features", self._widen(tmp_path, "wide.fv", 4),
+                           "--val-labels", tmp_path / "l.csv") == 2
+        self._one_error_line(capsys, "error: DimMismatch: X has shape (120, 4), model expects rows of dim 2")
+        assert steps == []
 
     def test_negative_flip_sides_exit_2(self, tmp_path, capsys):
         self._features(tmp_path)

@@ -330,6 +330,127 @@ def check_alone_and_in_block():
             assert info1 == [infos[p]] and infos[p]["converged"]
 
 
+class _TrackedRows(np.ndarray):
+    """A matrix whose row gathers remember their row ids, and which records
+    the row ids of both sides of every product of two matrices in
+    ``products`` and counts every product at all in ``calls``."""
+
+    products: list = []
+    calls: list = []
+
+    def __array_finalize__(self, obj):
+        self.rows = getattr(obj, "rows", None)
+
+    def __getitem__(self, key):
+        out = super().__getitem__(key)
+        if isinstance(key, np.ndarray) and key.dtype.kind in "iu":
+            out.rows = self.rows[key]
+        return out
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            _TrackedRows.calls.append(1)
+            if all(isinstance(a, _TrackedRows) and a.ndim == 2 for a in inputs):
+                _TrackedRows.products.append((inputs[0].rows, inputs[1].rows))
+        inputs = [np.asarray(a) if isinstance(a, _TrackedRows) else a for a in inputs]
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+class TestFeatureSpaceNewton:
+    # Problems above _GRAM_LIMIT rows: Newton's Q_FF comes from a Gram
+    # cache of the rows free in any step of the problem, and its gradient
+    # from the rows of nonzero alpha.
+
+    def test_cache_blocks_equal_direct_product_each_row_multiplied_once(self, monkeypatch):
+        rng = np.random.default_rng(51)
+        n = 60
+        X = rng.normal(size=(n, 40))
+        y = np.where(rng.random(n) > 0.5, 1.0, -1.0)
+        tracked = X.view(_TrackedRows)
+        tracked.rows = np.arange(n)
+        free_sets = [
+            np.arange(20),                           # every row new
+            np.arange(30),                           # grows
+            np.arange(5, 25),                        # shrinks
+            np.arange(5, 25),                        # repeats
+            np.setdiff1d(np.arange(5, 25), [10]),    # row 10 leaves
+            np.r_[np.arange(5, 25), 40:45],          # row 10 comes back, with new rows
+            np.array([3, 41, 59]),                   # scattered, one new
+        ]
+        seen, original = [], svm_mod._newton
+
+        def driving(alpha, grad, block, diag, width, cfg, steps):
+            if not seen:
+                _TrackedRows.products.clear()
+                for F in free_sets:
+                    Z = X[F] * y[F, None]
+                    direct = Z @ Z.T + np.outer(y[F], y[F])
+                    Q = block(F)
+                    assert np.abs(Q - direct).max() <= 1e-12 * np.abs(direct).max()
+                seen.append(list(_TrackedRows.products))
+            return original(alpha, grad, block, diag, width, cfg, steps)
+
+        monkeypatch.setattr(svm_mod, "_newton", driving)
+        _, info = svm_mod._solve_alone(tracked, y, SvmConfig(C=100.0, tolerance=1e-8, max_passes=100_000))
+        assert info["converged"]
+        # every dot product of two rows is computed at most once, and those
+        # of every free set are computed
+        count = np.zeros((n, n), dtype=np.int64)
+        for left, right in seen[0]:
+            pairs = np.zeros((n, n), dtype=bool)
+            pairs[np.ix_(left, right)] = True
+            count += pairs | pairs.T
+        assert count.max() == 1
+        for F in free_sets:
+            assert count[np.ix_(F, F)].min() == 1
+        # and no row outside the free sets is multiplied
+        assert sorted(np.unique(np.concatenate([r for _, r in seen[0]]))) == \
+            sorted(np.unique(np.concatenate(free_sets)))
+
+    def test_sparse_gradient_equals_dense_formula(self, monkeypatch):
+        rng = np.random.default_rng(52)
+        n = 700  # more than one tile of nonzero rows
+        X = rng.normal(size=(n, 30))
+        y = np.where(rng.random(n) > 0.5, 1.0, -1.0)
+        tracked = X.view(_TrackedRows)
+        tracked.rows = np.arange(n)
+        grads, original = [], svm_mod._newton
+
+        def capture(alpha, grad, block, diag, width, cfg, steps):
+            grads.append(grad)
+            return original(alpha, grad, block, diag, width, cfg, steps)
+
+        monkeypatch.setattr(svm_mod, "_newton", capture)
+        svm_mod._solve_alone(tracked, y, SvmConfig(C=10.0, max_passes=12))
+        grad = grads[0]
+        for density in (1.0, 0.5, 0.02):
+            alpha = rng.uniform(0.0, 10.0, n) * (rng.random(n) < density)
+            alpha[:3] = 10.0  # some at C
+            ay = alpha * y
+            dense = y * (X @ (ay @ X) + ay.sum()) - 1.0
+            assert np.abs(grad(alpha) - dense).max() <= 1e-12 * np.abs(dense).max()
+        _TrackedRows.calls.clear()
+        assert np.array_equal(grad(np.zeros(n)), -np.ones(n))
+        assert _TrackedRows.calls == []
+
+    def test_duplicated_rows_certify_on_feature_space_path(self, monkeypatch):
+        # Each row twice: Q, and every Q_FF holding both copies of a row, is
+        # singular; the Newton finish or the ascent behind it must still
+        # reach the QP optimum.
+        rng = np.random.default_rng(53)
+        X0 = rng.normal(size=(40, 50))
+        y0 = np.where(rng.random(40) > 0.5, 1.0, -1.0)
+        X, y = np.repeat(X0, 2, axis=0), np.repeat(y0, 2)
+        monkeypatch.setattr(svm_mod, "_GRAM_LIMIT", 1)
+        handed = _spy(monkeypatch, "_solve_alone")
+        cfg = SvmConfig(C=10.0, tolerance=1e-9, max_passes=300_000)
+        _, _, alpha, info = train_binary(X, y, cfg)
+        assert len(handed) == 1
+        assert info["converged"] and info["kkt_gap"] <= 1e-9
+        oracle, _ = box_qp_max(svm_dual_gram(X, y), 10.0)
+        assert abs(svm_dual_value(X, y, alpha) - oracle) <= 1e-6 * max(1.0, abs(oracle))
+
+
 class TestDecision:
     def test_dot_product(self):
         m = OvaModel([0], [[1.0, 0.0]], [0.0])
