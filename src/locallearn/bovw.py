@@ -219,6 +219,10 @@ def kmeans(
 ):
     """Euclidean k-means with k-means++ seeding; deterministic given seed.
 
+    A new seed c recomputes D² only where a point's nearest seed a has
+    |c - a|² < 4·D² (triangle inequality, with margins for rounding) and
+    keeps it where strictly smaller, so each D² and seed equals a full update's.
+
     Empty clusters are repaired by stealing the farthest point of the
     cluster with the largest within-cluster sum of squares.  When k exceeds
     the point count, every point becomes a centroid and the remaining slots
@@ -284,6 +288,7 @@ def _kmeanspp(points: np.ndarray, k: int, rng) -> np.ndarray:
     chosen = np.empty(k, dtype=np.intp)
     chosen[0] = rng.integers(n)
     d2 = np.sum((points - points[chosen[0]]) ** 2, axis=1)
+    near = np.zeros(n, dtype=np.intp)  # position in chosen of each point's nearest centre
     for j in range(1, k):
         total = d2.sum()
         if total <= 0.0:
@@ -293,7 +298,13 @@ def _kmeanspp(points: np.ndarray, k: int, rng) -> np.ndarray:
             chosen[j] = int(np.flatnonzero(mask)[0])
         else:
             chosen[j] = rng.choice(n, p=d2 / total)
-        d2 = np.minimum(d2, np.sum((points - points[chosen[j]]) ** 2, axis=1))
+        c = points[chosen[j]]
+        # |x - c| >= |c - a| - |x - a|; the margins cover rounding, subnormal too
+        reach = np.sum((points[chosen[:j]] - c) ** 2, axis=1)
+        rows = np.flatnonzero(reach[near] < 4.0 * (1.0 + 1e-9) * d2 + np.finfo(float).tiny)
+        new = np.sum((points[rows] - c) ** 2, axis=1)
+        closer = new < d2[rows]  # where np.minimum(d2, new) would take new
+        d2[rows[closer]], near[rows[closer]] = new[closer], j
     return chosen
 
 

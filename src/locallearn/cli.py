@@ -185,15 +185,21 @@ def cmd_fuse(args) -> int:
     return 0
 
 
+def _report_solver(solves: int, nonconverged: int) -> None:
+    sys.stderr.write(f"solver: {solves} binary models, {nonconverged} stopped at max passes "
+                     "without converging\n")
+
+
 def cmd_train_global(args) -> int:
     seed = _resolve_seed(args.seed)
     matrix, label_map = _labeled_matrix(args.features, args.labels, args)
     cfg = svm.SvmConfig(C=args.C, seed=seed)
-    model = svm.train_ova(
+    model, infos = svm.train_ova(
         matrix.values, matrix.labels, cfg,
-        n_classes=label_map.n_classes, class_names=label_map.names,
+        n_classes=label_map.n_classes, class_names=label_map.names, return_infos=True,
     )
     svm.save_ova(model, args.out)
+    _report_solver(len(infos), sum(not info["converged"] for info in infos))
     sys.stdout.write(
         f"trained {model.classes.size} one-vs-all model(s), dim {matrix.dim}\n"
     )
@@ -223,9 +229,8 @@ def cmd_predict_local(args) -> int:
     sys.stderr.write(
         f"timing: search {timing.search_s:.2f}s solve {timing.solve_s:.2f}s "
         f"wall {timing.total_s:.2f}s\n"
-        f"solver: {timing.solves} binary models, {timing.nonconverged} stopped "
-        f"at max passes without converging\n"
     )
+    _report_solver(timing.solves, timing.nonconverged)
     sys.stdout.write(f"predicted {test.n_samples} samples\n")
     return 0
 
@@ -356,7 +361,8 @@ def cmd_pipeline(args) -> int:
         out / "timing.txt",
         f"wall_s {wall:.3f}\nglobal_train_s {result.global_train_s:.3f}\n"
         f"local_search_s {timing.search_s:.3f}\nlocal_solve_s {timing.solve_s:.3f}\n"
-        f"local_solves {timing.solves}\nlocal_nonconverged {timing.nonconverged}\n",
+        f"local_solves {timing.solves}\nlocal_nonconverged {timing.nonconverged}\n"
+        f"global_nonconverged {result.global_nonconverged}\n",
     )
     sys.stderr.write(f"pipeline wall time {wall:.2f}s\n")
     sys.stdout.write(comparison)

@@ -70,6 +70,7 @@ class PipelineResult:
     predictions: dict[str, dict[str, str]]  # method -> sample id -> class name
     local_timing: BatchTiming
     global_train_s: float  # wall time of the global OvA training
+    global_nonconverged: int  # global binary models stopped at max_passes
 
 
 def run_pipeline(
@@ -94,8 +95,8 @@ def run_pipeline(
 
     svm_cfg = SvmConfig(C=C, seed=seed)
     t_global = time.perf_counter()
-    ova = train_ova(train.values, train.labels, svm_cfg,
-                    n_classes=data.label_map.n_classes, class_names=names)
+    ova, infos = train_ova(train.values, train.labels, svm_cfg, n_classes=data.label_map.n_classes,
+                           class_names=names, return_infos=True)
     global_train_s = time.perf_counter() - t_global
     global_pred = predict_ova_batch(ova, test.values)
 
@@ -108,4 +109,5 @@ def run_pipeline(
         named = {sid: names[p] for sid, p in zip(test.sample_ids, pred)}
         predictions[method] = named
         reports[method] = evaluate(named, truth, data.label_map)
-    return PipelineResult(reports, predictions, timing, global_train_s)
+    return PipelineResult(reports, predictions, timing, global_train_s,
+                          sum(not info["converged"] for info in infos))

@@ -262,12 +262,14 @@ def train_ova(
     cfg: SvmConfig,
     n_classes: int | None = None,
     class_names: Sequence[str] | None = None,
-) -> OvaModel:
+    return_infos: bool = False,
+):
     """Train one binary model per class present in ``labels``.
 
     Classes absent from the data stay untrained (decision -inf at predict
     time).  A single-class training set short-circuits to the constant
-    model rather than invoking the solver.
+    model rather than invoking the solver.  ``return_infos`` adds the solver
+    info of each binary model: ``(model, infos)``, as ``train_ova_rows``.
     """
     Xv = _as_values(X)
     labels = np.asarray(labels, dtype=np.int64)
@@ -277,11 +279,11 @@ def train_ova(
         raise ValidationError("cannot train on an empty dataset")
     if labels.min() < 0 or (n_classes is not None and labels.max() >= n_classes):
         raise ValidationError("labels must be class ids in [0, n_classes)")
-    model, _ = train_ova_rows(Xv, labels, slice(None), cfg)
+    model, infos = train_ova_rows(Xv, labels, slice(None), cfg)
     if n_classes is not None:
         model.n_classes = n_classes
     model.class_names = tuple(class_names) if class_names is not None else None
-    return model
+    return (model, infos) if return_infos else model
 
 
 def train_ova_rows(X, labels, rows, cfg: SvmConfig) -> tuple[OvaModel, list[dict]]:

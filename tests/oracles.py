@@ -2,8 +2,9 @@
 
 Nothing here shares code paths with the package: the QP oracle is an
 interior-point method (the solver under test is coordinate ascent), the
-neighbor oracles are direct full scans, and the gradient oracle is
-central finite differences.
+neighbor oracles are direct full scans, the gradient oracle is central
+finite differences, the k-means++ oracle recomputes every point's D² at
+every draw, and the prune oracle ranks by a full stable sort.
 """
 
 from __future__ import annotations
@@ -91,6 +92,37 @@ def brute_nn_euclidean(points: np.ndarray, q: np.ndarray):
     d2 = np.einsum("ij,ij->i", diffs, diffs)
     best = int(np.argmin(d2))  # argmin returns the first (lowest) index
     return best, float(np.sqrt(d2[best]))
+
+
+def kmeanspp_full(points: np.ndarray, k: int, rng) -> np.ndarray:
+    """k-means++ seeding that updates every point's D² at every draw: the
+    indices chosen, drawing from ``rng`` as the package does."""
+    n = points.shape[0]
+    chosen = np.empty(k, dtype=np.intp)
+    chosen[0] = rng.integers(n)
+    d2 = np.sum((points - points[chosen[0]]) ** 2, axis=1)
+    for j in range(1, k):
+        total = d2.sum()
+        if total <= 0.0:
+            # all remaining mass at chosen points; take lowest unchosen index
+            mask = np.ones(n, dtype=bool)
+            mask[chosen[:j]] = False
+            chosen[j] = int(np.flatnonzero(mask)[0])
+        else:
+            chosen[j] = rng.choice(n, p=d2 / total)
+        d2 = np.minimum(d2, np.sum((points - points[chosen[j]]) ** 2, axis=1))
+    return chosen
+
+
+def prune_mask_sorted(weights: np.ndarray, sparsity: float) -> np.ndarray:
+    """Keep-mask zeroing the first ceil(sparsity*count) entries of a stable
+    sort of |weights| (NaN last, ties by flat index)."""
+    weights = np.asarray(weights)
+    n_zero = int(np.ceil(sparsity * weights.size - 1e-12))
+    mask = np.ones(weights.size, dtype=bool)
+    if n_zero:
+        mask[np.argsort(np.abs(weights).ravel(), kind="stable")[:n_zero]] = False
+    return mask.reshape(weights.shape)
 
 
 def finite_diff_grads(model, X: np.ndarray, y: np.ndarray, h: float = 1e-6):

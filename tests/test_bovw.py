@@ -1,3 +1,4 @@
+import functools
 import struct
 
 import numpy as np
@@ -12,6 +13,7 @@ from locallearn.bovw import (
     Vocabulary,
     VocabularyLevel,
     _cell_index,
+    _kmeanspp,
     _nearest,
     build_vocab,
     build_vocab_from_descriptors,
@@ -32,7 +34,9 @@ from locallearn.errors import (
     ValidationError,
 )
 
-from oracles import brute_nn_euclidean
+from locallearn.synth import texture_corpus
+
+from oracles import brute_nn_euclidean, kmeanspp_full
 
 
 class TestPgm:
@@ -176,6 +180,54 @@ class TestKmeans:
         assert len(history) < 100
         _, history_2 = kmeans(pts, 30, seed=4, max_iters=100, return_history=True, workers=2)
         assert history_2 == history
+
+
+@functools.cache
+def _seeding_cases():
+    rng = np.random.default_rng(17)
+    images, _ = texture_corpus(2, size=40, seed=5)
+    sift = np.vstack([dense_sift(img).vectors for img in images])
+    blobs = rng.normal(size=(60, 5))
+    return {
+        "sift": (sift[rng.permutation(len(sift))[:500]], 60),
+        "duplicated": (rng.normal(size=(12, 4))[np.arange(240) % 12], 20),
+        "identical": (np.full((15, 3), 0.25), 6),
+        "one-dim": (rng.normal(size=(80, 1)), 25),
+        "k=n-1": (blobs, 59),
+        "tight clusters": (np.repeat(rng.normal(size=(8, 6)), 25, axis=0)
+                           + rng.normal(scale=1e-9, size=(200, 6)), 30),
+        # collinear lattice points sit on the bound, where rounding decides
+        "lattice": (rng.integers(0, 40, size=(300, 2)) * 0.1, 80),
+        # squared distances below the normal range round absolutely
+        "subnormal": (rng.normal(size=(150, 2)) * 10.0**-161.5, 40),
+    }
+
+
+class _RecordingRng:
+    """A generator that keeps every probability vector drawn from."""
+
+    def __init__(self, seed):
+        self.rng, self.draws = np.random.default_rng(seed), []
+
+    def integers(self, n):
+        return self.rng.integers(n)
+
+    def choice(self, n, p):
+        self.draws.append(p.copy())
+        return self.rng.choice(n, p=p)
+
+
+class TestKmeansppSeeding:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("case", list(_seeding_cases()))
+    def test_every_draw_equals_full_recompute(self, case, seed):
+        # Equal probability vectors mean equal D² at every draw, bit for bit.
+        points, k = _seeding_cases()[case]
+        assert k < len(points)
+        got, want = _RecordingRng(seed), _RecordingRng(seed)
+        assert _kmeanspp(points, k, got).tolist() == kmeanspp_full(points, k, want).tolist()
+        assert len(got.draws) == len(want.draws)
+        assert all(np.array_equal(g, w) for g, w in zip(got.draws, want.draws))
 
 
 class TestNearest:

@@ -98,6 +98,8 @@ class TestTrainPredictEval:
         assert run(["train-global", "--features", d / "train.fv",
                     "--labels", d / "labels.csv", "--labelmap", d / "classes.txt",
                     "-C", "100", "--seed", "0", "--out", model]) == 0
+        assert capsys.readouterr().err == (
+            "solver: 2 binary models, 2 stopped at max passes without converging\n")
         preds = tmp_path / "preds.csv"
         assert run(["predict-global", "--model", model,
                     "--features", d / "test.fv", "--out", preds]) == 0
@@ -179,6 +181,7 @@ class TestIngestAndPipeline:
         stages = [float(timing[key]) for key in ("global_train_s", "local_search_s", "local_solve_s")]
         assert all(s >= 0.0 for s in stages)
         assert sum(stages) <= float(timing["wall_s"])
+        assert timing["global_nonconverged"] == "2"  # two-arcs at C = 100
 
 
 class TestBovwCommands:

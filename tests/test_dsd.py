@@ -23,7 +23,7 @@ from locallearn.dsd import (
 from locallearn.errors import MalformedFile, NonFiniteGradient, ValidationError
 from locallearn.synth import gaussian_blobs
 
-from oracles import finite_diff_grads, max_rel_grad_err
+from oracles import finite_diff_grads, max_rel_grad_err, prune_mask_sorted
 
 
 class TestSgdStep:
@@ -93,6 +93,17 @@ class TestPruneMask:
     def test_rejects_bad_sparsity(self):
         with pytest.raises(ValidationError):
             prune_mask(np.ones(4), 1.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        arrays(np.float64, st.tuples(st.integers(1, 5), st.integers(1, 12)),
+               elements=st.sampled_from([0.0, -0.0, 0.5, -0.5, 2.0, np.nan, np.inf, -np.inf])
+               | st.floats(allow_nan=True, allow_infinity=True)),
+        st.just(0.0) | st.floats(0.0, 0.999) | st.just(1.0 - 1e-12),
+    )
+    def test_equals_stable_argsort(self, w, s):
+        # ties (exact zeros and -0.0 among them) to the lowest flat index, NaN last
+        assert np.array_equal(prune_mask(w, s), prune_mask_sorted(w, s))
 
     @settings(max_examples=60, deadline=None)
     @given(

@@ -44,6 +44,7 @@ class TestRunPipeline:
         assert id_sets[0] == id_sets[1] == id_sets[2]
         for m in METHODS:
             assert result.reports[m].n_samples == len(id_sets[0])
+        assert result.global_nonconverged == 0
 
     def test_two_arcs_local_beats_global_in_comparison(self, tmp_path):
         Xtr, ytr = two_arcs(600, seed=70)

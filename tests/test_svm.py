@@ -509,6 +509,17 @@ class TestOva:
         assert model.classes.tolist() == [0, 1, 2]
         assert model.W.shape == (3, 3) and model.b.shape == (3,)
 
+    def test_return_infos_reports_global_nonconvergence(self):
+        # Global two-arcs at C = 100 stops at max_passes short of the tolerance.
+        X, y = two_arcs(100, seed=100)
+        cfg = SvmConfig(C=100.0)
+        model, infos = train_ova(X, y, cfg, return_infos=True)
+        assert [info["converged"] for info in infos] == [False, False]
+        assert all(info["passes"] == cfg.max_passes and info["kkt_gap"] > cfg.tolerance
+                   for info in infos)
+        plain = train_ova(X, y, cfg)
+        assert np.array_equal(plain.W, model.W) and np.array_equal(plain.b, model.b)
+
     def test_single_class_constant_model(self):
         X = np.random.default_rng(0).normal(size=(5, 2))
         model = train_ova(X, np.full(5, 3), SvmConfig(), n_classes=7)
