@@ -5,6 +5,7 @@ with a bag-of-visual-words encoder and dense-sparse-dense training tools.
 from .core import (
     DatasetManifest,
     FeatureMatrix,
+    FeatureRows,
     LabelMap,
     attach_labels,
     balanced_downsample,

@@ -18,6 +18,7 @@ import argparse
 import os
 import sys
 import time
+from contextlib import ExitStack
 from pathlib import Path
 
 import numpy as np
@@ -29,16 +30,20 @@ from .local import LocalLearnerConfig, knn_classify_batch, local_predict_batch
 from .pipeline import ingest_and_fuse, run_pipeline
 
 
-def _resolve_seed(value: int | None, default: int = 0) -> int:
-    if value is not None:
-        return value
-    env = os.environ.get("LOCALLEARN_SEED")
-    if env is not None:
+def _resolve_seed(value: int | None, default: int | None = 0) -> int | None:
+    """``--seed``, else $LOCALLEARN_SEED, else ``default``; a negative seed
+    is a ValidationError."""
+    if value is None:
+        env = os.environ.get("LOCALLEARN_SEED")
+        if env is None:
+            return default
         try:
-            return int(env)
+            value = int(env)
         except ValueError:
             raise ValidationError(f"LOCALLEARN_SEED={env!r} is not an integer")
-    return default
+    if value < 0:
+        raise ValidationError(f"seed must be >= 0, got {value}")
+    return value
 
 
 def _write_text(path, text: str) -> None:
@@ -68,8 +73,8 @@ def _write_predictions(path, sample_ids, pred_ids, label_map) -> None:
 
 
 def cmd_ingest(args) -> int:
-    manifest = core.parse_manifest(args.manifest)
-    data = ingest_and_fuse(manifest, seed=_resolve_seed(args.seed, manifest.seed))
+    seed = _resolve_seed(args.seed, default=None)  # None: the manifest's seed
+    data = ingest_and_fuse(core.parse_manifest(args.manifest), seed=seed)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     summary = []
@@ -176,10 +181,12 @@ def cmd_fuse(args) -> int:
     unknown = skip - {name for name, _ in pairs}
     if unknown:
         raise UnknownSource(f"--no-normalize names unknown sources {sorted(unknown)}")
-    fused = fuse(
-        [(name, core.load_features(path), name not in skip) for name, path in pairs],
-        renormalize=args.renormalize,
-    )
+    with ExitStack() as files:
+        fused = fuse(
+            [(name, files.enter_context(core.FeatureRows(path)), name not in skip)
+             for name, path in pairs],
+            renormalize=args.renormalize,
+        )
     core.save_features(fused, args.out, fmt=args.format)
     sys.stdout.write(f"fused {fused.n_samples} samples, dim {fused.dim}\n")
     return 0
@@ -338,8 +345,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
+    seed = _resolve_seed(args.seed, default=None)  # None: the manifest's seed
     manifest = core.parse_manifest(args.manifest)
-    seed = _resolve_seed(args.seed, manifest.seed)
     t0 = time.perf_counter()
     result = run_pipeline(
         manifest, k=args.k, C=args.C, workers=args.workers, seed=seed

@@ -10,6 +10,9 @@ robustly.  Both round-trip bit-exactly:
   sample a u16 id length, the UTF-8 id bytes, and D f64 values.  All
   integers and floats little-endian.
 
+``FeatureRows`` reads either format one row at a time; ``load_features``
+and fusion both read through it.
+
 Labels live in separate files of ``sample_id,class_name`` lines keyed by
 sample id, never by position.  A label map file lists one class name per
 line; line order defines the integer class ids.
@@ -20,6 +23,7 @@ documents the grammar.  ``fan_out`` is the one worker-thread policy.
 
 from __future__ import annotations
 
+import os
 import re
 import struct
 from concurrent.futures import ThreadPoolExecutor
@@ -84,6 +88,15 @@ def _check_id(sample_id: str) -> str:
     return sample_id
 
 
+def _checked_labels(labels, n: int) -> np.ndarray:
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.shape != (n,):
+        raise ValidationError("labels length does not match sample count")
+    if labels.size and labels.min() < 0:
+        raise ValidationError("labels must be non-negative class ids")
+    return labels
+
+
 class FeatureMatrix:
     """Immutable dense matrix of per-sample feature vectors.
 
@@ -119,18 +132,23 @@ class FeatureMatrix:
                     break
                 seen.add(s)
             raise ValidationError(f"duplicate sample id {dup!r}")
-        if labels is not None:
-            labels = np.asarray(labels, dtype=np.int64)
-            if labels.shape != (values.shape[0],):
-                raise ValidationError("labels length does not match sample count")
-            if labels.size and labels.min() < 0:
-                raise ValidationError("labels must be non-negative class ids")
-            labels.setflags(write=False)
-        values.setflags(write=False)
-        self.values = values
-        self.sample_ids = sample_ids
-        self.labels = labels
+        labels = None if labels is None else _checked_labels(labels, values.shape[0])
+        self._freeze(values, sample_ids, labels)
+
+    @classmethod
+    def _trusted(cls, values, sample_ids, labels=None) -> "FeatureMatrix":
+        """A matrix over arrays whose checks already held (a reader's, or a
+        parent matrix's): frozen, not checked again."""
+        out = object.__new__(cls)
+        out._freeze(values, sample_ids, labels)
+        return out
+
+    def _freeze(self, values, sample_ids, labels) -> None:
+        self.values, self.sample_ids, self.labels = values, tuple(sample_ids), labels
         self._row_of = None
+        for array in (values, labels):
+            if array is not None:
+                array.setflags(write=False)
 
     @property
     def n_samples(self) -> int:
@@ -149,23 +167,30 @@ class FeatureMatrix:
             raise IdMismatch(f"unknown sample id {sample_id!r}", missing={sample_id})
 
     def take(self, rows: Sequence[int]) -> "FeatureMatrix":
-        """The given rows, each in [0, n_samples) and at most once; the
-        constructor's checks held for them already and are not repeated."""
+        """A copy of the given rows, each in [0, n_samples) and at most once;
+        the constructor's checks held for them already and are not repeated."""
         rows = np.asarray(rows, dtype=np.intp)
         if rows.ndim != 1 or ((rows < 0) | (rows >= self.n_samples)).any():
             raise ValidationError(f"row indices must be a list in [0, {self.n_samples})")
         if np.unique(rows).size != rows.size:
             raise ValidationError("repeated row index")
-        out = object.__new__(FeatureMatrix)
-        out.values, out.labels = self.values[rows], None if self.labels is None else self.labels[rows]
-        out.sample_ids, out._row_of = tuple(self.sample_ids[i] for i in rows.tolist()), None
-        for array in (out.values, out.labels):
-            if array is not None:
-                array.setflags(write=False)
-        return out
+        return FeatureMatrix._trusted(
+            self.values[rows], [self.sample_ids[i] for i in rows.tolist()],
+            None if self.labels is None else self.labels[rows])
+
+    def view(self, start: int, stop: int) -> "FeatureMatrix":
+        """Rows ``start:stop`` (a slice), sharing this matrix's memory."""
+        return FeatureMatrix._trusted(
+            self.values[start:stop], self.sample_ids[start:stop],
+            None if self.labels is None else self.labels[start:stop])
 
     def with_labels(self, labels) -> "FeatureMatrix":
-        return FeatureMatrix(self.values, self.sample_ids, labels)
+        return FeatureMatrix._trusted(
+            self.values, self.sample_ids, _checked_labels(labels, self.n_samples))
+
+    def items(self):
+        """``(sample_id, values)`` per row, in row order."""
+        return zip(self.sample_ids, self.values)
 
     def __len__(self) -> int:
         return self.n_samples
@@ -199,89 +224,153 @@ def save_features(matrix: FeatureMatrix, path, fmt: str = "text") -> None:
 
 
 def load_features(path, expected_dim: int | None = None) -> FeatureMatrix:
-    """Load a feature file, sniffing text vs binary from the magic bytes.
+    """Load a feature file of either format through ``FeatureRows``, which
+    checks it; ``expected_dim`` cross-checks the header (DimMismatch).
 
-    ``expected_dim`` cross-checks the header and raises DimMismatch when
-    it disagrees.
+    Each row is copied into the output as it is read, so the file's values
+    are held once.
     """
-    path = Path(path)
-    blob = path.read_bytes()
-    load = _load_binary if blob[:4] == BINARY_MAGIC else _load_text
-    values, ids = load(blob, path, expected_dim)
-    try:
-        return FeatureMatrix(values, ids)
-    except NonFiniteValue as exc:
-        raise NonFiniteValue(f"{path}: {exc}", row=exc.row, col=exc.col)
+    with FeatureRows(path, expected_dim) as reader:
+        values = np.empty((reader.n_samples, reader.dim))
+        ids = []
+        for sid, row in reader.items():
+            values[len(ids)] = row
+            ids.append(sid)
+    return FeatureMatrix._trusted(values, ids)
 
 
-def _load_text(blob: bytes, path: Path, expected_dim) -> tuple[np.ndarray, list[str]]:
-    try:
-        text = blob.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise MalformedFile(f"{path}: not UTF-8 and not binary: {exc}")
-    lines = text.splitlines()
-    if not lines:
-        raise MalformedFile(f"{path}: empty file")
-    m = _HEADER_RE.match(lines[0])
-    if m is None:
-        raise MalformedFile(f"{path}: bad header {lines[0][:64]!r}")
-    dim = _parse_int(m.group(1), path, 1)
-    if dim > 0xFFFFFFFF:  # the binary format's u32 dim field
-        raise MalformedFile(f"{path}: header dim={dim} is out of range")
-    if expected_dim is not None and dim != expected_dim:
-        raise DimMismatch(f"{path}: header dim={dim}, expected {expected_dim}")
-    ids: list[str] = []
-    rows: list[list[float]] = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) - 1 != dim:
-            raise MalformedFile(
-                f"{path}:{lineno}: expected {dim} values, got {len(parts) - 1}"
-            )
-        ids.append(parts[0])
+class FeatureRows:
+    """An open feature file of either format (told apart by the magic
+    bytes), read one row at a time.
+
+    Opening reads the header, and scans a text file once to count its rows
+    and check their value counts, so ``dim`` and ``n_samples`` are known
+    first.  ``items()`` yields ``(sample_id, values)`` in file order, in one
+    pass (a binary row's buffer is reused), and checks each row: bytes,
+    finite values (``NonFiniteValue`` with the file's row and column), id
+    syntax and unique ids.  A file with faults in several rows reports the
+    first; every error names the file.
+    """
+
+    def __init__(self, path, expected_dim: int | None = None):
+        self.path = Path(path)
+        self._fh = open(self.path, "rb")
         try:
-            rows.append([float(p) for p in parts[1:]])
-        except ValueError as exc:
-            raise MalformedFile(f"{path}:{lineno}: {exc}")
-    return np.array(rows, dtype=np.float64).reshape(len(ids), dim), ids
+            binary = self._fh.read(4) == BINARY_MAGIC
+            self.dim, self.n_samples = (self._binary_header if binary else self._text_header)()
+            if expected_dim is not None and self.dim != expected_dim:
+                raise DimMismatch(f"{self.path}: header dim={self.dim}, expected {expected_dim}")
+            if self.dim < 1:
+                raise ValidationError(f"{self.path}: feature dim must be >= 1")
+        except BaseException:
+            self._fh.close()
+            raise
+        self._rows = self._binary_rows if binary else self._text_rows
 
+    def __enter__(self) -> "FeatureRows":
+        return self
 
-def _load_binary(blob: bytes, path: Path, expected_dim) -> tuple[np.ndarray, list[str]]:
-    try:
-        version, dim, n = struct.unpack_from("<IIQ", blob, 4)
-    except struct.error:
-        raise MalformedFile(f"{path}: truncated binary header")
-    if version != 1:
-        raise MalformedFile(f"{path}: unsupported binary version {version}")
-    if expected_dim is not None and dim != expected_dim:
-        raise DimMismatch(f"{path}: header dim={dim}, expected {expected_dim}")
-    offset = 4 + struct.calcsize("<IIQ")
-    row_bytes = dim * 8
-    if n * (2 + row_bytes) > len(blob) - offset:
-        raise MalformedFile(f"{path}: header names {n} samples, more than the file holds")
-    ids = []
-    values = np.empty((n, dim), dtype=np.float64)
-    for i in range(n):
-        try:
-            (id_len,) = struct.unpack_from("<H", blob, offset)
-        except struct.error:
-            raise MalformedFile(f"{path}: truncated at sample {i}")
-        offset += 2
-        end = offset + id_len + row_bytes
-        if end > len(blob):
-            raise MalformedFile(f"{path}: truncated at sample {i}")
-        try:
-            ids.append(blob[offset : offset + id_len].decode("utf-8"))
-        except UnicodeDecodeError as exc:
-            raise MalformedFile(f"{path}: sample {i} id is not UTF-8: {exc}")
-        offset += id_len
-        values[i] = np.frombuffer(blob, dtype="<f8", count=dim, offset=offset)
-        offset += row_bytes
-    if offset != len(blob):
-        raise MalformedFile(f"{path}: {len(blob) - offset} trailing bytes")
-    return values, ids
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def close(self) -> None:
+        self._fh.close()
+
+    def items(self):
+        seen = set()
+        for row, (sid, values) in enumerate(self._rows()):
+            if not np.isfinite(values).all():
+                col = int(np.flatnonzero(~np.isfinite(values))[0])
+                raise NonFiniteValue(f"{self.path}: non-finite value at row {row}, col {col}",
+                                     row=row, col=col)
+            try:
+                _check_id(sid)
+            except ValidationError as exc:
+                raise ValidationError(f"{self.path}: {exc}") from None
+            if sid in seen:
+                raise ValidationError(f"{self.path}: duplicate sample id {sid!r}")
+            seen.add(sid)
+            yield sid, values
+
+    def _binary_header(self) -> tuple[int, int]:
+        head = self._fh.read(struct.calcsize("<IIQ"))
+        if len(head) < struct.calcsize("<IIQ"):
+            raise MalformedFile(f"{self.path}: truncated binary header")
+        version, dim, n = struct.unpack("<IIQ", head)
+        if version != 1:
+            raise MalformedFile(f"{self.path}: unsupported binary version {version}")
+        if n * (2 + 8 * dim) > os.fstat(self._fh.fileno()).st_size - self._fh.tell():
+            raise MalformedFile(f"{self.path}: header names {n} samples, more than the file holds")
+        return dim, n
+
+    def _binary_rows(self):
+        fh, path = self._fh, self.path
+        buf = bytearray(8 * self.dim if self.n_samples else 0)  # a row bounds dim by the file size
+        values = np.frombuffer(buf, dtype="<f8")
+        for i in range(self.n_samples):
+            head = fh.read(2)
+            id_len = struct.unpack("<H", head)[0] if len(head) == 2 else 0
+            raw = fh.read(id_len)
+            if len(head) < 2 or len(raw) < id_len or fh.readinto(buf) < len(buf):
+                raise MalformedFile(f"{path}: truncated at sample {i}")
+            try:
+                sid = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise MalformedFile(f"{path}: sample {i} id is not UTF-8: {exc}")
+            yield sid, values
+        trailing = os.fstat(fh.fileno()).st_size - fh.tell()
+        if trailing:
+            raise MalformedFile(f"{path}: {trailing} trailing bytes")
+
+    def _text_lines(self):
+        """(line number, line) from the start of the file, split as
+        ``str.splitlines`` splits the decoded whole."""
+        self._fh.seek(0)
+        lineno = 0
+        for raw in self._fh:
+            try:
+                text = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise MalformedFile(f"{self.path}:{lineno + 1}: not UTF-8: {exc}")
+            for line in text.splitlines():
+                lineno += 1
+                yield lineno, line
+
+    def _check_count(self, lineno: int, got: int) -> None:
+        if got != self.dim:
+            raise MalformedFile(f"{self.path}:{lineno}: expected {self.dim} values, got {got}")
+
+    def _text_header(self) -> tuple[int, int]:
+        lines = self._text_lines()
+        _, header = next(lines, (1, None))
+        if header is None:
+            raise MalformedFile(f"{self.path}: empty file")
+        m = _HEADER_RE.match(header)
+        if m is None:
+            raise MalformedFile(f"{self.path}: bad header {header[:64]!r}")
+        dim = _parse_int(m.group(1), self.path, 1)
+        if dim > 0xFFFFFFFF:  # the binary format's u32 dim field
+            raise MalformedFile(f"{self.path}: header dim={dim} is out of range")
+        self.dim, n = dim, 0  # _check_count reads self.dim
+        for lineno, line in lines:
+            if line:
+                self._check_count(lineno, line.count(","))
+                n += 1
+        return dim, n
+
+    def _text_rows(self):
+        lines = self._text_lines()
+        next(lines)  # the header
+        for lineno, line in lines:
+            if not line:
+                continue
+            parts = line.split(",")
+            self._check_count(lineno, len(parts) - 1)
+            try:
+                values = np.array([float(p) for p in parts[1:]])
+            except ValueError as exc:
+                raise MalformedFile(f"{self.path}:{lineno}: {exc}")
+            yield parts[0], values
 
 
 @dataclass(frozen=True)
@@ -410,6 +499,8 @@ class DatasetManifest:
         names = [s.name for s in self.sources]
         if len(set(names)) != len(names):
             raise ValidationError("duplicate source name in manifest")
+        if self.seed < 0:
+            raise ValidationError(f"manifest seed must be >= 0, got {self.seed}")
 
 
 def parse_manifest(path) -> DatasetManifest:

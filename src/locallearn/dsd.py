@@ -53,6 +53,8 @@ class TrainerConfig:
             raise ValidationError("batch size must be >= 1")
         if self.patience < 0:
             raise ValidationError(f"patience must be >= 0, got {self.patience}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

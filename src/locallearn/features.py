@@ -1,20 +1,25 @@
 """L2 normalization and feature fusion by concatenation.
 
-Each source block is normalized independently (per row), then blocks are
-concatenated in source order.  Normalizing the final concatenation is
-available behind ``renormalize`` and is off by default.
+Each source is written, row by row, into its column block of one output
+matrix, in source order, and the block is normalized independently (per
+row) in place.  Normalizing the final concatenation is available behind
+``renormalize`` and is off by default.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from collections import Counter
+from itertools import accumulate
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import FeatureMatrix
+from .core import SPLIT_NAMES, FeatureMatrix, FeatureRows
 from .errors import IdMismatch, ValidationError
 
-_ROWS = 256  # rows gathered at a time by fuse and by svm's feature-space products
+# Rows per tile: fuse normalizes a block in place this many rows at a time,
+# and svm's feature-space products gather this many rows at a time.
+_ROWS = 256
 
 
 def max_abs_scaled(values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -42,37 +47,78 @@ def l2_normalize_rows(values: np.ndarray) -> np.ndarray:
 
 
 def fuse(
-    sources: Sequence[tuple[str, FeatureMatrix, bool]], renormalize: bool = False
+    sources: Sequence[tuple[str, FeatureMatrix | FeatureRows, bool]],
+    renormalize: bool = False,
+    splits: Mapping[str, str] | None = None,
 ) -> FeatureMatrix:
-    """Concatenate ordered ``(name, matrix, normalize)`` sources, each block
+    """Concatenate ordered ``(name, rows, normalize)`` sources, each block
     L2-normalized per row where its flag says so.
 
-    Names must be unique and all sources must share one sample id set.
-    Rows follow the first source's order, so a single source with
-    normalization off keeps its values, in a new matrix.  The output is
-    filled and normalized ``_ROWS`` rows at a time, so no temporary as
-    large as a block is made.  The output carries no labels; attach them
-    by id.
+    ``rows`` is a ``FeatureMatrix`` or an open ``core.FeatureRows``.  The
+    output is allocated once; each source's rows are written into its
+    column block as they are read, and the block is then normalized in
+    place ``_ROWS`` rows at a time, so no copy of a source and no
+    block-sized temporary is made.  Rows follow the first source's order,
+    grouped by split (in ``SPLIT_NAMES`` order) when ``splits`` maps each
+    sample id to its split: the first source places each row by its split,
+    the others by sample id.  Names must be unique, and the splits and every
+    source must have the first source's ids (``IdMismatch`` with the
+    symmetric difference).  The output carries no labels; attach them by id.
     """
     if not sources:
         raise ValidationError("fusion needs at least one source")
     names = [name for name, _, _ in sources]
     if len(set(names)) != len(names):
         raise ValidationError(f"fusion source names must be unique, got {names}")
-    order = sources[0][1].sample_ids
-    dims = [m.dim for _, m, _ in sources]
-    fused = np.empty((len(order), sum(dims)))
-    for (name, m, normalize), end in zip(sources, np.cumsum(dims)):
-        diff = set(m.sample_ids) ^ set(order)
-        if diff:
-            raise IdMismatch(
-                f"source {name!r} disagrees on {len(diff)} sample id(s)", missing=diff
-            )
-        rows = np.arange(len(order)) if m.sample_ids == order else [m.row_of(s) for s in order]
-        for start in range(0, len(order), _ROWS):
-            part = m.values[rows[start:start + _ROWS]]
-            fused[start:start + _ROWS, end - m.dim:end] = l2_normalize_rows(part) if normalize else part
+    if splits is None:  # one group, None, in the first source's order
+        next_row = {None: 0}
+        n = sources[0][1].n_samples
+    else:
+        counts = Counter(splits.values())
+        next_row = dict(zip(SPLIT_NAMES, accumulate((counts[s] for s in SPLIT_NAMES), initial=0)))
+        n = len(splits)
+    ids: list = [None] * n
+    row_of: dict[str, int] = {}
+
+    def first_row(sid):
+        group = None if splits is None else splits.get(sid)
+        if group not in next_row:
+            return None
+        row = row_of[sid] = next_row[group]
+        next_row[group] += 1
+        ids[row] = sid
+        return row
+
+    dims = [rows.dim for _, rows, _ in sources]
+    fused = np.empty((n, sum(dims)))
+    for i, ((name, rows, normalize), end) in enumerate(zip(sources, np.cumsum(dims))):
+        place = row_of.get if i else first_row
+        block = fused[:, end - rows.dim:end]
+        unknown, filled = set(), np.zeros(n, dtype=bool)
+        for sid, values in rows.items():
+            row = place(sid)
+            if row is None:
+                unknown.add(sid)
+            else:
+                block[row] = values
+                filled[row] = True
+        if unknown or not filled.all():
+            where = f"source {name!r}" + (f" ({rows.path})" if isinstance(rows, FeatureRows) else "")
+            if i:
+                diff = unknown | {ids[r] for r in np.flatnonzero(~filled)}
+                raise IdMismatch(f"{where} disagrees on {len(diff)} sample id(s)", missing=diff)
+            diff = unknown | (set(splits) - row_of.keys())
+            raise IdMismatch(f"split assignment and {where} disagree on {len(diff)} sample id(s)",
+                             missing=diff)
+        if normalize:
+            _normalize_in_place(block)
     if renormalize:
-        for start in range(0, len(order), _ROWS):
-            fused[start:start + _ROWS] = l2_normalize_rows(fused[start:start + _ROWS])
-    return FeatureMatrix(fused, order)
+        _normalize_in_place(fused)
+    return FeatureMatrix._trusted(fused, ids)
+
+
+def _normalize_in_place(block: np.ndarray) -> None:
+    """L2-normalize each row of ``block``, ``_ROWS`` rows at a time."""
+    for start in range(0, block.shape[0], _ROWS):
+        tile = block[start:start + _ROWS]
+        tile[...] = l2_normalize_rows(tile)

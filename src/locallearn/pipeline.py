@@ -5,6 +5,8 @@ global SVM, the local SVM, and the k-NN baseline on the declared splits.
 from __future__ import annotations
 
 import time
+from collections import Counter
+from contextlib import ExitStack
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,12 +15,11 @@ from .core import (
     SPLIT_NAMES,
     DatasetManifest,
     FeatureMatrix,
+    FeatureRows,
     LabelMap,
     attach_labels,
     balanced_downsample,
-    check_split_ids,
     check_workers,
-    load_features,
     read_labels,
     read_splits,
 )
@@ -39,26 +40,32 @@ class IngestResult:
 
 
 def ingest_and_fuse(manifest: DatasetManifest, seed: int | None = None) -> IngestResult:
-    """Load and fuse all sources, check the splits cover the fused ids, split,
-    and attach labels; the train split is capped per class if the manifest says so."""
+    """Read the manifest's labels and splits, fuse its sources into one
+    labeled matrix with rows grouped by split, and split it.
+
+    Each source is streamed from its file into its column block of the
+    fused matrix (``fuse``), and each split is a row-slice view of it, so
+    ingest needs memory for about one fused matrix.  The train split is
+    capped per class if the manifest says so, which copies it.
+    """
     seed = manifest.seed if seed is None else seed
     label_map = LabelMap.from_file(manifest.labelmap_path)
     labels = read_labels(manifest.labels_path)
     splits = read_splits(manifest.splits_path)
-    fused_all = fuse(
-        [(s.name, load_features(s.path, expected_dim=s.expected_dim), s.normalize)
-         for s in manifest.sources],
-        renormalize=manifest.renormalize,
-    )
-    check_split_ids(fused_all, splits)
-    fused_all = attach_labels(fused_all, labels, label_map)
+    with ExitStack() as files:
+        fused = fuse(
+            [(s.name, files.enter_context(FeatureRows(s.path, s.expected_dim)), s.normalize)
+             for s in manifest.sources],
+            renormalize=manifest.renormalize, splits=splits,
+        )
+    fused = attach_labels(fused, labels, label_map)
+    counts = Counter(splits.values())
     by_split: dict[str, FeatureMatrix] = {}
+    start = 0
     for split in SPLIT_NAMES:
-        rows = [
-            i for i, sid in enumerate(fused_all.sample_ids) if splits[sid] == split
-        ]
-        if rows:
-            by_split[split] = fused_all.take(rows)
+        if counts[split]:
+            by_split[split] = fused.view(start, start + counts[split])
+        start += counts[split]
     if "train" in by_split and manifest.cap is not None:
         by_split["train"] = balanced_downsample(by_split["train"], manifest.cap, seed)
     return IngestResult(label_map=label_map, labels=labels, fused=by_split)
@@ -85,6 +92,8 @@ def run_pipeline(
     is the majority vote over the local SVM's own neighborhoods."""
     check_workers(workers)
     seed = manifest.seed if seed is None else seed
+    svm_cfg = SvmConfig(C=C, seed=seed)
+    local_cfg = LocalLearnerConfig(k=k, svm=svm_cfg)
     data = ingest_and_fuse(manifest, seed=seed)
     if "train" not in data.fused or "test" not in data.fused:
         raise ValidationError("pipeline needs non-empty train and test splits")
@@ -93,14 +102,12 @@ def run_pipeline(
     names = data.label_map.names
     truth = {sid: data.labels[sid] for sid in test.sample_ids}
 
-    svm_cfg = SvmConfig(C=C, seed=seed)
     t_global = time.perf_counter()
     ova, infos = train_ova(train.values, train.labels, svm_cfg, n_classes=data.label_map.n_classes,
                            class_names=names, return_infos=True)
     global_train_s = time.perf_counter() - t_global
     global_pred = predict_ova_batch(ova, test.values)
 
-    local_cfg = LocalLearnerConfig(k=k, svm=svm_cfg)
     local_pred, knn_pred, timing = local_predict_batch(train, test, local_cfg, workers=workers)
 
     predictions = {}

@@ -80,6 +80,8 @@ class SvmConfig:
                 raise ValidationError(f"{name} must be finite and positive, got {value}")
         if self.max_passes < 1:
             raise ValidationError(f"max_passes must be >= 1, got {self.max_passes}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
 
 
 def _as_values(X) -> np.ndarray:

@@ -4,7 +4,8 @@ Nothing here shares code paths with the package: the QP oracle is an
 interior-point method (the solver under test is coordinate ascent), the
 neighbor oracles are direct full scans, the gradient oracle is central
 finite differences, the k-means++ oracle recomputes every point's D² at
-every draw, and the prune oracle ranks by a full stable sort.
+every draw, the prune oracle ranks by a full stable sort, and the ingest
+oracle loads every source whole and copies each split out of the fusion.
 """
 
 from __future__ import annotations
@@ -156,3 +157,40 @@ def max_rel_grad_err(analytic, numeric) -> float:
             denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), 1e-8)
             worst = max(worst, float((np.abs(a - n) / denom).max()))
     return worst
+
+
+def ingest_by_copies(manifest, seed=None) -> dict:
+    """Split name -> labeled matrix, by the composition ingest replaced:
+    load each source whole (``load_features``), gather every source into the
+    first source's order and stack the blocks, each normalized whole where
+    its flag says so (then the fusion too, under ``renormalize``), attach
+    labels, and copy each split out with ``take``, in the first source's
+    order; ``cap`` then downsamples the train split."""
+    from locallearn import core
+    from locallearn.features import l2_normalize_rows
+
+    seed = manifest.seed if seed is None else seed
+    label_map = core.LabelMap.from_file(manifest.labelmap_path)
+    labels = core.read_labels(manifest.labels_path)
+    splits = core.read_splits(manifest.splits_path)
+    loaded = [(core.load_features(s.path, expected_dim=s.expected_dim), s.normalize)
+              for s in manifest.sources]
+    order = loaded[0][0].sample_ids
+    blocks = []
+    for matrix, normalize in loaded:
+        block = matrix.values[[matrix.row_of(sid) for sid in order]]
+        blocks.append(l2_normalize_rows(block) if normalize else block)
+    values = np.hstack(blocks)
+    if manifest.renormalize:
+        values = l2_normalize_rows(values)
+    fused = core.FeatureMatrix(values, order)
+    core.check_split_ids(fused, splits)
+    fused = core.attach_labels(fused, labels, label_map)
+    out = {}
+    for split in core.SPLIT_NAMES:
+        rows = [i for i, sid in enumerate(order) if splits[sid] == split]
+        if rows:
+            out[split] = fused.take(rows)
+    if "train" in out and manifest.cap is not None:
+        out["train"] = core.balanced_downsample(out["train"], manifest.cap, seed)
+    return out

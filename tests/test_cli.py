@@ -3,8 +3,9 @@ import threading
 import numpy as np
 import pytest
 
-from locallearn import bovw, core, dsd, pipeline
+from locallearn import bovw, core, dsd, pipeline, svm
 from locallearn.cli import main
+from locallearn.errors import ValidationError
 from locallearn.synth import texture_corpus, two_arcs
 
 
@@ -324,15 +325,59 @@ class TestMalformedInputExits2:
         assert capsys.readouterr().err == "error: ValidationError: workers must be >= 1, got -3\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("flag, error", [
+        ("--workers", "workers must be >= 1, got 0"),
+        ("-k", "k must be >= 1, got 0"),
+    ], ids=["workers", "k"])
     def test_pipeline_rejects_workers_before_global_training(self, arcs_dataset, tmp_path, capsys,
-                                                             monkeypatch):
+                                                             monkeypatch, flag, error):
         d, _ = arcs_dataset
-        trained = []
+        trained, ingested = [], []
         monkeypatch.setattr(pipeline, "train_ova", lambda *a, **k: trained.append(a))
-        assert run(["pipeline", "--manifest", d / "manifest.conf", "--workers", "0",
+        monkeypatch.setattr(pipeline, "ingest_and_fuse", lambda *a, **k: ingested.append(a))
+        assert run(["pipeline", "--manifest", d / "manifest.conf", flag, "0",
                     "--out", tmp_path / "out"]) == 2
-        assert capsys.readouterr().err == "error: ValidationError: workers must be >= 1, got 0\n"
-        assert trained == []
+        assert capsys.readouterr().err == f"error: ValidationError: {error}\n"
+        assert trained == [] and ingested == []
+
+    @pytest.mark.parametrize("command", ["pipeline", "train-global", "dsd-train", "env"])
+    def test_negative_seed_exits_2_before_any_file_is_read(self, tmp_path, capsys, monkeypatch,
+                                                           command):
+        # Every input path is missing: reading any of them first would report
+        # a FileNotFoundError instead of the seed.
+        missing = tmp_path / "missing"
+        argv = {"pipeline": ["pipeline", "--manifest", missing, "--seed", "-5"],
+                "train-global": ["train-global", "--features", missing, "--labels", missing,
+                                 "--seed", "-1"],
+                "dsd-train": ["dsd-train", "--features", missing, "--labels", missing,
+                              "--schedule", "D1", "--seed", "-1"],
+                "env": ["pipeline", "--manifest", missing]}[command]
+        if command == "env":
+            monkeypatch.setenv("LOCALLEARN_SEED", "-3")
+        assert run([*argv, "--out", tmp_path / "out"]) == 2
+        seed = {"pipeline": -5, "env": -3}.get(command, -1)
+        assert capsys.readouterr().err == f"error: ValidationError: seed must be >= 0, got {seed}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_manifest_seed_exits_2_before_ingest(self, arcs_dataset, tmp_path, capsys,
+                                                          monkeypatch):
+        d, _ = arcs_dataset
+        ingested = []
+        monkeypatch.setattr(pipeline, "ingest_and_fuse", lambda *a, **k: ingested.append(a))
+        (d / "manifest.conf").write_text(
+            (d / "manifest.conf").read_text().replace("seed 3\n", "seed -1\n"))
+        for command in ("pipeline", "ingest"):
+            out = ["--out"] if command == "pipeline" else ["--out-dir"]
+            assert run([command, "--manifest", d / "manifest.conf", *out, tmp_path / "o"]) == 2
+            err = capsys.readouterr().err
+            assert err == "error: ValidationError: manifest seed must be >= 0, got -1\n"
+        assert ingested == []
+
+    def test_negative_seed_rejected_by_configs(self):
+        with pytest.raises(ValidationError, match="seed must be >= 0"):
+            svm.SvmConfig(seed=-1)
+        with pytest.raises(ValidationError, match="seed must be >= 0"):
+            dsd.TrainerConfig(seed=-1)
 
 
 class TestDsdCommands:

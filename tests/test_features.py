@@ -5,9 +5,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from locallearn.core import FeatureMatrix
+from locallearn.core import FeatureMatrix, parse_manifest, save_features, write_labels
 from locallearn.errors import IdMismatch, ValidationError
 from locallearn.features import fuse, l2_normalize_rows
+from locallearn.pipeline import ingest_and_fuse
 
 
 def fm(values, ids):
@@ -136,6 +137,32 @@ class TestFuse:
         finally:
             tracemalloc.stop()
         assert peak <= out.values.nbytes + b.values.nbytes + 2**20
+
+    def test_ingest_peak_memory_is_one_fused_matrix(self, tmp_path):
+        # Two binary sources, the second row-permuted: ingest streams both
+        # into one split-ordered fused matrix, and the splits are views of it.
+        rng = np.random.default_rng(5)
+        ids = [f"s{i:05d}" for i in range(2000)]
+        perm = rng.permutation(2000)
+        save_features(fm(rng.normal(size=(2000, 301)), ids), tmp_path / "a.fv", fmt="binary")
+        save_features(fm(rng.normal(size=(2000, 200)), [ids[i] for i in perm]),
+                      tmp_path / "b.fv", fmt="binary")
+        write_labels({s: "xy"[i % 2] for i, s in enumerate(ids)}, tmp_path / "labels.csv")
+        (tmp_path / "classes.txt").write_text("x\ny\n")
+        (tmp_path / "splits.csv").write_text(
+            "".join(f"{s},{('train', 'test', 'val')[i % 3]}\n" for i, s in enumerate(ids)))
+        (tmp_path / "m.conf").write_text(
+            "source a a.fv\nsource b b.fv\n"
+            "labels labels.csv\nlabelmap classes.txt\nsplits splits.csv\n")
+        manifest = parse_manifest(tmp_path / "m.conf")
+        tracemalloc.start()
+        try:
+            data = ingest_and_fuse(manifest)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(m.n_samples for m in data.fused.values()) == 2000
+        assert peak <= 2000 * (301 + 200) * 8 + 2 * 2**20
 
     def test_renormalize_flag(self):
         a = fm([[3.0, 4.0]], ["x"])

@@ -2,10 +2,14 @@ import numpy as np
 import pytest
 
 import locallearn.local as local_mod
-from locallearn.core import FeatureMatrix, parse_manifest, save_features, write_labels
+import locallearn.pipeline as pipeline_mod
+from locallearn.core import (
+    FeatureMatrix, LabelMap, parse_manifest, read_labels, save_features, write_labels,
+)
 from locallearn.errors import ValidationError
-from locallearn.pipeline import ingest_and_fuse, run_pipeline
+from locallearn.pipeline import IngestResult, ingest_and_fuse, run_pipeline
 from locallearn.synth import gaussian_blobs, two_arcs
+from oracles import ingest_by_copies
 
 METHODS = ("global-svm", "local-svm", "knn")
 
@@ -136,3 +140,63 @@ class TestIngestAndFuse:
         assert np.allclose(norms_a, 1.0, atol=1e-12)
         row = fused.row_of(ids[0])
         assert np.array_equal(fused.values[row, 3:], b[0])
+
+
+def write_two_sources(d, fmt="binary", b_normalize="on", extra=""):
+    """Two sources of dims 13 and 6 (the fused dim, 19, is not a multiple
+    of 8), the second row-permuted, and a splits file that lists the ids
+    in an order unlike the first source's, with train, val and test."""
+    rng = np.random.default_rng(8)
+    n = 90
+    ids = [f"s{i:03d}" for i in range(n)]
+    a = rng.normal(size=(n, 13)) * 10.0 ** rng.integers(-100, 100, size=(n, 1))
+    a[4] = 0.0
+    b = rng.normal(size=(n, 6))
+    perm = rng.permutation(n)
+    save_features(FeatureMatrix(a, ids), d / "a.fv", fmt=fmt)
+    save_features(FeatureMatrix(b[perm], [ids[i] for i in perm]), d / "b.fv", fmt=fmt)
+    write_labels({s: "xyz"[i % 3] for i, s in enumerate(ids)}, d / "labels.csv")
+    (d / "classes.txt").write_text("x\ny\nz\n")
+    (d / "splits.csv").write_text("".join(
+        f"{ids[i]},{('train', 'test', 'train', 'val')[i % 4]}\n" for i in rng.permutation(n)))
+    (d / "m.conf").write_text(
+        f"source a a.fv dim=13\nsource b b.fv normalize={b_normalize}\n"
+        "labels labels.csv\nlabelmap classes.txt\nsplits splits.csv\n" + extra)
+    return parse_manifest(d / "m.conf")
+
+
+class TestIngestOracle:
+    @pytest.mark.parametrize("fmt, b_normalize, extra", [
+        ("binary", "on", ""),
+        ("text", "off", ""),
+        ("binary", "off", "renormalize on\n"),
+        ("text", "on", "cap 7\nseed 5\n"),
+    ])
+    def test_bit_equal_to_copying_ingest(self, tmp_path, fmt, b_normalize, extra):
+        manifest = write_two_sources(tmp_path, fmt, b_normalize, extra)
+        got = ingest_and_fuse(manifest).fused
+        want = ingest_by_copies(manifest)
+        assert got.keys() == want.keys() == {"train", "val", "test"}
+        for split, expected in want.items():
+            matrix = got[split]
+            assert matrix.sample_ids == expected.sample_ids
+            assert matrix.values.shape == expected.values.shape
+            assert matrix.values.tobytes() == expected.values.tobytes()
+            assert np.array_equal(matrix.labels, expected.labels)
+        # The splits are views of one fused matrix; only cap copies train.
+        base = got["test"].values.base
+        assert base is not None and got["val"].values.base is base
+        assert (got["train"].values.base is base) == ("cap" not in extra)
+
+    def test_pipeline_equal_on_copied_splits(self, tmp_path, monkeypatch):
+        # The split views' rows may sit at other memory alignments than a
+        # copy's; every downstream result must still match bit for bit.
+        manifest = write_two_sources(tmp_path)
+        got = run_pipeline(manifest, k=15, C=10.0)
+        monkeypatch.setattr(pipeline_mod, "ingest_and_fuse", lambda m, seed=None: IngestResult(
+            LabelMap.from_file(m.labelmap_path), read_labels(m.labels_path),
+            ingest_by_copies(m, seed)))
+        want = run_pipeline(manifest, k=15, C=10.0)
+        assert got.predictions == want.predictions
+        for method, report in want.reports.items():
+            assert got.reports[method].accuracy == report.accuracy

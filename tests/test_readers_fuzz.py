@@ -4,7 +4,9 @@ Each reader starts from one valid file, which Hypothesis truncates, flips
 bytes in and inserts bytes into.  Whatever comes out, the reader either
 returns or raises a ``ValidationError`` subclass, never a raw ``ValueError``,
 ``UnicodeDecodeError``, ``IndexError`` or ``MemoryError``.  The CLI maps each
-reader's malformed input to exit code 2 and a one-line ``error:``.
+reader's malformed input to exit code 2 and a one-line ``error:``.  Feature
+files also go through ingest, which streams them into the fused matrix, and
+through the ``ingest`` and ``pipeline`` commands.
 """
 
 import struct
@@ -16,7 +18,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from locallearn import bovw, cli, core, dsd, svm
-from locallearn.errors import ValidationError
+from locallearn.errors import IdMismatch, MalformedFile, NonFiniteValue, ValidationError
+from locallearn.pipeline import ingest_and_fuse
 
 
 def _write_seeds(d: Path) -> None:
@@ -116,9 +119,9 @@ REGRESSIONS = {
 
 
 @st.composite
-def _mutated(draw):
+def _mutated(draw, names=tuple(sorted(SEEDS))):
     """(reader name, a valid file of that reader after 1-3 byte edits)."""
-    name = draw(st.sampled_from(sorted(SEEDS)))
+    name = draw(st.sampled_from(names))
     blob = SEEDS[name]
     for _ in range(draw(st.integers(1, 3))):
         pos = draw(st.integers(0, len(blob)))
@@ -142,6 +145,7 @@ def fuzz_file(tmp_path_factory):
 @example(case=("features-text", b"#locallearn-features v1 dim=99999999999999999999\n"))
 @example(case=("features-text", b"#locallearn-features v1 dim=" + b"9" * 5000 + b"\n"))
 @example(case=("features-binary", REGRESSIONS["features-binary"]))  # 2^60 rows asked for
+@example(case=("features-binary", b"LLFB" + struct.pack("<IIQ", 1, 2**32 - 1, 0)))  # no rows, huge dim
 @example(case=("features-binary", b"LLFB" + struct.pack("<IIQH", 1, 1, 1, 1) + b"\xff"
                 + bytes(8)))  # sample id not UTF-8
 @example(case=("labels", REGRESSIONS["labels"]))
@@ -179,3 +183,93 @@ def test_cli_exits_2_with_one_line_error(tmp_path, capsys, name):
     assert cli.main([a.format(d=tmp_path) for a in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+FEATURES = ("features-binary", "features-text")
+SECOND_IDS = ["c", "a", "b"]
+SECOND = [[3.0, 1.0], [1.0, 2.0], [4.0, 4.0]]
+
+
+def _binary(ids, rows) -> bytes:
+    """A binary feature file, written by hand so that it can hold what
+    ``FeatureMatrix`` refuses: a repeated id or a NaN."""
+    blob = b"LLFB" + struct.pack("<IIQ", 1, len(rows[0]), len(ids))
+    for sid, row in zip(ids, rows):
+        raw = sid.encode("utf-8")
+        blob += struct.pack("<H", len(raw)) + raw + np.asarray(row, dtype="<f8").tobytes()
+    return blob
+
+
+def _write_two_sources(d: Path) -> None:
+    """The seeds, a second binary source with the ids in another order, and
+    manifests that fuse the file ``input`` before or after it."""
+    _write_seeds(d)
+    (d / "second.bin").write_bytes(_binary(SECOND_IDS, SECOND))
+    files = "labels labels.csv\nlabelmap classes.txt\nsplits splits.csv\n"
+    (d / "two.conf").write_text("source one f.bin\nsource two second.bin\n" + files)
+    (d / "input-first.conf").write_text("source x input\nsource two second.bin\n" + files)
+    (d / "input-second.conf").write_text("source one f.bin\nsource x input\n" + files)
+
+
+@pytest.fixture(scope="module")
+def stream_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("stream")
+    _write_two_sources(d)
+    return d
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_mutated(FEATURES), first=st.booleans())
+@example(case=("features-text", REGRESSIONS["features-text"]), first=True)
+@example(case=("features-binary", REGRESSIONS["features-binary"]), first=False)
+def test_malformed_feature_bytes_through_ingest(stream_dir, case, first):
+    _, blob = case
+    (stream_dir / "input").write_bytes(blob)
+    manifest = stream_dir / ("input-first.conf" if first else "input-second.conf")
+    try:
+        ingest_and_fuse(core.parse_manifest(manifest))
+    except ValidationError:
+        pass
+    for command, out in (("ingest", "--out-dir"), ("pipeline", "--out")):
+        assert cli.main([command, "--manifest", str(manifest), out, str(stream_dir / "out")]) in (0, 2)
+
+
+# fault -> (file replaced, its bytes, error, the file the error names, text in the error)
+STREAM_FAULTS = {
+    "truncated-last-row": ("second.bin", _binary(SECOND_IDS, SECOND)[:-3], MalformedFile,
+                           "second.bin", "truncated at sample 2"),
+    "trailing-bytes": ("second.bin", _binary(SECOND_IDS, SECOND) + b"\0\0", MalformedFile,
+                       "second.bin", "2 trailing bytes"),
+    "duplicate-id-in-second-source": ("second.bin", _binary(["c", "a", "c"], SECOND),
+                                      ValidationError, "second.bin", "duplicate sample id 'c'"),
+    "id-missing-from-splits": ("splits.csv", b"a,train\nb,test\n", IdMismatch, "f.bin",
+                               "disagree on 1 sample id"),
+    "nan-at-file-row-1-col-1": ("second.bin", _binary(SECOND_IDS, [[3, 1], [1, np.nan], [4, 4]]),
+                                NonFiniteValue, "second.bin", "non-finite value at row 1, col 1"),
+    "text-not-utf8": ("second.bin", REGRESSIONS["features-text"], MalformedFile, "second.bin",
+                      "not UTF-8"),
+    "rows-beyond-the-file": ("second.bin", REGRESSIONS["features-binary"], MalformedFile,
+                             "second.bin", "more than the file holds"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(STREAM_FAULTS))
+def test_streamed_faults_name_their_file_and_exit_2(tmp_path, capsys, fault):
+    _write_two_sources(tmp_path)
+    file, blob, error, named, text = STREAM_FAULTS[fault]
+    (tmp_path / file).write_bytes(blob)
+    with pytest.raises(ValidationError) as exc:
+        ingest_and_fuse(core.parse_manifest(tmp_path / "two.conf"))
+    assert type(exc.value) is error
+    assert str(tmp_path / named) in str(exc.value) and text in str(exc.value)
+    if error is NonFiniteValue:  # the file's row and column; row 1 is fused row 0
+        assert (exc.value.row, exc.value.col) == (1, 1)
+    if error is IdMismatch:
+        assert exc.value.missing == {"c"}
+    for command, out in (("ingest", "--out-dir"), ("pipeline", "--out")):
+        assert cli.main([command, "--manifest", str(tmp_path / "two.conf"),
+                         out, str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {error.__name__}: ") and err.count("\n") == 1, err
+        assert str(tmp_path / named) in err
+        assert not (tmp_path / "out").exists()
