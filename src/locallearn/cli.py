@@ -277,8 +277,8 @@ def cmd_dsd_train(args) -> int:
         if Xv.shape[1] != matrix.dim:  # the model's input dim, checked before training
             raise DimMismatch(f"X has shape {Xv.shape}, model expects rows of dim {matrix.dim}")
     else:
-        if not (np.isfinite(args.val_fraction) and args.val_fraction > 0):
-            raise ValidationError(f"--val-fraction must be finite and positive, got {args.val_fraction}")
+        if not 0.0 < args.val_fraction < 1.0:
+            raise ValidationError(f"--val-fraction must be in (0, 1), got {args.val_fraction}")
         rng = np.random.default_rng([seed, 41])
         order = rng.permutation(matrix.n_samples)
         n_val = max(1, int(matrix.n_samples * args.val_fraction))

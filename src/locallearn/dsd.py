@@ -398,7 +398,10 @@ def sensitivity_scan(
 def select_rates(table: SensitivityTable, max_drop_points: float = 0.5) -> dict[str, float]:
     """Per layer, the highest scanned rate whose accuracy stays within
     ``max_drop_points`` (accuracy percentage points) of the baseline;
-    layers failing every rate get 0.0 (excluded from pruning)."""
+    layers failing every rate get 0.0 (excluded from pruning).  A NaN,
+    infinite or negative threshold is a ``ValidationError``."""
+    if not (np.isfinite(max_drop_points) and max_drop_points >= 0):
+        raise ValidationError(f"threshold must be finite and >= 0, got {max_drop_points}")
     floor = table.baseline - max_drop_points / 100.0 - 1e-12
     out: dict[str, float] = {}
     for layer, row in table.acc.items():

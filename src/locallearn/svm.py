@@ -13,14 +13,19 @@ within ``tolerance``; otherwise dual coordinate ascent solves the problem.
 Training takes one row set of a matrix (all rows, or one query's
 neighbourhood) and poses one problem per class.  A set of up to
 ``_GRAM_LIMIT`` rows gets one augmented Gram matrix, on which Newton
-starts every problem from alpha = 0.  A problem it does not certify, and
-every problem of a larger set, is solved by dual coordinate ascent in
-feature space (Hsieh et al., ICML 2008) on the same rows, keeping the
-passes already spent and retrying Newton every ``_WARM_PASSES`` passes.
-There Newton's Q_FF comes from a per-problem cache of the dot products of
-the rows free in its steps (LIBSVM's kernel cache), its gradient from the
-rows of nonzero alpha; both gather rows a tile at a time, as a larger
-gather, once freed, stayed resident.
+starts every problem from alpha = 0; a problem it does not certify goes
+on, alone, to dual coordinate ascent in feature space (Hsieh et al., ICML
+2008) on the same rows, keeping the passes already spent.  The problems of
+a larger set run that ascent together (as in Keerthi et al., KDD 2008):
+they share one random order of the rows, and at each row one ``W @ x``
+gives every live problem's margin, so a row is read once per pass for all
+classes.  Every ``_WARM_PASSES`` passes Newton is retried on each problem
+in turn.  There Newton's Q_FF comes from a cache of the dot products of
+the rows free in the problem's steps (LIBSVM's kernel cache; one problem's
+cache is alive at a time), its gradient from the rows of nonzero alpha;
+both gather rows a tile at a time, as a larger gather, once freed, stayed
+resident.  Newton solves with the labels folded out: Q = (y y') * G, and
+G_FF beta = y_F * r gives alpha_F = y_F * beta bit for bit.
 
 A one-vs-all model is the ascending ids of its trained classes, a weight
 matrix with one row per class and a bias vector.  ``decisions`` computes
@@ -114,13 +119,15 @@ def _kkt_gap(alpha: np.ndarray, G: np.ndarray, C: float) -> np.ndarray:
     return np.where((alpha < 0.0) | (alpha > C), np.inf, np.abs(pg)).max(axis=-1)
 
 
-def _newton(alpha: np.ndarray, grad, block, diag, width: int, cfg: SvmConfig, steps: int):
+def _newton(alpha: np.ndarray, y: np.ndarray, grad, block, diag, width: int, cfg: SvmConfig, steps: int):
     """Active-set Newton finish of one dual from a feasible ``alpha``, given
-    ``grad(a)`` = Q a - 1, ``block(F)`` = Q_FF and ``diag`` = diag(Q).  A step
-    puts index i at 0 where alpha_i - g_i / Q_ii <= 0, at C where it is >= C,
-    and solves for the free rest; at most ``steps`` solves, none with more
-    free indices than ``width`` (Q_FF is then singular).  Returns the
-    certified alpha, or the given one, and the info."""
+    the labels ``y``, ``grad(a)`` = Q a - 1 with Q = (y y') * G, ``block(F)``
+    = G_FF and ``diag`` = diag(Q).  A step puts index i at 0 where
+    alpha_i - g_i / Q_ii <= 0, at C where it is >= C, and solves for the free
+    rest, G_FF beta = y_F * r with alpha_F = y_F * beta, which flips only
+    signs of Q_FF alpha_F = r; at most ``steps`` solves, none with more free
+    indices than ``width`` (G_FF is then singular).  Returns the certified
+    alpha, or the given one, and the info."""
     C, start, g, sets = float(cfg.C), alpha, grad(alpha), None
     for solves in range(steps + 1):
         z = alpha - g / diag
@@ -135,33 +142,31 @@ def _newton(alpha: np.ndarray, grad, block, diag, width: int, cfg: SvmConfig, st
             break
         alpha = np.where(new == 2, C, 0.0)
         try:
-            alpha[free] = np.linalg.solve(block(free), -grad(alpha)[free])
+            alpha[free] = y[free] * np.linalg.solve(block(free), y[free] * -grad(alpha)[free])
         except np.linalg.LinAlgError:
             return start, {"passes": solves + 1, "converged": False, "kkt_gap": np.inf}
         g, sets = grad(alpha), new
     return start, {"passes": solves, "converged": False, "kkt_gap": np.inf}
 
 
-def _solve_alone(X: np.ndarray, y: np.ndarray, cfg: SvmConfig, passes: int = 0):
-    """Dual coordinate ascent on one problem in feature space from alpha = 0,
-    ``passes`` already spent, the bias kept apart so that X is not copied.
-    A pass visits, in a random order, every index that is free or has a
-    nonzero projected gradient, which after the pass certifies convergence.
-    Every ``_WARM_PASSES`` passes Newton is tried: Q_FF comes from this
-    problem's Gram cache, and the gradient from the rows of nonzero alpha."""
-    n, C = X.shape[0], float(cfg.C)
-    rng = np.random.default_rng(cfg.seed)
-    a, w, bias, g = np.zeros(n), np.zeros(X.shape[1]), 0.0, -np.ones(n)
-    diag = np.einsum("ij,ij->i", X, X) + 1.0
-    ys, qdiag = y.tolist(), diag.tolist()
-    cached, slot, gram = np.empty(0, dtype=np.intp), np.full(n, -1), np.empty((0, 0))
-
+def _feature_grad(X: np.ndarray, y: np.ndarray):
+    """``grad(a)`` = Q a - 1 of one problem on the rows of X, summed over the
+    rows of nonzero alpha a tile at a time."""
     def grad(alpha):
         nz = np.flatnonzero(alpha)
         if not nz.size:
-            return -np.ones(n)
+            return -np.ones(X.shape[0])
         v = sum((alpha[p] * y[p]) @ X[p] for p in np.split(nz, range(_ROWS, nz.size, _ROWS)))
         return y * (X @ v + alpha @ y) - 1.0
+    return grad
+
+
+def _gram_cache(X: np.ndarray):
+    """``block(F)`` = G_FF = X_F X_F' + 1 from a cache of the rows of X free
+    in any block asked for so far (LIBSVM's kernel cache): only rows new to
+    it are multiplied, against the cached ones a tile at a time, as a larger
+    gather, once freed, stayed resident."""
+    cached, slot, gram = np.empty(0, dtype=np.intp), np.full(X.shape[0], -1), np.empty((0, 0))
 
     def block(F):
         nonlocal cached, gram
@@ -169,33 +174,75 @@ def _solve_alone(X: np.ndarray, y: np.ndarray, cfg: SvmConfig, passes: int = 0):
         if new.size:
             Xn = X[new]
             cross = np.vstack([X[p] @ Xn.T for p in np.split(cached, range(_ROWS, cached.size, _ROWS))])
-            gram, Xn = np.block([[gram, cross], [cross.T, Xn @ Xn.T]]), None  # free the gather first
+            cross += 1.0
+            gram, Xn = np.block([[gram, cross], [cross.T, Xn @ Xn.T + 1.0]]), None  # free the gather first
             slot[new], cached = np.arange(cached.size, cached.size + new.size), np.append(cached, new)
-        return (gram[np.ix_(slot[F], slot[F])] + 1.0) * y[F] * y[F, None]
+        return gram[np.ix_(slot[F], slot[F])]
+    return block
 
-    sweeps = 0
-    while passes < cfg.max_passes:
-        if sweeps and sweeps % _WARM_PASSES == 0 and passes < cfg.max_passes - 1:
-            done, info = _newton(a, grad, block, diag, X.shape[1] + 1, cfg,
-                                 min(_NEWTON_STEPS, cfg.max_passes - passes - 1))
-            passes += info["passes"]
-            if info["converged"]:
-                return done, {**info, "passes": passes}
-        visit = np.flatnonzero(np.where(a == 0.0, g < 0.0, np.where(a == C, g > 0.0, True)))
-        al = a.tolist()
-        for i in visit[rng.permutation(visit.size)].tolist():
-            a_new = min(max(al[i] - (ys[i] * (float(w @ X[i]) + bias) - 1.0) / qdiag[i], 0.0), C)
-            if a_new != al[i]:
-                step = (a_new - al[i]) * ys[i]
-                w += step * X[i]
-                bias += step
-                al[i] = a_new
-        a, g, passes, sweeps = np.array(al), y * (X @ w + bias) - 1.0, passes + 1, sweeps + 1
-        gap = float(_kkt_gap(a, g, C))
-        info = {"passes": passes, "converged": gap <= cfg.tolerance, "kkt_gap": gap}
-        if info["converged"]:
-            break
-    return a, info
+
+def _solve_alone(X: np.ndarray, Y: np.ndarray, cfg: SvmConfig, spent: int = 0):
+    """Dual coordinate ascent in feature space on the problems of one row set,
+    one per +/-1 label row of Y (m, n), each from alpha = 0 with ``spent``
+    passes already spent; the bias is kept apart so that X is not copied.
+
+    The live problems share one order: a pass visits, in one random
+    permutation, every row that is free or has a nonzero projected gradient
+    in some live problem (which after the pass certifies that problem).  At
+    each row one ``W @ x`` gives every live problem's margin, and each
+    problem whose own visit set holds the row takes its exact step and
+    updates its own row of W.  With one problem this is the ascent of that
+    problem alone.  Every ``_WARM_PASSES`` passes Newton is tried on each
+    live problem in turn: Q_FF comes from a Gram cache of the problem's rows
+    (one cache alive at a time, kept while the same problem tries again),
+    and the gradient from the rows of nonzero alpha.  A problem leaves the
+    live set when certified or at ``max_passes``.  Returns the alphas (m, n)
+    and the infos."""
+    (m, n), C = Y.shape, float(cfg.C)
+    rng = np.random.default_rng(cfg.seed)
+    A, G = np.zeros((m, n)), -np.ones((m, n))
+    diag = np.einsum("ij,ij->i", X, X) + 1.0
+    qdiag = diag.tolist()
+    live, W, b = list(range(m)), np.zeros((m, X.shape[1])), [0.0] * m
+    passes, infos = [spent] * m, [None] * m
+    block, owner, sweeps = None, None, 0
+    while True:
+        if sweeps and sweeps % _WARM_PASSES == 0:
+            for p in live:
+                if passes[p] < cfg.max_passes - 1:
+                    if owner != p:  # the last problem's cache is freed here, before this one grows
+                        block, owner = _gram_cache(X), p
+                    done, info = _newton(A[p], Y[p], _feature_grad(X, Y[p]), block, diag, X.shape[1] + 1,
+                                         cfg, min(_NEWTON_STEPS, cfg.max_passes - passes[p] - 1))
+                    passes[p] += info["passes"]
+                    if info["converged"]:
+                        A[p], infos[p] = done, {**info, "passes": passes[p]}
+        keep = [k for k, p in enumerate(live) if infos[p] is None]
+        live, W, b = [live[k] for k in keep], W[keep], [b[k] for k in keep]
+        if not live:
+            return A, infos
+        Al, Gl = A[live], G[live]
+        visits = np.where(Al == 0.0, Gl < 0.0, np.where(Al == C, Gl > 0.0, True))
+        order = np.flatnonzero(visits.any(axis=0))
+        states = [(k, memoryview(A[p]), memoryview(Y[p]), visits[k].tobytes(), W[k]) for k, p in enumerate(live)]
+        for i in order[rng.permutation(order.size)].tolist():
+            x = X[i]
+            margins = W.dot(x).tolist()
+            for k, al, ys, visit, w in states:
+                if visit[i]:
+                    a = al[i]
+                    a_new = min(max(a - (ys[i] * (margins[k] + b[k]) - 1.0) / qdiag[i], 0.0), C)
+                    if a_new != a:
+                        step = (a_new - a) * ys[i]
+                        w += step * x
+                        b[k] += step
+                        al[i] = a_new
+        G[live] = Y[live] * (X @ W.T + b).T - 1.0
+        sweeps += 1
+        for p, gap in zip(live, _kkt_gap(A[live], G[live], C).tolist()):
+            passes[p] += 1
+            if gap <= cfg.tolerance or passes[p] >= cfg.max_passes:
+                infos[p] = {"passes": passes[p], "converged": gap <= cfg.tolerance, "kkt_gap": gap}
 
 
 def _solve_rows(X: np.ndarray, rows, Y: np.ndarray, cfg: SvmConfig):
@@ -208,17 +255,17 @@ def _solve_rows(X: np.ndarray, rows, Y: np.ndarray, cfg: SvmConfig):
         Xa = np.hstack([Xs, np.ones((n, 1))])
         K = Xa @ Xa.T
         steps = min(_NEWTON_STEPS, cfg.max_passes - 1)
-        solved = []
-        for y in Y:
-            alpha, info = _newton(np.zeros(n), lambda a: y * (K @ (a * y)) - 1.0,
-                                  lambda F: np.outer(y[F], y[F]) * K[np.ix_(F, F)],
-                                  np.diagonal(K), X.shape[1] + 1, cfg, steps)
-            solved.append((alpha, info) if info["converged"] else _solve_alone(Xs, y, cfg, info["passes"]))
+        alphas, infos = np.empty(Y.shape), []
+        for p, y in enumerate(Y):
+            alphas[p], info = _newton(np.zeros(n), y, lambda a: y * (K @ (a * y)) - 1.0,
+                                      lambda F: K[np.ix_(F, F)], np.diagonal(K), X.shape[1] + 1, cfg, steps)
+            if not info["converged"]:
+                (alphas[p],), (info,) = _solve_alone(Xs, Y[p:p + 1], cfg, info["passes"])
+            infos.append(info)
     else:
-        solved = [_solve_alone(Xs, y, cfg) for y in Y]
-    alphas = np.array([a for a, _ in solved])
+        alphas, infos = _solve_alone(Xs, Y, cfg)
     W = np.array([np.append(ay @ Xs, ay.sum()) for ay in alphas * Y])
-    return W, alphas, [info for _, info in solved]
+    return W, alphas, infos
 
 
 @dataclass

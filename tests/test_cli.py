@@ -444,16 +444,15 @@ class TestDsdCommands:
         assert not (tmp_path / "m.llmb").exists()
 
     @pytest.mark.parametrize("extra, error", [
-        (["--val-fraction", "1.0"], "error: ValidationError: training set is empty"),
-        *[(["--val-fraction", bad], "error: ValidationError: --val-fraction must be finite and positive")
-          for bad in ("0.0", "-0.5", "nan", "inf")],
+        *[(["--val-fraction", bad], "error: ValidationError: --val-fraction must be in (0, 1)")
+          for bad in ("1.0", "0.0", "-0.5", "nan", "inf", "1.5")],
         (["--lr", "nan"], "error: ValidationError: lr must be finite and positive"),
         (["--lr", "inf"], "error: ValidationError: lr must be finite and positive"),
         (["--hidden", "-1"], "error: ValidationError: --hidden must be >= 0"),
         (["--patience", "-1"], "error: ValidationError: patience must be >= 0"),
         (["--exclude", "fc3"], "error: ValidationError: --exclude names no layer of the model: fc3"),
     ], ids=["val-fraction-1", "val-fraction-0", "val-fraction-negative", "val-fraction-nan",
-            "val-fraction-inf", "lr-nan", "lr-inf", "hidden-negative", "patience-negative",
+            "val-fraction-inf", "val-fraction-above-1", "lr-nan", "lr-inf", "hidden-negative", "patience-negative",
             "exclude-unknown-layer"])
     def test_bad_training_setting_exits_2(self, tmp_path, capsys, extra, error):
         self._features(tmp_path)
@@ -520,6 +519,20 @@ class TestDsdCommands:
                     "--labelmap", tmp_path / "map.txt", "--rates", rates,
                     "--out", tmp_path / "scan.csv"]) == 2
         self._one_error_line(capsys, "error: ValidationError: --rates expects")
+        assert not (tmp_path / "scan.csv").exists()
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-0.5"])
+    def test_bad_threshold_exits_2(self, tmp_path, capsys, threshold):
+        # A NaN threshold used to pass every comparison as false and print
+        # rate 0.0 for every layer, exit 0.
+        self._features(tmp_path)
+        assert self._train(tmp_path) == 0
+        capsys.readouterr()
+        assert run(["sensitivity-scan", "--model", tmp_path / "m.llmb",
+                    "--features", tmp_path / "f.fv", "--labels", tmp_path / "l.csv",
+                    "--labelmap", tmp_path / "map.txt", f"--threshold={threshold}",
+                    "--out", tmp_path / "scan.csv"]) == 2
+        self._one_error_line(capsys, "error: ValidationError: threshold must be finite and >= 0")
         assert not (tmp_path / "scan.csv").exists()
 
     def test_divergence_exits_3(self, tmp_path, capsys):

@@ -299,6 +299,16 @@ class TestSelectRates:
         table = self._table({"fc1": {0.3: 0.0, 0.4: 0.1, 0.5: 0.3, 0.6: 0.5}})
         assert select_rates(table) == {"fc1": 0.6}
 
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), -0.5])
+    def test_bad_threshold_rejected(self, threshold):
+        table = self._table({"fc1": {0.3: 0.0, 0.4: 0.1, 0.5: 0.3, 0.6: 0.5}})
+        with pytest.raises(ValidationError, match="threshold must be finite and >= 0"):
+            select_rates(table, max_drop_points=threshold)
+
+    def test_zero_threshold_keeps_only_no_drop(self):
+        table = self._table({"fc1": {0.3: 0.0, 0.4: 0.1, 0.5: 0.3, 0.6: 0.5}})
+        assert select_rates(table, max_drop_points=0.0) == {"fc1": 0.3}
+
 
 class TestModelIO:
     def test_roundtrip(self, tmp_path):

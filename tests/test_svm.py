@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -233,8 +234,8 @@ class TestNewtonFinish:
         # and the start comes back uncertified.
         Q = np.array([[2.0, 0.5], [0.5, 1.0]])
         start = np.zeros(2)
-        alpha, info = svm_mod._newton(start, lambda a: Q @ a - 1.0, lambda F: 1.01 * Q[np.ix_(F, F)],
-                                      np.diag(Q), 3, SvmConfig(C=100.0), 10)
+        alpha, info = svm_mod._newton(start, np.ones(2), lambda a: Q @ a - 1.0,
+                                      lambda F: 1.01 * Q[np.ix_(F, F)], np.diag(Q), 3, SvmConfig(C=100.0), 10)
         assert alpha is start and not info["converged"] and info["passes"] == 1
 
     @pytest.mark.parametrize("gram_limit", [2048, 1])
@@ -379,19 +380,19 @@ class TestFeatureSpaceNewton:
         ]
         seen, original = [], svm_mod._newton
 
-        def driving(alpha, grad, block, diag, width, cfg, steps):
+        def driving(alpha, labels, grad, block, diag, width, cfg, steps):
             if not seen:
                 _TrackedRows.products.clear()
                 for F in free_sets:
-                    Z = X[F] * y[F, None]
-                    direct = Z @ Z.T + np.outer(y[F], y[F])
-                    Q = block(F)
-                    assert np.abs(Q - direct).max() <= 1e-12 * np.abs(direct).max()
+                    direct = X[F] @ X[F].T + 1.0
+                    G = block(F)
+                    assert np.abs(G - direct).max() <= 1e-12 * np.abs(direct).max()
                 seen.append(list(_TrackedRows.products))
-            return original(alpha, grad, block, diag, width, cfg, steps)
+            return original(alpha, labels, grad, block, diag, width, cfg, steps)
 
         monkeypatch.setattr(svm_mod, "_newton", driving)
-        _, info = svm_mod._solve_alone(tracked, y, SvmConfig(C=100.0, tolerance=1e-8, max_passes=100_000))
+        _, (info,) = svm_mod._solve_alone(tracked, y[None, :],
+                                          SvmConfig(C=100.0, tolerance=1e-8, max_passes=100_000))
         assert info["converged"]
         # every dot product of two rows is computed at most once, and those
         # of every free set are computed
@@ -416,12 +417,12 @@ class TestFeatureSpaceNewton:
         tracked.rows = np.arange(n)
         grads, original = [], svm_mod._newton
 
-        def capture(alpha, grad, block, diag, width, cfg, steps):
+        def capture(alpha, labels, grad, block, diag, width, cfg, steps):
             grads.append(grad)
-            return original(alpha, grad, block, diag, width, cfg, steps)
+            return original(alpha, labels, grad, block, diag, width, cfg, steps)
 
         monkeypatch.setattr(svm_mod, "_newton", capture)
-        svm_mod._solve_alone(tracked, y, SvmConfig(C=10.0, max_passes=12))
+        svm_mod._solve_alone(tracked, y[None, :], SvmConfig(C=10.0, max_passes=12))
         grad = grads[0]
         for density in (1.0, 0.5, 0.02):
             alpha = rng.uniform(0.0, 10.0, n) * (rng.random(n) < density)
@@ -449,6 +450,82 @@ class TestFeatureSpaceNewton:
         assert info["converged"] and info["kkt_gap"] <= 1e-9
         oracle, _ = box_qp_max(svm_dual_gram(X, y), 10.0)
         assert abs(svm_dual_value(X, y, alpha) - oracle) <= 1e-6 * max(1.0, abs(oracle))
+
+
+class TestJointAscent:
+    # A row set above _GRAM_LIMIT rows: one coordinate ascent for all of its
+    # class problems, each row visited once per pass for all of them.
+
+    @staticmethod
+    def _blobs(n_classes=4, seed=2, d=2):
+        """Blobs in the first two of d dimensions, noise in the others."""
+        X, labels = gaussian_blobs(40, n_classes=n_classes, spread=1.0, seed=seed)
+        X = np.hstack([X, np.random.default_rng(7).normal(size=(X.shape[0], d - 2))])
+        return X, labels, np.where(labels == np.arange(n_classes)[:, None], 1.0, -1.0)
+
+    @pytest.mark.parametrize("C, d", [(1.0, 2), (100.0, 40)])
+    def test_every_problem_certifies_and_matches_oracle(self, C, d, monkeypatch):
+        # d = 2: Newton cannot start (more free rows than 3 dimensions) and
+        # the ascent certifies; d = 40: the Newton retries certify.
+        X, labels, Y = self._blobs(d=d)
+        monkeypatch.setattr(svm_mod, "_GRAM_LIMIT", 16)
+        handed = _spy(monkeypatch, "_solve_alone")
+        cfg = SvmConfig(C=C, tolerance=1e-9, max_passes=100_000)
+        W, alphas, infos = svm_mod._solve_rows(X, slice(None), Y, cfg)
+        assert len(handed) == 1 and handed[0][0].shape == Y.shape
+        for y, w, alpha, info in zip(Y, W, alphas, infos):
+            assert info["converged"] and info["kkt_gap"] <= 1e-9
+            assert np.all(alpha >= 0.0) and np.all(alpha <= C)
+            assert np.allclose(w, (alpha * y) @ np.hstack([X, np.ones((X.shape[0], 1))]), atol=1e-9)
+            oracle, _ = box_qp_max(svm_dual_gram(X, y), C)
+            assert abs(svm_dual_value(X, y, alpha) - oracle) <= 1e-6 * max(1.0, abs(oracle))
+
+    def test_two_class_set_equals_binary_solve(self, monkeypatch):
+        X, labels, _ = self._blobs(n_classes=2, seed=4)
+        monkeypatch.setattr(svm_mod, "_GRAM_LIMIT", 16)
+        cfg = SvmConfig(C=10.0, tolerance=1e-8, seed=3)
+        model, infos = train_ova(X, labels, cfg, return_infos=True)
+        w, b, _, info = train_binary(X, np.where(labels == 1, 1.0, -1.0), cfg)
+        assert np.array_equal(model.W[1], w) and model.b[1] == b
+        assert np.array_equal(model.W[0], -w) and model.b[0] == -b
+        assert infos == [info, info] and info["converged"]
+
+    def test_exhausted_problem_does_not_stop_its_siblings(self, monkeypatch):
+        # Problem 0's Newton tries spend every step they may and never
+        # certify, so it reaches max_passes after about 70 passes of the
+        # set; the others keep going until they certify.
+        X, labels, Y = self._blobs()
+        original = svm_mod._newton
+
+        def burning(alpha, y, grad, block, diag, width, cfg, steps):
+            if np.array_equal(y, Y[0]):
+                return alpha, {"passes": steps, "converged": False, "kkt_gap": np.inf}
+            return original(alpha, y, grad, block, diag, width, cfg, steps)
+
+        monkeypatch.setattr(svm_mod, "_newton", burning)
+        cfg = SvmConfig(C=1.0, tolerance=1e-6, max_passes=250)
+        alphas, infos = svm_mod._solve_alone(X, Y, cfg)
+        assert infos[0]["passes"] == 250 and not infos[0]["converged"]
+        for y, alpha, info in zip(Y[1:], alphas[1:], infos[1:]):
+            assert info["converged"] and 100 < info["passes"] < 250
+            oracle, _ = box_qp_max(svm_dual_gram(X, y), 1.0)
+            assert abs(svm_dual_value(X, y, alpha) - oracle) <= 1e-6 * max(1.0, abs(oracle))
+
+    def test_one_newton_cache_alive_at_a_time(self, monkeypatch):
+        # Every problem tries Newton at least once and some several times.
+        X, labels, Y = self._blobs(d=40)
+        attempts, original = [], svm_mod._newton
+
+        def watching(alpha, y, grad, block, diag, width, cfg, steps):
+            problem = int(np.flatnonzero((Y == y).all(axis=1))[0])
+            assert all(ref() is None for p, ref in attempts if p != problem)
+            attempts.append((problem, weakref.ref(block)))
+            return original(alpha, y, grad, block, diag, width, cfg, steps)
+
+        monkeypatch.setattr(svm_mod, "_newton", watching)
+        _, infos = svm_mod._solve_alone(X, Y, SvmConfig(C=100.0, tolerance=1e-8, max_passes=100_000))
+        assert all(info["converged"] for info in infos)
+        assert len({p for p, _ in attempts}) == Y.shape[0] and len(attempts) > Y.shape[0]
 
 
 class TestDecision:
