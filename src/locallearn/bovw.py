@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import fan_out
+from .core import check_workers, fan_out
 from .errors import DimMismatch, ImageTooSmall, LevelMismatch, MalformedFile, ValidationError
 
 VOCAB_MAGIC = b"LLVB"
@@ -407,6 +407,7 @@ def build_vocab(
 ) -> Vocabulary:
     """Cluster descriptors of all training images into one vocabulary per
     pyramid level."""
+    check_workers(workers)
     if not images:
         raise ValidationError("need at least one training image")
     pooled = np.vstack([dense_sift(img, sift).vectors for img in images])

@@ -11,7 +11,8 @@ robustly.  Both round-trip bit-exactly:
   integers and floats little-endian.
 
 ``FeatureRows`` reads either format one row at a time; ``load_features``
-and fusion both read through it.
+and fusion both read through it.  A file's rows and a ``FeatureMatrix``'s
+pass one check, ``_checked_rows``: finite values, id syntax, unique ids.
 
 Labels live in separate files of ``sample_id,class_name`` lines keyed by
 sample id, never by position.  A label map file lists one class name per
@@ -79,13 +80,29 @@ def read_lines(path) -> list[str]:
         raise MalformedFile(f"{path}: not UTF-8: {exc}")
 
 
-def _check_id(sample_id: str) -> str:
+def _check_id(sample_id: str, prefix: str = "") -> None:
     if not sample_id:
-        raise ValidationError("empty sample id")
+        raise ValidationError(f"{prefix}empty sample id")
     for ch in _ID_FORBIDDEN:
         if ch in sample_id:
-            raise ValidationError(f"sample id {sample_id!r} contains {ch!r}")
-    return sample_id
+            raise ValidationError(f"{prefix}sample id {sample_id!r} contains {ch!r}")
+
+
+def _checked_rows(rows, where=""):
+    """Yield each ``(sample_id, values)`` of ``rows`` once it is checked:
+    finite values (``NonFiniteValue`` with the row and column), id syntax
+    and an id not seen before.  The first faulty row raises; ``where`` (a
+    file path) prefixes every message."""
+    prefix, seen = f"{where}: " if where else "", set()
+    for row, (sid, values) in enumerate(rows):
+        if not np.isfinite(values).all():
+            col = int(np.flatnonzero(~np.isfinite(values))[0])
+            raise NonFiniteValue(f"{prefix}non-finite value at row {row}, col {col}", row=row, col=col)
+        _check_id(sid, prefix)
+        if sid in seen:
+            raise ValidationError(f"{prefix}duplicate sample id {sid!r}")
+        seen.add(sid)
+        yield sid, values
 
 
 def _checked_labels(labels, n: int) -> np.ndarray:
@@ -101,9 +118,10 @@ class FeatureMatrix:
     """Immutable dense matrix of per-sample feature vectors.
 
     Rows are float64 vectors keyed by unique sample ids; ``labels`` is an
-    optional vector of integer class ids.  Values are checked to be finite
-    once, at construction, and the backing array is frozen, so instances
-    are safe to share read-only across workers.
+    optional vector of integer class ids.  The rows are checked once, at
+    construction, as a file's rows are read (``_checked_rows``; the first
+    faulty row raises), and the backing array is frozen, so instances are
+    safe to share read-only across workers.
     """
 
     __slots__ = ("values", "sample_ids", "labels", "_row_of")
@@ -114,24 +132,11 @@ class FeatureMatrix:
             raise ValidationError(f"feature values must be 2-D, got {values.ndim}-D")
         if values.shape[1] < 1:
             raise ValidationError("feature dim must be >= 1")
-        if not np.isfinite(values).all():
-            row, col = np.argwhere(~np.isfinite(values))[0]
-            raise NonFiniteValue(
-                f"non-finite value at row {row}, col {col}", row=int(row), col=int(col)
-            )
-        sample_ids = tuple(_check_id(str(s)) for s in sample_ids)
+        sample_ids = tuple(str(s) for s in sample_ids)
         if len(sample_ids) != values.shape[0]:
-            raise ValidationError(
-                f"{len(sample_ids)} sample ids for {values.shape[0]} rows"
-            )
-        if len(set(sample_ids)) != len(sample_ids):
-            seen, dup = set(), None
-            for s in sample_ids:
-                if s in seen:
-                    dup = s
-                    break
-                seen.add(s)
-            raise ValidationError(f"duplicate sample id {dup!r}")
+            raise ValidationError(f"{len(sample_ids)} sample ids for {values.shape[0]} rows")
+        for _ in _checked_rows(zip(sample_ids, values)):
+            pass
         labels = None if labels is None else _checked_labels(labels, values.shape[0])
         self._freeze(values, sample_ids, labels)
 
@@ -246,10 +251,9 @@ class FeatureRows:
     Opening reads the header, and scans a text file once to count its rows
     and check their value counts, so ``dim`` and ``n_samples`` are known
     first.  ``items()`` yields ``(sample_id, values)`` in file order, in one
-    pass (a binary row's buffer is reused), and checks each row: bytes,
-    finite values (``NonFiniteValue`` with the file's row and column), id
-    syntax and unique ids.  A file with faults in several rows reports the
-    first; every error names the file.
+    pass (a binary row's buffer is reused), and checks each row: its bytes,
+    then ``_checked_rows``, the checks of ``FeatureMatrix``.  A file with
+    faults in several rows reports the first; every error names the file.
     """
 
     def __init__(self, path, expected_dim: int | None = None):
@@ -277,20 +281,7 @@ class FeatureRows:
         self._fh.close()
 
     def items(self):
-        seen = set()
-        for row, (sid, values) in enumerate(self._rows()):
-            if not np.isfinite(values).all():
-                col = int(np.flatnonzero(~np.isfinite(values))[0])
-                raise NonFiniteValue(f"{self.path}: non-finite value at row {row}, col {col}",
-                                     row=row, col=col)
-            try:
-                _check_id(sid)
-            except ValidationError as exc:
-                raise ValidationError(f"{self.path}: {exc}") from None
-            if sid in seen:
-                raise ValidationError(f"{self.path}: duplicate sample id {sid!r}")
-            seen.add(sid)
-            yield sid, values
+        return _checked_rows(self._rows(), self.path)
 
     def _binary_header(self) -> tuple[int, int]:
         head = self._fh.read(struct.calcsize("<IIQ"))
@@ -501,6 +492,8 @@ class DatasetManifest:
             raise ValidationError("duplicate source name in manifest")
         if self.seed < 0:
             raise ValidationError(f"manifest seed must be >= 0, got {self.seed}")
+        if self.cap is not None and self.cap < 1:
+            raise ValidationError(f"manifest cap must be >= 1, got {self.cap}")
 
 
 def parse_manifest(path) -> DatasetManifest:
@@ -517,7 +510,8 @@ def parse_manifest(path) -> DatasetManifest:
         renormalize on|off
 
     Paths are resolved relative to the manifest's directory.  ``source``
-    may repeat; declaration order is the fusion order.
+    may repeat; declaration order is the fusion order.  ``dim`` and ``cap``
+    are >= 1, checked here, before any data file is read.
     """
     path = Path(path)
     base = path.parent
@@ -538,6 +532,8 @@ def parse_manifest(path) -> DatasetManifest:
             for opt in tokens[3:]:
                 if opt.startswith("dim="):
                     dim = _parse_int(opt[4:], path, lineno)
+                    if dim < 1:
+                        raise MalformedFile(f"{path}:{lineno}: dim must be >= 1, got {dim}")
                 elif opt.startswith("normalize="):
                     normalize = _parse_on_off(opt[10:], path, lineno)
                 else:

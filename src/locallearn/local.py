@@ -9,11 +9,11 @@ and that model scores every query that chose the set.  So with
 k >= n_train all queries share one model, the global one bit for bit, and
 ``svm.decisions`` scores it as the global model.
 
-Each query is searched once: the same k nearest rows give the local SVM
-its training set and the cosine k-NN baseline its vote.  The search runs
-over tiles of ``neighbors._TILE`` queries and keeps only each query's k
-rows and its vote; a query's neighbors and vote are the same whatever
-tile or worker it lands in.
+Each query is searched once: one ``top_k_batch`` call per batch gives
+every query its k nearest rows, the local SVM's training set and the
+cosine k-NN baseline's vote alike.  A query's neighbors and vote do not
+depend on the batch it is searched in.  Workers spread only the solves
+of the distinct neighbor sets.
 
 Classes absent from a neighborhood cannot be predicted (decision -inf);
 a single-class neighborhood returns that class with a +inf sentinel and
@@ -27,9 +27,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import FeatureMatrix, fan_out
+from .core import FeatureMatrix, check_workers, fan_out
 from .errors import MissingLabels, ValidationError
-from .neighbors import _TILE, CosineIndex, top_k_batch
+from .neighbors import CosineIndex, top_k_batch
 from .svm import SvmConfig, predict_ova_batch, train_ova_rows
 
 
@@ -94,34 +94,29 @@ def local_predict_batch(
 
     Queries whose neighbor rows are the same set share one model: each
     distinct set is solved once and its model scores all of its queries.
-    ``workers`` fans tiles of queries out over threads for the search, then
-    distinct sets for the solver; the training matrix and index are shared
-    read-only, so results are identical for any worker count.  Stage times
-    are wall-clock; the vote is part of the search stage.
+    The whole batch is searched in one call; ``workers`` fans the distinct
+    sets out over threads for the solver.  The training matrix and index
+    are shared read-only, so results are identical for any worker count.
+    Stage times are wall-clock; the vote is part of the search stage.
     """
+    check_workers(workers)
     labels = _require_labels(train)
     timing = BatchTiming(n_queries=queries.n_samples)
     t_start = time.perf_counter()
+    rows, knn = _search(CosineIndex(train), labels, queries.values, cfg.k)
+    t_search = time.perf_counter()
+    local = np.empty(queries.n_samples, dtype=np.int64)
+
+    def solve(hits, members):
+        model, infos = train_ova_rows(train.values, labels, hits, cfg.svm)
+        local[members] = predict_ova_batch(model, queries.values[members])
+        return infos
+
+    sets, which = np.unique(rows, axis=0, return_inverse=True)
+    which = which.ravel()
+    # each distinct set's queries, in input order
+    members = np.split(np.argsort(which, kind="stable"), np.cumsum(np.bincount(which))[:-1])
     with fan_out(workers) as fan:
-        index = CosineIndex(train)
-        rows = np.empty((queries.n_samples, min(cfg.k, train.n_samples)), dtype=np.int64)
-        knn = np.empty(queries.n_samples, dtype=np.int64)
-        local = np.empty(queries.n_samples, dtype=np.int64)
-
-        def search(s):
-            rows[s:s + _TILE], knn[s:s + _TILE] = _search(index, labels, queries.values[s:s + _TILE], cfg.k)
-
-        def solve(hits, members):
-            model, infos = train_ova_rows(train.values, labels, hits, cfg.svm)
-            local[members] = predict_ova_batch(model, queries.values[members])
-            return infos
-
-        list(fan(search, range(0, queries.n_samples, _TILE)))
-        t_search = time.perf_counter()
-        sets, which = np.unique(rows, axis=0, return_inverse=True)
-        which = which.ravel()
-        # each distinct set's queries, in input order
-        members = np.split(np.argsort(which, kind="stable"), np.cumsum(np.bincount(which))[:-1])
         infos = [info for part in fan(solve, sets, members) for info in part]
     timing.search_s = t_search - t_start
     timing.solve_s = time.perf_counter() - t_search

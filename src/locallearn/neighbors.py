@@ -9,7 +9,7 @@ Queries are searched in tiles of ``_TILE`` rows, the last one zero-padded:
 each tile is one matrix-matrix product against the index.  BLAS gives a
 column of a product of fixed width the same bits at any position, so a
 query's similarities never depend on how many queries it was searched
-with, on its neighbors in the batch, or on the worker that searched it.
+with or on its neighbors in the batch.
 Each query's row is ranked by a partial sort, and only the rows at or
 above its k-th similarity, every row tied there included, are sorted.
 """

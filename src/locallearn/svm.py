@@ -1,8 +1,9 @@
 """Soft-margin linear SVM (L1 hinge) and one-versus-all multiclass wrapper.
 
-The bias is handled by augmenting every sample with a constant feature of
-value 1, so the bias is regularized and a generic QP solver on the
-augmented dual reproduces the same optimum.
+The bias is regularized: the dual is over G = X X' + 1, as if every
+sample had a constant feature of value 1, so a generic QP solver on that
+augmented dual reproduces the same optimum.  No augmented copy of X is
+built; the weights W and the bias b are kept apart.
 
 Each dual is finished, where it can be, by an exact active-set Newton
 step (one pass each): it puts every index at 0, at C or free, solves the
@@ -12,7 +13,7 @@ within ``tolerance``; otherwise dual coordinate ascent solves the problem.
 
 Training takes one row set of a matrix (all rows, or one query's
 neighbourhood) and poses one problem per class.  A set of up to
-``_GRAM_LIMIT`` rows gets one augmented Gram matrix, on which Newton
+``_GRAM_LIMIT`` rows gets one Gram matrix G, on which Newton
 starts every problem from alpha = 0; a problem it does not certify goes
 on, alone, to dual coordinate ascent in feature space (Hsieh et al., ICML
 2008) on the same rows, keeping the passes already spent.  The problems of
@@ -109,8 +110,8 @@ def train_binary(X, y, cfg: SvmConfig) -> tuple[np.ndarray, float, np.ndarray, d
         raise ValidationError("y entries must be -1 or +1")
     if np.unique(y).size < 2:
         raise SingleClass("training data contains a single class")
-    W, alphas, infos = _solve_rows(Xv, slice(None), y[None, :], cfg)
-    return W[0, :-1], float(W[0, -1]), alphas[0], infos[0]
+    W, b, alphas, infos = _solve_rows(Xv, slice(None), y[None, :], cfg)
+    return W[0], float(b[0]), alphas[0], infos[0]
 
 
 def _kkt_gap(alpha: np.ndarray, G: np.ndarray, C: float) -> np.ndarray:
@@ -247,13 +248,13 @@ def _solve_alone(X: np.ndarray, Y: np.ndarray, cfg: SvmConfig, spent: int = 0):
 
 def _solve_rows(X: np.ndarray, rows, Y: np.ndarray, cfg: SvmConfig):
     """Solve the problems on ``rows`` of X (an index array or a slice), one
-    per +/-1 label row of Y.  Returns the augmented weights and alphas, one
-    row per problem, and the infos."""
+    per +/-1 label row of Y.  Returns the weights W (m, d), the biases b
+    (m,) and the alphas (m, n), one row per problem, and the infos."""
     Xs = X[rows]
     n = Xs.shape[0]
     if n <= _GRAM_LIMIT:
-        Xa = np.hstack([Xs, np.ones((n, 1))])
-        K = Xa @ Xa.T
+        K = Xs @ Xs.T
+        K += 1.0
         steps = min(_NEWTON_STEPS, cfg.max_passes - 1)
         alphas, infos = np.empty(Y.shape), []
         for p, y in enumerate(Y):
@@ -264,8 +265,8 @@ def _solve_rows(X: np.ndarray, rows, Y: np.ndarray, cfg: SvmConfig):
             infos.append(info)
     else:
         alphas, infos = _solve_alone(Xs, Y, cfg)
-    W = np.array([np.append(ay @ Xs, ay.sum()) for ay in alphas * Y])
-    return W, alphas, infos
+    AY = alphas * Y
+    return np.array([ay @ Xs for ay in AY]), np.array([ay.sum() for ay in AY]), alphas, infos
 
 
 @dataclass
@@ -350,10 +351,10 @@ def train_ova_rows(X, labels, rows, cfg: SvmConfig) -> tuple[OvaModel, list[dict
     # Two classes pose one dual (y -> -y leaves (y y')K alone): solve for
     # the second, and the first's weights are the negation.
     solved = classes[1:] if classes.size == 2 else classes
-    W, _, infos = _solve_rows(Xv, rows, np.where(labels == solved[:, None], 1.0, -1.0), cfg)
+    W, b, _, infos = _solve_rows(Xv, rows, np.where(labels == solved[:, None], 1.0, -1.0), cfg)
     if classes.size == 2:
-        W, infos = np.vstack([-W, W]), infos * 2
-    return OvaModel(classes, W[:, :-1], W[:, -1], int(classes.max()) + 1), infos
+        W, b, infos = np.vstack([-W, W]), np.append(-b, b), infos * 2
+    return OvaModel(classes, W, b, int(classes.max()) + 1), infos
 
 
 def decisions(model: OvaModel, X) -> np.ndarray:

@@ -373,6 +373,35 @@ class TestMalformedInputExits2:
             assert err == "error: ValidationError: manifest seed must be >= 0, got -1\n"
         assert ingested == []
 
+    @pytest.mark.parametrize("edit, error", [
+        (("seed 3\n", "seed 3\ncap 0\n"), "ValidationError: manifest cap must be >= 1, got 0"),
+        (("dim=2", "dim=0"), "MalformedFile: {manifest}:1: dim must be >= 1, got 0"),
+    ], ids=["cap", "dim"])
+    def test_manifest_count_below_one_exits_2_before_any_source_is_read(
+            self, arcs_dataset, tmp_path, capsys, monkeypatch, edit, error):
+        d, _ = arcs_dataset
+        opened = []
+        monkeypatch.setattr(pipeline, "FeatureRows", lambda *a, **k: opened.append(a))
+        manifest = d / "manifest.conf"
+        manifest.write_text(manifest.read_text().replace(*edit))
+        for command, out in (("pipeline", "--out"), ("ingest", "--out-dir")):
+            assert run([command, "--manifest", manifest, out, tmp_path / "out"]) == 2
+            assert capsys.readouterr().err == "error: " + error.format(manifest=manifest) + "\n"
+        assert opened == [] and not (tmp_path / "out").exists()
+
+    def test_build_vocab_workers_below_one_exits_2_before_sift(self, tmp_path, capsys, monkeypatch):
+        img_dir = tmp_path / "imgs"
+        img_dir.mkdir()
+        bovw.write_pgm(img_dir / "a.pgm", texture_corpus(1, size=32, seed=0)[0][0])
+        cfg = tmp_path / "bovw.conf"
+        cfg.write_text("levels 1\nvocab 2\nbin-sizes 4\nstep 4\n")
+        described = []
+        monkeypatch.setattr(bovw, "dense_sift", lambda *a: described.append(a))
+        assert run(["build-vocab", "--images", img_dir, "--config", cfg, "--workers", "0",
+                    "--out", tmp_path / "v.llvb"]) == 2
+        assert capsys.readouterr().err == "error: ValidationError: workers must be >= 1, got 0\n"
+        assert described == [] and not (tmp_path / "v.llvb").exists()
+
     def test_negative_seed_rejected_by_configs(self):
         with pytest.raises(ValidationError, match="seed must be >= 0"):
             svm.SvmConfig(seed=-1)

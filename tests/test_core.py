@@ -84,6 +84,57 @@ class TestFeatureMatrix:
         with pytest.raises(ValidationError):
             make_matrix(np.zeros((2, 1)), labels=[0, -1])
 
+    def test_first_faulty_row_reported(self):
+        # row 1's id comes before row 3's NaN, as it would in a file
+        vals = np.zeros((4, 2))
+        vals[3, 0] = np.nan
+        with pytest.raises(ValidationError, match="sample id 'b,' contains ','"):
+            make_matrix(vals, ids=["a", "b,", "c", "a"])
+
+
+@st.composite
+def _faulty_rows(draw):
+    """(values, ids) of a small matrix with up to three faults: a NaN or
+    infinite cell, an id that is empty or holds a forbidden character, or
+    an id repeated from another row."""
+    n, d = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    values = np.arange(n * d, dtype=np.float64).reshape(n, d)
+    ids = [f"s{i}" for i in range(n)]
+    for _ in range(draw(st.integers(0, 3))):
+        row = draw(st.integers(0, n - 1))
+        fault = draw(st.sampled_from(("cell", "id", "duplicate")))
+        if fault == "cell":
+            values[row, draw(st.integers(0, d - 1))] = draw(st.sampled_from((np.nan, np.inf, -np.inf)))
+        elif fault == "id":
+            ids[row] = draw(st.sampled_from(("", "a,b", "a\nb", "\rb")))
+        else:
+            ids[row] = ids[draw(st.integers(0, n - 1))]
+    return values, ids
+
+
+def _fault(call):
+    """(class, row, col, message) of the ValidationError ``call`` raises, or None."""
+    try:
+        call()
+    except ValidationError as exc:
+        return type(exc), getattr(exc, "row", None), getattr(exc, "col", None), str(exc)
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_faulty_rows())
+def test_matrix_and_file_report_the_same_fault(tmp_path_factory, case):
+    # One row contract: the constructor and the reader of the same rows
+    # raise the same error, the reader's message prefixed by its path.
+    values, ids = case
+    path = tmp_path_factory.mktemp("rows") / "f.bin"
+    save_features(FeatureMatrix._trusted(values, ids), path, fmt="binary")
+    built, read = _fault(lambda: FeatureMatrix(values, ids)), _fault(lambda: load_features(path))
+    if built is None:
+        assert read is None
+    else:
+        assert read == (*built[:3], f"{path}: {built[3]}")
+
 
 class TestFeatureFiles:
     def test_header_echo(self, tmp_path):

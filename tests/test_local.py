@@ -3,7 +3,7 @@ import pytest
 
 import locallearn.local as local_mod
 from locallearn.core import FeatureMatrix
-from locallearn.errors import MissingLabels
+from locallearn.errors import MissingLabels, ValidationError
 from locallearn.local import (
     LocalLearnerConfig,
     knn_classify_batch,
@@ -193,6 +193,25 @@ class TestBatch:
         cfg = LocalLearnerConfig(k=20, svm=SvmConfig(C=100.0, max_passes=1))
         _, _, timing = local_predict_batch(train, queries, cfg)
         assert timing.solves > 0 and timing.nonconverged == timing.solves
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_one_search_per_batch(self, workers, monkeypatch):
+        # 70 queries, more than two of the search's tiles, enter it together.
+        searched, search = [], local_mod.top_k_batch
+        monkeypatch.setattr(local_mod, "top_k_batch", lambda *a: searched.append(len(a[1])) or search(*a))
+        rng = np.random.default_rng(12)
+        train = labeled(rng.normal(size=(120, 16)), rng.integers(0, 4, 120))
+        queries = as_feature_matrix(rng.normal(size=(70, 16)), prefix="q")
+        _, _, timing = local_predict_batch(train, queries, LocalLearnerConfig(k=30), workers=workers)
+        assert searched == [70] and timing.solves > 0
+
+    def test_bad_workers_rejected_before_search(self, monkeypatch):
+        searched = []
+        monkeypatch.setattr(local_mod, "top_k_batch", lambda *a: searched.append(a))
+        train = labeled(np.eye(3), [0, 1, 0])
+        with pytest.raises(ValidationError, match="workers must be >= 1, got 0"):
+            local_predict_batch(train, train, LocalLearnerConfig(k=1), workers=0)
+        assert searched == []
 
     def test_requires_labels(self):
         train = FeatureMatrix(np.eye(3), ["a", "b", "c"])

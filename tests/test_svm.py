@@ -178,8 +178,8 @@ class TestRowSets:
         cfg = SvmConfig(C=10.0, tolerance=1e-9, max_passes=200_000, seed=4)
         handed = _spy(monkeypatch, "_solve_alone")
         for rows, Y in sets:
-            W, alphas, infos = svm_mod._solve_rows(X, rows, Y, cfg)
-            assert W.shape == (Y.shape[0], X.shape[1] + 1)
+            W, b, alphas, infos = svm_mod._solve_rows(X, rows, Y, cfg)
+            assert W.shape == (Y.shape[0], X.shape[1]) and b.shape == (Y.shape[0],)
             for y, alpha, info in zip(Y, alphas, infos):
                 assert info["converged"] and info["kkt_gap"] <= 1e-9
                 oracle, _ = box_qp_max(svm_dual_gram(X[rows], y), 10.0)
@@ -191,18 +191,18 @@ class TestRowSets:
         X, sets = _neighbourhood_sets(32)
         cfg = SvmConfig(C=100.0, tolerance=1e-6, seed=5)
         for rows, Y in sets:
-            W, alphas, infos = svm_mod._solve_rows(X, rows, Y, cfg)
+            W, b, alphas, infos = svm_mod._solve_rows(X, rows, Y, cfg)
             for p in range(Y.shape[0]):
-                W1, alpha1, info1 = svm_mod._solve_rows(X, rows, Y[p:p + 1], cfg)
+                W1, b1, alpha1, info1 = svm_mod._solve_rows(X, rows, Y[p:p + 1], cfg)
                 assert np.array_equal(alpha1[0], alphas[p])
-                assert np.array_equal(W1[0], W[p])
+                assert np.array_equal(W1[0], W[p]) and b1[0] == b[p]
                 assert info1 == [infos[p]]
 
     def test_max_passes_reported_not_converged(self):
         X, sets = _neighbourhood_sets(33)
         cfg = SvmConfig(C=100.0, tolerance=1e-9, max_passes=1)
         for rows, Y in sets:
-            for info in svm_mod._solve_rows(X, rows, Y, cfg)[2]:
+            for info in svm_mod._solve_rows(X, rows, Y, cfg)[3]:
                 assert info["passes"] == 1 and not info["converged"]
                 assert info["kkt_gap"] > 1e-9
 
@@ -323,11 +323,11 @@ def check_alone_and_in_block():
         handed = _spy(mp, "_solve_alone")
         solved = [svm_mod._solve_rows(X, rows, Y, cfg) for rows, Y in sets]
     assert 0 < len(handed) < 18, len(handed)
-    for (rows, Y), (W, alphas, infos) in zip(sets, solved):
+    for (rows, Y), (W, b, alphas, infos) in zip(sets, solved):
         for p in range(Y.shape[0]):
-            W1, alpha1, info1 = svm_mod._solve_rows(X, rows, Y[p:p + 1], cfg)
+            W1, b1, alpha1, info1 = svm_mod._solve_rows(X, rows, Y[p:p + 1], cfg)
             assert np.array_equal(alpha1[0], alphas[p])
-            assert np.array_equal(W1[0], W[p])
+            assert np.array_equal(W1[0], W[p]) and b1[0] == b[p]
             assert info1 == [infos[p]] and infos[p]["converged"]
 
 
@@ -471,12 +471,12 @@ class TestJointAscent:
         monkeypatch.setattr(svm_mod, "_GRAM_LIMIT", 16)
         handed = _spy(monkeypatch, "_solve_alone")
         cfg = SvmConfig(C=C, tolerance=1e-9, max_passes=100_000)
-        W, alphas, infos = svm_mod._solve_rows(X, slice(None), Y, cfg)
+        W, b, alphas, infos = svm_mod._solve_rows(X, slice(None), Y, cfg)
         assert len(handed) == 1 and handed[0][0].shape == Y.shape
-        for y, w, alpha, info in zip(Y, W, alphas, infos):
+        for y, w, bias, alpha, info in zip(Y, W, b, alphas, infos):
             assert info["converged"] and info["kkt_gap"] <= 1e-9
             assert np.all(alpha >= 0.0) and np.all(alpha <= C)
-            assert np.allclose(w, (alpha * y) @ np.hstack([X, np.ones((X.shape[0], 1))]), atol=1e-9)
+            assert np.allclose(w, (alpha * y) @ X, atol=1e-9) and np.isclose(bias, alpha @ y, atol=1e-9)
             oracle, _ = box_qp_max(svm_dual_gram(X, y), C)
             assert abs(svm_dual_value(X, y, alpha) - oracle) <= 1e-6 * max(1.0, abs(oracle))
 
