@@ -126,7 +126,10 @@ def _read_bovw_config(path) -> tuple[bovw.DenseSiftConfig, bovw.PyramidConfig, i
             levels=ints("levels", (1, 2, 3, 4)),
             vocab_sizes=ints("vocab", bovw.FULL_VOCAB_SIZES),
         )
-        return sift, pyramid, int(values.get("subsample-cap", "200000"))
+        cap = int(values.get("subsample-cap", "200000"))
+        if cap < 1:
+            raise ValidationError(f"subsample cap must be >= 1, got {cap}")
+        return sift, pyramid, cap
     except (ValueError, ValidationError) as exc:
         raise MalformedFile(f"{path}: {exc}")
 

@@ -228,17 +228,22 @@ class TestBovwCommands:
         ("contrast-threshold nan", "contrast_threshold must be finite and > 0, got nan"),
         ("contrast-threshold -1", "contrast_threshold must be finite and > 0, got -1.0"),
         ("vocab 3", ":3: duplicate key 'vocab'"),
+        ("subsample-cap 0", "subsample cap must be >= 1, got 0"),
     ])
-    def test_bad_config_line_exits_2(self, tmp_path, capsys, line, detail):
+    def test_bad_config_line_exits_2(self, tmp_path, capsys, monkeypatch, line, detail):
+        # The config is rejected, naming its file, before any image is read.
         img_dir = tmp_path / "imgs"
         img_dir.mkdir()
         bovw.write_pgm(img_dir / "a.pgm", texture_corpus(1, size=32, seed=0)[0][0])
         cfg = tmp_path / "bovw.conf"
         cfg.write_text(f"levels 1\nvocab 2\n{line}\n")
+        described = []
+        monkeypatch.setattr(bovw, "dense_sift", lambda *a: described.append(a))
         assert run(["build-vocab", "--images", img_dir, "--config", cfg,
                     "--out", tmp_path / "v.llvb"]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: MalformedFile:") and detail in err
+        assert err.startswith(f"error: MalformedFile: {cfg}") and detail in err
+        assert described == [] and not (tmp_path / "v.llvb").exists()
 
     def test_encode_one_worker_stays_in_main_thread(self, tmp_path, monkeypatch):
         img_dir = tmp_path / "imgs"

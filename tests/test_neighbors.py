@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -136,6 +137,23 @@ class TestTopKBatch:
     def test_k_validation(self):
         with pytest.raises(ValidationError):
             top_k_batch(CosineIndex(np.ones((2, 3))), np.ones((4, 3)), 0)
+
+    def test_one_tile_block_alive_at_a_time(self):
+        # The search's transient memory is about one (n, _TILE) block of
+        # similarities: the previous tile's block is dropped before the next
+        # product, and each query's k-th cut comes from its own row, not a
+        # partitioned copy of the tile.
+        rng = np.random.default_rng(14)
+        index = CosineIndex(rng.normal(size=(4000, 512)))
+        queries = rng.normal(size=(200, 512))
+        tracemalloc.start()
+        try:
+            top_k_batch(index, queries, 50)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block = _TILE * index.n * 8
+        assert peak <= 2.5 * block, f"peak {peak / block:.2f} blocks"
 
     @pytest.mark.parametrize("threads", ["default", "1"])
     def test_similarities_independent_of_batch(self, threads):

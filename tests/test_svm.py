@@ -331,6 +331,23 @@ def check_alone_and_in_block():
             assert info1 == [infos[p]] and infos[p]["converged"]
 
 
+def check_gradient_layout():
+    """W @ X.T is bit-equal to (X @ W.T).T for 1 to 7 problems, row counts
+    on both sides of BLAS block sizes and widths from 2 to the fused 2,112;
+    with one problem, both are bit-equal to X @ w.  (A row of a product of
+    several problems may differ from X @ w in the last bits.)"""
+    rng = np.random.default_rng(19)
+    for n in (7, 25, 200, 201, 1500, 1501, 3000, 3001, 4200):
+        for d in (2, 16, 33, 301, 2112):
+            X = rng.normal(size=(n, d))
+            for m in (1, 2, 3, 7):
+                W = rng.normal(size=(m, d))
+                rows = W @ X.T
+                assert np.array_equal(rows, (X @ W.T).T), (m, n, d)
+                if m == 1:
+                    assert np.array_equal(rows[0], X @ W[0]), (n, d)
+
+
 class _TrackedRows(np.ndarray):
     """A matrix whose row gathers remember their row ids, and which records
     the row ids of both sides of every product of two matrices in
@@ -510,6 +527,22 @@ class TestJointAscent:
             assert info["converged"] and 100 < info["passes"] < 250
             oracle, _ = box_qp_max(svm_dual_gram(X, y), 1.0)
             assert abs(svm_dual_value(X, y, alpha) - oracle) <= 1e-6 * max(1.0, abs(oracle))
+
+    @pytest.mark.parametrize("threads", ["default", "1"])
+    def test_gradient_rows_bit_equal_in_either_layout(self, threads):
+        # Each pass takes every live problem's gradient from one W @ X.T, so
+        # the solver's bits stay those of (X @ W.T).T; with one problem (a
+        # Gram-path handoff, or a two-class set) they are also those of
+        # X @ w.  Each BLAS thread count runs in a fresh process, because
+        # BLAS reads it at start-up.
+        env = {name: value for name, value in os.environ.items() if name not in BLAS_ENV}
+        if threads != "default":
+            env.update(dict.fromkeys(BLAS_ENV, threads))
+        env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")])
+        proc = subprocess.run(
+            [sys.executable, "-c", "import test_svm; test_svm.check_gradient_layout()"],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
 
     def test_one_newton_cache_alive_at_a_time(self, monkeypatch):
         # Every problem tries Newton at least once and some several times.
