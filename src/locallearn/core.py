@@ -37,7 +37,6 @@ import numpy as np
 
 from .errors import (
     DimMismatch,
-    IdMismatch,
     MalformedFile,
     MissingLabels,
     NonFiniteValue,
@@ -88,16 +87,23 @@ def _check_id(sample_id: str, prefix: str = "") -> None:
             raise ValidationError(f"{prefix}sample id {sample_id!r} contains {ch!r}")
 
 
+def check_finite(values: np.ndarray, prefix: str = "", first_row: int = 0) -> None:
+    """``NonFiniteValue`` at the first NaN or infinity of a 2-D array, with
+    its row (counted from ``first_row``) and column."""
+    if not np.isfinite(values).all():
+        row, col = np.argwhere(~np.isfinite(values))[0].tolist()
+        row += first_row
+        raise NonFiniteValue(f"{prefix}non-finite value at row {row}, col {col}", row=row, col=col)
+
+
 def _checked_rows(rows, where=""):
     """Yield each ``(sample_id, values)`` of ``rows`` once it is checked:
-    finite values (``NonFiniteValue`` with the row and column), id syntax
-    and an id not seen before.  The first faulty row raises; ``where`` (a
-    file path) prefixes every message."""
+    finite values (``check_finite``), id syntax and an id not seen before.
+    The first faulty row raises; ``where`` (a file path) prefixes every
+    message."""
     prefix, seen = f"{where}: " if where else "", set()
     for row, (sid, values) in enumerate(rows):
-        if not np.isfinite(values).all():
-            col = int(np.flatnonzero(~np.isfinite(values))[0])
-            raise NonFiniteValue(f"{prefix}non-finite value at row {row}, col {col}", row=row, col=col)
+        check_finite(values[None], prefix, row)
         _check_id(sid, prefix)
         if sid in seen:
             raise ValidationError(f"{prefix}duplicate sample id {sid!r}")
@@ -124,7 +130,7 @@ class FeatureMatrix:
     safe to share read-only across workers.
     """
 
-    __slots__ = ("values", "sample_ids", "labels", "_row_of")
+    __slots__ = ("values", "sample_ids", "labels")
 
     def __init__(self, values, sample_ids, labels=None):
         values = np.ascontiguousarray(values, dtype=np.float64)
@@ -150,7 +156,6 @@ class FeatureMatrix:
 
     def _freeze(self, values, sample_ids, labels) -> None:
         self.values, self.sample_ids, self.labels = values, tuple(sample_ids), labels
-        self._row_of = None
         for array in (values, labels):
             if array is not None:
                 array.setflags(write=False)
@@ -162,14 +167,6 @@ class FeatureMatrix:
     @property
     def dim(self) -> int:
         return self.values.shape[1]
-
-    def row_of(self, sample_id: str) -> int:
-        if self._row_of is None:
-            self._row_of = {s: i for i, s in enumerate(self.sample_ids)}
-        try:
-            return self._row_of[sample_id]
-        except KeyError:
-            raise IdMismatch(f"unknown sample id {sample_id!r}", missing={sample_id})
 
     def take(self, rows: Sequence[int]) -> "FeatureMatrix":
         """A copy of the given rows, each in [0, n_samples) and at most once;
@@ -405,19 +402,26 @@ class LabelMap:
         )
 
 
-def read_labels(path) -> dict[str, str]:
-    """Read a ``sample_id,class_name`` label file into an id -> name dict."""
-    out: dict[str, str] = {}
+def _id_value_lines(path, field: str):
+    """``(lineno, sample_id, value)`` per non-blank line of a
+    ``sample_id,<field>`` file; a line with no comma, or a sample id seen
+    on an earlier line, is ``MalformedFile`` at its line."""
+    seen: set[str] = set()
     for lineno, line in enumerate(read_lines(path), start=1):
         if not line.strip():
             continue
         if "," not in line:
-            raise MalformedFile(f"{path}:{lineno}: expected 'sample_id,class_name'")
-        sid, name = line.split(",", 1)
-        if sid in out:
+            raise MalformedFile(f"{path}:{lineno}: expected 'sample_id,{field}'")
+        sid, value = line.split(",", 1)
+        if sid in seen:
             raise MalformedFile(f"{path}:{lineno}: duplicate sample id {sid!r}")
-        out[sid] = name
-    return out
+        seen.add(sid)
+        yield lineno, sid, value
+
+
+def read_labels(path) -> dict[str, str]:
+    """Read a ``sample_id,class_name`` label file into an id -> name dict."""
+    return {sid: name for _, sid, name in _id_value_lines(path, "class_name")}
 
 
 def write_labels(labels: Mapping[str, str], path) -> None:
@@ -579,30 +583,10 @@ def _parse_on_off(value: str, path, lineno) -> bool:
 def read_splits(path) -> dict[str, str]:
     """Read a ``sample_id,split`` file; split is train, val(idation), or test."""
     out: dict[str, str] = {}
-    for lineno, line in enumerate(read_lines(path), start=1):
-        if not line.strip():
-            continue
-        if "," not in line:
-            raise MalformedFile(f"{path}:{lineno}: expected 'sample_id,split'")
-        sid, split = line.split(",", 1)
+    for lineno, sid, split in _id_value_lines(path, "split"):
         split = split.strip()
-        if split == "validation":
-            split = "val"
+        split = "val" if split == "validation" else split
         if split not in SPLIT_NAMES:
             raise MalformedFile(f"{path}:{lineno}: unknown split {split!r}")
-        if sid in out:
-            raise MalformedFile(
-                f"{path}:{lineno}: sample id {sid!r} assigned to two splits"
-            )
         out[sid] = split
     return out
-
-
-def check_split_ids(matrix: FeatureMatrix, splits: Mapping[str, str]) -> None:
-    """Check that the split assignment covers the matrix's sample ids exactly."""
-    diff = set(splits) ^ set(matrix.sample_ids)
-    if diff:
-        raise IdMismatch(
-            f"split assignment and feature sources disagree on {len(diff)} id(s)",
-            missing=diff,
-        )

@@ -16,8 +16,8 @@ depend on the batch it is searched in.  Workers spread only the solves
 of the distinct neighbor sets.
 
 Classes absent from a neighborhood cannot be predicted (decision -inf);
-a single-class neighborhood returns that class with a +inf sentinel and
-never invokes the solver.
+a single-class neighborhood gets that class with zero weights, so it
+predicts that class, and never invokes the solver.
 """
 
 from __future__ import annotations

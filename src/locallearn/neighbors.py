@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import FeatureMatrix
+from .core import FeatureMatrix, check_finite
 from .errors import DimMismatch, ValidationError
 from .features import l2_normalize_rows, max_abs_scaled
 
@@ -37,7 +37,9 @@ _TILE = 64
 
 
 class CosineIndex:
-    """Read-only cosine-similarity index over a feature matrix."""
+    """Read-only cosine-similarity index over a feature matrix, or over a
+    2-D array whose values must be finite (``NonFiniteValue``); a
+    ``FeatureMatrix`` was checked when it was built."""
 
     def __init__(self, matrix):
         if isinstance(matrix, FeatureMatrix):
@@ -46,6 +48,7 @@ class CosineIndex:
             self.values = np.ascontiguousarray(matrix, dtype=np.float64)
             if self.values.ndim != 2:
                 raise ValidationError("index matrix must be 2-D")
+            check_finite(self.values, "index: ")
         self.norms = np.empty(self.n)
         for start in range(0, self.n, _TILE):  # never a scaled copy of every row
             _, norms, scale = max_abs_scaled(self.values[start:start + _TILE])
@@ -71,15 +74,18 @@ class CosineIndex:
 def top_k_batch(index: CosineIndex, queries, k: int) -> tuple[np.ndarray, np.ndarray]:
     """(rows, similarities), each (m, min(k, n)): for each of the m query
     rows, its nearest indexed rows by descending similarity, ties broken
-    by ascending row id."""
+    by ascending row id.  Query values must be finite (``NonFiniteValue``)."""
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
     queries = np.asarray(queries, dtype=np.float64)
     if queries.ndim != 2 or queries.shape[1] != index.dim:
         raise DimMismatch(f"query shape {queries.shape} vs index dim {index.dim}")
+    check_finite(queries, "query: ")
     k = min(k, index.n)
     rows = np.empty((len(queries), k), dtype=np.int64)
     sims = np.empty((len(queries), k))
+    if not k:  # an empty index
+        return rows, sims
     tile = np.empty((_TILE, index.dim))
     for start in range(0, len(queries), _TILE):
         part = queries[start:start + _TILE]

@@ -29,15 +29,17 @@ resident.  Newton solves with the labels folded out: Q = (y y') * G, and
 G_FF beta = y_F * r gives alpha_F = y_F * beta bit for bit.
 
 A one-vs-all model is the ascending ids of its trained classes, a weight
-matrix with one row per class and a bias vector.  ``decisions`` computes
-every decision value, for local, global and command-line prediction alike.
+matrix with one row per class and a bias vector.  A row set of a single
+class poses no problem: its model is that class with a zero row and a zero
+bias, so it predicts that class everywhere.  ``decisions`` computes every
+decision value, for local, global and command-line prediction alike.
 
 Models serialize to a text format: header line ``#locallearn-ova v1``,
-then one ``class_id b w1 ... wD`` line per trained class.  Comment lines
-starting with ``#`` after the header are ignored on read; the writer uses
-them to embed class names and the degenerate constant-class marker.  A
-repeated or out-of-range class id, or weight lines in a constant model,
-are ``MalformedFile``.
+then one ``class_id b w1 ... wD`` line per trained class.  After the
+header, the writer embeds the class count and names in ``#n_classes`` and
+``#classes`` lines; any other line starting with ``#`` is ignored on read,
+an old ``#constant`` line among them.  A repeated or out-of-range class id
+is ``MalformedFile``.
 """
 
 from __future__ import annotations
@@ -277,10 +279,8 @@ class OvaModel:
     """A one-vs-all linear model: the trained class ids in ascending order,
     one row of ``W`` and one entry of ``b`` per class.  Classes absent from
     training have no row, so they are never predicted (decision -inf).
-
-    A training set with a single distinct class produces the degenerate
-    constant model: ``classes`` holds that class and ``W`` has no columns;
-    every prediction is that class with a +inf decision sentinel.
+    A training set of a single class gives that class a zero row and a
+    zero bias: every decision is 0, and every prediction that class.
     """
 
     classes: np.ndarray  # (m,) int64, ascending
@@ -288,7 +288,6 @@ class OvaModel:
     b: np.ndarray  # (m,)
     n_classes: int = 0
     class_names: tuple[str, ...] | None = None
-    constant_class: int | None = None
 
     def __post_init__(self):
         self.classes = np.asarray(self.classes, dtype=np.int64)
@@ -299,14 +298,8 @@ class OvaModel:
             raise ValidationError("classes (m,), W (m, d) and b (m,) disagree in shape")
         if np.any(np.diff(self.classes) <= 0):
             raise ValidationError("classes must be ascending and distinct")
-        if self.constant_class is not None and self.classes.tolist() != [self.constant_class]:
-            raise ValidationError("a constant model has its class and no other")
         if not (np.isfinite(self.W).all() and np.isfinite(self.b).all()):
             raise ValidationError("model parameters must be finite")
-
-
-def _constant(cls: int, n_classes: int, class_names=None) -> OvaModel:
-    return OvaModel(np.array([cls]), np.zeros((1, 0)), np.zeros(1), n_classes, class_names, cls)
 
 
 def train_ova(
@@ -320,9 +313,9 @@ def train_ova(
     """Train one binary model per class present in ``labels``.
 
     Classes absent from the data stay untrained (decision -inf at predict
-    time).  A single-class training set short-circuits to the constant
-    model rather than invoking the solver.  ``return_infos`` adds the solver
-    info of each binary model: ``(model, infos)``, as ``train_ova_rows``.
+    time).  A single-class training set gets a zero row and no solve.
+    ``return_infos`` adds the solver info of each binary model:
+    ``(model, infos)``, as ``train_ova_rows``.
     """
     Xv = _as_values(X)
     labels = np.asarray(labels, dtype=np.int64)
@@ -345,18 +338,19 @@ def train_ova_rows(X, labels, rows, cfg: SvmConfig) -> tuple[OvaModel, list[dict
 
     The rows enter the problems in the order given, so every row in order
     trains exactly what ``train_ova`` does.  A single-class row set gets
-    the constant model and no solve.
+    a zero row and a zero bias, and no solve.
     """
     Xv, labels = _as_values(X), np.asarray(labels, dtype=np.int64)[rows]
     classes = np.unique(labels)
     if classes.size == 1:
-        return _constant(int(classes[0]), int(classes[0]) + 1), []
-    # Two classes pose one dual (y -> -y leaves (y y')K alone): solve for
-    # the second, and the first's weights are the negation.
-    solved = classes[1:] if classes.size == 2 else classes
-    W, b, _, infos = _solve_rows(Xv, rows, np.where(labels == solved[:, None], 1.0, -1.0), cfg)
-    if classes.size == 2:
-        W, b, infos = np.vstack([-W, W]), np.append(-b, b), infos * 2
+        W, b, infos = np.zeros((1, Xv.shape[1])), np.zeros(1), []
+    else:
+        # Two classes pose one dual (y -> -y leaves (y y')K alone): solve
+        # for the second, and the first's weights are the negation.
+        solved = classes[1:] if classes.size == 2 else classes
+        W, b, _, infos = _solve_rows(Xv, rows, np.where(labels == solved[:, None], 1.0, -1.0), cfg)
+        if classes.size == 2:
+            W, b, infos = np.vstack([-W, W]), np.append(-b, b), infos * 2
     return OvaModel(classes, W, b, int(classes.max()) + 1), infos
 
 
@@ -365,8 +359,6 @@ def decisions(model: OvaModel, X) -> np.ndarray:
     ``W @ x + b`` per row, never one product over the batch, so a row scores
     the same bits alone or in any batch, and a local model like its equal."""
     Xv = _as_values(X)
-    if model.constant_class is not None:
-        return np.full((Xv.shape[0], 1), np.inf)
     if not model.classes.size:
         raise NoTrainedClasses("OvA model has no trained classes")
     if Xv.shape[1] != model.W.shape[1]:
@@ -385,9 +377,6 @@ def save_ova(model: OvaModel, path) -> None:
         fh.write(f"#n_classes {model.n_classes}\n")
         if model.class_names is not None:
             fh.write("#classes " + ",".join(model.class_names) + "\n")
-        if model.constant_class is not None:
-            fh.write(f"#constant {model.constant_class}\n")
-            return
         for cls, b, w in zip(model.classes.tolist(), model.b.tolist(), model.W):
             fh.write(" ".join([str(cls), repr(b)] + [repr(v) for v in w.tolist()]) + "\n")
 
@@ -398,7 +387,6 @@ def load_ova(path) -> OvaModel:
         raise MalformedFile(f"{path}: bad model header")
     n_classes: int | None = None
     class_names: tuple[str, ...] | None = None
-    constant: int | None = None
     rows: list[tuple[int, int, float, list[float]]] = []  # line, class id, b, w
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -406,14 +394,12 @@ def load_ova(path) -> OvaModel:
         try:
             if line.startswith("#"):
                 key, _, value = line.partition(" ")
-                if key in ("#n_classes", "#classes", "#constant") and not value.strip():
+                if key in ("#n_classes", "#classes") and not value.strip():
                     raise MalformedFile(f"{path}:{lineno}: {key} has no value")
                 if key == "#n_classes":
                     n_classes = int(value)
                 elif key == "#classes":
                     class_names = tuple(value.strip().split(","))
-                elif key == "#constant":
-                    constant = int(value)
                 continue
             parts = line.split()
             if len(parts) < 3:
@@ -421,10 +407,6 @@ def load_ova(path) -> OvaModel:
             rows.append((lineno, int(parts[0]), float(parts[1]), [float(p) for p in parts[2:]]))
         except ValueError as exc:
             raise MalformedFile(f"{path}:{lineno}: {exc}")
-    if constant is not None:
-        if rows:
-            raise MalformedFile(f"{path}:{rows[0][0]}: weight line in a #constant model")
-        return _constant(constant, constant + 1 if n_classes is None else n_classes, class_names)
     seen: set[int] = set()
     for lineno, cls, _, w in rows:
         if cls < 0 or (n_classes is not None and cls >= n_classes):

@@ -178,13 +178,13 @@ def ingest_by_copies(manifest, seed=None) -> dict:
     order = loaded[0][0].sample_ids
     blocks = []
     for matrix, normalize in loaded:
-        block = matrix.values[[matrix.row_of(sid) for sid in order]]
+        block = matrix.values[[matrix.sample_ids.index(sid) for sid in order]]
         blocks.append(l2_normalize_rows(block) if normalize else block)
     values = np.hstack(blocks)
     if manifest.renormalize:
         values = l2_normalize_rows(values)
     fused = core.FeatureMatrix(values, order)
-    core.check_split_ids(fused, splits)
+    assert set(splits) == set(order), "the splits must name the sources' ids"
     fused = core.attach_labels(fused, labels, label_map)
     out = {}
     for split in core.SPLIT_NAMES:

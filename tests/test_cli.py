@@ -296,6 +296,16 @@ class TestMalformedInputExits2:
         assert err.startswith("error: MalformedFile:") and ":4: repeated class id 0" in err
         assert not (tmp_path / "p.csv").exists()
 
+    def test_old_constant_model_has_no_trained_classes(self, arcs_dataset, tmp_path, capsys):
+        d, _ = arcs_dataset
+        model = tmp_path / "m.ova"
+        model.write_text("#locallearn-ova v1\n#n_classes 4\n#constant 3\n")
+        assert run(["predict-global", "--model", model, "--features", d / "test.fv",
+                    "--labelmap", d / "classes.txt", "--out", tmp_path / "p.csv"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: NoTrainedClasses:") and err.count("\n") == 1, err
+        assert not (tmp_path / "p.csv").exists()
+
     @pytest.mark.parametrize("command", ["train-global", "predict-local"])
     def test_nan_C_exits_2(self, arcs_dataset, tmp_path, capsys, command):
         d, _ = arcs_dataset

@@ -17,7 +17,6 @@ from locallearn.core import (
 )
 from locallearn.errors import (
     DimMismatch,
-    IdMismatch,
     MalformedFile,
     MissingLabels,
     NonFiniteValue,
@@ -57,7 +56,7 @@ class TestFeatureMatrix:
         monkeypatch.setattr(core_mod, "_check_id", lambda s: calls.append(s) or s)
         sub = m.take([2, 0])
         assert calls == []
-        assert sub.sample_ids == ("s2", "s0") and sub.row_of("s0") == 1
+        assert sub.sample_ids == ("s2", "s0") and sub.sample_ids.index("s0") == 1
         assert sub.values.tolist() == [[4.0, 5.0], [0.0, 1.0]] and sub.labels.tolist() == [0, 0]
         assert not sub.values.flags.writeable and not sub.labels.flags.writeable
 
@@ -275,7 +274,7 @@ class TestLabels:
 
     def test_duplicate_label_line(self, tmp_path):
         (tmp_path / "l.csv").write_text("s0,a\ns0,b\n")
-        with pytest.raises(MalformedFile):
+        with pytest.raises(MalformedFile, match=":2: duplicate sample id 's0'"):
             read_labels(tmp_path / "l.csv")
 
     def test_attach_labels(self):
@@ -331,18 +330,11 @@ class TestManifest:
         assert read_splits(tmp_path / "s.csv") == {"a": "train", "b": "val", "c": "test"}
 
     def test_split_double_assignment(self, tmp_path):
-        (tmp_path / "s.csv").write_text("a,train\na,test\n")
-        with pytest.raises(MalformedFile):
+        (tmp_path / "s.csv").write_text("a,train\n\na,test\n")
+        with pytest.raises(MalformedFile, match=":3: duplicate sample id 'a'"):
             read_splits(tmp_path / "s.csv")
 
-    def test_check_manifest_ids(self):
-        from locallearn.core import check_split_ids
-
-        a = make_matrix(np.zeros((2, 1)), ids=["x", "y"])
-        check_split_ids(a, {"x": "train", "y": "test"})
-        with pytest.raises(IdMismatch) as exc:
-            check_split_ids(a, {"x": "train"})
-        assert exc.value.missing == {"y"}
-        with pytest.raises(IdMismatch) as exc:
-            check_split_ids(a, {"x": "train", "y": "test", "z": "val"})
-        assert exc.value.missing == {"z"}
+    def test_unknown_split_names_its_line(self, tmp_path):
+        (tmp_path / "s.csv").write_text("a,train\nb,holdout\n")
+        with pytest.raises(MalformedFile, match=":2: unknown split 'holdout'"):
+            read_splits(tmp_path / "s.csv")

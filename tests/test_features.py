@@ -91,7 +91,7 @@ class TestFuse:
         ])
         for row, sid in enumerate(permuted.sample_ids):
             assert np.array_equal(
-                permuted.values[row], base.values[base.row_of(sid)]
+                permuted.values[row], base.values[base.sample_ids.index(sid)]
             )
 
     def test_id_mismatch(self):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import locallearn.local as local_mod
+import locallearn.svm as svm_mod
 from locallearn.core import FeatureMatrix
 from locallearn.errors import MissingLabels, ValidationError
 from locallearn.local import (
@@ -69,16 +70,20 @@ class TestDegeneracy:
 
 
 class TestSingleClassNeighborhood:
-    def test_short_circuit(self):
+    def test_short_circuit(self, monkeypatch):
+        # A single-class neighbourhood gets a zero row and never reaches the
+        # solver.
+        solved = []
+        monkeypatch.setattr(svm_mod, "_solve_rows", lambda *a: solved.append(a))
         X = np.vstack([np.full((5, 2), 10.0) + np.eye(5, 2) * 0.01,
                        -np.full((5, 2), 10.0)])
         y = np.array([0] * 5 + [1] * 5)
         train = labeled(X, y)
         cfg = LocalLearnerConfig(k=3, svm=SvmConfig(C=1.0))
-        queries = as_feature_matrix(np.array([[10.0, 10.0]]), prefix="q")
+        queries = as_feature_matrix(np.array([[10.0, 10.0], [9.0, 11.0]]), prefix="q")
         preds, _, timing = local_predict_batch(train, queries, cfg)
-        assert preds.tolist() == [0]
-        assert timing.solves == 0
+        assert preds.tolist() == [0, 0]
+        assert timing.solves == 0 and solved == []
 
     def test_absent_class_never_predicted(self):
         rng = np.random.default_rng(1)

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from locallearn.errors import DimMismatch, ValidationError
+import locallearn.neighbors as neighbors_mod
+from locallearn.core import FeatureMatrix
+from locallearn.errors import DimMismatch, NonFiniteValue, ValidationError
 from locallearn.features import max_abs_scaled
 from locallearn.local import LocalLearnerConfig, local_predict_batch
 from locallearn.neighbors import _TILE, CosineIndex, top_k, top_k_batch
@@ -127,6 +129,35 @@ class TestTopKBatch:
     def test_no_queries(self):
         ids, sims = top_k_batch(CosineIndex(np.ones((4, 3))), np.empty((0, 3)), 2)
         assert ids.shape == sims.shape == (0, 2)
+
+    def test_empty_index(self):
+        # (m, min(k, n)) with n = 0: each query has no neighbours.
+        for rows in (np.empty((0, 3)), FeatureMatrix(np.empty((0, 3)), [])):
+            ids, sims = top_k_batch(CosineIndex(rows), np.ones((2, 3)), 4)
+            assert ids.shape == sims.shape == (2, 0) and ids.dtype == np.int64
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_query(self, bad):
+        queries = np.ones((3, 4))
+        queries[2, 1] = bad
+        with pytest.raises(NonFiniteValue, match="query: non-finite value at row 2, col 1") as exc:
+            top_k_batch(CosineIndex(np.ones((5, 4))), queries, 2)
+        assert (exc.value.row, exc.value.col) == (2, 1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_index_row(self, bad):
+        rows = np.ones((5, 4))
+        rows[3, 0] = bad
+        with pytest.raises(NonFiniteValue, match="index: non-finite value at row 3, col 0") as exc:
+            CosineIndex(rows)
+        assert (exc.value.row, exc.value.col) == (3, 0)
+
+    def test_feature_matrix_index_is_not_checked_again(self, monkeypatch):
+        matrix = FeatureMatrix(np.ones((5, 4)), [f"s{i}" for i in range(5)])
+        checked = []
+        monkeypatch.setattr(neighbors_mod, "check_finite", lambda *a: checked.append(a[1]))
+        top_k_batch(CosineIndex(matrix), np.ones((1, 4)), 2)
+        assert checked == ["query: "]
 
     def test_dim_mismatch(self):
         index = CosineIndex(np.ones((2, 3)))

@@ -138,7 +138,7 @@ class TestIngestAndFuse:
         # source a normalized, source b raw
         norms_a = np.linalg.norm(fused.values[:, :3], axis=1)
         assert np.allclose(norms_a, 1.0, atol=1e-12)
-        row = fused.row_of(ids[0])
+        row = fused.sample_ids.index(ids[0])
         assert np.array_equal(fused.values[row, 3:], b[0])
 
 

@@ -19,6 +19,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from locallearn import bovw, cli, core, dsd, svm
 from locallearn.errors import IdMismatch, MalformedFile, NonFiniteValue, ValidationError
+from locallearn.features import fuse
 from locallearn.pipeline import ingest_and_fuse
 
 
@@ -272,4 +273,26 @@ def test_streamed_faults_name_their_file_and_exit_2(tmp_path, capsys, fault):
         err = capsys.readouterr().err
         assert err.startswith(f"error: {error.__name__}: ") and err.count("\n") == 1, err
         assert str(tmp_path / named) in err
+        assert not (tmp_path / "out").exists()
+
+
+def test_split_id_no_source_has(tmp_path, capsys):
+    # The other direction of "id-missing-from-splits": the splits name an
+    # id, z, that no source has.
+    _write_two_sources(tmp_path)
+    (tmp_path / "splits.csv").write_text("a,train\nb,test\nc,val\nz,train\n")
+    splits = core.read_splits(tmp_path / "splits.csv")
+    for first in (core.load_features(tmp_path / "f.bin"), core.FeatureRows(tmp_path / "f.bin")):
+        with pytest.raises(IdMismatch) as exc:
+            fuse([("one", first, True), ("two", core.load_features(tmp_path / "second.bin"), True)],
+                 splits=splits)
+        assert exc.value.missing == {"z"} and "disagree on 1 sample id" in str(exc.value)
+        if isinstance(first, core.FeatureRows):
+            first.close()
+    for command, out in (("ingest", "--out-dir"), ("pipeline", "--out")):
+        assert cli.main([command, "--manifest", str(tmp_path / "two.conf"),
+                         out, str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: IdMismatch: ") and err.count("\n") == 1, err
+        assert str(tmp_path / "f.bin") in err
         assert not (tmp_path / "out").exists()

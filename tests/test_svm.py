@@ -631,11 +631,14 @@ class TestOva:
         assert np.array_equal(plain.W, model.W) and np.array_equal(plain.b, model.b)
 
     def test_single_class_constant_model(self):
+        # One class gets one zero row and a zero bias: it wins every row
+        # with a decision of 0.
         X = np.random.default_rng(0).normal(size=(5, 2))
-        model = train_ova(X, np.full(5, 3), SvmConfig(), n_classes=7)
-        assert model.constant_class == 3 and model.classes.tolist() == [3]
+        model, infos = train_ova(X, np.full(5, 3), SvmConfig(), n_classes=7, return_infos=True)
+        assert model.classes.tolist() == [3] and model.n_classes == 7 and infos == []
+        assert model.W.tolist() == [[0.0, 0.0]] and model.b.tolist() == [0.0]
         assert predict_ova_batch(model, X).tolist() == [3] * 5
-        assert decisions(model, X[:1]).tolist() == [[np.inf]]
+        assert decisions(model, X).tolist() == [[0.0]] * 5
 
     def test_separable_four_class_recovers_labels(self):
         X, y = gaussian_blobs(3, n_classes=4, spread=0.15, seed=13)
@@ -704,18 +707,28 @@ class TestModelIO:
         assert np.array_equal(decisions(back, X), decisions(model, X))
 
     def test_constant_roundtrip(self, tmp_path):
-        model = OvaModel([2], np.zeros((1, 0)), [0.0], n_classes=5, constant_class=2)
+        X = np.random.default_rng(6).normal(size=(4, 3))
+        model = train_ova(X, np.full(4, 2), SvmConfig(), n_classes=5)
         save_ova(model, tmp_path / "m.ova")
         back = load_ova(tmp_path / "m.ova")
-        assert back.constant_class == 2 and back.n_classes == 5
-        assert predict_ova_batch(back, np.ones((2, 4))).tolist() == [2, 2]
+        assert back.classes.tolist() == [2] and back.n_classes == 5
+        assert np.array_equal(decisions(back, X), decisions(model, X))
+        assert predict_ova_batch(back, X).tolist() == [2] * 4
+
+    def test_old_constant_line_is_ignored(self, tmp_path):
+        # Files written with a constant-model marker hold no weight line:
+        # the marker is an ignored comment, so no class is trained.
+        model = load_ova(_write_model(tmp_path, "#n_classes 4\n#constant 3\n"))
+        assert model.classes.tolist() == [] and model.n_classes == 4
+        with pytest.raises(NoTrainedClasses):
+            predict_ova_batch(model, [[1.0]])
 
     def test_bad_header(self, tmp_path):
         (tmp_path / "m.ova").write_text("#not-a-model\n")
         with pytest.raises(MalformedFile):
             load_ova(tmp_path / "m.ova")
 
-    @pytest.mark.parametrize("line", ["#n_classes abc", "#constant abc"])
+    @pytest.mark.parametrize("line", ["#n_classes abc"])
     def test_non_integer_header(self, tmp_path, line):
         (tmp_path / "m.ova").write_text(f"#locallearn-ova v1\n{line}\n0 0.5 1.0\n")
         with pytest.raises(MalformedFile, match=":2:"):
@@ -729,11 +742,6 @@ class TestModelIO:
     def test_repeated_class_id(self, tmp_path):
         path = _write_model(tmp_path, "0 0.5 1.0 1.0\n1 0.0 1.0 0.0\n0 -9 1.0 1.0\n")
         with pytest.raises(MalformedFile, match=":4: repeated class id 0"):
-            load_ova(path)
-
-    def test_constant_model_with_weight_lines(self, tmp_path):
-        path = _write_model(tmp_path, "#constant 1\n0 0.5 1.0\n")
-        with pytest.raises(MalformedFile, match=":3: weight line"):
             load_ova(path)
 
     @pytest.mark.parametrize("text, line", [
