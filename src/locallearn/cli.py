@@ -51,18 +51,23 @@ def _write_text(path, text: str) -> None:
         fh.write(text)
 
 
-def _load_label_map(args, labels: dict[str, str] | None = None) -> core.LabelMap:
+def _load_label_map(args, names=None) -> core.LabelMap:
+    """``--labelmap``, else the sorted distinct class ``names``."""
     if getattr(args, "labelmap", None):
         return core.LabelMap.from_file(args.labelmap)
-    if labels is None:
+    if names is None:
         raise ValidationError("a --labelmap file is required here")
-    return core.LabelMap(tuple(sorted(set(labels.values()))))
+    return core.LabelMap(tuple(sorted(set(names))))
 
 
-def _labeled_matrix(features_path, labels_path, args):
+def _labeled_matrix(features_path, labels_path, args, label_map=None):
+    """The features with their labels attached by ``label_map``; a command
+    derives its one map at its first file (``--labelmap``, else that file's
+    names) and passes it on, so every file gets the same class ids."""
     matrix = core.load_features(features_path)
     labels = core.read_labels(labels_path)
-    label_map = _load_label_map(args, labels)
+    if label_map is None:
+        label_map = _load_label_map(args, labels.values())
     return core.attach_labels(matrix, labels, label_map), label_map
 
 
@@ -274,7 +279,7 @@ def cmd_dsd_train(args) -> int:
     if (args.val_features is None) != (args.val_labels is None):
         raise ValidationError("--val-features and --val-labels must be given together")
     if args.val_features is not None:
-        val_matrix, _ = _labeled_matrix(args.val_features, args.val_labels, args)
+        val_matrix, _ = _labeled_matrix(args.val_features, args.val_labels, args, label_map)
         Xt, yt = matrix.values, matrix.labels
         Xv, yv = val_matrix.values, val_matrix.labels
         if Xv.shape[1] != matrix.dim:  # the model's input dim, checked before training
@@ -316,7 +321,11 @@ def cmd_dsd_train(args) -> int:
 
 def cmd_sensitivity_scan(args) -> int:
     model = dsd.load_mlp(args.model)
-    matrix, _ = _labeled_matrix(args.features, args.labels, args)
+    matrix, label_map = _labeled_matrix(args.features, args.labels, args)
+    width = model.layers[-1].W.shape[1]
+    if label_map.n_classes != width:  # ids from another map would score wrong
+        raise ValidationError(f"the label map has {label_map.n_classes} classes, the model {width} "
+                              "outputs; pass the --labelmap the model was trained with")
     try:
         rates = tuple(float(r) for r in args.rates.split(","))
     except ValueError:
@@ -338,7 +347,7 @@ def cmd_sensitivity_scan(args) -> int:
 def cmd_eval(args) -> int:
     predicted = core.read_labels(args.predictions)
     truth = core.read_labels(args.truth)
-    label_map = _load_label_map(args, truth)
+    label_map = _load_label_map(args, [*truth.values(), *predicted.values()])
     rep = report.evaluate(predicted, truth, label_map)
     if args.out:
         _write_text(str(args.out) + ".txt", report.render_text(rep))

@@ -12,20 +12,21 @@ Its result is kept only on a certificate, 0 <= alpha <= C and a KKT gap
 within ``tolerance``; otherwise dual coordinate ascent solves the problem.
 
 Training takes one row set of a matrix (all rows, or one query's
-neighbourhood) and poses one problem per class.  A set of up to
-``_GRAM_LIMIT`` rows gets one Gram matrix G, on which Newton
-starts every problem from alpha = 0; a problem it does not certify goes
-on, alone, to dual coordinate ascent in feature space (Hsieh et al., ICML
-2008) on the same rows, keeping the passes already spent.  The problems of
-a larger set run that ascent together (as in Keerthi et al., KDD 2008):
-they share one random order of the rows, and at each row one ``W @ x``
-gives every live problem's margin, so a row is read once per pass for all
-classes.  Every ``_WARM_PASSES`` passes Newton is retried on each problem
-in turn.  There Newton's Q_FF comes from a cache of the dot products of
-the rows free in the problem's steps (LIBSVM's kernel cache; one problem's
-cache is alive at a time), its gradient from the rows of nonzero alpha;
-both gather rows a tile at a time, as a larger gather, once freed, stayed
-resident.  Newton solves with the labels folded out: Q = (y y') * G, and
+neighbourhood), poses one problem per class, and solves them all in one
+loop.  A set of up to ``_GRAM_LIMIT`` rows gets one Gram matrix K, on
+which Newton starts every problem from alpha = 0.  The problems it does
+not certify, and every problem of a larger set, then run dual coordinate
+ascent in feature space (Hsieh et al., ICML 2008) together (as in Keerthi
+et al., KDD 2008): they share one random order of the rows, and at each
+row one ``W @ x`` gives every live problem's margin, so a row is read once
+per pass for all classes.  Every ``_WARM_PASSES`` passes Newton is retried
+on each live problem in turn.  Its Q_FF and gradient come from K where the
+set has one; otherwise Q_FF comes from a cache of the dot products of the
+rows free in the problem's steps (LIBSVM's kernel cache; one problem's
+cache is alive at a time), and the gradient from the rows of nonzero
+alpha; both gather rows a tile at a time, as a larger gather, once freed,
+stayed resident.  ``_GRAM_LIMIT`` thus decides only where Newton's inputs
+come from.  Newton solves with the labels folded out: Q = (y y') * G, and
 G_FF beta = y_F * r gives alpha_F = y_F * beta bit for bit.
 
 A one-vs-all model is the ascending ids of its trained classes, a weight
@@ -59,8 +60,8 @@ from .errors import (
 )
 from .features import _ROWS
 
-# The path is chosen by sample count alone, so identical data always takes
-# the identical path.  A Gram matrix for fused global training (n >= 3,000)
+# Newton's source is chosen by sample count alone, so identical data always
+# takes the identical path.  A Gram matrix for fused global training (n >= 3,000)
 # would add 72 MB to a peak RSS of 194 MB; the benchmark has workloads on
 # both sides of the limit.
 _GRAM_LIMIT = 2048  # samples
@@ -184,41 +185,47 @@ def _gram_cache(X: np.ndarray):
     return block
 
 
-def _solve_alone(X: np.ndarray, Y: np.ndarray, cfg: SvmConfig, spent: int = 0):
-    """Dual coordinate ascent in feature space on the problems of one row set,
-    one per +/-1 label row of Y (m, n), each from alpha = 0 with ``spent``
-    passes already spent; the bias is kept apart so that X is not copied.
+def _solve_rows(X: np.ndarray, rows, Y: np.ndarray, cfg: SvmConfig):
+    """Solve the problems on ``rows`` of X (an index array or a slice), one
+    per +/-1 label row of Y (m, n), each from alpha = 0, in the one loop of
+    the module docstring.  Returns the weights W (m, d), the biases b (m,)
+    and the alphas (m, n), one row per problem, and the infos.
 
-    The live problems share one order: a pass visits, in one random
-    permutation, every row that is free or has a nonzero projected gradient
-    in some live problem (which after the pass certifies that problem).  At
-    each row one ``W @ x`` gives every live problem's margin, and each
-    problem whose own visit set holds the row takes its exact step and
-    updates its own row of W.  With one problem this is the ascent of that
-    problem alone.  After each pass one ``W @ X.T`` gives every live
-    problem's gradient, reading X once for all of them; it has the bits of
-    ``(X @ W.T).T`` in about 60% of its time (7 x 2,112 by 3,000 rows).
-    Every ``_WARM_PASSES`` passes Newton is tried on each live problem in
-    turn: Q_FF comes from a Gram cache of the problem's rows (one cache
-    alive at a time, kept while the same problem tries again), and the
-    gradient from the rows of nonzero alpha.  A problem leaves the live set
-    when certified or at ``max_passes``.  Returns the alphas (m, n) and the
-    infos."""
+    A pass visits, in one random permutation, every row that is free or has
+    a nonzero projected gradient in some live problem (which after the pass
+    certifies that problem).  At each row one ``W @ x`` gives every live
+    problem's margin, and each problem whose own visit set holds the row
+    takes its exact step and updates its own row of W.  With one problem
+    this is the ascent of that problem alone.  After each pass one
+    ``W @ X.T`` gives every live problem's gradient, reading X once for all
+    of them; it has the bits of ``(X @ W.T).T`` in about 60% of its time
+    (7 x 2,112 by 3,000 rows).  Newton runs before the first pass where
+    there is a Gram matrix K, and every ``_WARM_PASSES`` passes; without K
+    the Gram cache is kept while the same problem tries again.  A problem
+    leaves the live set when certified or at ``max_passes``."""
+    Xs = X[rows]
     (m, n), C = Y.shape, float(cfg.C)
+    if n <= _GRAM_LIMIT:
+        K = Xs @ Xs.T
+        K += 1.0
+        diag, block = np.diagonal(K), lambda F: K[np.ix_(F, F)]
+    else:
+        K, diag, block = None, np.einsum("ij,ij->i", Xs, Xs) + 1.0, None
     rng = np.random.default_rng(cfg.seed)
     A, G = np.zeros((m, n)), -np.ones((m, n))
-    diag = np.einsum("ij,ij->i", X, X) + 1.0
     qdiag = diag.tolist()
-    live, W, b = list(range(m)), np.zeros((m, X.shape[1])), [0.0] * m
-    passes, infos = [spent] * m, [None] * m
-    block, owner, sweeps = None, None, 0
+    live, W, b = list(range(m)), np.zeros((m, Xs.shape[1])), [0.0] * m
+    passes, infos = [0] * m, [None] * m
+    owner, sweeps = None, 0
     while True:
-        if sweeps and sweeps % _WARM_PASSES == 0:
+        if sweeps % _WARM_PASSES == 0 and (sweeps or K is not None):
             for p in live:
                 if passes[p] < cfg.max_passes - 1:
-                    if owner != p:  # the last problem's cache is freed here, before this one grows
-                        block, owner = _gram_cache(X), p
-                    done, info = _newton(A[p], Y[p], _feature_grad(X, Y[p]), block, diag, X.shape[1] + 1,
+                    y = Y[p]
+                    if K is None and owner != p:  # the last problem's cache is freed here, before this one grows
+                        block, owner = _gram_cache(Xs), p
+                    grad = _feature_grad(Xs, y) if K is None else lambda a: y * (K @ (a * y)) - 1.0
+                    done, info = _newton(A[p], y, grad, block, diag, Xs.shape[1] + 1,
                                          cfg, min(_NEWTON_STEPS, cfg.max_passes - passes[p] - 1))
                     passes[p] += info["passes"]
                     if info["converged"]:
@@ -226,13 +233,13 @@ def _solve_alone(X: np.ndarray, Y: np.ndarray, cfg: SvmConfig, spent: int = 0):
         keep = [k for k, p in enumerate(live) if infos[p] is None]
         live, W, b = [live[k] for k in keep], W[keep], [b[k] for k in keep]
         if not live:
-            return A, infos
+            break
         Al, Gl = A[live], G[live]
         visits = np.where(Al == 0.0, Gl < 0.0, np.where(Al == C, Gl > 0.0, True))
         order = np.flatnonzero(visits.any(axis=0))
         states = [(k, memoryview(A[p]), memoryview(Y[p]), visits[k].tobytes(), W[k]) for k, p in enumerate(live)]
         for i in order[rng.permutation(order.size)].tolist():
-            x = X[i]
+            x = Xs[i]
             margins = W.dot(x).tolist()
             for k, al, ys, visit, w in states:
                 if visit[i]:
@@ -243,35 +250,14 @@ def _solve_alone(X: np.ndarray, Y: np.ndarray, cfg: SvmConfig, spent: int = 0):
                         w += step * x
                         b[k] += step
                         al[i] = a_new
-        G[live] = Y[live] * (W @ X.T + np.array(b)[:, None]) - 1.0
+        G[live] = Y[live] * (W @ Xs.T + np.array(b)[:, None]) - 1.0
         sweeps += 1
         for p, gap in zip(live, _kkt_gap(A[live], G[live], C).tolist()):
             passes[p] += 1
             if gap <= cfg.tolerance or passes[p] >= cfg.max_passes:
                 infos[p] = {"passes": passes[p], "converged": gap <= cfg.tolerance, "kkt_gap": gap}
-
-
-def _solve_rows(X: np.ndarray, rows, Y: np.ndarray, cfg: SvmConfig):
-    """Solve the problems on ``rows`` of X (an index array or a slice), one
-    per +/-1 label row of Y.  Returns the weights W (m, d), the biases b
-    (m,) and the alphas (m, n), one row per problem, and the infos."""
-    Xs = X[rows]
-    n = Xs.shape[0]
-    if n <= _GRAM_LIMIT:
-        K = Xs @ Xs.T
-        K += 1.0
-        steps = min(_NEWTON_STEPS, cfg.max_passes - 1)
-        alphas, infos = np.empty(Y.shape), []
-        for p, y in enumerate(Y):
-            alphas[p], info = _newton(np.zeros(n), y, lambda a: y * (K @ (a * y)) - 1.0,
-                                      lambda F: K[np.ix_(F, F)], np.diagonal(K), X.shape[1] + 1, cfg, steps)
-            if not info["converged"]:
-                (alphas[p],), (info,) = _solve_alone(Xs, Y[p:p + 1], cfg, info["passes"])
-            infos.append(info)
-    else:
-        alphas, infos = _solve_alone(Xs, Y, cfg)
-    AY = alphas * Y
-    return np.array([ay @ Xs for ay in AY]), np.array([ay.sum() for ay in AY]), alphas, infos
+    AY = A * Y
+    return np.array([ay @ Xs for ay in AY]), np.array([ay.sum() for ay in AY]), A, infos
 
 
 @dataclass

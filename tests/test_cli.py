@@ -118,6 +118,17 @@ class TestTrainPredictEval:
         assert (tmp_path / "report.csv").exists()
         assert "accuracy" in capsys.readouterr().out
 
+    def test_eval_names_classes_of_truth_and_predictions(self, tmp_path, capsys):
+        # Without --labelmap, a predicted class that the truth never names
+        # used to exit 2 with UnknownClassName.
+        core.write_labels({"a": "x", "b": "y", "c": "y"}, tmp_path / "truth.csv")
+        core.write_labels({"a": "x", "b": "y", "c": "z"}, tmp_path / "preds.csv")
+        assert run(["eval", "--predictions", tmp_path / "preds.csv",
+                    "--truth", tmp_path / "truth.csv"]) == 0
+        out = capsys.readouterr().out
+        assert "accuracy 0.666667" in out
+        assert [line.split()[0] for line in out.splitlines()[4:7]] == ["x", "y", "z"]
+
     def test_local_and_knn_flow(self, arcs_dataset, tmp_path):
         d, truth = arcs_dataset
         for cmd, out_name in (("predict-local", "lp.csv"), ("knn-baseline", "kp.csv")):
@@ -578,6 +589,49 @@ class TestDsdCommands:
                     "--out", tmp_path / "scan.csv"]) == 2
         self._one_error_line(capsys, "error: ValidationError: threshold must be finite and >= 0")
         assert not (tmp_path / "scan.csv").exists()
+
+    def _two_class_subset(self, tmp_path):
+        """The rows of classes v and w of ``f.fv``, as ``vw.fv`` and ``vw.csv``."""
+        m, labels = core.load_features(tmp_path / "f.fv"), core.read_labels(tmp_path / "l.csv")
+        rows = [i for i, sid in enumerate(m.sample_ids) if labels[sid] != "u"]
+        sub = m.take(rows)
+        core.save_features(sub, tmp_path / "vw.fv")
+        core.write_labels({sid: labels[sid] for sid in sub.sample_ids}, tmp_path / "vw.csv")
+        return tmp_path / "vw.fv", tmp_path / "vw.csv"
+
+    def test_validation_file_takes_the_training_label_map(self, tmp_path, capsys):
+        # 3 classes in training, 2 in validation: without --labelmap the
+        # validation ids used to come from a map of their own, and every
+        # validation accuracy read 0.
+        self._features(tmp_path)
+        val_features, val_labels = self._two_class_subset(tmp_path)
+        finals = []
+        for labelmap in ([], ["--labelmap", tmp_path / "map.txt"]):
+            assert run(["dsd-train", "--features", tmp_path / "f.fv", "--labels", tmp_path / "l.csv",
+                        *labelmap, "--schedule", "D20", "--hidden", "0", "--lr", "0.1", "--batch", "16",
+                        "--val-features", val_features, "--val-labels", val_labels,
+                        "--out", tmp_path / "m.llmb"]) == 0
+            finals.append(capsys.readouterr().out)
+        assert finals[0] == finals[1]
+        assert float(finals[0].split()[-1]) > 0.5
+
+    def test_scan_without_labelmap_checks_the_model_width(self, tmp_path, capsys):
+        # A 2-class labels file would get ids 0 and 1 for v and w, which the
+        # 3-output model calls 1 and 2: the baseline read 0.
+        self._features(tmp_path)
+        assert self._train(tmp_path) == 0
+        features, labels = self._two_class_subset(tmp_path)
+        capsys.readouterr()
+        assert run(["sensitivity-scan", "--model", tmp_path / "m.llmb", "--features", features,
+                    "--labels", labels, "--out", tmp_path / "scan.csv"]) == 2
+        self._one_error_line(capsys, "error: ValidationError: the label map has 2 classes, the model 3 outputs")
+        assert not (tmp_path / "scan.csv").exists()
+        tables = []
+        for labelmap in ([], ["--labelmap", tmp_path / "map.txt"]):
+            assert run(["sensitivity-scan", "--model", tmp_path / "m.llmb", "--features", tmp_path / "f.fv",
+                        "--labels", tmp_path / "l.csv", *labelmap, "--out", tmp_path / "scan.csv"]) == 0
+            tables.append((tmp_path / "scan.csv").read_text())
+        assert tables[0] == tables[1]
 
     def test_divergence_exits_3(self, tmp_path, capsys):
         self._features(tmp_path)

@@ -41,9 +41,9 @@ class TestDegeneracy:
         # With k >= n_train the local problem is the global problem: all 8
         # queries share one model, equal to the global one bit for bit, and
         # so do the predictions.  30 rows are more than d + 1, so Newton
-        # hands every problem to coordinate ascent; at d = 16 a Newton
-        # finish retried during the ascent certifies each one, at d = 4
-        # mostly the ascent.
+        # cannot start and every problem goes on to coordinate ascent; at
+        # d = 16 a Newton finish retried during the ascent certifies each
+        # one, at d = 4 mostly the ascent.
         fitted = []
         train_ova_rows = local_mod.train_ova_rows
 

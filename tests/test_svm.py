@@ -106,9 +106,10 @@ class TestTrainBinary:
     @pytest.mark.parametrize("shape", [(12, 2), (30, 20)])
     def test_every_solver_path_matches_oracle(self, shape, monkeypatch):
         # Newton cannot start either shape from alpha = 0 on the Gram
-        # matrix and hands it to coordinate ascent; with _GRAM_LIMIT forced
-        # down the same problem goes straight to the ascent.  Both paths
-        # must land on the same QP optimum.
+        # matrix, so coordinate ascent goes on with Newton retried from the
+        # Gram matrix; with _GRAM_LIMIT forced down the same problem skips
+        # the first Newton and retries it from the Gram cache.  Both must
+        # land on the same QP optimum.
         n, d = shape
         rng = np.random.default_rng(n * d)
         X = rng.normal(size=(n, d))
@@ -169,14 +170,48 @@ def _spy(monkeypatch, name):
     return calls
 
 
+def _first_newton(monkeypatch):
+    """Record, in problem order, whether each Newton try from alpha = 0 (the
+    one before the first pass, on a set with a Gram matrix) certified."""
+    certified, original = [], svm_mod._newton
+
+    def spy(alpha, *args):
+        out = original(alpha, *args)
+        if not alpha.any():
+            certified.append(out[1]["converged"])
+        return out
+
+    monkeypatch.setattr(svm_mod, "_newton", spy)
+    return certified
+
+
+def _agrees_with_alone(Xs, y, cfg, in_set, alone, certified_first):
+    """A problem that Newton certifies before the first pass has the same
+    bits, (w, b, alpha, info), solved alone and with its row set; one
+    certified later lands on the QP optimum in both (c01's tolerance), and
+    one that stops at ``max_passes`` is reported unconverged."""
+    if certified_first:
+        (w, b, alpha, info), (w1, b1, alpha1, info1) = in_set, alone
+        assert np.array_equal(alpha1, alpha) and np.array_equal(w1, w) and b1 == b
+        assert info1 == info and info["converged"]
+        return
+    oracle, _ = box_qp_max(svm_dual_gram(Xs, y), cfg.C)
+    for _, _, alpha, info in (in_set, alone):
+        if info["converged"]:
+            assert info["kkt_gap"] <= cfg.tolerance
+            assert abs(svm_dual_value(Xs, y, alpha) - oracle) <= 1e-6 * max(1.0, abs(oracle))
+        else:
+            assert info["passes"] == cfg.max_passes and info["kkt_gap"] > cfg.tolerance
+
+
 class TestRowSets:
     # n <= _GRAM_LIMIT: Newton starts every problem on the set's Gram
-    # matrix and hands the ones it does not certify to coordinate ascent.
+    # matrix, and the ones it does not certify share one coordinate ascent.
 
     def test_every_problem_of_a_row_set_matches_oracle(self, monkeypatch):
         X, sets = _neighbourhood_sets(31)
         cfg = SvmConfig(C=10.0, tolerance=1e-9, max_passes=200_000, seed=4)
-        handed = _spy(monkeypatch, "_solve_alone")
+        first = _first_newton(monkeypatch)
         for rows, Y in sets:
             W, b, alphas, infos = svm_mod._solve_rows(X, rows, Y, cfg)
             assert W.shape == (Y.shape[0], X.shape[1]) and b.shape == (Y.shape[0],)
@@ -185,18 +220,45 @@ class TestRowSets:
                 oracle, _ = box_qp_max(svm_dual_gram(X[rows], y), 10.0)
                 mine = svm_dual_value(X[rows], y, alpha)
                 assert abs(mine - oracle) <= 1e-6 * max(1.0, abs(oracle))
-        assert 0 < len(handed) < sum(Y.shape[0] for _, Y in sets)
+        assert len(first) == sum(Y.shape[0] for _, Y in sets)
+        assert 0 < first.count(False) < len(first)
 
-    def test_alone_and_with_its_row_set_bit_identical(self):
+    def test_alone_and_with_its_row_set_bit_identical(self, monkeypatch):
+        # Bit for bit where Newton certifies before the first pass; the
+        # others share the set's ascent order, which alone they do not.
         X, sets = _neighbourhood_sets(32)
         cfg = SvmConfig(C=100.0, tolerance=1e-6, seed=5)
+        first = _first_newton(monkeypatch)
+        later = 0
         for rows, Y in sets:
+            first.clear()
             W, b, alphas, infos = svm_mod._solve_rows(X, rows, Y, cfg)
+            certified_first = list(first)
             for p in range(Y.shape[0]):
                 W1, b1, alpha1, info1 = svm_mod._solve_rows(X, rows, Y[p:p + 1], cfg)
-                assert np.array_equal(alpha1[0], alphas[p])
-                assert np.array_equal(W1[0], W[p]) and b1[0] == b[p]
-                assert info1 == [infos[p]]
+                _agrees_with_alone(X[rows], Y[p], cfg, (W[p], b[p], alphas[p], infos[p]),
+                                   (W1[0], b1[0], alpha1[0], info1[0]), certified_first[p])
+                later += not certified_first[p] and infos[p]["converged"] and info1[0]["converged"]
+        assert later > 0
+
+    def test_uncertified_problems_retry_newton_on_the_gram_matrix(self, monkeypatch):
+        # 24 rows in 11 augmented dimensions: Newton cannot start from
+        # alpha = 0, and its retries during the shared ascent take Q_FF and
+        # the gradient from the set's Gram matrix, never from the
+        # feature-space cache or gradient.
+        X, sets = _neighbourhood_sets(31)
+        rows, Y = sets[5]
+        first = _first_newton(monkeypatch)
+        newton = _spy(monkeypatch, "_newton")
+        caches, grads = _spy(monkeypatch, "_gram_cache"), _spy(monkeypatch, "_feature_grad")
+        cfg = SvmConfig(C=10.0, tolerance=1e-9, max_passes=200_000, seed=4)
+        _, _, alphas, infos = svm_mod._solve_rows(X, rows, Y, cfg)
+        assert Y.shape[0] == 4 and first.count(False) >= 2
+        assert len(newton) > len(first) and caches == [] and grads == []
+        for y, alpha, info in zip(Y, alphas, infos):
+            assert info["converged"] and info["kkt_gap"] <= 1e-9
+            oracle, _ = box_qp_max(svm_dual_gram(X[rows], y), 10.0)
+            assert abs(svm_dual_value(X[rows], y, alpha) - oracle) <= 1e-6 * max(1.0, abs(oracle))
 
     def test_max_passes_reported_not_converged(self):
         X, sets = _neighbourhood_sets(33)
@@ -207,17 +269,29 @@ class TestRowSets:
                 assert info["kkt_gap"] > 1e-9
 
     @pytest.mark.parametrize("n_classes", [2, 5])
-    def test_ova_models_equal_binary_solves(self, n_classes):
-        # Two classes are solved once and mirrored; five share one Gram matrix.
+    def test_ova_models_equal_binary_solves(self, n_classes, monkeypatch):
+        # Two classes are solved once and mirrored: one problem, so bit for
+        # bit its binary solve.  Five share one Gram matrix and one ascent,
+        # so only the problems Newton certifies before the first pass keep
+        # their binary solve's bits.
         rng = np.random.default_rng(34)
         X = rng.normal(size=(40, 12))
         labels = rng.integers(0, n_classes, 40)
         cfg = SvmConfig(C=10.0, seed=2)
-        ova = train_ova(X, labels, cfg)
+        first = _first_newton(monkeypatch)
+        solved = _spy(monkeypatch, "_solve_rows")
+        ova, infos = train_ova(X, labels, cfg, return_infos=True)
+        certified_first, ((_, _, alphas, _),) = list(first), solved
         assert ova.classes.tolist() == list(range(n_classes))
-        for cls, w, b in zip(ova.classes, ova.W, ova.b):
-            alone_w, alone_b, _, _ = train_binary(X, np.where(labels == cls, 1.0, -1.0), cfg)
-            assert np.array_equal(alone_w, w) and alone_b == b
+        for cls, w, b, info in zip(ova.classes, ova.W, ova.b, infos):
+            y = np.where(labels == cls, 1.0, -1.0)
+            alone = train_binary(X, y, cfg)
+            if n_classes == 2:
+                assert np.array_equal(alone[0], w) and alone[1] == b and alone[3] == info
+            else:
+                _agrees_with_alone(X, y, cfg, (w, b, alphas[cls], info), alone, certified_first[cls])
+        if n_classes == 5:
+            assert not all(certified_first) and any(info["converged"] for info in infos)
 
 
 class TestNewtonFinish:
@@ -302,11 +376,12 @@ class TestNewtonFinish:
 
 
 def check_alone_and_in_block():
-    """Every problem's alpha, weights and info are bit-equal solved alone
-    and with the other class problems of its row set, sets of 120 rows in
-    301 dimensions.  Newton certifies most from alpha = 0; in every third
-    set each row appears twice, so Q_FF is singular and coordinate ascent
-    finishes it."""
+    """Every problem that Newton certifies from alpha = 0 has bit-equal
+    alpha, weights and info solved alone and with the other class problems
+    of its row set, sets of 120 rows in 301 dimensions; Newton certifies
+    most.  In every third set each row appears twice, so Q_FF is singular
+    and the problems go on to the set's shared ascent, which lands each on
+    the QP optimum, as it does alone."""
     rng = np.random.default_rng(8)
     X = rng.normal(size=(400, 301))
     sets = []
@@ -319,16 +394,19 @@ def check_alone_and_in_block():
             rows, labels = np.repeat(rows, 2), np.repeat(labels, 2)
         sets.append((rows, np.where(labels == np.arange(n_cls)[:, None], 1.0, -1.0)))
     cfg = SvmConfig(C=100.0, tolerance=1e-6, seed=5)
+    solved = []
     with pytest.MonkeyPatch.context() as mp:
-        handed = _spy(mp, "_solve_alone")
-        solved = [svm_mod._solve_rows(X, rows, Y, cfg) for rows, Y in sets]
-    assert 0 < len(handed) < 18, len(handed)
-    for (rows, Y), (W, b, alphas, infos) in zip(sets, solved):
+        first = _first_newton(mp)
+        for rows, Y in sets:
+            solved.append((svm_mod._solve_rows(X, rows, Y, cfg), list(first)))
+            first.clear()
+    assert 0 < sum(f.count(False) for _, f in solved) < 18
+    for (rows, Y), ((W, b, alphas, infos), certified_first) in zip(sets, solved):
         for p in range(Y.shape[0]):
             W1, b1, alpha1, info1 = svm_mod._solve_rows(X, rows, Y[p:p + 1], cfg)
-            assert np.array_equal(alpha1[0], alphas[p])
-            assert np.array_equal(W1[0], W[p]) and b1[0] == b[p]
-            assert info1 == [infos[p]] and infos[p]["converged"]
+            assert infos[p]["converged"] and info1[0]["converged"]
+            _agrees_with_alone(X[rows], Y[p], cfg, (W[p], b[p], alphas[p], infos[p]),
+                               (W1[0], b1[0], alpha1[0], info1[0]), certified_first[p])
 
 
 def check_gradient_layout():
@@ -408,7 +486,8 @@ class TestFeatureSpaceNewton:
             return original(alpha, labels, grad, block, diag, width, cfg, steps)
 
         monkeypatch.setattr(svm_mod, "_newton", driving)
-        _, (info,) = svm_mod._solve_alone(tracked, y[None, :],
+        monkeypatch.setattr(svm_mod, "_GRAM_LIMIT", 1)
+        *_, (info,) = svm_mod._solve_rows(tracked, slice(None), y[None, :],
                                           SvmConfig(C=100.0, tolerance=1e-8, max_passes=100_000))
         assert info["converged"]
         # every dot product of two rows is computed at most once, and those
@@ -439,7 +518,8 @@ class TestFeatureSpaceNewton:
             return original(alpha, labels, grad, block, diag, width, cfg, steps)
 
         monkeypatch.setattr(svm_mod, "_newton", capture)
-        svm_mod._solve_alone(tracked, y[None, :], SvmConfig(C=10.0, max_passes=12))
+        monkeypatch.setattr(svm_mod, "_GRAM_LIMIT", 1)
+        svm_mod._solve_rows(tracked, slice(None), y[None, :], SvmConfig(C=10.0, max_passes=12))
         grad = grads[0]
         for density in (1.0, 0.5, 0.02):
             alpha = rng.uniform(0.0, 10.0, n) * (rng.random(n) < density)
@@ -460,10 +540,10 @@ class TestFeatureSpaceNewton:
         y0 = np.where(rng.random(40) > 0.5, 1.0, -1.0)
         X, y = np.repeat(X0, 2, axis=0), np.repeat(y0, 2)
         monkeypatch.setattr(svm_mod, "_GRAM_LIMIT", 1)
-        handed = _spy(monkeypatch, "_solve_alone")
+        first, caches = _first_newton(monkeypatch), _spy(monkeypatch, "_gram_cache")
         cfg = SvmConfig(C=10.0, tolerance=1e-9, max_passes=300_000)
         _, _, alpha, info = train_binary(X, y, cfg)
-        assert len(handed) == 1
+        assert first == [] and caches
         assert info["converged"] and info["kkt_gap"] <= 1e-9
         oracle, _ = box_qp_max(svm_dual_gram(X, y), 10.0)
         assert abs(svm_dual_value(X, y, alpha) - oracle) <= 1e-6 * max(1.0, abs(oracle))
@@ -486,10 +566,11 @@ class TestJointAscent:
         # the ascent certifies; d = 40: the Newton retries certify.
         X, labels, Y = self._blobs(d=d)
         monkeypatch.setattr(svm_mod, "_GRAM_LIMIT", 16)
-        handed = _spy(monkeypatch, "_solve_alone")
+        first, gaps = _first_newton(monkeypatch), _spy(monkeypatch, "_kkt_gap")
         cfg = SvmConfig(C=C, tolerance=1e-9, max_passes=100_000)
         W, b, alphas, infos = svm_mod._solve_rows(X, slice(None), Y, cfg)
-        assert len(handed) == 1 and handed[0][0].shape == Y.shape
+        # no Newton before the first pass, which every problem shares
+        assert first == [] and gaps[0].shape == (Y.shape[0],)
         for y, w, bias, alpha, info in zip(Y, W, b, alphas, infos):
             assert info["converged"] and info["kkt_gap"] <= 1e-9
             assert np.all(alpha >= 0.0) and np.all(alpha <= C)
@@ -520,8 +601,9 @@ class TestJointAscent:
             return original(alpha, y, grad, block, diag, width, cfg, steps)
 
         monkeypatch.setattr(svm_mod, "_newton", burning)
+        monkeypatch.setattr(svm_mod, "_GRAM_LIMIT", 16)
         cfg = SvmConfig(C=1.0, tolerance=1e-6, max_passes=250)
-        alphas, infos = svm_mod._solve_alone(X, Y, cfg)
+        _, _, alphas, infos = svm_mod._solve_rows(X, slice(None), Y, cfg)
         assert infos[0]["passes"] == 250 and not infos[0]["converged"]
         for y, alpha, info in zip(Y[1:], alphas[1:], infos[1:]):
             assert info["converged"] and 100 < info["passes"] < 250
@@ -532,8 +614,7 @@ class TestJointAscent:
     def test_gradient_rows_bit_equal_in_either_layout(self, threads):
         # Each pass takes every live problem's gradient from one W @ X.T, so
         # the solver's bits stay those of (X @ W.T).T; with one problem (a
-        # Gram-path handoff, or a two-class set) they are also those of
-        # X @ w.  Each BLAS thread count runs in a fresh process, because
+        # binary or two-class set) they are also those of X @ w.  Each BLAS thread count runs in a fresh process, because
         # BLAS reads it at start-up.
         env = {name: value for name, value in os.environ.items() if name not in BLAS_ENV}
         if threads != "default":
@@ -556,7 +637,8 @@ class TestJointAscent:
             return original(alpha, y, grad, block, diag, width, cfg, steps)
 
         monkeypatch.setattr(svm_mod, "_newton", watching)
-        _, infos = svm_mod._solve_alone(X, Y, SvmConfig(C=100.0, tolerance=1e-8, max_passes=100_000))
+        monkeypatch.setattr(svm_mod, "_GRAM_LIMIT", 16)
+        *_, infos = svm_mod._solve_rows(X, slice(None), Y, SvmConfig(C=100.0, tolerance=1e-8, max_passes=100_000))
         assert all(info["converged"] for info in infos)
         assert len({p for p, _ in attempts}) == Y.shape[0] and len(attempts) > Y.shape[0]
 
