@@ -200,9 +200,10 @@ def cmd_fuse(args) -> int:
     return 0
 
 
-def _report_solver(solves: int, nonconverged: int) -> None:
+def _report_solver(solves: int, nonconverged: int, gram_entries: int | None = None) -> None:
+    gram = "" if gram_entries is None else f", {gram_entries} Gram entries"
     sys.stderr.write(f"solver: {solves} binary models, {nonconverged} stopped at max passes "
-                     "without converging\n")
+                     f"without converging{gram}\n")
 
 
 def cmd_train_global(args) -> int:
@@ -245,7 +246,7 @@ def cmd_predict_local(args) -> int:
         f"timing: search {timing.search_s:.2f}s solve {timing.solve_s:.2f}s "
         f"wall {timing.total_s:.2f}s\n"
     )
-    _report_solver(timing.solves, timing.nonconverged)
+    _report_solver(timing.solves, timing.nonconverged, timing.gram_entries)
     sys.stdout.write(f"predicted {test.n_samples} samples\n")
     return 0
 
@@ -381,6 +382,7 @@ def cmd_pipeline(args) -> int:
         f"wall_s {wall:.3f}\nglobal_train_s {result.global_train_s:.3f}\n"
         f"local_search_s {timing.search_s:.3f}\nlocal_solve_s {timing.solve_s:.3f}\n"
         f"local_solves {timing.solves}\nlocal_nonconverged {timing.nonconverged}\n"
+        f"local_gram_entries {timing.gram_entries}\n"
         f"global_nonconverged {result.global_nonconverged}\n",
     )
     sys.stderr.write(f"pipeline wall time {wall:.2f}s\n")

@@ -13,10 +13,11 @@ within ``tolerance``; otherwise dual coordinate ascent solves the problem.
 
 Training takes one row set of a matrix (all rows, or one query's
 neighbourhood), poses one problem per class, and solves them all in one
-loop.  A set of up to ``_GRAM_LIMIT`` rows gets one Gram matrix K, on
-which Newton starts every problem from alpha = 0.  The problems it does
-not certify, and every problem of a larger set, then run dual coordinate
-ascent in feature space (Hsieh et al., ICML 2008) together (as in Keerthi
+loop.  A set of up to ``_GRAM_LIMIT`` rows gets one Gram matrix K (its
+own ``gram`` product, or its block of a wider one that the caller shares
+between overlapping sets), on which Newton starts every problem from
+alpha = 0.  The problems it does not certify, and every problem of a
+larger set, then run dual coordinate ascent in feature space (Hsieh et al., ICML 2008) together (as in Keerthi
 et al., KDD 2008): they share one random order of the rows, and at each
 row one ``W @ x`` gives every live problem's margin, so a row is read once
 per pass for all classes.  Every ``_WARM_PASSES`` passes Newton is retried
@@ -27,7 +28,12 @@ cache is alive at a time), and the gradient from the rows of nonzero
 alpha; both gather rows a tile at a time, as a larger gather, once freed,
 stayed resident.  ``_GRAM_LIMIT`` thus decides only where Newton's inputs
 come from.  Newton solves with the labels folded out: Q = (y y') * G, and
-G_FF beta = y_F * r gives alpha_F = y_F * beta bit for bit.
+G_FF beta = y_F * r gives alpha_F = y_F * beta bit for bit.  On K, G_FF is
+K itself when every index is free and otherwise ``K[F][:, F]``, the rows
+and then the columns, the bits of ``K[np.ix_(F, F)]`` in less time.  The
+solve stays on numpy's LU: a Cholesky solve of the positive definite G_FF
+through scipy is faster, but importing ``scipy.linalg`` costs about 0.3 s
+and 28 MB at start-up.
 
 A one-vs-all model is the ascending ids of its trained classes, a weight
 matrix with one row per class and a bias vector.  A row set of a single
@@ -165,31 +171,42 @@ def _feature_grad(X: np.ndarray, y: np.ndarray):
     return grad
 
 
+def gram(Xs: np.ndarray) -> np.ndarray:
+    """G = Xs Xs' + 1, the Gram matrix of the rows of Xs with the bias's
+    constant feature."""
+    K = Xs @ Xs.T
+    K += 1.0
+    return K
+
+
 def _gram_cache(X: np.ndarray):
     """``block(F)`` = G_FF = X_F X_F' + 1 from a cache of the rows of X free
     in any block asked for so far (LIBSVM's kernel cache): only rows new to
     it are multiplied, against the cached ones a tile at a time, as a larger
     gather, once freed, stayed resident."""
-    cached, slot, gram = np.empty(0, dtype=np.intp), np.full(X.shape[0], -1), np.empty((0, 0))
+    cached, slot, table = np.empty(0, dtype=np.intp), np.full(X.shape[0], -1), np.empty((0, 0))
 
     def block(F):
-        nonlocal cached, gram
+        nonlocal cached, table
         new = F[slot[F] < 0]
         if new.size:
             Xn = X[new]
             cross = np.vstack([X[p] @ Xn.T for p in np.split(cached, range(_ROWS, cached.size, _ROWS))])
             cross += 1.0
-            gram, Xn = np.block([[gram, cross], [cross.T, Xn @ Xn.T + 1.0]]), None  # free the gather first
+            table, Xn = np.block([[table, cross], [cross.T, gram(Xn)]]), None  # free the gather first
             slot[new], cached = np.arange(cached.size, cached.size + new.size), np.append(cached, new)
-        return gram[np.ix_(slot[F], slot[F])]
+        return table[np.ix_(slot[F], slot[F])]
     return block
 
 
-def _solve_rows(X: np.ndarray, rows, Y: np.ndarray, cfg: SvmConfig):
+def _solve_rows(X: np.ndarray, rows, Y: np.ndarray, cfg: SvmConfig, K: np.ndarray | None = None):
     """Solve the problems on ``rows`` of X (an index array or a slice), one
     per +/-1 label row of Y (m, n), each from alpha = 0, in the one loop of
     the module docstring.  Returns the weights W (m, d), the biases b (m,)
-    and the alphas (m, n), one row per problem, and the infos.
+    and the alphas (m, n), one row per problem, and the infos.  ``K``, when
+    given, is the rows' Gram matrix, a block of a wider ``gram`` product,
+    used in place of their own; it is C-ordered like their own, as the
+    bits of ``K @ v`` depend on the layout.
 
     A pass visits, in one random permutation, every row that is free or has
     a nonzero projected gradient in some live problem (which after the pass
@@ -205,12 +222,12 @@ def _solve_rows(X: np.ndarray, rows, Y: np.ndarray, cfg: SvmConfig):
     leaves the live set when certified or at ``max_passes``."""
     Xs = X[rows]
     (m, n), C = Y.shape, float(cfg.C)
-    if n <= _GRAM_LIMIT:
-        K = Xs @ Xs.T
-        K += 1.0
-        diag, block = np.diagonal(K), lambda F: K[np.ix_(F, F)]
+    if K is None and n <= _GRAM_LIMIT:
+        K = gram(Xs)
+    if K is not None:
+        diag, block = np.diagonal(K), lambda F: K if F.size == n else K[F][:, F]
     else:
-        K, diag, block = None, np.einsum("ij,ij->i", Xs, Xs) + 1.0, None
+        diag, block = np.einsum("ij,ij->i", Xs, Xs) + 1.0, None
     rng = np.random.default_rng(cfg.seed)
     A, G = np.zeros((m, n)), -np.ones((m, n))
     qdiag = diag.tolist()
@@ -318,13 +335,15 @@ def train_ova(
     return (model, infos) if return_infos else model
 
 
-def train_ova_rows(X, labels, rows, cfg: SvmConfig) -> tuple[OvaModel, list[dict]]:
+def train_ova_rows(X, labels, rows, cfg: SvmConfig, K: np.ndarray | None = None) -> tuple[OvaModel, list[dict]]:
     """The OvA model of the given rows of X (an index array, or a slice),
     with the solver info of each of its binary problems.
 
     The rows enter the problems in the order given, so every row in order
     trains exactly what ``train_ova`` does.  A single-class row set gets
-    a zero row and a zero bias, and no solve.
+    a zero row and a zero bias, and no solve.  ``K``, when given, is the
+    rows' Gram matrix (a block of a wider ``gram`` product) and replaces
+    their own.
     """
     Xv, labels = _as_values(X), np.asarray(labels, dtype=np.int64)[rows]
     classes = np.unique(labels)
@@ -334,7 +353,7 @@ def train_ova_rows(X, labels, rows, cfg: SvmConfig) -> tuple[OvaModel, list[dict
         # Two classes pose one dual (y -> -y leaves (y y')K alone): solve
         # for the second, and the first's weights are the negation.
         solved = classes[1:] if classes.size == 2 else classes
-        W, b, _, infos = _solve_rows(Xv, rows, np.where(labels == solved[:, None], 1.0, -1.0), cfg)
+        W, b, _, infos = _solve_rows(Xv, rows, np.where(labels == solved[:, None], 1.0, -1.0), cfg, K)
         if classes.size == 2:
             W, b, infos = np.vstack([-W, W]), np.append(-b, b), infos * 2
     return OvaModel(classes, W, b, int(classes.max()) + 1), infos

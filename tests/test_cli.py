@@ -129,7 +129,7 @@ class TestTrainPredictEval:
         assert "accuracy 0.666667" in out
         assert [line.split()[0] for line in out.splitlines()[4:7]] == ["x", "y", "z"]
 
-    def test_local_and_knn_flow(self, arcs_dataset, tmp_path):
+    def test_local_and_knn_flow(self, arcs_dataset, tmp_path, capsys):
         d, truth = arcs_dataset
         for cmd, out_name in (("predict-local", "lp.csv"), ("knn-baseline", "kp.csv")):
             out = tmp_path / out_name
@@ -140,6 +140,9 @@ class TestTrainPredictEval:
                 args += ["-C", "100", "--workers", "2"]
             assert run(args) == 0
             assert len(out.read_text().strip().splitlines()) == 60
+            if cmd == "predict-local":
+                solver = capsys.readouterr().err.splitlines()[-1]
+                assert solver.startswith("solver: ") and solver.endswith(" Gram entries")
 
 
 class TestIngestAndPipeline:
@@ -194,6 +197,7 @@ class TestIngestAndPipeline:
         assert all(s >= 0.0 for s in stages)
         assert sum(stages) <= float(timing["wall_s"])
         assert timing["global_nonconverged"] == "2"  # two-arcs at C = 100
+        assert int(timing["local_gram_entries"]) > 0
 
 
 class TestBovwCommands:

@@ -36,6 +36,12 @@ class TestDegeneracy:
     def test_k_covering_train_equals_global_through_newton_retries(self, monkeypatch):
         self.check_k_covering_train_equals_global(monkeypatch, d=16)
 
+    def test_k_covering_train_equals_global_without_gram(self, monkeypatch):
+        # With the Gram limit below the set's 30 rows no Gram product is
+        # built: local and global both take Newton's blocks from the cache.
+        monkeypatch.setattr(svm_mod, "_GRAM_LIMIT", 20)
+        self.check_k_covering_train_equals_global(monkeypatch, d=16)
+
     @staticmethod
     def check_k_covering_train_equals_global(monkeypatch, d):
         # With k >= n_train the local problem is the global problem: all 8
@@ -43,7 +49,9 @@ class TestDegeneracy:
         # so do the predictions.  30 rows are more than d + 1, so Newton
         # cannot start and every problem goes on to coordinate ascent; at
         # d = 16 a Newton finish retried during the ascent certifies each
-        # one, at d = 4 mostly the ascent.
+        # one, at d = 4 mostly the ascent.  The one set is a Gram group of
+        # its own, 30^2 entries, unless it is above the Gram limit.
+        gram_entries = 30 ** 2 if 30 <= svm_mod._GRAM_LIMIT else 0
         fitted = []
         train_ova_rows = local_mod.train_ova_rows
 
@@ -62,8 +70,8 @@ class TestDegeneracy:
             ova = train_ova(X, y, cfg.svm)
             queries = rng.normal(size=(8, d))
             fitted.clear()
-            batch, _, _ = local_predict_batch(train, as_feature_matrix(queries, prefix="q"), cfg)
-            assert len(fitted) == 1
+            batch, _, timing = local_predict_batch(train, as_feature_matrix(queries, prefix="q"), cfg)
+            assert len(fitted) == 1 and timing.gram_entries == gram_entries
             for name in ("classes", "W", "b"):
                 assert np.array_equal(getattr(fitted[0], name), getattr(ova, name))
             assert np.array_equal(batch, predict_ova_batch(ova, queries))
@@ -170,6 +178,7 @@ class TestBatch:
         assert np.array_equal(p1, p4)
         assert t1.solves == t4.solves > 40
         assert t1.nonconverged == t4.nonconverged == 0
+        assert t1.gram_entries == t4.gram_entries > 0
 
     def test_identical_queries_share_one_solve(self):
         rng = np.random.default_rng(10)
@@ -222,6 +231,80 @@ class TestBatch:
         train = FeatureMatrix(np.eye(3), ["a", "b", "c"])
         with pytest.raises(MissingLabels):
             local_predict_batch(train, train, LocalLearnerConfig(k=1))
+
+
+class TestSharedGram:
+    # Overlapping neighbourhoods share one Gram product over the union of
+    # their rows; each set solves on its block of it.
+    CFG = LocalLearnerConfig(k=30, svm=SvmConfig(C=1.0, seed=3))
+
+    @staticmethod
+    def jittered():
+        """Ten queries jittered around each of four training rows (d = 16):
+        the neighbourhoods of a row's queries overlap but differ."""
+        rng = np.random.default_rng(13)
+        X = rng.normal(size=(120, 16))
+        train = labeled(X, rng.integers(0, 4, 120))
+        queries = (X[[3, 40, 77, 101]][:, None, :] + 0.3 * rng.normal(size=(4, 10, 16))).reshape(-1, 16)
+        return train, as_feature_matrix(queries, prefix="q")
+
+    @staticmethod
+    def spy(monkeypatch):
+        """Record each ``train_ova_rows`` call of the local stage as (rows,
+        K, model), and the row count of each Gram product it builds."""
+        fitted, products = [], []
+        train_ova_rows, gram = local_mod.train_ova_rows, local_mod.gram
+
+        def capture(X, labels, rows, cfg, K):
+            out = train_ova_rows(X, labels, rows, cfg, K)
+            fitted.append((rows, K, out[0]))
+            return out
+
+        monkeypatch.setattr(local_mod, "train_ova_rows", capture)
+        monkeypatch.setattr(local_mod, "gram", lambda Xs: products.append(len(Xs)) or gram(Xs))
+        return fitted, products
+
+    def test_overlapping_sets_share_a_product_and_agree_with_their_own(self, monkeypatch):
+        train, queries = self.jittered()
+        fitted, products = self.spy(monkeypatch)
+        preds, _, timing = local_predict_batch(train, queries, self.CFG)
+        solved = [rows for rows, _, model in fitted if model.classes.size > 1]
+        assert timing.gram_entries == sum(n * n for n in products)
+        assert 0 < timing.gram_entries < sum(rows.size ** 2 for rows in solved)
+        alone = {}
+        for rows, K, model in fitted:
+            own, _ = svm_mod.train_ova_rows(train.values, train.labels, rows, self.CFG.svm)
+            shared, theirs = svm_mod.decisions(model, queries), svm_mod.decisions(own, queries)
+            assert np.array_equal(model.classes, own.classes)
+            assert np.abs(shared - theirs).max() <= 1e-9 * np.abs(theirs).max()
+            alone[rows.tobytes()] = own
+        rows, _ = local_mod._search(CosineIndex(train), train.labels, queries.values, self.CFG.k)
+        expected = [predict_ova_batch(alone[r.tobytes()], q[None, :])[0] for r, q in zip(rows, queries.values)]
+        assert preds.tolist() == expected
+
+    def test_no_union_exceeds_twice_a_set(self, monkeypatch):
+        train, queries = self.jittered()
+        _, products = self.spy(monkeypatch)
+        local_predict_batch(train, queries, self.CFG)
+        assert max(products) > self.CFG.k  # some sets did share
+        assert max(products) <= 2 * self.CFG.k
+
+    def test_disjoint_sets_solve_alone_bit_for_bit(self, monkeypatch):
+        # Four clusters of 30 rows along four axes, queried at their centres
+        # with k = 30: each neighbourhood is one whole cluster, so no two
+        # sets overlap and each builds its own product.
+        rng = np.random.default_rng(14)
+        X = (10.0 * np.eye(16)[:4, None, :] + rng.normal(size=(4, 30, 16))).reshape(-1, 16)
+        train = labeled(X, rng.integers(0, 3, 120))
+        queries = as_feature_matrix(10.0 * np.eye(16)[:4], prefix="q")
+        fitted, products = self.spy(monkeypatch)
+        _, _, timing = local_predict_batch(train, queries, self.CFG)
+        assert products == [30] * 4 and timing.gram_entries == 4 * 30 ** 2
+        for rows, K, model in fitted:
+            assert np.array_equal(rows, np.arange(rows[0], rows[0] + 30))
+            own, _ = svm_mod.train_ova_rows(train.values, train.labels, rows, self.CFG.svm)
+            for name in ("classes", "W", "b"):
+                assert np.array_equal(getattr(model, name), getattr(own, name))
 
 
 class TestTwoArcs:
