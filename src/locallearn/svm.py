@@ -26,14 +26,30 @@ set has one; otherwise Q_FF comes from a cache of the dot products of the
 rows free in the problem's steps (LIBSVM's kernel cache; one problem's
 cache is alive at a time), and the gradient from the rows of nonzero
 alpha; both gather rows a tile at a time, as a larger gather, once freed,
-stayed resident.  ``_GRAM_LIMIT`` thus decides only where Newton's inputs
-come from.  Newton solves with the labels folded out: Q = (y y') * G, and
-G_FF beta = y_F * r gives alpha_F = y_F * beta bit for bit.  On K, G_FF is
-K itself when every index is free and otherwise ``K[F][:, F]``, the rows
-and then the columns, the bits of ``K[np.ix_(F, F)]`` in less time.  The
-solve stays on numpy's LU: a Cholesky solve of the positive definite G_FF
-through scipy is faster, but importing ``scipy.linalg`` costs about 0.3 s
-and 28 MB at start-up.
+stayed resident.  The cache holds one band per block that brought new
+rows, their products with every cached row and with each other, so each
+product of two rows is computed once and no band is ever copied: the
+bands hold about half the Gram matrix of the cached rows, and a block adds
+its own G_FF (none when it is the first band) and two tiles of rows.
+``_GRAM_LIMIT`` thus decides only where Newton's inputs come from.  Newton
+solves with the labels folded out: Q = (y y') * G, and G_FF beta = y_F * r
+gives alpha_F = y_F * beta bit for bit.  On K, G_FF is K itself when every
+index is free and otherwise ``K[F][:, F]``, the rows and then the columns,
+the bits of ``K[np.ix_(F, F)]`` in less time.  Newton's first step from
+alpha = 0 frees the same rows in every problem on K (the gradient there is
+-1 in each), so the set solves that G_FF once, for all its problems'
+right-hand sides, in zero-padded blocks of ``_RHS_BLOCK`` = 8 columns.  The
+width is fixed, not the class count, as a column's bits depend on the
+width: a lone vector solve can differ in the last bits from a column of a
+wider one, and under OpenBLAS's Prescott kernel a width-2 column from a
+width-8 one; at width 8 they depend neither on the column's position nor
+on the other columns, so a problem has the same bits alone or with its
+set.  The solve stays on numpy's LU: a Cholesky solve of the positive
+definite G_FF through scipy is faster, but importing ``scipy.linalg`` costs
+about 0.3 s and 28 MB at start-up; numpy has no triangular solve, and its
+``np.linalg.cholesky`` alone takes longer than ``np.linalg.solve`` on the
+global path's largest block, 1,131 free rows (38-45 ms against 34-41 ms,
+one BLAS thread).
 
 A one-vs-all model is the ascending ids of its trained classes, a weight
 matrix with one row per class and a bias vector.  A row set of a single
@@ -73,6 +89,7 @@ from .features import _ROWS
 _GRAM_LIMIT = 2048  # samples
 _WARM_PASSES = 10  # coordinate-ascent passes between Newton finishes
 _NEWTON_STEPS = 25  # active-set steps before falling back to coordinate ascent
+_RHS_BLOCK = 8  # columns per block of the shared first-step solve
 
 
 @dataclass(frozen=True)
@@ -129,19 +146,28 @@ def _kkt_gap(alpha: np.ndarray, G: np.ndarray, C: float) -> np.ndarray:
     return np.where((alpha < 0.0) | (alpha > C), np.inf, np.abs(pg)).max(axis=-1)
 
 
-def _newton(alpha: np.ndarray, y: np.ndarray, grad, block, diag, width: int, cfg: SvmConfig, steps: int):
+def _sets(alpha: np.ndarray, g: np.ndarray, diag: np.ndarray, C: float) -> np.ndarray:
+    """Newton's sets of one step: 0 where alpha_i - g_i / Q_ii <= 0, 2 where
+    it is >= C, 1 (free) elsewhere."""
+    z = alpha - g / diag
+    return np.where(z <= 0.0, 0, np.where(z >= C, 2, 1))
+
+
+def _newton(alpha: np.ndarray, y: np.ndarray, grad, block, diag, width: int, cfg: SvmConfig, steps: int,
+            first: np.ndarray | None = None):
     """Active-set Newton finish of one dual from a feasible ``alpha``, given
     the labels ``y``, ``grad(a)`` = Q a - 1 with Q = (y y') * G, ``block(F)``
     = G_FF and ``diag`` = diag(Q).  A step puts index i at 0 where
     alpha_i - g_i / Q_ii <= 0, at C where it is >= C, and solves for the free
     rest, G_FF beta = y_F * r with alpha_F = y_F * beta, which flips only
     signs of Q_FF alpha_F = r; at most ``steps`` solves, none with more free
-    indices than ``width`` (G_FF is then singular).  Returns the certified
-    alpha, or the given one, and the info."""
+    indices than ``width`` (G_FF is then singular).  ``first``, when given,
+    is the first step's beta, solved with the other problems of the row set
+    (``_first_steps``).  Returns the certified alpha, or the given one, and
+    the info."""
     C, start, g, sets = float(cfg.C), alpha, grad(alpha), None
     for solves in range(steps + 1):
-        z = alpha - g / diag
-        new = np.where(z <= 0.0, 0, np.where(z >= C, 2, 1))
+        new = _sets(alpha, g, diag, C)
         if sets is not None and np.array_equal(new, sets):
             gap = float(_kkt_gap(alpha, g, C))
             if gap <= cfg.tolerance:
@@ -152,11 +178,36 @@ def _newton(alpha: np.ndarray, y: np.ndarray, grad, block, diag, width: int, cfg
             break
         alpha = np.where(new == 2, C, 0.0)
         try:
-            alpha[free] = y[free] * np.linalg.solve(block(free), y[free] * -grad(alpha)[free])
+            beta = first if solves == 0 and first is not None else \
+                np.linalg.solve(block(free), y[free] * -grad(alpha)[free])
+            alpha[free] = y[free] * beta
         except np.linalg.LinAlgError:
             return start, {"passes": solves + 1, "converged": False, "kkt_gap": np.inf}
         g, sets = grad(alpha), new
     return start, {"passes": solves, "converged": False, "kkt_gap": np.inf}
+
+
+def _first_steps(K: np.ndarray, block, Y: np.ndarray, diag: np.ndarray, width: int, cfg: SvmConfig) -> list:
+    """The first Newton step's beta of each problem (label row of Y) from
+    alpha = 0 on the Gram matrix K (``block(F)`` = K_FF), or None where
+    ``_newton`` takes no step or G_FF is singular.  The gradient at 0 is -1
+    in every problem, so all share one free set F and one G_FF, solved once
+    for all their right-hand sides, zero-padded to a multiple of
+    ``_RHS_BLOCK`` columns."""
+    m, n = Y.shape
+    C = float(cfg.C)
+    new = _sets(np.zeros(n), -np.ones(n), diag, C)
+    free = np.flatnonzero(new == 1)
+    if cfg.max_passes < 2 or free.size > width:  # one pass leaves no Newton step
+        return [None] * m
+    alpha = np.where(new == 2, C, 0.0)
+    R = np.zeros((free.size, -(-m // _RHS_BLOCK) * _RHS_BLOCK))
+    for p, y in enumerate(Y):
+        R[:, p] = y[free] * -(y * (K @ (alpha * y)) - 1.0)[free]
+    try:
+        return list(np.linalg.solve(block(free), R).T[:m])
+    except np.linalg.LinAlgError:
+        return [None] * m
 
 
 def _feature_grad(X: np.ndarray, y: np.ndarray):
@@ -181,21 +232,52 @@ def gram(Xs: np.ndarray) -> np.ndarray:
 
 def _gram_cache(X: np.ndarray):
     """``block(F)`` = G_FF = X_F X_F' + 1 from a cache of the rows of X free
-    in any block asked for so far (LIBSVM's kernel cache): only rows new to
-    it are multiplied, against the cached ones a tile at a time, as a larger
-    gather, once freed, stayed resident."""
-    cached, slot, table = np.empty(0, dtype=np.intp), np.full(X.shape[0], -1), np.empty((0, 0))
+    in any block asked for so far (LIBSVM's kernel cache).  A block with
+    rows new to the cache appends one band: the new rows' products with
+    every cached row and with each other, ``+ 1``, a tile of ``_ROWS`` rows
+    against a tile at a time, so each product of two rows is computed once
+    and no row set larger than a tile is gathered.  No band is copied or
+    rebuilt.  G_FF is the first band itself when F is its rows in order, and
+    otherwise is filled from the bands a row tile at a time."""
+    slot, cached, bands = np.full(X.shape[0], -1), np.empty(0, dtype=np.intp), []
+
+    def grow(new):
+        nonlocal cached
+        start = cached.size
+        slot[new], cached = np.arange(start, start + new.size), np.append(cached, new)
+        band = np.empty((new.size, cached.size))  # rows: the new slots; columns: every slot
+        for lo in range(0, new.size, _ROWS):
+            hi = min(lo + _ROWS, new.size)
+            Xt, at = X[new[lo:hi]], start + lo  # the tile's rows, from slot ``at`` on
+            for c in range(0, at, _ROWS):
+                band[lo:hi, c:min(c + _ROWS, at)] = Xt @ X[cached[c:min(c + _ROWS, at)]].T
+            band[lo:hi, at:start + hi] = Xt @ Xt.T
+            band[:lo, at:start + hi] = band[lo:hi, start:at].T  # the earlier new rows' products with the tile
+        band += 1.0
+        bands.append(band)
 
     def block(F):
-        nonlocal cached, table
         new = F[slot[F] < 0]
         if new.size:
-            Xn = X[new]
-            cross = np.vstack([X[p] @ Xn.T for p in np.split(cached, range(_ROWS, cached.size, _ROWS))])
-            cross += 1.0
-            table, Xn = np.block([[table, cross], [cross.T, gram(Xn)]]), None  # free the gather first
-            slot[new], cached = np.arange(cached.size, cached.size + new.size), np.append(cached, new)
-        return table[np.ix_(slot[F], slot[F])]
+            grow(new)
+        S = slot[F]
+        if bands and F.size == bands[0].shape[0] and np.array_equal(S, np.arange(F.size)):
+            return bands[0]
+        # A row tile of the whole cached Gram matrix, with its gather from a
+        # band, takes no more memory than a tile of X's rows.
+        tile = max(1, min(_ROWS, _ROWS * X.shape[1] // max(2 * cached.size, 1)))
+        G = np.empty((F.size, F.size))
+        for lo in range(0, F.size, tile):
+            s = S[lo:lo + tile]
+            rows = np.empty((s.size, cached.size))
+            for band in bands:
+                end = band.shape[1]
+                start = end - band.shape[0]
+                mine, early = (s >= start) & (s < end), s < start
+                rows[mine, :end] = band[s[mine] - start]
+                rows[early, start:end] = band[:, s[early]].T
+            np.take(rows, S, axis=1, out=G[lo:lo + tile], mode="clip")  # "clip" writes to out unbuffered
+        return G
     return block
 
 
@@ -224,10 +306,12 @@ def _solve_rows(X: np.ndarray, rows, Y: np.ndarray, cfg: SvmConfig, K: np.ndarra
     (m, n), C = Y.shape, float(cfg.C)
     if K is None and n <= _GRAM_LIMIT:
         K = gram(Xs)
+    width = Xs.shape[1] + 1
     if K is not None:
         diag, block = np.diagonal(K), lambda F: K if F.size == n else K[F][:, F]
+        first = _first_steps(K, block, Y, diag, width, cfg)
     else:
-        diag, block = np.einsum("ij,ij->i", Xs, Xs) + 1.0, None
+        diag, block, first = np.einsum("ij,ij->i", Xs, Xs) + 1.0, None, [None] * m
     rng = np.random.default_rng(cfg.seed)
     A, G = np.zeros((m, n)), -np.ones((m, n))
     qdiag = diag.tolist()
@@ -242,8 +326,9 @@ def _solve_rows(X: np.ndarray, rows, Y: np.ndarray, cfg: SvmConfig, K: np.ndarra
                     if K is None and owner != p:  # the last problem's cache is freed here, before this one grows
                         block, owner = _gram_cache(Xs), p
                     grad = _feature_grad(Xs, y) if K is None else lambda a: y * (K @ (a * y)) - 1.0
-                    done, info = _newton(A[p], y, grad, block, diag, Xs.shape[1] + 1,
-                                         cfg, min(_NEWTON_STEPS, cfg.max_passes - passes[p] - 1))
+                    done, info = _newton(A[p], y, grad, block, diag, width, cfg,
+                                         min(_NEWTON_STEPS, cfg.max_passes - passes[p] - 1),
+                                         first=first[p] if sweeps == 0 else None)
                     passes[p] += info["passes"]
                     if info["converged"]:
                         A[p], infos[p] = done, {**info, "passes": passes[p]}

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -161,8 +162,8 @@ def _spy(monkeypatch, name):
     """Record the result of every call of the solver function ``name``."""
     calls, original = [], getattr(svm_mod, name)
 
-    def spy(*args):
-        out = original(*args)
+    def spy(*args, **kw):
+        out = original(*args, **kw)
         calls.append(out)
         return out
 
@@ -175,8 +176,8 @@ def _first_newton(monkeypatch):
     one before the first pass, on a set with a Gram matrix) certified."""
     certified, original = [], svm_mod._newton
 
-    def spy(alpha, *args):
-        out = original(alpha, *args)
+    def spy(alpha, *args, **kw):
+        out = original(alpha, *args, **kw)
         if not alpha.any():
             certified.append(out[1]["converged"])
         return out
@@ -259,6 +260,28 @@ class TestRowSets:
             assert info["converged"] and info["kkt_gap"] <= 1e-9
             oracle, _ = box_qp_max(svm_dual_gram(X[rows], y), 10.0)
             assert abs(svm_dual_value(X[rows], y, alpha) - oracle) <= 1e-6 * max(1.0, abs(oracle))
+
+    @pytest.mark.parametrize("m", [3, 9])
+    def test_one_first_step_solve_for_the_row_set(self, m, monkeypatch):
+        # The gradient at alpha = 0 is -1 in every problem, so Newton's
+        # first step frees the same rows in all of them: the set solves
+        # their G_FF once, for every right-hand side in zero-padded blocks
+        # of _RHS_BLOCK columns, before any problem's own steps.
+        rng = np.random.default_rng(35)
+        X = rng.normal(size=(30, 40))
+        Y = np.where(np.arange(30) % m == np.arange(m)[:, None], 1.0, -1.0)
+        shapes, original = [], np.linalg.solve
+
+        def spy(a, b):
+            shapes.append(np.shape(b))
+            return original(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", spy)
+        *_, infos = svm_mod._solve_rows(X, slice(None), Y, SvmConfig(C=100.0, tolerance=1e-8))
+        width = svm_mod._RHS_BLOCK * -(-m // svm_mod._RHS_BLOCK)
+        assert shapes[0] == (30, width) and len(shapes) > 1
+        assert all(len(shape) == 1 for shape in shapes[1:])
+        assert all(info["converged"] for info in infos)
 
     def test_max_passes_reported_not_converged(self):
         X, sets = _neighbourhood_sets(33)
@@ -363,16 +386,53 @@ class TestNewtonFinish:
 
     @pytest.mark.parametrize("threads", ["default", "1"])
     def test_alone_and_in_block_bit_identical(self, threads):
-        # Each BLAS thread count runs in a fresh process, because BLAS reads
-        # it at start-up.
-        env = {name: value for name, value in os.environ.items() if name not in BLAS_ENV}
-        if threads != "default":
-            env.update(dict.fromkeys(BLAS_ENV, threads))
-        env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")])
-        proc = subprocess.run(
-            [sys.executable, "-c", "import test_svm; test_svm.check_alone_and_in_block()"],
-            env=env, capture_output=True, text=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr
+        _in_fresh_process("check_alone_and_in_block", threads)
+
+    @pytest.mark.parametrize("threads, coretype", [("default", None), ("1", None), ("default", "Prescott")])
+    def test_first_step_alone_and_at_every_block_position_bit_identical(self, threads, coretype):
+        # A lone vector solve may differ in the last bits from a column of a
+        # multi-column one, and under Prescott's kernel a width-2 column from
+        # a width-8 one; at a fixed width of 8 a column's bits do not depend
+        # on its position or on the other columns.
+        _in_fresh_process("check_first_step_columns", threads, coretype)
+
+
+def _in_fresh_process(check: str, threads: str, coretype: str | None = None):
+    """Run ``check`` of this module in a fresh process, with ``threads`` BLAS
+    threads ("default": as BLAS chooses) and, if given, OpenBLAS's kernel
+    forced to ``coretype``: BLAS reads both at start-up."""
+    env = {name: value for name, value in os.environ.items() if name not in BLAS_ENV}
+    if threads != "default":
+        env.update(dict.fromkeys(BLAS_ENV, threads))
+    if coretype is not None:
+        env["OPENBLAS_CORETYPE"] = coretype
+    env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")])
+    proc = subprocess.run([sys.executable, "-c", f"import test_svm; test_svm.{check}()"],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
+def check_first_step_columns():
+    """Each problem's first-step beta has the same bits in every column of
+    the shared solve, whatever the other problems, and alone (its column
+    padded with zeros): sets of 60 and 150 rows in 301 dimensions with 8 and
+    9 problems (8 and 16 columns), at a C above every 1/Q_ii (every index
+    free) and at one below some (those start at C)."""
+    rng = np.random.default_rng(12)
+    for n, m in ((60, 8), (150, 9)):
+        X = rng.normal(size=(n, 301)) * rng.uniform(0.05, 1.0, size=(n, 1))
+        K = svm_mod.gram(X)
+        diag = np.diagonal(K)
+        Y = np.where(rng.random((m, n)) < 0.5, 1.0, -1.0)
+        for C in (100.0, 0.05):
+            cfg = SvmConfig(C=C)
+            assert (1.0 / diag >= C).any() == (C < 1.0)
+            steps = lambda Ys: svm_mod._first_steps(K, lambda F: K[F][:, F], Ys, diag, 302, cfg)
+            alone = [steps(Y[p:p + 1])[0] for p in range(m)]
+            for shift in range(svm_mod._RHS_BLOCK):
+                order = np.roll(np.arange(m), shift)
+                for p, beta in zip(order, steps(Y[order])):
+                    assert np.array_equal(beta, alone[p]), (n, m, C, shift, p)
 
 
 def check_alone_and_in_block():
@@ -475,7 +535,7 @@ class TestFeatureSpaceNewton:
         ]
         seen, original = [], svm_mod._newton
 
-        def driving(alpha, labels, grad, block, diag, width, cfg, steps):
+        def driving(alpha, labels, grad, block, diag, width, cfg, steps, **kw):
             if not seen:
                 _TrackedRows.products.clear()
                 for F in free_sets:
@@ -483,7 +543,7 @@ class TestFeatureSpaceNewton:
                     G = block(F)
                     assert np.abs(G - direct).max() <= 1e-12 * np.abs(direct).max()
                 seen.append(list(_TrackedRows.products))
-            return original(alpha, labels, grad, block, diag, width, cfg, steps)
+            return original(alpha, labels, grad, block, diag, width, cfg, steps, **kw)
 
         monkeypatch.setattr(svm_mod, "_newton", driving)
         monkeypatch.setattr(svm_mod, "_GRAM_LIMIT", 1)
@@ -504,6 +564,33 @@ class TestFeatureSpaceNewton:
         assert sorted(np.unique(np.concatenate([r for _, r in seen[0]]))) == \
             sorted(np.unique(np.concatenate(free_sets)))
 
+    def test_cache_memory_within_two_blocks_and_two_tiles(self):
+        # The cache holds each product once, as bands, and copies none: its
+        # traced peak stays within the first block, the largest later one
+        # and two tiles of rows, through a 900-row block, one with 100 new
+        # rows, a subset of it and one spread over both bands with 200 new.
+        rng = np.random.default_rng(54)
+        n, d = 1500, 512
+        X = rng.normal(size=(n, d))
+        F0 = np.sort(rng.choice(n, 900, replace=False))
+        rest = np.setdiff1d(np.arange(n), F0)
+        F1 = np.union1d(F0, rest[:100])
+        free_sets = [F0, F1, F1[::3], np.union1d(F1[::4], rest[100:300])]
+        directs = [X[F] @ X[F].T + 1.0 for F in free_sets]
+        peak = 0
+        tracemalloc.start()
+        try:
+            block = svm_mod._gram_cache(X)
+            for F, direct in zip(free_sets, directs):
+                tracemalloc.reset_peak()
+                G = block(F)
+                peak = max(peak, tracemalloc.get_traced_memory()[1])
+                assert np.abs(G - direct).max() <= 1e-12 * np.abs(direct).max()
+                del G
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * ((F0.size ** 2 + F1.size ** 2) * 8 + 2 * svm_mod._ROWS * d * 8)
+
     def test_sparse_gradient_equals_dense_formula(self, monkeypatch):
         rng = np.random.default_rng(52)
         n = 700  # more than one tile of nonzero rows
@@ -513,9 +600,9 @@ class TestFeatureSpaceNewton:
         tracked.rows = np.arange(n)
         grads, original = [], svm_mod._newton
 
-        def capture(alpha, labels, grad, block, diag, width, cfg, steps):
+        def capture(alpha, labels, grad, block, diag, width, cfg, steps, **kw):
             grads.append(grad)
-            return original(alpha, labels, grad, block, diag, width, cfg, steps)
+            return original(alpha, labels, grad, block, diag, width, cfg, steps, **kw)
 
         monkeypatch.setattr(svm_mod, "_newton", capture)
         monkeypatch.setattr(svm_mod, "_GRAM_LIMIT", 1)
@@ -595,10 +682,10 @@ class TestJointAscent:
         X, labels, Y = self._blobs()
         original = svm_mod._newton
 
-        def burning(alpha, y, grad, block, diag, width, cfg, steps):
+        def burning(alpha, y, grad, block, diag, width, cfg, steps, **kw):
             if np.array_equal(y, Y[0]):
                 return alpha, {"passes": steps, "converged": False, "kkt_gap": np.inf}
-            return original(alpha, y, grad, block, diag, width, cfg, steps)
+            return original(alpha, y, grad, block, diag, width, cfg, steps, **kw)
 
         monkeypatch.setattr(svm_mod, "_newton", burning)
         monkeypatch.setattr(svm_mod, "_GRAM_LIMIT", 16)
@@ -614,27 +701,19 @@ class TestJointAscent:
     def test_gradient_rows_bit_equal_in_either_layout(self, threads):
         # Each pass takes every live problem's gradient from one W @ X.T, so
         # the solver's bits stay those of (X @ W.T).T; with one problem (a
-        # binary or two-class set) they are also those of X @ w.  Each BLAS thread count runs in a fresh process, because
-        # BLAS reads it at start-up.
-        env = {name: value for name, value in os.environ.items() if name not in BLAS_ENV}
-        if threads != "default":
-            env.update(dict.fromkeys(BLAS_ENV, threads))
-        env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")])
-        proc = subprocess.run(
-            [sys.executable, "-c", "import test_svm; test_svm.check_gradient_layout()"],
-            env=env, capture_output=True, text=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr
+        # binary or two-class set) they are also those of X @ w.
+        _in_fresh_process("check_gradient_layout", threads)
 
     def test_one_newton_cache_alive_at_a_time(self, monkeypatch):
         # Every problem tries Newton at least once and some several times.
         X, labels, Y = self._blobs(d=40)
         attempts, original = [], svm_mod._newton
 
-        def watching(alpha, y, grad, block, diag, width, cfg, steps):
+        def watching(alpha, y, grad, block, diag, width, cfg, steps, **kw):
             problem = int(np.flatnonzero((Y == y).all(axis=1))[0])
             assert all(ref() is None for p, ref in attempts if p != problem)
             attempts.append((problem, weakref.ref(block)))
-            return original(alpha, y, grad, block, diag, width, cfg, steps)
+            return original(alpha, y, grad, block, diag, width, cfg, steps, **kw)
 
         monkeypatch.setattr(svm_mod, "_newton", watching)
         monkeypatch.setattr(svm_mod, "_GRAM_LIMIT", 16)
