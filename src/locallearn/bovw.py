@@ -5,10 +5,16 @@ spatial pyramid.
 Descriptors are the classic 4x4x8 gradient-orientation histograms with
 trilinear binning and Gaussian spatial weighting, extracted upright (no
 orientation assignment) on a regular grid at several bin sizes.  Low
-contrast descriptors are zeroed.  Each pyramid level owns a k-means
-vocabulary; a cell's bit for a word is set iff some descriptor centered in
-the cell has that word as its exact nearest centroid at that level.  One
-helper, ``_nearest``, makes that decision for both k-means and encoding.
+contrast descriptors are zeroed.  A window's spatial weight is the outer
+product of one 1-D profile (bin interpolation times the Gaussian) with
+itself, so its sums are separable: one along x, then one along y, over
+strided views of the orientation maps, with no window copied.  Both are
+two-operand einsums, which numpy sums in its own loops and not in BLAS,
+whose kernels differ by CPU in the last bits; so descriptor bits do not
+depend on the BLAS kernel.  Each pyramid level owns a k-means vocabulary;
+a cell's bit for a word is set iff some descriptor centered in the cell
+has that word as its exact nearest centroid at that level.  One helper,
+``_nearest``, makes that decision for both k-means and encoding.
 
 Default vocabulary sizes follow the full-scale recipe (17000/14000/11000/
 8000 over 1x1..4x4 grids); ``DESK_VOCAB_SIZES`` ships a small profile for
@@ -30,8 +36,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import check_workers, fan_out
+from .core import check_finite, check_workers, fan_out
 from .errors import DimMismatch, ImageTooSmall, LevelMismatch, MalformedFile, ValidationError
 
 VOCAB_MAGIC = b"LLVB"
@@ -143,18 +150,18 @@ def _orientation_maps(img01: np.ndarray, n_orient: int) -> np.ndarray:
     return maps
 
 
-def _spatial_weights(bin_size: int, n_bins: int) -> np.ndarray:
-    """(n_bins^2, window^2) map from window pixels to spatial bins:
-    bilinear bin interpolation times a Gaussian window."""
+def _axis_weights(bin_size: int, n_bins: int) -> np.ndarray:
+    """(n_bins, window) weight of each pixel offset along one side of a
+    window: bilinear bin interpolation times a Gaussian window.  The 2-D
+    weight of pixel (i, j) for spatial bin (r, c) is the product of row r's
+    weight at i and row c's at j."""
     side = n_bins * bin_size
     p = np.arange(side) + 0.5
     u = p / bin_size - 0.5  # bin coordinates; centers at 0..n_bins-1
     tri = np.maximum(0.0, 1.0 - np.abs(u[None, :] - np.arange(n_bins)[:, None]))
     sigma = side / 2.0
     gauss = np.exp(-((p - side / 2.0) ** 2) / (2.0 * sigma**2))
-    axis = tri * gauss[None, :]  # (n_bins, side)
-    w = np.einsum("ri,cj->rcij", axis, axis)
-    return w.reshape(n_bins * n_bins, side * side)
+    return tri * gauss[None, :]
 
 
 def dense_sift(img: np.ndarray, cfg: DenseSiftConfig = DenseSiftConfig()) -> DescriptorSet:
@@ -163,6 +170,10 @@ def dense_sift(img: np.ndarray, cfg: DenseSiftConfig = DenseSiftConfig()) -> Des
     Descriptors are L2-normalized, clamped at 0.2, renormalized; windows
     with pre-normalization norm below the contrast threshold yield the
     zero vector.  Order: bin sizes in config order, then row-major grid.
+    Each descriptor is two separable weighted window sums (along x, then
+    along y) in numpy's own einsum loops, not in BLAS, so its bits do not
+    depend on the BLAS kernel.  A NaN or infinite pixel raises
+    ``NonFiniteValue`` before any arithmetic.
     """
     img = np.asarray(img)
     if img.ndim != 2:
@@ -174,6 +185,7 @@ def dense_sift(img: np.ndarray, cfg: DenseSiftConfig = DenseSiftConfig()) -> Des
             f"image {w}x{h} cannot fit a {largest}x{largest} descriptor window"
         )
     img01 = img.astype(np.float64) / 255.0 if img.dtype == np.uint8 else img.astype(np.float64)
+    check_finite(img01, "image: ")
     omaps = _orientation_maps(img01, cfg.orientations)
     vec_blocks, xs_all, ys_all, sc_all = [], [], [], []
     for b in cfg.bin_sizes:
@@ -181,13 +193,13 @@ def dense_sift(img: np.ndarray, cfg: DenseSiftConfig = DenseSiftConfig()) -> Des
         half = side // 2
         starts_y = np.arange(0, h - side + 1, cfg.step)
         starts_x = np.arange(0, w - side + 1, cfg.step)
-        windows = np.lib.stride_tricks.sliding_window_view(omaps, (side, side), axis=(1, 2))
-        windows = windows[:, starts_y][:, :, starts_x]  # (O, ny, nx, side, side)
         n_windows = starts_y.size * starts_x.size
-        flat = windows.reshape(cfg.orientations, n_windows, side * side)
-        wsp = _spatial_weights(b, cfg.spatial_bins)
-        desc = np.einsum("ps,ons->npo", wsp, flat)  # (n, bins^2, orientations)
-        desc = desc.reshape(n_windows, cfg.descriptor_dim)
+        axis = _axis_weights(b, cfg.spatial_bins)
+        # No `optimize`: with it, einsum may hand a contraction to BLAS.
+        cols = sliding_window_view(omaps, side, axis=2)[:, :, :: cfg.step]  # (O, H, nx, side)
+        across = np.einsum("oyxj,cj->oyxc", cols, axis)
+        rows = sliding_window_view(across, side, axis=1)[:, :: cfg.step]  # (O, ny, nx, c, side)
+        desc = np.einsum("oyxci,ri->yxrco", rows, axis).reshape(n_windows, cfg.descriptor_dim)
         norms = np.linalg.norm(desc, axis=1)
         low = norms < cfg.contrast_threshold
         desc[low] = 0.0

@@ -4,8 +4,10 @@ Nothing here shares code paths with the package: the QP oracle is an
 interior-point method (the solver under test is coordinate ascent), the
 neighbor oracles are direct full scans, the gradient oracle is central
 finite differences, the k-means++ oracle recomputes every point's D² at
-every draw, the prune oracle ranks by a full stable sort, and the ingest
-oracle loads every source whole and copies each split out of the fusion.
+every draw, the prune oracle ranks by a full stable sort, the ingest
+oracle loads every source whole and copies each split out of the fusion,
+and the dense-SIFT oracle weights each window, one at a time, with the
+full 2-D spatial weight.
 """
 
 from __future__ import annotations
@@ -113,6 +115,59 @@ def kmeanspp_full(points: np.ndarray, k: int, rng) -> np.ndarray:
             chosen[j] = rng.choice(n, p=d2 / total)
         d2 = np.minimum(d2, np.sum((points - points[chosen[j]]) ** 2, axis=1))
     return chosen
+
+
+def spatial_weights(bin_size: int, n_bins: int) -> np.ndarray:
+    """(n_bins^2, window^2) map from window pixels to spatial bins:
+    bilinear bin interpolation times a Gaussian window."""
+    side = n_bins * bin_size
+    p = np.arange(side) + 0.5
+    u = p / bin_size - 0.5  # bin coordinates; centers at 0..n_bins-1
+    tri = np.maximum(0.0, 1.0 - np.abs(u[None, :] - np.arange(n_bins)[:, None]))
+    sigma = side / 2.0
+    gauss = np.exp(-((p - side / 2.0) ** 2) / (2.0 * sigma**2))
+    axis = tri * gauss[None, :]  # (n_bins, side)
+    w = np.einsum("ri,cj->rcij", axis, axis)
+    return w.reshape(n_bins * n_bins, side * side)
+
+
+def brute_dense_sift(img: np.ndarray, cfg):
+    """(vectors, x, y, scale) of dense SIFT with ``cfg`` (a
+    ``DenseSiftConfig``): each pixel's gradient magnitude split between its
+    two nearest orientation bins, then every window in a plain loop, its
+    (orientations, side, side) block weighted by ``spatial_weights``, laid
+    out (row bin, column bin, orientation); L2-normalised, clamped at 0.2
+    and renormalised, or zero below the contrast threshold."""
+    img01 = img.astype(np.float64) / 255.0 if img.dtype == np.uint8 else img.astype(np.float64)
+    n_orient = cfg.orientations
+    gy, gx = np.gradient(img01)
+    pos = np.mod(np.arctan2(gy, gx), 2.0 * np.pi) * n_orient / (2.0 * np.pi)
+    mag, lo = np.hypot(gx, gy), np.floor(pos)
+    omaps = np.zeros((n_orient,) + img01.shape)
+    for (r, c), m in np.ndenumerate(mag):
+        frac = pos[r, c] - lo[r, c]
+        omaps[int(lo[r, c]) % n_orient, r, c] += m * (1.0 - frac)
+        omaps[(int(lo[r, c]) + 1) % n_orient, r, c] += m * frac
+    h, w = img01.shape
+    vectors, xs, ys, scales = [], [], [], []
+    for b in cfg.bin_sizes:
+        side = cfg.spatial_bins * b
+        weights = spatial_weights(b, cfg.spatial_bins)
+        for y0 in range(0, h - side + 1, cfg.step):
+            for x0 in range(0, w - side + 1, cfg.step):
+                window = omaps[:, y0:y0 + side, x0:x0 + side].reshape(n_orient, side * side)
+                vec = (weights[:, None, :] * window[None]).sum(axis=2).ravel()
+                norm = np.sqrt(np.sum(vec * vec))
+                if norm < cfg.contrast_threshold:
+                    vec = np.zeros_like(vec)
+                else:
+                    vec = np.minimum(vec / norm, 0.2)
+                    vec /= np.sqrt(np.sum(vec * vec))
+                vectors.append(vec)
+                xs.append(x0 + side // 2)
+                ys.append(y0 + side // 2)
+                scales.append(b)
+    return np.array(vectors), np.array(xs), np.array(ys), np.array(scales)
 
 
 def prune_mask_sorted(weights: np.ndarray, sparsity: float) -> np.ndarray:

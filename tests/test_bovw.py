@@ -1,5 +1,10 @@
 import functools
+import hashlib
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,12 +36,15 @@ from locallearn.errors import (
     ImageTooSmall,
     LevelMismatch,
     MalformedFile,
+    NonFiniteValue,
     ValidationError,
 )
 
 from locallearn.synth import texture_corpus
 
-from oracles import brute_nn_euclidean, kmeanspp_full
+from oracles import brute_dense_sift, brute_nn_euclidean, kmeanspp_full
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 class TestPgm:
@@ -119,6 +127,66 @@ class TestDenseSift:
         assert descs.y.min() == 8 and descs.y.max() == 12
         assert set(descs.scale.tolist()) == {4}
         assert descs.vectors.shape[1] == 128
+
+    @pytest.mark.parametrize("bin_sizes", [(4,), (4, 6, 8, 10)])
+    @pytest.mark.parametrize("step", [1, 2, 3, 5])
+    @pytest.mark.parametrize("spatial_bins, orientations", [(2, 4), (2, 8), (4, 4), (4, 8)])
+    def test_matches_window_by_window_oracle(self, bin_sizes, step, spatial_bins, orientations):
+        # 53x61: w - side is not a multiple of every step.
+        cfg = DenseSiftConfig(bin_sizes=bin_sizes, step=step, spatial_bins=spatial_bins,
+                              orientations=orientations)
+        rng = np.random.default_rng([step, spatial_bins, orientations, len(bin_sizes)])
+        for shape in ((48, 48), (53, 61)):
+            img = rng.integers(0, 256, shape, dtype=np.uint8)
+            got = dense_sift(img, cfg)
+            vectors, x, y, scale = brute_dense_sift(img, cfg)
+            assert got.vectors.shape == vectors.shape
+            np.testing.assert_array_equal((got.vectors == 0).all(axis=1), (vectors == 0).all(axis=1))
+            assert np.abs(got.vectors - vectors).max() <= 1e-12
+            for a, b in ((got.x, x), (got.y, y), (got.scale, scale)):
+                np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_pixel_rejected(self, bad):
+        # One NaN pixel used to give NaN descriptors, which encode maps to
+        # word 0 (argmin of a NaN row).
+        img = np.random.default_rng(4).uniform(0.0, 1.0, (48, 48))
+        img[17, 30] = bad
+        with pytest.raises(NonFiniteValue) as info:
+            dense_sift(img)
+        assert (info.value.row, info.value.col) == (17, 30)
+
+    def test_descriptor_bits_do_not_depend_on_the_blas_kernel(self):
+        # The window sums run in numpy's einsum loops, not in BLAS, whose
+        # kernels (chosen per CPU, or forced) differ in the last bits.
+        digests = {_sift_digest_in_fresh_process(coretype) for coretype in (None, "Prescott")}
+        assert digests == {sift_digest()}
+
+
+def sift_digest() -> str:
+    """blake2b of the descriptor bytes of three fixed images, two of them
+    non-square, at the default settings and at step 3 over bins of 4 and 6."""
+    rng = np.random.default_rng(31)
+    h = hashlib.blake2b()
+    for shape in ((48, 48), (53, 61), (61, 44)):
+        img = rng.integers(0, 256, shape, dtype=np.uint8)
+        for cfg in (DenseSiftConfig(), DenseSiftConfig(bin_sizes=(4, 6), step=3)):
+            h.update(dense_sift(img, cfg).vectors.tobytes())
+    return h.hexdigest()
+
+
+def _sift_digest_in_fresh_process(coretype: str | None) -> str:
+    """``sift_digest`` in a fresh process, under OpenBLAS's default kernel or,
+    if given, one forced to ``coretype`` (read at start-up)."""
+    env = {name: value for name, value in os.environ.items() if name != "OPENBLAS_CORETYPE"}
+    if coretype is not None:
+        env["OPENBLAS_CORETYPE"] = coretype
+    env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")])
+    proc = subprocess.run([sys.executable, "-c", "import test_bovw; print(test_bovw.sift_digest())"],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
 
 
 class TestKmeans:
