@@ -94,8 +94,8 @@ class DenseSiftConfig:
     """Dense upright SIFT extraction settings.
 
     One descriptor per (grid point, bin size); a descriptor window covers
-    4*bin_size pixels per side.  Descriptors whose pre-normalization norm
-    falls below ``contrast_threshold`` are zeroed.
+    spatial_bins * bin_size pixels per side.  Descriptors whose
+    pre-normalization norm falls below ``contrast_threshold`` are zeroed.
     """
 
     bin_sizes: tuple[int, ...] = (4, 6, 8, 10)
@@ -179,7 +179,7 @@ def dense_sift(img: np.ndarray, cfg: DenseSiftConfig = DenseSiftConfig()) -> Des
     if img.ndim != 2:
         raise ValidationError("image must be a 2-D grayscale array")
     h, w = img.shape
-    largest = 4 * max(cfg.bin_sizes)
+    largest = cfg.spatial_bins * max(cfg.bin_sizes)
     if h < largest or w < largest:
         raise ImageTooSmall(
             f"image {w}x{h} cannot fit a {largest}x{largest} descriptor window"

@@ -85,10 +85,7 @@ def cmd_ingest(args) -> int:
     summary = []
     for split, matrix in sorted(data.fused.items()):
         core.save_features(matrix, out / f"{split}.features", fmt=args.format)
-        core.write_labels(
-            {sid: data.labels[sid] for sid in matrix.sample_ids},
-            out / f"{split}.labels",
-        )
+        core.write_labels(data.label_map.named(matrix.sample_ids, matrix.labels), out / f"{split}.labels")
         summary.append(f"{split}: {matrix.n_samples} samples, dim {matrix.dim}")
     data.label_map.save(out / "labelmap.txt")
     text = "\n".join(summary) + "\n"
@@ -370,9 +367,7 @@ def cmd_pipeline(args) -> int:
     for method, rep in result.reports.items():
         _write_text(out / f"{method}.report.txt", report.render_text(rep))
         _write_text(out / f"{method}.report.csv", report.render_csv(rep))
-        with open(out / f"{method}.predictions", "w", encoding="utf-8", newline="\n") as fh:
-            for sid in sorted(result.predictions[method]):
-                fh.write(f"{sid},{result.predictions[method][sid]}\n")
+        core.write_labels(result.predictions[method], out / f"{method}.predictions")
     comparison = report.render_comparison_text(result.reports)
     _write_text(out / "comparison.txt", comparison)
     _write_text(out / "comparison.csv", report.render_comparison_csv(result.reports))

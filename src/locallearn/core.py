@@ -27,9 +27,11 @@ from __future__ import annotations
 import os
 import re
 import struct
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -386,6 +388,10 @@ class LabelMap:
         except ValueError:
             raise UnknownClassName(f"unknown class name {name!r}")
 
+    def named(self, sample_ids, class_ids) -> dict[str, str]:
+        """Sample id -> class name, from parallel sample and class ids."""
+        return {sid: self.names[c] for sid, c in zip(sample_ids, class_ids)}
+
     def name_of(self, class_id: int) -> str:
         if not 0 <= class_id < len(self.names):
             raise UnknownClassName(f"class id {class_id} out of range")
@@ -578,6 +584,15 @@ def _parse_on_off(value: str, path, lineno) -> bool:
     if value == "off":
         return False
     raise MalformedFile(f"{path}:{lineno}: expected on|off, got {value!r}")
+
+
+def split_ranges(splits: Mapping[str, str]) -> dict[str, tuple[int, int]]:
+    """Each non-empty split's row range ``(start, stop)`` in a matrix whose
+    rows are grouped by split in ``SPLIT_NAMES`` order, given each sample's
+    split; ``fuse`` places rows and ingest slices its splits by them."""
+    counts = Counter(splits.values())
+    bounds = list(accumulate((counts[s] for s in SPLIT_NAMES), initial=0))
+    return {s: (lo, hi) for s, lo, hi in zip(SPLIT_NAMES, bounds, bounds[1:]) if hi > lo}
 
 
 def read_splits(path) -> dict[str, str]:

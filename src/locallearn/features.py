@@ -8,13 +8,11 @@ row) in place.  Normalizing the final concatenation is available behind
 
 from __future__ import annotations
 
-from collections import Counter
-from itertools import accumulate
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import SPLIT_NAMES, FeatureMatrix, FeatureRows
+from .core import FeatureMatrix, FeatureRows, split_ranges
 from .errors import IdMismatch, ValidationError
 
 # Rows per tile: fuse normalizes a block in place this many rows at a time,
@@ -71,12 +69,9 @@ def fuse(
     if len(set(names)) != len(names):
         raise ValidationError(f"fusion source names must be unique, got {names}")
     if splits is None:  # one group, None, in the first source's order
-        next_row = {None: 0}
-        n = sources[0][1].n_samples
+        next_row, n = {None: 0}, sources[0][1].n_samples
     else:
-        counts = Counter(splits.values())
-        next_row = dict(zip(SPLIT_NAMES, accumulate((counts[s] for s in SPLIT_NAMES), initial=0)))
-        n = len(splits)
+        next_row, n = {split: start for split, (start, _) in split_ranges(splits).items()}, len(splits)
     ids: list = [None] * n
     row_of: dict[str, int] = {}
 

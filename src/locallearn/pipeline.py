@@ -5,14 +5,12 @@ global SVM, the local SVM, and the k-NN baseline on the declared splits.
 from __future__ import annotations
 
 import time
-from collections import Counter
 from contextlib import ExitStack
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
-    SPLIT_NAMES,
     DatasetManifest,
     FeatureMatrix,
     FeatureRows,
@@ -22,6 +20,7 @@ from .core import (
     check_workers,
     read_labels,
     read_splits,
+    split_ranges,
 )
 from .errors import ValidationError
 from .features import fuse
@@ -35,7 +34,6 @@ class IngestResult:
     """Everything the learning stages need, keyed by split."""
 
     label_map: LabelMap
-    labels: dict[str, str]
     fused: dict[str, FeatureMatrix]  # split -> labeled fused matrix
 
 
@@ -59,16 +57,10 @@ def ingest_and_fuse(manifest: DatasetManifest, seed: int | None = None) -> Inges
             renormalize=manifest.renormalize, splits=splits,
         )
     fused = attach_labels(fused, labels, label_map)
-    counts = Counter(splits.values())
-    by_split: dict[str, FeatureMatrix] = {}
-    start = 0
-    for split in SPLIT_NAMES:
-        if counts[split]:
-            by_split[split] = fused.view(start, start + counts[split])
-        start += counts[split]
+    by_split = {split: fused.view(*rows) for split, rows in split_ranges(splits).items()}
     if "train" in by_split and manifest.cap is not None:
         by_split["train"] = balanced_downsample(by_split["train"], manifest.cap, seed)
-    return IngestResult(label_map=label_map, labels=labels, fused=by_split)
+    return IngestResult(label_map=label_map, fused=by_split)
 
 
 @dataclass
@@ -97,24 +89,21 @@ def run_pipeline(
     data = ingest_and_fuse(manifest, seed=seed)
     if "train" not in data.fused or "test" not in data.fused:
         raise ValidationError("pipeline needs non-empty train and test splits")
-    train = data.fused["train"]
-    test = data.fused["test"]
-    names = data.label_map.names
-    truth = {sid: data.labels[sid] for sid in test.sample_ids}
+    train, test = data.fused["train"], data.fused["test"]
+    label_map = data.label_map
+    truth = label_map.named(test.sample_ids, test.labels)
 
     t_global = time.perf_counter()
-    ova, infos = train_ova(train.values, train.labels, svm_cfg, n_classes=data.label_map.n_classes,
-                           class_names=names, return_infos=True)
+    ova, infos = train_ova(train.values, train.labels, svm_cfg, n_classes=label_map.n_classes,
+                           class_names=label_map.names, return_infos=True)
     global_train_s = time.perf_counter() - t_global
     global_pred = predict_ova_batch(ova, test.values)
 
     local_pred, knn_pred, timing = local_predict_batch(train, test, local_cfg, workers=workers)
 
-    predictions = {}
-    reports = {}
+    predictions, reports = {}, {}
     for method, pred in (("global-svm", global_pred), ("local-svm", local_pred), ("knn", knn_pred)):
-        named = {sid: names[p] for sid, p in zip(test.sample_ids, pred)}
-        predictions[method] = named
-        reports[method] = evaluate(named, truth, data.label_map)
+        predictions[method] = label_map.named(test.sample_ids, pred)
+        reports[method] = evaluate(predictions[method], truth, label_map)
     return PipelineResult(reports, predictions, timing, global_train_s,
                           sum(not info["converged"] for info in infos))

@@ -13,43 +13,31 @@ within ``tolerance``; otherwise dual coordinate ascent solves the problem.
 
 Training takes one row set of a matrix (all rows, or one query's
 neighbourhood), poses one problem per class, and solves them all in one
-loop.  A set of up to ``_GRAM_LIMIT`` rows gets one Gram matrix K (its
-own ``gram`` product, or its block of a wider one that the caller shares
-between overlapping sets), on which Newton starts every problem from
-alpha = 0.  The problems it does not certify, and every problem of a
-larger set, then run dual coordinate ascent in feature space (Hsieh et al., ICML 2008) together (as in Keerthi
-et al., KDD 2008): they share one random order of the rows, and at each
-row one ``W @ x`` gives every live problem's margin, so a row is read once
-per pass for all classes.  Every ``_WARM_PASSES`` passes Newton is retried
-on each live problem in turn.  Its Q_FF and gradient come from K where the
-set has one; otherwise Q_FF comes from a cache of the dot products of the
-rows free in the problem's steps (LIBSVM's kernel cache; one problem's
-cache is alive at a time), and the gradient from the rows of nonzero
-alpha; both gather rows a tile at a time, as a larger gather, once freed,
-stayed resident.  The cache holds one band per block that brought new
-rows, their products with every cached row and with each other, so each
-product of two rows is computed once and no band is ever copied: the
-bands hold about half the Gram matrix of the cached rows, and a block adds
-its own G_FF (none when it is the first band) and two tiles of rows.
-``_GRAM_LIMIT`` thus decides only where Newton's inputs come from.  Newton
-solves with the labels folded out: Q = (y y') * G, and G_FF beta = y_F * r
-gives alpha_F = y_F * beta bit for bit.  On K, G_FF is K itself when every
-index is free and otherwise ``K[F][:, F]``, the rows and then the columns,
-the bits of ``K[np.ix_(F, F)]`` in less time.  Newton's first step from
-alpha = 0 frees the same rows in every problem on K (the gradient there is
--1 in each), so the set solves that G_FF once, for all its problems'
-right-hand sides, in zero-padded blocks of ``_RHS_BLOCK`` = 8 columns.  The
-width is fixed, not the class count, as a column's bits depend on the
-width: a lone vector solve can differ in the last bits from a column of a
-wider one, and under OpenBLAS's Prescott kernel a width-2 column from a
-width-8 one; at width 8 they depend neither on the column's position nor
-on the other columns, so a problem has the same bits alone or with its
-set.  The solve stays on numpy's LU: a Cholesky solve of the positive
-definite G_FF through scipy is faster, but importing ``scipy.linalg`` costs
-about 0.3 s and 28 MB at start-up; numpy has no triangular solve, and its
-``np.linalg.cholesky`` alone takes longer than ``np.linalg.solve`` on the
-global path's largest block, 1,131 free rows (38-45 ms against 34-41 ms,
-one BLAS thread).
+loop, ``_solve_rows``.  A set of up to ``_GRAM_LIMIT`` rows gets one Gram
+matrix K (its own ``gram`` product, or its block of a wider one that the
+caller shares between overlapping sets), on which Newton starts every
+problem from alpha = 0, the set's problems sharing their first step
+(``_first_steps``).  The problems it does not certify, and every problem
+of a larger set, then run dual coordinate ascent in feature space (Hsieh
+et al., ICML 2008) together (as in Keerthi et al., KDD 2008).  Every
+``_WARM_PASSES`` passes Newton is retried on each live problem in turn,
+from the gradient the last pass computed, so a retry with more free
+indices than Newton can solve multiplies nothing.  Newton's Q_FF and
+gradient come from K where the set has one; otherwise from a cache of the
+dot products of the rows free in the problem's steps (``_gram_cache``,
+LIBSVM's kernel cache; one problem's cache is alive at a time) and from
+the rows of nonzero alpha (``_feature_grad``), both gathered a tile at a
+time, as a larger gather, once freed, stayed resident.  ``_GRAM_LIMIT``
+thus decides only where Newton's inputs come from.  Newton solves with the
+labels folded out: Q = (y y') * G, and G_FF beta = y_F * r gives
+alpha_F = y_F * beta bit for bit.  On K, G_FF is K itself when every index
+is free and otherwise ``K[F][:, F]``, the rows and then the columns, the
+bits of ``K[np.ix_(F, F)]`` in less time.  The solve stays on numpy's LU:
+a Cholesky solve of the positive definite G_FF through scipy is faster,
+but importing ``scipy.linalg`` costs about 0.3 s and 28 MB at start-up;
+numpy has no triangular solve, and its ``np.linalg.cholesky`` alone takes
+longer than ``np.linalg.solve`` on the global path's largest block, 1,131
+free rows (38-45 ms against 34-41 ms, one BLAS thread).
 
 A one-vs-all model is the ascending ids of its trained classes, a weight
 matrix with one row per class and a bias vector.  A row set of a single
@@ -153,19 +141,19 @@ def _sets(alpha: np.ndarray, g: np.ndarray, diag: np.ndarray, C: float) -> np.nd
     return np.where(z <= 0.0, 0, np.where(z >= C, 2, 1))
 
 
-def _newton(alpha: np.ndarray, y: np.ndarray, grad, block, diag, width: int, cfg: SvmConfig, steps: int,
-            first: np.ndarray | None = None):
-    """Active-set Newton finish of one dual from a feasible ``alpha``, given
-    the labels ``y``, ``grad(a)`` = Q a - 1 with Q = (y y') * G, ``block(F)``
-    = G_FF and ``diag`` = diag(Q).  A step puts index i at 0 where
-    alpha_i - g_i / Q_ii <= 0, at C where it is >= C, and solves for the free
-    rest, G_FF beta = y_F * r with alpha_F = y_F * beta, which flips only
-    signs of Q_FF alpha_F = r; at most ``steps`` solves, none with more free
-    indices than ``width`` (G_FF is then singular).  ``first``, when given,
-    is the first step's beta, solved with the other problems of the row set
-    (``_first_steps``).  Returns the certified alpha, or the given one, and
-    the info."""
-    C, start, g, sets = float(cfg.C), alpha, grad(alpha), None
+def _newton(alpha: np.ndarray, g: np.ndarray, y: np.ndarray, grad, block, diag, width: int, cfg: SvmConfig,
+            steps: int, first: np.ndarray | None = None):
+    """Active-set Newton finish of one dual from a feasible ``alpha`` and
+    its gradient ``g``, given the labels ``y``, ``grad(a)`` = Q a - 1 with
+    Q = (y y') * G, ``block(F)`` = G_FF and ``diag`` = diag(Q).  A step puts
+    index i at 0 where alpha_i - g_i / Q_ii <= 0, at C where it is >= C, and
+    solves for the free rest, G_FF beta = y_F * r with alpha_F = y_F * beta,
+    which flips only signs of Q_FF alpha_F = r; at most ``steps`` solves,
+    none with more free indices than ``width`` (G_FF is then singular).  The
+    certificate takes ``grad`` after the last step.  ``first``, when given,
+    is the first step's beta (``_first_steps``).  Returns the certified
+    alpha, or the given one, and the info."""
+    C, start, sets = float(cfg.C), alpha, None
     for solves in range(steps + 1):
         new = _sets(alpha, g, diag, C)
         if sets is not None and np.array_equal(new, sets):
@@ -187,13 +175,19 @@ def _newton(alpha: np.ndarray, y: np.ndarray, grad, block, diag, width: int, cfg
     return start, {"passes": solves, "converged": False, "kkt_gap": np.inf}
 
 
-def _first_steps(K: np.ndarray, block, Y: np.ndarray, diag: np.ndarray, width: int, cfg: SvmConfig) -> list:
+def _first_steps(grad_of, block, Y: np.ndarray, diag: np.ndarray, width: int, cfg: SvmConfig) -> list:
     """The first Newton step's beta of each problem (label row of Y) from
-    alpha = 0 on the Gram matrix K (``block(F)`` = K_FF), or None where
-    ``_newton`` takes no step or G_FF is singular.  The gradient at 0 is -1
-    in every problem, so all share one free set F and one G_FF, solved once
-    for all their right-hand sides, zero-padded to a multiple of
-    ``_RHS_BLOCK`` columns."""
+    alpha = 0 on a Gram matrix (``block(F)`` = G_FF, ``grad_of(y)`` the
+    ``grad`` of the problem of labels y), or None where ``_newton`` takes no
+    step or G_FF is singular.  The gradient at 0 is -1 in every problem, so
+    all share one free set F and one G_FF, solved once for all their
+    right-hand sides, zero-padded to a multiple of ``_RHS_BLOCK`` columns.
+    The width is fixed, not the class count, as a column's bits depend on
+    it: a lone vector solve can differ in the last bits from a column of a
+    wider one, and under OpenBLAS's Prescott kernel a width-2 column from a
+    width-8 one; at width 8 they depend neither on the column's position
+    nor on the other columns, so a problem has the same bits alone or with
+    its set."""
     m, n = Y.shape
     C = float(cfg.C)
     new = _sets(np.zeros(n), -np.ones(n), diag, C)
@@ -203,11 +197,16 @@ def _first_steps(K: np.ndarray, block, Y: np.ndarray, diag: np.ndarray, width: i
     alpha = np.where(new == 2, C, 0.0)
     R = np.zeros((free.size, -(-m // _RHS_BLOCK) * _RHS_BLOCK))
     for p, y in enumerate(Y):
-        R[:, p] = y[free] * -(y * (K @ (alpha * y)) - 1.0)[free]
+        R[:, p] = y[free] * -grad_of(y)(alpha)[free]
     try:
         return list(np.linalg.solve(block(free), R).T[:m])
     except np.linalg.LinAlgError:
         return [None] * m
+
+
+def _gram_grad(K: np.ndarray, y: np.ndarray):
+    """``grad(a)`` = Q a - 1 of one problem on its Gram matrix K."""
+    return lambda alpha: y * (K @ (alpha * y)) - 1.0
 
 
 def _feature_grad(X: np.ndarray, y: np.ndarray):
@@ -237,7 +236,8 @@ def _gram_cache(X: np.ndarray):
     every cached row and with each other, ``+ 1``, a tile of ``_ROWS`` rows
     against a tile at a time, so each product of two rows is computed once
     and no row set larger than a tile is gathered.  No band is copied or
-    rebuilt.  G_FF is the first band itself when F is its rows in order, and
+    rebuilt: the bands hold about half the Gram matrix of the cached rows.
+    G_FF is the first band itself when F is its rows in order, and
     otherwise is filled from the bands a row tile at a time."""
     slot, cached, bands = np.full(X.shape[0], -1), np.empty(0, dtype=np.intp), []
 
@@ -298,9 +298,9 @@ def _solve_rows(X: np.ndarray, rows, Y: np.ndarray, cfg: SvmConfig, K: np.ndarra
     this is the ascent of that problem alone.  After each pass one
     ``W @ X.T`` gives every live problem's gradient, reading X once for all
     of them; it has the bits of ``(X @ W.T).T`` in about 60% of its time
-    (7 x 2,112 by 3,000 rows).  Newton runs before the first pass where
-    there is a Gram matrix K, and every ``_WARM_PASSES`` passes; without K
-    the Gram cache is kept while the same problem tries again.  A problem
+    (7 x 2,112 by 3,000 rows).  Newton's inputs (K, or the rows and a
+    Gram cache kept while the same problem tries again) are chosen once, at
+    set-up, and each try starts from the problem's row of G.  A problem
     leaves the live set when certified or at ``max_passes``."""
     Xs = X[rows]
     (m, n), C = Y.shape, float(cfg.C)
@@ -309,24 +309,29 @@ def _solve_rows(X: np.ndarray, rows, Y: np.ndarray, cfg: SvmConfig, K: np.ndarra
     width = Xs.shape[1] + 1
     if K is not None:
         diag, block = np.diagonal(K), lambda F: K if F.size == n else K[F][:, F]
-        first = _first_steps(K, block, Y, diag, width, cfg)
+        grad_of = lambda y: _gram_grad(K, y)
+        first = _first_steps(grad_of, block, Y, diag, width, cfg)
+        inputs, start = lambda p: (grad_of(Y[p]), block), 0
     else:
-        diag, block, first = np.einsum("ij,ij->i", Xs, Xs) + 1.0, None, [None] * m
+        # Newton waits for a pass: from alpha = 0 every row with 1 / Q_ii < C
+        # is free, and a first step would need the Gram matrix of them all.
+        diag, first, start, held = np.einsum("ij,ij->i", Xs, Xs) + 1.0, [None] * m, _WARM_PASSES, {}
+
+        def inputs(p):
+            if p not in held:  # the last problem's cache is freed here, before this one grows
+                held.clear()
+                held[p] = _gram_cache(Xs)
+            return _feature_grad(Xs, Y[p]), held[p]
     rng = np.random.default_rng(cfg.seed)
     A, G = np.zeros((m, n)), -np.ones((m, n))
     qdiag = diag.tolist()
     live, W, b = list(range(m)), np.zeros((m, Xs.shape[1])), [0.0] * m
-    passes, infos = [0] * m, [None] * m
-    owner, sweeps = None, 0
+    passes, infos, sweeps = [0] * m, [None] * m, 0
     while True:
-        if sweeps % _WARM_PASSES == 0 and (sweeps or K is not None):
+        if sweeps >= start and sweeps % _WARM_PASSES == 0:
             for p in live:
                 if passes[p] < cfg.max_passes - 1:
-                    y = Y[p]
-                    if K is None and owner != p:  # the last problem's cache is freed here, before this one grows
-                        block, owner = _gram_cache(Xs), p
-                    grad = _feature_grad(Xs, y) if K is None else lambda a: y * (K @ (a * y)) - 1.0
-                    done, info = _newton(A[p], y, grad, block, diag, width, cfg,
+                    done, info = _newton(A[p], G[p], Y[p], *inputs(p), diag, width, cfg,
                                          min(_NEWTON_STEPS, cfg.max_passes - passes[p] - 1),
                                          first=first[p] if sweeps == 0 else None)
                     passes[p] += info["passes"]

@@ -110,6 +110,16 @@ class TestDenseSift:
         with pytest.raises(ImageTooSmall):
             dense_sift(np.zeros((15, 40), dtype=np.uint8), DenseSiftConfig(bin_sizes=(4,)))
 
+    def test_window_side_follows_spatial_bins(self):
+        # A window is spatial_bins * bin_size pixels wide: 5 * 10 = 50 does
+        # not fit a 48x48 image, and 2 * 13 = 26 does.
+        img = texture_corpus(1, size=48, seed=0)[0][0]
+        with pytest.raises(ImageTooSmall, match="50x50"):
+            dense_sift(img, DenseSiftConfig(spatial_bins=5))
+        cfg = DenseSiftConfig(bin_sizes=(13,), step=4, spatial_bins=2)
+        descs = dense_sift(img, cfg)
+        assert descs.vectors.shape == (((48 - 26) // 4 + 1) ** 2, cfg.descriptor_dim)
+
     @pytest.mark.parametrize("name,value", [
         ("contrast_threshold", 0.0), ("contrast_threshold", float("nan")),
         ("contrast_threshold", -1.0), ("contrast_threshold", float("inf")),

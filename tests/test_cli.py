@@ -233,6 +233,23 @@ class TestBovwCommands:
         assert run(["encode", "--images", img_dir, "--vocab", cut,
                     "--out", tmp_path / "cut.fv"]) == 2
 
+    def test_encode_window_wider_than_image_exits_2(self, tmp_path, capsys):
+        # The vocabulary's header names 5 spatial bins: a 5 * 10 = 50 pixel
+        # window does not fit a 48x48 image.
+        img_dir = tmp_path / "imgs"
+        img_dir.mkdir()
+        bovw.write_pgm(img_dir / "a.pgm", texture_corpus(1, size=48, seed=0)[0][0])
+        sift = bovw.DenseSiftConfig(spatial_bins=5)
+        vocab = tmp_path / "v.llvb"
+        bovw.save_vocab(bovw.Vocabulary(
+            [bovw.VocabularyLevel(1, np.zeros((2, sift.descriptor_dim)))], sift), vocab)
+        assert bovw.load_vocab(vocab).sift.spatial_bins == 5
+        assert run(["encode", "--images", img_dir, "--vocab", vocab,
+                    "--out", tmp_path / "out.fv"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ImageTooSmall: ") and err.count("\n") == 1
+        assert not (tmp_path / "out.fv").exists()
+
     @pytest.mark.parametrize("line,detail", [
         ("vocab-size 5", ":3: unknown key 'vocab-size'"),
         ("trees 1", ":3: unknown key 'trees'"),

@@ -13,6 +13,7 @@ from locallearn.core import (
     read_labels,
     read_splits,
     save_features,
+    split_ranges,
     write_labels,
 )
 from locallearn.errors import (
@@ -283,6 +284,10 @@ class TestLabels:
         out = attach_labels(m, {"p": "b", "q": "a", "zz": "a"}, lm)
         assert out.labels.tolist() == [1, 0]
 
+    def test_named_maps_sample_ids_to_class_names(self):
+        lm = LabelMap(("a", "b"))
+        assert lm.named(["p", "q", "r"], np.array([1, 0, 1])) == {"p": "b", "q": "a", "r": "b"}
+
     def test_attach_labels_missing(self):
         m = make_matrix(np.zeros((2, 1)), ids=["p", "q"])
         with pytest.raises(MissingLabels):
@@ -328,6 +333,11 @@ class TestManifest:
     def test_splits(self, tmp_path):
         (tmp_path / "s.csv").write_text("a,train\nb,validation\nc,test\n")
         assert read_splits(tmp_path / "s.csv") == {"a": "train", "b": "val", "c": "test"}
+
+    def test_split_ranges_in_split_order_without_empty_splits(self):
+        splits = {"a": "test", "b": "train", "c": "test", "d": "train", "e": "train"}
+        assert split_ranges(splits) == {"train": (0, 3), "test": (3, 5)}
+        assert split_ranges({}) == {}
 
     def test_split_double_assignment(self, tmp_path):
         (tmp_path / "s.csv").write_text("a,train\n\na,test\n")

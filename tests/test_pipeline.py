@@ -4,7 +4,7 @@ import pytest
 import locallearn.local as local_mod
 import locallearn.pipeline as pipeline_mod
 from locallearn.core import (
-    FeatureMatrix, LabelMap, parse_manifest, read_labels, save_features, write_labels,
+    FeatureMatrix, LabelMap, parse_manifest, save_features, write_labels,
 )
 from locallearn.errors import ValidationError
 from locallearn.pipeline import IngestResult, ingest_and_fuse, run_pipeline
@@ -194,8 +194,7 @@ class TestIngestOracle:
         manifest = write_two_sources(tmp_path)
         got = run_pipeline(manifest, k=15, C=10.0)
         monkeypatch.setattr(pipeline_mod, "ingest_and_fuse", lambda m, seed=None: IngestResult(
-            LabelMap.from_file(m.labelmap_path), read_labels(m.labels_path),
-            ingest_by_copies(m, seed)))
+            LabelMap.from_file(m.labelmap_path), ingest_by_copies(m, seed)))
         want = run_pipeline(manifest, k=15, C=10.0)
         assert got.predictions == want.predictions
         for method, report in want.reports.items():

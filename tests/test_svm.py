@@ -261,6 +261,40 @@ class TestRowSets:
             oracle, _ = box_qp_max(svm_dual_gram(X[rows], y), 10.0)
             assert abs(svm_dual_value(X[rows], y, alpha) - oracle) <= 1e-6 * max(1.0, abs(oracle))
 
+    def test_retry_that_cannot_start_multiplies_nothing(self, monkeypatch):
+        # A retry during the ascent starts from the gradient the last pass
+        # computed, so one that frees more indices than the 11 augmented
+        # dimensions stops before its first step without calling grad
+        # (K @ v) or block; the retries that start still certify.
+        X, sets = _neighbourhood_sets(31)
+        rows, Y = sets[5]
+        cfg = SvmConfig(C=10.0, tolerance=1e-9, max_passes=200_000, seed=4)
+        width, original, idle, started = X.shape[1] + 1, svm_mod._newton, [], []
+
+        def counting(alpha, g, y, grad, block, diag, *args, **kw):
+            calls = []
+
+            def counted(f):
+                def wrapped(*a):
+                    calls.append(f)
+                    return f(*a)
+                return wrapped
+
+            out = original(alpha, g, y, counted(grad), counted(block), diag, *args, **kw)
+            if alpha.any():
+                free = np.count_nonzero(svm_mod._sets(alpha, g, diag, cfg.C) == 1)
+                (idle if free > width else started).append(len(calls))
+            return out
+
+        monkeypatch.setattr(svm_mod, "_newton", counting)
+        _, _, alphas, infos = svm_mod._solve_rows(X, rows, Y, cfg)
+        assert idle and set(idle) == {0}
+        assert started and min(started) > 0
+        for y, alpha, info in zip(Y, alphas, infos):
+            assert info["converged"] and info["kkt_gap"] <= 1e-9
+            oracle, _ = box_qp_max(svm_dual_gram(X[rows], y), 10.0)
+            assert abs(svm_dual_value(X[rows], y, alpha) - oracle) <= 1e-6 * max(1.0, abs(oracle))
+
     @pytest.mark.parametrize("m", [3, 9])
     def test_one_first_step_solve_for_the_row_set(self, m, monkeypatch):
         # The gradient at alpha = 0 is -1 in every problem, so Newton's
@@ -331,7 +365,7 @@ class TestNewtonFinish:
         # and the start comes back uncertified.
         Q = np.array([[2.0, 0.5], [0.5, 1.0]])
         start = np.zeros(2)
-        alpha, info = svm_mod._newton(start, np.ones(2), lambda a: Q @ a - 1.0,
+        alpha, info = svm_mod._newton(start, -np.ones(2), np.ones(2), lambda a: Q @ a - 1.0,
                                       lambda F: 1.01 * Q[np.ix_(F, F)], np.diag(Q), 3, SvmConfig(C=100.0), 10)
         assert alpha is start and not info["converged"] and info["passes"] == 1
 
@@ -427,7 +461,8 @@ def check_first_step_columns():
         for C in (100.0, 0.05):
             cfg = SvmConfig(C=C)
             assert (1.0 / diag >= C).any() == (C < 1.0)
-            steps = lambda Ys: svm_mod._first_steps(K, lambda F: K[F][:, F], Ys, diag, 302, cfg)
+            steps = lambda Ys: svm_mod._first_steps(lambda y: svm_mod._gram_grad(K, y), lambda F: K[F][:, F],
+                                                    Ys, diag, 302, cfg)
             alone = [steps(Y[p:p + 1])[0] for p in range(m)]
             for shift in range(svm_mod._RHS_BLOCK):
                 order = np.roll(np.arange(m), shift)
@@ -535,7 +570,7 @@ class TestFeatureSpaceNewton:
         ]
         seen, original = [], svm_mod._newton
 
-        def driving(alpha, labels, grad, block, diag, width, cfg, steps, **kw):
+        def driving(alpha, g, labels, grad, block, diag, width, cfg, steps, **kw):
             if not seen:
                 _TrackedRows.products.clear()
                 for F in free_sets:
@@ -543,7 +578,7 @@ class TestFeatureSpaceNewton:
                     G = block(F)
                     assert np.abs(G - direct).max() <= 1e-12 * np.abs(direct).max()
                 seen.append(list(_TrackedRows.products))
-            return original(alpha, labels, grad, block, diag, width, cfg, steps, **kw)
+            return original(alpha, g, labels, grad, block, diag, width, cfg, steps, **kw)
 
         monkeypatch.setattr(svm_mod, "_newton", driving)
         monkeypatch.setattr(svm_mod, "_GRAM_LIMIT", 1)
@@ -600,9 +635,9 @@ class TestFeatureSpaceNewton:
         tracked.rows = np.arange(n)
         grads, original = [], svm_mod._newton
 
-        def capture(alpha, labels, grad, block, diag, width, cfg, steps, **kw):
+        def capture(alpha, g, labels, grad, block, diag, width, cfg, steps, **kw):
             grads.append(grad)
-            return original(alpha, labels, grad, block, diag, width, cfg, steps, **kw)
+            return original(alpha, g, labels, grad, block, diag, width, cfg, steps, **kw)
 
         monkeypatch.setattr(svm_mod, "_newton", capture)
         monkeypatch.setattr(svm_mod, "_GRAM_LIMIT", 1)
@@ -682,10 +717,10 @@ class TestJointAscent:
         X, labels, Y = self._blobs()
         original = svm_mod._newton
 
-        def burning(alpha, y, grad, block, diag, width, cfg, steps, **kw):
+        def burning(alpha, g, y, grad, block, diag, width, cfg, steps, **kw):
             if np.array_equal(y, Y[0]):
                 return alpha, {"passes": steps, "converged": False, "kkt_gap": np.inf}
-            return original(alpha, y, grad, block, diag, width, cfg, steps, **kw)
+            return original(alpha, g, y, grad, block, diag, width, cfg, steps, **kw)
 
         monkeypatch.setattr(svm_mod, "_newton", burning)
         monkeypatch.setattr(svm_mod, "_GRAM_LIMIT", 16)
@@ -709,11 +744,11 @@ class TestJointAscent:
         X, labels, Y = self._blobs(d=40)
         attempts, original = [], svm_mod._newton
 
-        def watching(alpha, y, grad, block, diag, width, cfg, steps, **kw):
+        def watching(alpha, g, y, grad, block, diag, width, cfg, steps, **kw):
             problem = int(np.flatnonzero((Y == y).all(axis=1))[0])
             assert all(ref() is None for p, ref in attempts if p != problem)
             attempts.append((problem, weakref.ref(block)))
-            return original(alpha, y, grad, block, diag, width, cfg, steps, **kw)
+            return original(alpha, g, y, grad, block, diag, width, cfg, steps, **kw)
 
         monkeypatch.setattr(svm_mod, "_newton", watching)
         monkeypatch.setattr(svm_mod, "_GRAM_LIMIT", 16)
