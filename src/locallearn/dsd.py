@@ -49,6 +49,8 @@ class TrainerConfig:
             raise ValidationError(f"lr must be finite and positive, got {self.lr}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValidationError("momentum must be in [0, 1)")
+        if not 0.0 < self.lr_decay <= 1.0:
+            raise ValidationError(f"lr_decay must be in (0, 1], got {self.lr_decay}")
         if self.batch_size < 1:
             raise ValidationError("batch size must be >= 1")
         if self.patience < 0:
@@ -170,7 +172,9 @@ class MlpModel:
         return np.argmax(self.probs(X), axis=1)
 
     def accuracy(self, X: np.ndarray, y: np.ndarray) -> float:
-        return float(np.mean(self.predict(X) == np.asarray(y)))
+        y = np.asarray(y)
+        _check_labels(np.asarray(X), y)
+        return float(np.mean(self.predict(X) == y))
 
     def loss_and_grads(self, X: np.ndarray, y: np.ndarray):
         """Mean cross-entropy and its gradients w.r.t. every W and b."""
@@ -199,6 +203,12 @@ class MlpModel:
         return {
             layer.name: float(np.mean(layer.W == 0.0)) for layer in self.layers
         }
+
+
+def _check_labels(X: np.ndarray, y: np.ndarray, what: str = "") -> None:
+    """``ValidationError`` unless ``y`` is one label per row of ``X``."""
+    if y.shape != X.shape[:1]:
+        raise ValidationError(f"{what}labels of shape {y.shape} do not match {X.shape[0]} rows")
 
 
 def init_mlp(dims: Sequence[int], seed: int = 0, std: float = 0.1) -> MlpModel:
@@ -232,8 +242,9 @@ def sgd_step(
 ) -> float:
     """One momentum step: v <- momentum*v - lr*grad; params <- params + v.
 
-    Returns the batch loss.  Raises NonFiniteGradient when the loss or any
-    gradient entry diverges.
+    The gradients are scaled in place, so a step allocates no layer-sized
+    temporary beyond them.  Returns the batch loss.  Raises
+    NonFiniteGradient when the loss or any gradient entry diverges.
     """
     if X.shape[0] == 0:
         raise ValidationError("batch must be non-empty")
@@ -245,9 +256,11 @@ def sgd_step(
         if not (np.isfinite(gW).all() and np.isfinite(gb).all()):
             raise NonFiniteGradient(f"gradient diverged in layer {layer.name}")
         vW *= cfg.momentum
-        vW -= step_lr * gW
+        gW *= step_lr
+        vW -= gW
         vb *= cfg.momentum
-        vb -= step_lr * gb
+        gb *= step_lr
+        vb -= gb
         layer.W += vW
         layer.b += vb
     return loss
@@ -258,7 +271,8 @@ def prune_mask(weights: np.ndarray, sparsity: float) -> np.ndarray:
     smallest absolute value; magnitude ties break to the lowest flat index.
 
     Rounding up guarantees the pruned layer's exact-zero fraction is at
-    least the requested rate.  It equals a stable sort's (NaN last), in linear time.
+    least the requested rate.  It equals a stable sort's (NaN last), in linear time:
+    one |W| array is partitioned in place for the cut, then refilled.
     """
     if not 0.0 <= sparsity < 1.0:
         raise ValidationError(f"sparsity {sparsity} outside [0, 1)")
@@ -267,7 +281,9 @@ def prune_mask(weights: np.ndarray, sparsity: float) -> np.ndarray:
     mask = np.ones(weights.size, dtype=bool)
     if n_zero:
         mags = np.abs(weights).ravel()
-        cut = np.partition(mags, n_zero - 1)[n_zero - 1]
+        mags.partition(n_zero - 1)
+        cut = mags[n_zero - 1]
+        np.abs(weights, out=mags.reshape(weights.shape))
         # a NaN cut sits above every number and ties with every NaN
         below, tied = (mags < cut, mags == cut) if cut == cut else (~np.isnan(mags), np.isnan(mags))
         mask[below] = False
@@ -275,15 +291,27 @@ def prune_mask(weights: np.ndarray, sparsity: float) -> np.ndarray:
     return mask.reshape(weights.shape)
 
 
-def flip_augment(X: np.ndarray, image_shape: tuple[int, int]) -> np.ndarray:
-    """Append horizontally flipped copies of row-major images; doubles n."""
+def _check_images(X: np.ndarray, image_shape: tuple[int, int]) -> None:
     h, w = image_shape
     if h < 1 or w < 1:
         raise ValidationError(f"image sides must be >= 1, got {h}x{w}")
     if X.shape[1] != h * w:
         raise ValidationError(f"rows of dim {X.shape[1]} are not {h}x{w} images")
-    flipped = X.reshape(-1, h, w)[:, :, ::-1].reshape(X.shape)
-    return np.vstack([X, flipped])
+
+
+def _mirrored(X: np.ndarray, image_shape: tuple[int, int]) -> np.ndarray:
+    """The row-major images of ``X`` as an (n, h, w) view, mirrored left to right."""
+    return X.reshape(-1, *image_shape)[:, :, ::-1]
+
+
+def flip_augment(X: np.ndarray, image_shape: tuple[int, int]) -> np.ndarray:
+    """Append horizontally flipped copies of row-major images; doubles n."""
+    _check_images(X, image_shape)
+    n = X.shape[0]
+    out = np.empty((2 * n, X.shape[1]), dtype=X.dtype)
+    out[:n] = X
+    out[n:].reshape(-1, *image_shape)[...] = _mirrored(X, image_shape)
+    return out
 
 
 @dataclass
@@ -310,33 +338,46 @@ def dsd_train(
     magnitudes at the end of every epoch.  The learning rate decays by
     ``cfg.lr_decay`` whenever validation error fails to improve for more
     than ``cfg.patience`` consecutive epochs.
+
+    Flip augmentation draws from 2n rows, the last n the mirrored images,
+    but mirrors only the rows of each batch: the batches are those of
+    ``flip_augment(X)`` and the labels repeated, with no copy of the set.
     """
     X, y = train
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.intp)
-    if X.shape[0] == 0:
+    n = X.shape[0]
+    if n == 0:
         raise ValidationError("training set is empty")
+    _check_labels(X, y, "training ")
+    Xv, yv = val
+    _check_labels(np.asarray(Xv), np.asarray(yv), "validation ")
+    n_draw = n
     if cfg.flip_augment:
         if image_shape is None:
             raise ValidationError("flip augmentation requires image_shape")
-        X = flip_augment(X, image_shape)
-        y = np.concatenate([y, y])
-    Xv, yv = val
+        _check_images(X, image_shape)
+        n_draw = 2 * n
     velocity = make_velocity(model)
     lr = cfg.lr
     best_err = np.inf
     stall = 0
     logs: list[EpochLog] = []
     epoch = 0
-    batch = min(cfg.batch_size, X.shape[0])
+    batch = min(cfg.batch_size, n_draw)
     for phase in schedule.phases:
         for _ in range(phase.epochs):
             rng = np.random.default_rng([cfg.seed, 977, epoch])
-            order = rng.permutation(X.shape[0])
+            order = rng.permutation(n_draw)
             losses = []
-            for start in range(0, X.shape[0], batch):
-                rows = order[start : start + batch]
-                losses.append(sgd_step(model, X[rows], y[rows], cfg, velocity, lr=lr))
+            for start in range(0, n_draw, batch):
+                drawn = order[start : start + batch]
+                rows = drawn % n
+                Xb = X[rows]
+                if cfg.flip_augment:
+                    flip = drawn >= n
+                    Xb.reshape(-1, *image_shape)[flip] = _mirrored(Xb[flip], image_shape)
+                losses.append(sgd_step(model, Xb, y[rows], cfg, velocity, lr=lr))
             if phase.kind == "sparse":
                 for layer in model.layers:
                     if layer.name in phase.exclude:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -94,6 +96,13 @@ class TestPruneMask:
         with pytest.raises(ValidationError):
             prune_mask(np.ones(4), 1.0)
 
+    def test_nan_weights_sort_last(self):
+        w = np.array([[np.nan, 0.2, -0.1], [np.nan, 3.0, 0.2]])
+        for s in (0.3, 0.5, 0.7, 0.9):
+            assert np.array_equal(prune_mask(w, s), prune_mask_sorted(w, s))
+        # 0.7 prunes ceil(4.2) = 5 entries: the four numbers, then the first NaN
+        assert np.array_equal(prune_mask(w, 0.7), [[False] * 3, [True, False, False]])
+
     @settings(max_examples=300, deadline=None)
     @given(
         arrays(np.float64, st.tuples(st.integers(1, 5), st.integers(1, 12)),
@@ -148,6 +157,12 @@ class TestSchedule:
     def test_rate_range(self):
         with pytest.raises(ValidationError):
             DsdPhase("sparse", 5, 1.0)
+
+    @pytest.mark.parametrize("decay", [float("nan"), float("inf"), -1.0, 0.0, 5.0])
+    def test_lr_decay_range(self, decay):
+        with pytest.raises(ValidationError, match="lr_decay"):
+            TrainerConfig(lr_decay=decay)
+        TrainerConfig(lr_decay=1.0)
 
 
 def blob_data(seed):
@@ -238,6 +253,62 @@ class TestDsdTrain:
         with pytest.raises(ValidationError):
             dsd_train(model, (X, y), (X, y), parse_schedule("D1"), cfg)
         dsd_train(model, (X, y), (X, y), parse_schedule("D1"), cfg, image_shape=(2, 3))
+
+    @pytest.mark.parametrize("batch_size", [7, 64])
+    def test_flip_per_batch_equals_materialised_set(self, batch_size):
+        rng = np.random.default_rng(11)
+        X = rng.normal(size=(45, 12))  # 3x4 images, not left-right symmetric
+        y = rng.integers(0, 3, 45)
+        sched = parse_schedule("D2,S2@0.5,D1")
+        materialised = (flip_augment(X, (3, 4)), np.concatenate([y, y]))
+        runs = []
+        for flip, train in ((True, (X, y)), (False, materialised)):
+            model = init_mlp([12, 6, 3], seed=4)
+            cfg = TrainerConfig(lr=0.1, batch_size=batch_size, seed=2, flip_augment=flip)
+            logs = dsd_train(model, train, (X, y), sched, cfg, image_shape=(3, 4))
+            runs.append((model, logs))
+        (m1, logs1), (m2, logs2) = runs
+        assert logs1 == logs2
+        assert any(frac > 0.0 for e in logs1 for frac in e.zero_fracs.values())
+        for l1, l2 in zip(m1.layers, m2.layers):
+            assert np.array_equal(l1.W, l2.W) and np.array_equal(l1.b, l2.b)
+
+    def test_flip_keeps_no_copy_of_the_set(self):
+        rng = np.random.default_rng(12)
+        X = rng.normal(size=(2000, 64))  # 8x8 images, 1 MB against a 520-weight model
+        y = rng.integers(0, 8, 2000)
+        model = init_mlp([64, 8], seed=1)
+        cfg = TrainerConfig(lr=0.01, batch_size=32, seed=1, flip_augment=True)
+        tracemalloc.start()
+        try:
+            dsd_train(model, (X, y), (X[:100], y[:100]), parse_schedule("D1"), cfg,
+                      image_shape=(8, 8))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < X.nbytes
+
+    @pytest.mark.parametrize("flip", [False, True])
+    @pytest.mark.parametrize("n_train, n_val", [(20, 10), (7, 10), (10, 1), (10, 7)])
+    def test_label_length_mismatch_rejected(self, flip, n_train, n_val):
+        rng = np.random.default_rng(13)
+        X = rng.normal(size=(10, 6))
+        y = rng.integers(0, 2, 30)
+        model = init_mlp([6, 2], seed=1)
+        before = model.layers[0].W.copy()
+        cfg = TrainerConfig(lr=0.1, batch_size=4, seed=1, flip_augment=flip)
+        with pytest.raises(ValidationError, match="labels of shape"):
+            dsd_train(model, (X, y[:n_train]), (X, y[:n_val]), parse_schedule("D1"), cfg,
+                      image_shape=(2, 3))
+        assert np.array_equal(model.layers[0].W, before)
+
+    @pytest.mark.parametrize("n_labels", [1, 7, 11])
+    def test_accuracy_rejects_label_length_mismatch(self, n_labels):
+        model = init_mlp([6, 2], seed=1)
+        X = np.zeros((10, 6))
+        with pytest.raises(ValidationError, match="labels of shape"):
+            model.accuracy(X, np.zeros(n_labels, dtype=int))
+        assert model.accuracy(X, np.zeros(10, dtype=int)) in (0.0, 1.0)
 
 
 class TestSensitivityScan:
