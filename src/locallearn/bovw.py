@@ -164,6 +164,24 @@ def _axis_weights(bin_size: int, n_bins: int) -> np.ndarray:
     return tri * gauss[None, :]
 
 
+def _window_grid(shape: tuple[int, ...], cfg: DenseSiftConfig) -> list:
+    """(bin size, row starts, column starts) of the descriptor windows of an
+    image of ``shape``, in ``dense_sift``'s order."""
+    if len(shape) != 2:
+        raise ValidationError("image must be a 2-D grayscale array")
+    h, w = shape
+    largest = cfg.spatial_bins * max(cfg.bin_sizes)
+    if h < largest or w < largest:
+        raise ImageTooSmall(
+            f"image {w}x{h} cannot fit a {largest}x{largest} descriptor window"
+        )
+    grid = []
+    for b in cfg.bin_sizes:
+        side = cfg.spatial_bins * b
+        grid.append((b, np.arange(0, h - side + 1, cfg.step), np.arange(0, w - side + 1, cfg.step)))
+    return grid
+
+
 def dense_sift(img: np.ndarray, cfg: DenseSiftConfig = DenseSiftConfig()) -> DescriptorSet:
     """Extract upright dense SIFT descriptors on a regular grid.
 
@@ -176,23 +194,14 @@ def dense_sift(img: np.ndarray, cfg: DenseSiftConfig = DenseSiftConfig()) -> Des
     ``NonFiniteValue`` before any arithmetic.
     """
     img = np.asarray(img)
-    if img.ndim != 2:
-        raise ValidationError("image must be a 2-D grayscale array")
-    h, w = img.shape
-    largest = cfg.spatial_bins * max(cfg.bin_sizes)
-    if h < largest or w < largest:
-        raise ImageTooSmall(
-            f"image {w}x{h} cannot fit a {largest}x{largest} descriptor window"
-        )
+    grid = _window_grid(img.shape, cfg)
     img01 = img.astype(np.float64) / 255.0 if img.dtype == np.uint8 else img.astype(np.float64)
     check_finite(img01, "image: ")
     omaps = _orientation_maps(img01, cfg.orientations)
     vec_blocks, xs_all, ys_all, sc_all = [], [], [], []
-    for b in cfg.bin_sizes:
+    for b, starts_y, starts_x in grid:
         side = cfg.spatial_bins * b
         half = side // 2
-        starts_y = np.arange(0, h - side + 1, cfg.step)
-        starts_x = np.arange(0, w - side + 1, cfg.step)
         n_windows = starts_y.size * starts_x.size
         axis = _axis_weights(b, cfg.spatial_bins)
         # No `optimize`: with it, einsum may hand a contraction to BLAS.
@@ -235,6 +244,23 @@ def kmeans(
     |c - a|² < 4·D² (triangle inequality, with margins for rounding) and
     keeps it where strictly smaller, so each D² and seed equals a full update's.
 
+    Lloyd's iterations measure only the points whose word can change
+    (Hamerly's bounds).  A point keeps an upper bound u on its distance to
+    its own centroid and a lower bound l on its distance to every other;
+    a centroid keeps s, half the distance to its nearest other centroid.
+    After an update, u grows by its centroid's shift and l shrinks by the
+    largest shift.  A point keeps its word unmeasured when u + m < max(l, s).
+    The margin m is the root of twice a bound on the rounding of a computed
+    |p|² + |c|² - 2p·c, so the point's computed distance to its own centroid
+    is strictly below every other: a full pass would pick the same word,
+    tie rule included.  The bounds, and the shifts that move them, are
+    widened by the same rounding bound where they are computed.  Only
+    clusters whose members changed are re-averaged, over the same rows in
+    the same order, so every centroid has a full update's bits.  The first
+    iteration, the one after an empty-cluster repair (which resets every
+    bound), and every one when ``return_history`` asks for each point's
+    distance measure every point.
+
     Empty clusters are repaired by stealing the farthest point of the
     cluster with the largest within-cluster sum of squares.  When k exceeds
     the point count, every point becomes a centroid and the remaining slots
@@ -264,25 +290,55 @@ def kmeans(
                 fill = points[np.resize(order, extra)]
                 centroids = np.vstack([centroids, fill])
             return (centroids, [0.0]) if return_history else centroids
-        centroids = points[_kmeanspp(points, k, rng)].copy()
+        centroids = points[_kmeanspp(points, k, rng)]
         assign, seen = np.full(n, -1, dtype=np.intp), set()
         history: list[float] = []
+        upper, lower = np.empty(n), np.empty(n)
+        # Four times Higham's bound γ_{d+2}·(|p| + |c|)² on the rounding of a
+        # computed squared distance, as a centroid (a mean of points, or a
+        # point) is no longer than the longest point; `tiny` covers underflow.
+        err = (8.0 * (points.shape[1] + 2) * np.finfo(float).eps
+               * float(np.einsum("ij,ij->i", points, points).max()) + np.finfo(float).tiny)
+        margin = np.sqrt(2.0 * err)
+        measure_all = True
         for _ in range(max_iters):
-            new_assign, d2_min = _nearest(points, centroids, fan, workers)
-            history.append(float(d2_min.sum()))
+            stale = None
+            if not (measure_all or return_history):
+                _, _, gap2 = _nearest(centroids, centroids, fan, workers, second=True)
+                half_gap = 0.5 * np.sqrt(np.maximum(gap2 - err, 0.0))
+                settled = upper + margin < np.maximum(lower, half_gap[assign])
+                stale = np.flatnonzero(~settled)  # NaN bounds are measured too
+            words, d2_min, d2_next = _nearest(points, centroids, fan, workers, stale, second=True)
+            if return_history:
+                history.append(float(d2_min.sum()))
+            at = slice(None) if stale is None else stale
+            new_assign = assign.copy()
+            new_assign[at] = words
+            upper[at] = np.sqrt(d2_min + err)
+            lower[at] = np.sqrt(np.maximum(d2_next - err, 0.0))
             key = hashlib.blake2b(new_assign).digest()
             if np.array_equal(new_assign, assign) or key in seen:
                 break
             seen.add(key)
+            moved = np.flatnonzero(new_assign != assign)
+            dirty = np.unique(np.concatenate([assign[moved], new_assign[moved]]))
+            dirty = dirty[dirty >= 0]
             assign = new_assign
             counts = np.bincount(assign, minlength=k)
-            # stable grouping keeps each cluster's rows in index order
-            grouped = points[np.argsort(assign, kind="stable")]
+            before = centroids[dirty]
+            # stable order keeps each cluster's rows in index order
+            order = np.argsort(assign, kind="stable")
             ends = np.cumsum(counts)
-            for c in np.flatnonzero(counts):
-                centroids[c] = grouped[ends[c] - counts[c]:ends[c]].mean(axis=0)
-            del grouped  # an n x d copy: not kept through the repair and next assignment
-            for e in np.flatnonzero(counts == 0):
+            for c in dirty[counts[dirty] > 0]:
+                centroids[c] = points[order[ends[c] - counts[c]:ends[c]]].mean(axis=0)
+            before -= centroids[dirty]
+            shift = np.zeros(k)
+            shift[dirty] = np.sqrt(np.einsum("ij,ij->i", before, before) + err)
+            del before, order  # not held through the repair and next assignment
+            upper += shift[assign]
+            lower -= shift.max()
+            empty = np.flatnonzero(counts == 0)
+            for e in empty:
                 costs = np.linalg.norm(points - centroids[assign], axis=1)
                 per_cluster = np.zeros(k)
                 np.add.at(per_cluster, assign, costs**2)
@@ -292,14 +348,17 @@ def kmeans(
                 centroids[e] = points[far]
                 assign[far] = e
                 centroids[donor] = points[assign == donor].mean(axis=0)
+            measure_all = empty.size > 0
     return (centroids, history) if return_history else centroids
 
 
 def _kmeanspp(points: np.ndarray, k: int, rng) -> np.ndarray:
     n = points.shape[0]
     chosen = np.empty(k, dtype=np.intp)
+    centres = np.empty((k, points.shape[1]))  # the chosen rows, in draw order
     chosen[0] = rng.integers(n)
-    d2 = np.sum((points - points[chosen[0]]) ** 2, axis=1)
+    centres[0] = points[chosen[0]]
+    d2 = _sq_diffs(points - centres[0])
     near = np.zeros(n, dtype=np.intp)  # position in chosen of each point's nearest centre
     for j in range(1, k):
         total = d2.sum()
@@ -310,14 +369,24 @@ def _kmeanspp(points: np.ndarray, k: int, rng) -> np.ndarray:
             chosen[j] = int(np.flatnonzero(mask)[0])
         else:
             chosen[j] = rng.choice(n, p=d2 / total)
-        c = points[chosen[j]]
+        c = centres[j]
+        c[:] = points[chosen[j]]
         # |x - c| >= |c - a| - |x - a|; the margins cover rounding, subnormal too
-        reach = np.sum((points[chosen[:j]] - c) ** 2, axis=1)
+        reach = _sq_diffs(centres[:j] - c)
         rows = np.flatnonzero(reach[near] < 4.0 * (1.0 + 1e-9) * d2 + np.finfo(float).tiny)
-        new = np.sum((points[rows] - c) ** 2, axis=1)
+        block = points[rows]
+        block -= c
+        new = _sq_diffs(block)
+        del block  # not held through the next draw's gather
         closer = new < d2[rows]  # where np.minimum(d2, new) would take new
         d2[rows[closer]], near[rows[closer]] = new[closer], j
     return chosen
+
+
+def _sq_diffs(diffs: np.ndarray) -> np.ndarray:
+    """Row sums of squares of a difference block, squared in place."""
+    np.square(diffs, out=diffs)
+    return diffs.sum(axis=1)
 
 
 def _sq_dists(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
@@ -332,28 +401,50 @@ def _sq_dists(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
 
 
 def _nearest(
-    points: np.ndarray, centroids: np.ndarray, fan=map, workers: int = 1
-) -> tuple[np.ndarray, np.ndarray]:
-    """Each point's exact nearest centroid and the squared distance to it.
+    points: np.ndarray,
+    centroids: np.ndarray,
+    fan=map,
+    workers: int = 1,
+    rows: np.ndarray | None = None,
+    second: bool = False,
+):
+    """Each point's exact nearest centroid and the squared distance to it;
+    with ``second``, also its second-smallest squared distance (the
+    smallest again at a tie).
 
     Ties go to the lowest centroid id.  Rows are taken in chunks whose
     distance block stays within ``_CHUNK_BYTES``, and of at most
     ceil(n / workers) rows, mapped by ``fan`` (a ``core.fan_out`` map for
-    threads).  Every row's answer is independent of the chunking.
+    threads).  ``rows`` restricts the search to those rows of ``points``,
+    gathered a chunk at a time; a gathered chunk and its distances fit the
+    block that all n rows would use.  Every row's answer is independent of
+    the chunking.
     """
-    n = points.shape[0]
-    words = np.empty(n, dtype=np.intp)
-    d2_min = np.empty(n)
-    step = max(1, min(_CHUNK_BYTES // (8 * centroids.shape[0]), -(-n // workers)))
+    n, dim = points.shape
+    k = centroids.shape[0]
+    m = n if rows is None else rows.size
+    words = np.empty(m, dtype=np.intp)
+    d2_min = np.empty(m)
+    d2_next = np.empty(m) if second else None
+    step = min(_CHUNK_BYTES // (8 * k), -(-n // workers))
+    if rows is not None:
+        step = step * k // (k + dim)
+    step = max(1, min(step, -(-m // workers)))
 
     def chunk(start: int) -> None:
-        d2 = _sq_dists(points[start : start + step], centroids)
+        stop = min(start + step, m)
+        block = points[start:stop] if rows is None else points[rows[start:stop]]
+        d2 = _sq_dists(block, centroids)
+        at = np.arange(stop - start)
         w = np.argmin(d2, axis=1)
-        words[start : start + w.size] = w
-        d2_min[start : start + w.size] = d2[np.arange(w.size), w]
+        words[start:stop] = w
+        d2_min[start:stop] = d2[at, w]
+        if second:
+            d2[at, w] = np.inf
+            d2_next[start:stop] = d2.min(axis=1)
 
-    list(fan(chunk, range(0, n, step)))
-    return words, d2_min
+    list(fan(chunk, range(0, m, step)))
+    return (words, d2_min, d2_next) if second else (words, d2_min)
 
 
 @dataclass(frozen=True)
@@ -396,17 +487,22 @@ class Vocabulary:
                 raise ValidationError("vocabulary centroids must be finite")
 
 
+def _sample_ids(n: int, cap: int, seed) -> np.ndarray:
+    """Sorted ids of a uniform without-replacement sample of ``cap`` of ``n``
+    rows; every id when n <= cap."""
+    if cap < 1:
+        raise ValidationError(f"subsample cap must be >= 1, got {cap}")
+    if n <= cap:
+        return np.arange(n)
+    rng = np.random.default_rng(seed)
+    return np.sort(rng.choice(n, size=cap, replace=False))
+
+
 def subsample_rows(points: np.ndarray, cap: int, seed) -> np.ndarray:
     """Uniform without-replacement row subsample (identity when under cap);
     surviving rows keep their relative order."""
-    if cap < 1:
-        raise ValidationError(f"subsample cap must be >= 1, got {cap}")
-    n = points.shape[0]
-    if n <= cap:
-        return points
-    rng = np.random.default_rng(seed)
-    rows = np.sort(rng.choice(n, size=cap, replace=False))
-    return points[rows]
+    rows = _sample_ids(points.shape[0], cap, seed)
+    return points if rows.size == points.shape[0] else points[rows]
 
 
 def build_vocab(
@@ -418,12 +514,25 @@ def build_vocab(
     workers: int = 1,
 ) -> Vocabulary:
     """Cluster descriptors of all training images into one vocabulary per
-    pyramid level."""
+    pyramid level.
+
+    The same as ``build_vocab_from_descriptors`` on every image's
+    descriptors stacked, without the stack: the sample's row ids are drawn
+    first from the count the window grid gives, and each image keeps only
+    its drawn rows as it is extracted.
+    """
     check_workers(workers)
     if not images:
         raise ValidationError("need at least one training image")
-    pooled = np.vstack([dense_sift(img, sift).vectors for img in images])
-    return build_vocab_from_descriptors(pooled, sift, pyramid, seed, subsample_cap, workers)
+    counts = [sum(ys.size * xs.size for _, ys, xs in _window_grid(np.shape(img), sift))
+              for img in images]
+    ends = np.cumsum(counts)
+    ids = _sample_ids(int(ends[-1]), subsample_cap, [seed, 17])
+    sample = np.empty((ids.size, sift.descriptor_dim))
+    for img, first, end in zip(images, ends - counts, ends):
+        lo, hi = np.searchsorted(ids, (first, end))
+        sample[lo:hi] = dense_sift(img, sift).vectors[ids[lo:hi] - first]
+    return build_vocab_from_descriptors(sample, sift, pyramid, seed, subsample_cap, workers)
 
 
 def build_vocab_from_descriptors(

@@ -352,6 +352,8 @@ def dsd_train(
     _check_labels(X, y, "training ")
     Xv, yv = val
     _check_labels(np.asarray(Xv), np.asarray(yv), "validation ")
+    if np.asarray(yv).size == 0:
+        raise ValidationError("validation set is empty")
     n_draw = n
     if cfg.flip_augment:
         if image_shape is None:

@@ -4,10 +4,11 @@ Nothing here shares code paths with the package: the QP oracle is an
 interior-point method (the solver under test is coordinate ascent), the
 neighbor oracles are direct full scans, the gradient oracle is central
 finite differences, the k-means++ oracle recomputes every point's D² at
-every draw, the prune oracle ranks by a full stable sort, the ingest
-oracle loads every source whole and copies each split out of the fusion,
-and the dense-SIFT oracle weights each window, one at a time, with the
-full 2-D spatial weight.
+every draw, the k-means oracle measures every point against every
+centroid and re-averages every cluster at every iteration, the prune
+oracle ranks by a full stable sort, the ingest oracle loads every source
+whole and copies each split out of the fusion, and the dense-SIFT oracle
+weights each window, one at a time, with the full 2-D spatial weight.
 """
 
 from __future__ import annotations
@@ -115,6 +116,45 @@ def kmeanspp_full(points: np.ndarray, k: int, rng) -> np.ndarray:
             chosen[j] = rng.choice(n, p=d2 / total)
         d2 = np.minimum(d2, np.sum((points - points[chosen[j]]) ** 2, axis=1))
     return chosen
+
+
+def kmeans_full(points: np.ndarray, k: int, seed, max_iters: int = 100):
+    """Lloyd's k-means, k < n, that measures every point against every
+    centroid and re-averages every non-empty cluster at every iteration:
+    (centroids, iterations).  It keeps the package's k-means++ draws, its
+    rounding of a squared distance (|p|² + |c|² - 2p·c, clamped at 0, ties
+    to the lowest id), its empty-cluster repair and its stop rule, so a loop
+    that skips only the points whose word cannot change agrees with it bit
+    for bit."""
+    points = np.asarray(points, dtype=np.float64)
+    n = points.shape[0]
+    centroids = points[kmeanspp_full(points, k, np.random.default_rng(seed))]
+    p2 = np.einsum("ij,ij->i", points, points)[:, None]
+    assign, seen = np.full(n, -1), set()
+    for iteration in range(1, max_iters + 1):
+        d2 = points @ centroids.T
+        d2 *= -2.0
+        d2 += p2
+        d2 += np.einsum("ij,ij->i", centroids, centroids)[None, :]
+        new_assign = np.argmin(np.maximum(d2, 0.0), axis=1)
+        if np.array_equal(new_assign, assign) or new_assign.tobytes() in seen:
+            break
+        seen.add(new_assign.tobytes())
+        assign = new_assign
+        counts = np.bincount(assign, minlength=k)
+        for c in np.flatnonzero(counts):
+            centroids[c] = points[assign == c].mean(axis=0)
+        for e in np.flatnonzero(counts == 0):
+            costs = np.linalg.norm(points - centroids[assign], axis=1)
+            per_cluster = np.zeros(k)
+            np.add.at(per_cluster, assign, costs**2)
+            donor = int(np.argmax(per_cluster))
+            donor_rows = np.flatnonzero(assign == donor)
+            far = donor_rows[int(np.argmax(costs[donor_rows]))]
+            centroids[e] = points[far]
+            assign[far] = e
+            centroids[donor] = points[assign == donor].mean(axis=0)
+    return centroids, iteration
 
 
 def spatial_weights(bin_size: int, n_bins: int) -> np.ndarray:

@@ -4,6 +4,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +43,7 @@ from locallearn.errors import (
 
 from locallearn.synth import texture_corpus
 
-from oracles import brute_dense_sift, brute_nn_euclidean, kmeanspp_full
+from oracles import brute_dense_sift, brute_nn_euclidean, kmeans_full, kmeanspp_full
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -259,6 +260,56 @@ class TestKmeans:
         _, history_2 = kmeans(pts, 30, seed=4, max_iters=100, return_history=True, workers=2)
         assert history_2 == history
 
+    @pytest.mark.parametrize("workers", [1, 4])
+    @pytest.mark.parametrize("case", ["sift", "duplicated", "tight clusters", "lattice",
+                                      "subnormal", "fewer distinct than k"])
+    def test_pruned_matches_full_loop(self, monkeypatch, case, workers):
+        # Skipping a point must never change a word: the centroids are the
+        # full loop's, byte for byte, after as many iterations.
+        points, k = _kmeans_cases()[case]
+        passes = _count_passes(monkeypatch, points)
+        got = kmeans(points, k, seed=[7, k], workers=workers)
+        want, iterations = kmeans_full(points, k, seed=[7, k])
+        assert got.tobytes() == want.tobytes()
+        assert len(passes) == iterations
+
+    def test_pruned_loop_measures_fewer_rows(self, monkeypatch):
+        points, k = _kmeans_cases()["sift"]
+        passes = _count_passes(monkeypatch, points)
+        kmeans(points, k, seed=[7, k])
+        assert passes[0] == len(points)  # the first pass measures every point
+        assert sum(passes) < len(passes) * len(points) / 2
+
+
+def _count_passes(monkeypatch, points) -> list[int]:
+    """Patch ``bovw._nearest`` to record the rows each pass over ``points``
+    measures (not the centroid-to-centroid gaps); returns the record."""
+    passes, nearest = [], bovw._nearest
+
+    def counting(rows_of, centroids, *args, **kwargs):
+        out = nearest(rows_of, centroids, *args, **kwargs)
+        if rows_of is points:
+            passes.append(len(out[0]))
+        return out
+
+    monkeypatch.setattr(bovw, "_nearest", counting)
+    return passes
+
+
+@functools.cache
+def _kmeans_cases():
+    """The seeding cases' points, each with a k at which the loop skips
+    points (except at the subnormal scale, where nothing may be skipped),
+    and fewer distinct points than k."""
+    seeding = _seeding_cases()
+    cases = {name: (seeding[name][0], k) for name, k in (
+        ("sift", 20), ("duplicated", 10), ("tight clusters", 10), ("lattice", 40),
+        ("subnormal", 40))}
+    # 6 distinct points for k = 30: empty-cluster repairs, then a cycle
+    cases["fewer distinct than k"] = (
+        np.random.default_rng(16).normal(size=(6, 5))[np.arange(600) % 6], 30)
+    return cases
+
 
 @functools.cache
 def _seeding_cases():
@@ -470,6 +521,34 @@ class TestVocabulary:
         assert np.array_equal(under, pool[:100])
         with pytest.raises(ValidationError):
             subsample_rows(pool, -1, seed=4)
+
+    @pytest.mark.parametrize("cap", [700, 5000])
+    def test_build_vocab_equals_vocab_of_stacked_descriptors(self, cap):
+        # 4 images of 289 windows each: caps below and above the 1,156 rows
+        imgs = texture_corpus(2, size=48, seed=8)[0][:4]
+        sift = DenseSiftConfig(bin_sizes=(4,))
+        pyr = PyramidConfig(levels=(1, 2), vocab_sizes=(12, 8))
+        stacked = np.vstack([dense_sift(img, sift).vectors for img in imgs])
+        assert len(stacked) == 4 * 289
+        got = build_vocab(imgs, sift, pyr, seed=2, subsample_cap=cap)
+        want = build_vocab_from_descriptors(stacked, sift, pyr, seed=2, subsample_cap=cap)
+        for lv, lv_want in zip(got.levels, want.levels):
+            assert lv.grid == lv_want.grid
+            assert lv.centroids.tobytes() == lv_want.centroids.tobytes()
+
+    def test_build_vocab_keeps_only_the_sample(self):
+        # Stacking every image's descriptors held 2x their bytes at once.
+        imgs = texture_corpus(10, size=48, seed=9)[0]
+        sift = DenseSiftConfig()
+        pooled_bytes = sum(len(dense_sift(img, sift)) for img in imgs) * 8 * sift.descriptor_dim
+        pyr = PyramidConfig(levels=(1,), vocab_sizes=(4,))
+        tracemalloc.start()
+        try:
+            build_vocab(imgs, sift, pyr, seed=1, subsample_cap=200)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < pooled_bytes / 2
 
     def _small_vocab(self):
         rng = np.random.default_rng(12)

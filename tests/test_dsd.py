@@ -302,6 +302,17 @@ class TestDsdTrain:
                       image_shape=(2, 3))
         assert np.array_equal(model.layers[0].W, before)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_empty_validation_set_rejected(self):
+        # An empty set made every val_acc NaN and decayed the rate silently.
+        train, (Xv, yv) = blob_data(5)
+        model = init_mlp([2, 4, 4], seed=1)
+        before = model.layers[0].W.copy()
+        cfg = TrainerConfig(lr=0.1, batch_size=64, patience=0)
+        with pytest.raises(ValidationError, match="validation set is empty"):
+            dsd_train(model, train, (Xv[:0], yv[:0]), parse_schedule("D4"), cfg)
+        assert np.array_equal(model.layers[0].W, before)
+
     @pytest.mark.parametrize("n_labels", [1, 7, 11])
     def test_accuracy_rejects_label_length_mismatch(self, n_labels):
         model = init_mlp([6, 2], seed=1)
