@@ -8,13 +8,10 @@ orientation assignment) on a regular grid at several bin sizes.  Low
 contrast descriptors are zeroed.  A window's spatial weight is the outer
 product of one 1-D profile (bin interpolation times the Gaussian) with
 itself, so its sums are separable: one along x, then one along y, over
-strided views of the orientation maps, with no window copied.  Both are
-two-operand einsums, which numpy sums in its own loops and not in BLAS,
-whose kernels differ by CPU in the last bits; so descriptor bits do not
-depend on the BLAS kernel.  Each pyramid level owns a k-means vocabulary;
-a cell's bit for a word is set iff some descriptor centered in the cell
-has that word as its exact nearest centroid at that level.  One helper,
-``_nearest``, makes that decision for both k-means and encoding.
+strided views of the orientation maps.  Each pyramid level owns a k-means
+vocabulary; a cell's bit for a word is set iff some descriptor centered in
+the cell has that word as its exact nearest centroid at that level.  One
+helper, ``_nearest``, makes that decision for both k-means and encoding.
 
 Default vocabulary sizes follow the full-scale recipe (17000/14000/11000/
 8000 over 1x1..4x4 grids); ``DESK_VOCAB_SIZES`` ships a small profile for
@@ -188,9 +185,8 @@ def dense_sift(img: np.ndarray, cfg: DenseSiftConfig = DenseSiftConfig()) -> Des
     Descriptors are L2-normalized, clamped at 0.2, renormalized; windows
     with pre-normalization norm below the contrast threshold yield the
     zero vector.  Order: bin sizes in config order, then row-major grid.
-    Each descriptor is two separable weighted window sums (along x, then
-    along y) in numpy's own einsum loops, not in BLAS, so its bits do not
-    depend on the BLAS kernel.  A NaN or infinite pixel raises
+    The window sums run in numpy's own einsum loops, not in BLAS, whose
+    kernels differ by CPU in the last bits.  A NaN or infinite pixel raises
     ``NonFiniteValue`` before any arithmetic.
     """
     img = np.asarray(img)
@@ -235,43 +231,31 @@ def kmeans(
     k: int,
     seed,
     max_iters: int = 100,
-    return_history: bool = False,
     workers: int = 1,
-):
+) -> np.ndarray:
     """Euclidean k-means with k-means++ seeding; deterministic given seed.
 
-    A new seed c recomputes D² only where a point's nearest seed a has
-    |c - a|² < 4·D² (triangle inequality, with margins for rounding) and
-    keeps it where strictly smaller, so each D² and seed equals a full update's.
-
-    Lloyd's iterations measure only the points whose word can change
-    (Hamerly's bounds).  A point keeps an upper bound u on its distance to
-    its own centroid and a lower bound l on its distance to every other;
-    a centroid keeps s, half the distance to its nearest other centroid.
-    After an update, u grows by its centroid's shift and l shrinks by the
-    largest shift.  A point keeps its word unmeasured when u + m < max(l, s).
-    The margin m is the root of twice a bound on the rounding of a computed
-    |p|² + |c|² - 2p·c, so the point's computed distance to its own centroid
-    is strictly below every other: a full pass would pick the same word,
-    tie rule included.  The bounds, and the shifts that move them, are
-    widened by the same rounding bound where they are computed.  Only
-    clusters whose members changed are re-averaged, over the same rows in
-    the same order, so every centroid has a full update's bits.  The first
-    iteration, the one after an empty-cluster repair (which resets every
-    bound), and every one when ``return_history`` asks for each point's
-    distance measure every point.
+    Seeding recomputes a point's D² only where the new seed can be closer
+    than its nearest one (triangle inequality, with margins for rounding),
+    so every draw equals a full update's.  Lloyd's iterations measure only
+    the points whose word can change (Hamerly's bounds): a point keeps its
+    word unmeasured when an upper bound on its distance to its centroid,
+    plus a margin for the rounding of a computed squared distance, is below
+    both a lower bound on its distance to every other centroid and half its
+    centroid's distance to the nearest other one.  Only clusters whose
+    members changed are re-averaged, over the same rows in the same order,
+    so the centroids are those of a loop that measures every point.
 
     Empty clusters are repaired by stealing the farthest point of the
-    cluster with the largest within-cluster sum of squares.  When k exceeds
-    the point count, every point becomes a centroid and the remaining slots
-    are filled with copies of the points farthest from the data mean.
-    Nearest-centroid ties break to the lowest centroid id.  It stops when
-    an assignment repeats the repaired one before it or any earlier one,
-    from which the iterations would cycle (as they do with fewer distinct
-    points than k).  The assignment step's row chunks are mapped by one
-    ``core.fan_out(workers)`` per call (a ``workers`` < 1 is rejected,
-    even where k >= n); every row's answer is independent of the
-    chunking, so the outcome is identical for any count.
+    cluster with the largest within-cluster sum of squares; a repair resets
+    every bound.  When k exceeds the point count, every point becomes a
+    centroid and the remaining slots are filled with copies of the points
+    farthest from the data mean.  Nearest-centroid ties break to the lowest
+    centroid id.  It stops when an assignment repeats an earlier one, from
+    which the iterations would cycle (as they do with fewer distinct points
+    than k).  The assignment step's row chunks are mapped by one
+    ``core.fan_out(workers)`` per call; every row's answer is independent
+    of the chunking, so the outcome is the same at any worker count.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[0] < 1:
@@ -289,10 +273,9 @@ def kmeans(
                 order = np.lexsort((np.arange(n), -dist_from_mean))
                 fill = points[np.resize(order, extra)]
                 centroids = np.vstack([centroids, fill])
-            return (centroids, [0.0]) if return_history else centroids
+            return centroids
         centroids = points[_kmeanspp(points, k, rng)]
         assign, seen = np.full(n, -1, dtype=np.intp), set()
-        history: list[float] = []
         upper, lower = np.empty(n), np.empty(n)
         # Four times Higham's bound γ_{d+2}·(|p| + |c|)² on the rounding of a
         # computed squared distance, as a centroid (a mean of points, or a
@@ -303,14 +286,12 @@ def kmeans(
         measure_all = True
         for _ in range(max_iters):
             stale = None
-            if not (measure_all or return_history):
+            if not measure_all:
                 _, _, gap2 = _nearest(centroids, centroids, fan, workers, second=True)
                 half_gap = 0.5 * np.sqrt(np.maximum(gap2 - err, 0.0))
                 settled = upper + margin < np.maximum(lower, half_gap[assign])
                 stale = np.flatnonzero(~settled)  # NaN bounds are measured too
             words, d2_min, d2_next = _nearest(points, centroids, fan, workers, stale, second=True)
-            if return_history:
-                history.append(float(d2_min.sum()))
             at = slice(None) if stale is None else stale
             new_assign = assign.copy()
             new_assign[at] = words
@@ -349,7 +330,7 @@ def kmeans(
                 assign[far] = e
                 centroids[donor] = points[assign == donor].mean(axis=0)
             measure_all = empty.size > 0
-    return (centroids, history) if return_history else centroids
+    return centroids
 
 
 def _kmeanspp(points: np.ndarray, k: int, rng) -> np.ndarray:

@@ -64,8 +64,8 @@ def check_workers(workers: int) -> None:
 def fan_out(workers: int):
     """A ``map`` over ``workers`` threads, results in input order.
 
-    One worker maps in the calling thread: memory freed in a pool thread's
-    own malloc arena stayed resident and raised the bench's peak RSS.
+    One worker maps in the calling thread, as memory freed in a pool
+    thread's own malloc arena can stay resident.
     """
     check_workers(workers)
     with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:

@@ -186,9 +186,10 @@ class MlpModel:
             pres, acts = self._forward(X)
             logits = acts[-1]
             shifted = logits - logits.max(axis=1, keepdims=True)
-            log_z = np.log(np.exp(shifted).sum(axis=1))
-            loss = float(np.mean(log_z - shifted[np.arange(n), y]))
-            probs = np.exp(shifted) / np.exp(shifted).sum(axis=1, keepdims=True)
+            e = np.exp(shifted)
+            z = e.sum(axis=1, keepdims=True)
+            loss = float(np.mean(np.log(z[:, 0]) - shifted[np.arange(n), y]))
+            probs = e / z
         delta = probs
         delta[np.arange(n), y] -= 1.0
         delta /= n
@@ -242,8 +243,7 @@ def sgd_step(
 ) -> float:
     """One momentum step: v <- momentum*v - lr*grad; params <- params + v.
 
-    The gradients are scaled in place, so a step allocates no layer-sized
-    temporary beyond them.  Returns the batch loss.  Raises
+    The gradients are scaled in place.  Returns the batch loss.  Raises
     NonFiniteGradient when the loss or any gradient entry diverges.
     """
     if X.shape[0] == 0:

@@ -15,20 +15,18 @@ cosine k-NN baseline's vote alike.  A query's neighbors and vote do not
 depend on the batch it is searched in.
 
 Queries that look alike choose overlapping sets, which share their Gram
-products (LIBSVM's kernel cache, across neighbourhoods).  Walking the
-distinct sets in ``np.unique`` order, and skipping those of one class
-(no solve) and those above ``svm._GRAM_LIMIT`` rows (no Gram matrix), a
-set s joins the current group, of rows U, while the union V of U and s
-has |V|^2 <= |U|^2 + |s|^2 (one product over V costs no more than the
-two apart) and |V| <= 2|s| (it holds at most 4x one set's entries);
-otherwise s starts a new group.  Each group computes ``svm.gram`` of its
-rows once, and each of its sets solves on its block of it.  A group of
-one set computes exactly the set's own product, so k >= n_train still
-gives the global model bit for bit.  A block of a wider product can
-differ from the set's own in the last bit, so a set's model bits can
-depend on the other sets of its batch.  The groups are formed before the
-workers start and each worker takes whole groups, so results are the
-same at any worker count.
+products.  Walking the distinct sets in ``np.unique`` order, and skipping
+those of one class (no solve) and those above ``svm._GRAM_LIMIT`` rows
+(no Gram matrix), a set s joins the current group, of rows U, while the
+union V of U and s has |V|^2 <= |U|^2 + |s|^2 (one product over V costs no
+more than the two apart) and |V| <= 2|s|; otherwise s starts a new group.
+Each group computes ``svm.gram`` of its rows once, and each of its sets
+solves on its block of it.  A group of one set computes exactly the set's
+own product, so k >= n_train still gives the global model bit for bit.  A
+block of a wider product can differ from the set's own in the last bit,
+so a set's model bits can depend on the other sets of its batch.  The
+groups are formed before the workers start and each worker takes whole
+groups, so results are the same at any worker count.
 
 Classes absent from a neighborhood cannot be predicted (decision -inf);
 a single-class neighborhood gets that class with zero weights, so it
@@ -135,9 +133,7 @@ def local_predict_batch(
     distinct set is solved once and its model scores all of its queries.
     The whole batch is searched in one call; ``workers`` fans the groups
     of sets that share a Gram product out over threads for the solver.
-    The training matrix and index are shared read-only, so results are
-    identical for any worker count.  Stage times are wall-clock; the vote
-    is part of the search stage.
+    Stage times are wall-clock; the vote is part of the search stage.
     """
     check_workers(workers)
     labels = _require_labels(train)

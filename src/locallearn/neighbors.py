@@ -1,23 +1,17 @@
 """Exact cosine top-k search.
 
 The cosine index is exact: the local learner needs a deterministic
-neighbor set, and desk-scale training sets do not warrant approximation.
-Ties break by ascending row id.  (Visual-word assignment, a Euclidean
-nearest-centroid search, lives in ``bovw``.)
+neighbor set.  Ties break by ascending row id.  (Visual-word assignment,
+a Euclidean nearest-centroid search, lives in ``bovw``.)
 
 Queries are searched in tiles of ``_TILE`` rows, the last one zero-padded:
 each tile is one matrix-matrix product against the index, ``values @ q'``,
 with the queries as its columns.  BLAS gives a column of a product of
-fixed width the same bits at any position, so a query's similarities
-never depend on how many queries it was searched with or on its neighbors
-in the batch.  (The row-major form ``q @ values'`` is faster, but does not
-hold this: at one BLAS thread and n = 1,500, rows 24-31 of a 32-row tile
-get other bits than at the head of the tile.)
-Each query's similarities are copied out of the tile's block and ranked by
-a partial sort; only the rows at or above its k-th similarity, every row
-tied there included, are sorted.  The previous tile's block is dropped
-before the next product, so the search holds one (n, ``_TILE``) block of
-similarities at a time, besides its (m, k) results.
+fixed width the same bits at any position, so a query's similarities do
+not depend on the batch it was searched with; the row-major form
+``q @ values'`` does not hold this.  Each query's similarities are ranked
+by a partial sort that keeps every row tied at its k-th similarity, and
+the search holds one (n, ``_TILE``) block of similarities at a time.
 """
 
 from __future__ import annotations
@@ -29,10 +23,8 @@ from .errors import DimMismatch, ValidationError
 from .features import l2_normalize_rows, max_abs_scaled
 
 # Query rows per matrix-matrix product.  Each product streams the whole
-# index from memory, so a wider tile streams it less often: on a
-# 4,200 x 2,112 index at one BLAS thread, 420 queries' products take
-# 0.35 s at 32 and 0.28 s at 64.  128 is no faster (0.27 s) and makes the
-# one live block, n x _TILE floats, twice as large.
+# index from memory, so a wider tile streams it less often; 128 was no
+# faster than 64 and doubles the one live block, n x _TILE floats.
 _TILE = 64
 
 

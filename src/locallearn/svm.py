@@ -1,56 +1,35 @@
 """Soft-margin linear SVM (L1 hinge) and one-versus-all multiclass wrapper.
 
 The bias is regularized: the dual is over G = X X' + 1, as if every
-sample had a constant feature of value 1, so a generic QP solver on that
-augmented dual reproduces the same optimum.  No augmented copy of X is
+sample had a constant feature of value 1.  No augmented copy of X is
 built; the weights W and the bias b are kept apart.
-
-Each dual is finished, where it can be, by an exact active-set Newton
-step (one pass each): it puts every index at 0, at C or free, solves the
-free block with the bounded ones fixed, and stops when the sets repeat.
-Its result is kept only on a certificate, 0 <= alpha <= C and a KKT gap
-within ``tolerance``; otherwise dual coordinate ascent solves the problem.
 
 Training takes one row set of a matrix (all rows, or one query's
 neighbourhood), poses one problem per class, and solves them all in one
 loop, ``_solve_rows``.  A set of up to ``_GRAM_LIMIT`` rows gets one Gram
 matrix K (its own ``gram`` product, or its block of a wider one that the
-caller shares between overlapping sets), on which Newton starts every
-problem from alpha = 0, the set's problems sharing their first step
-(``_first_steps``).  The problems it does not certify, and every problem
-of a larger set, then run dual coordinate ascent in feature space (Hsieh
-et al., ICML 2008) together (as in Keerthi et al., KDD 2008).  Every
-``_WARM_PASSES`` passes Newton is retried on each live problem in turn,
-from the gradient the last pass computed, so a retry with more free
-indices than Newton can solve multiplies nothing.  Newton's Q_FF and
-gradient come from K where the set has one; otherwise from a cache of the
-dot products of the rows free in the problem's steps (``_gram_cache``,
-LIBSVM's kernel cache; one problem's cache is alive at a time) and from
-the rows of nonzero alpha (``_feature_grad``), both gathered a tile at a
-time, as a larger gather, once freed, stayed resident.  ``_GRAM_LIMIT``
-thus decides only where Newton's inputs come from.  Newton solves with the
-labels folded out: Q = (y y') * G, and G_FF beta = y_F * r gives
-alpha_F = y_F * beta bit for bit.  On K, G_FF is K itself when every index
-is free and otherwise ``K[F][:, F]``, the rows and then the columns, the
-bits of ``K[np.ix_(F, F)]`` in less time.  The solve stays on numpy's LU:
-a Cholesky solve of the positive definite G_FF through scipy is faster,
-but importing ``scipy.linalg`` costs about 0.3 s and 28 MB at start-up;
-numpy has no triangular solve, and its ``np.linalg.cholesky`` alone takes
-longer than ``np.linalg.solve`` on the global path's largest block, 1,131
-free rows (38-45 ms against 34-41 ms, one BLAS thread).
+caller shares between overlapping sets), on which an exact active-set
+Newton step starts every problem from alpha = 0.  Newton's result is kept
+only on a certificate: 0 <= alpha <= C and a KKT gap within
+``tolerance``.  The problems it does not certify, and every problem of a
+larger set, run dual coordinate ascent in feature space (Hsieh et al.,
+ICML 2008) together (as in Keerthi et al., KDD 2008), retrying Newton
+every ``_WARM_PASSES`` passes.  Without K, Newton's inputs come from a
+cache of the dot products of the rows free in its steps (``_gram_cache``,
+LIBSVM's kernel cache) and from the rows of nonzero alpha
+(``_feature_grad``), so ``_GRAM_LIMIT`` decides only where they come
+from.  Newton solves its free block by numpy's LU, as a faster Cholesky
+would need scipy.
 
 A one-vs-all model is the ascending ids of its trained classes, a weight
 matrix with one row per class and a bias vector.  A row set of a single
 class poses no problem: its model is that class with a zero row and a zero
-bias, so it predicts that class everywhere.  ``decisions`` computes every
-decision value, for local, global and command-line prediction alike.
+bias.  ``decisions`` computes every decision value, for local, global and
+command-line prediction alike.
 
 Models serialize to a text format: header line ``#locallearn-ova v1``,
-then one ``class_id b w1 ... wD`` line per trained class.  After the
-header, the writer embeds the class count and names in ``#n_classes`` and
-``#classes`` lines; any other line starting with ``#`` is ignored on read,
-an old ``#constant`` line among them.  A repeated or out-of-range class id
-is ``MalformedFile``.
+``#n_classes`` and ``#classes`` lines, then one ``class_id b w1 ... wD``
+line per trained class; any other line starting with ``#`` is ignored.
 """
 
 from __future__ import annotations
@@ -72,8 +51,7 @@ from .features import _ROWS
 
 # Newton's source is chosen by sample count alone, so identical data always
 # takes the identical path.  A Gram matrix for fused global training (n >= 3,000)
-# would add 72 MB to a peak RSS of 194 MB; the benchmark has workloads on
-# both sides of the limit.
+# would add 72 MB to its peak memory.
 _GRAM_LIMIT = 2048  # samples
 _WARM_PASSES = 10  # coordinate-ascent passes between Newton finishes
 _NEWTON_STEPS = 25  # active-set steps before falling back to coordinate ascent
@@ -181,13 +159,10 @@ def _first_steps(grad_of, block, Y: np.ndarray, diag: np.ndarray, width: int, cf
     ``grad`` of the problem of labels y), or None where ``_newton`` takes no
     step or G_FF is singular.  The gradient at 0 is -1 in every problem, so
     all share one free set F and one G_FF, solved once for all their
-    right-hand sides, zero-padded to a multiple of ``_RHS_BLOCK`` columns.
-    The width is fixed, not the class count, as a column's bits depend on
-    it: a lone vector solve can differ in the last bits from a column of a
-    wider one, and under OpenBLAS's Prescott kernel a width-2 column from a
-    width-8 one; at width 8 they depend neither on the column's position
-    nor on the other columns, so a problem has the same bits alone or with
-    its set."""
+    right-hand sides, zero-padded to a multiple of ``_RHS_BLOCK`` columns:
+    a column's bits can depend on the solve's width, but not on its position
+    or the other columns, so a problem has the same bits alone or with its
+    set."""
     m, n = Y.shape
     C = float(cfg.C)
     new = _sets(np.zeros(n), -np.ones(n), diag, C)
@@ -235,10 +210,9 @@ def _gram_cache(X: np.ndarray):
     rows new to the cache appends one band: the new rows' products with
     every cached row and with each other, ``+ 1``, a tile of ``_ROWS`` rows
     against a tile at a time, so each product of two rows is computed once
-    and no row set larger than a tile is gathered.  No band is copied or
-    rebuilt: the bands hold about half the Gram matrix of the cached rows.
-    G_FF is the first band itself when F is its rows in order, and
-    otherwise is filled from the bands a row tile at a time."""
+    and no row set larger than a tile is gathered.  G_FF is the first band
+    itself when F is its rows in order, and otherwise is filled from the
+    bands a row tile at a time."""
     slot, cached, bands = np.full(X.shape[0], -1), np.empty(0, dtype=np.intp), []
 
     def grow(new):
@@ -297,11 +271,10 @@ def _solve_rows(X: np.ndarray, rows, Y: np.ndarray, cfg: SvmConfig, K: np.ndarra
     takes its exact step and updates its own row of W.  With one problem
     this is the ascent of that problem alone.  After each pass one
     ``W @ X.T`` gives every live problem's gradient, reading X once for all
-    of them; it has the bits of ``(X @ W.T).T`` in about 60% of its time
-    (7 x 2,112 by 3,000 rows).  Newton's inputs (K, or the rows and a
-    Gram cache kept while the same problem tries again) are chosen once, at
-    set-up, and each try starts from the problem's row of G.  A problem
-    leaves the live set when certified or at ``max_passes``."""
+    of them.  Newton's inputs (K, or the rows and a Gram cache kept while
+    the same problem tries again) are chosen once, at set-up, and each try
+    starts from the problem's row of G.  A problem leaves the live set when
+    certified or at ``max_passes``."""
     Xs = X[rows]
     (m, n), C = Y.shape, float(cfg.C)
     if K is None and n <= _GRAM_LIMIT:

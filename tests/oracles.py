@@ -1,14 +1,15 @@
 """Independent reference implementations the tests check against.
 
 Nothing here shares code paths with the package: the QP oracle is an
-interior-point method (the solver under test is coordinate ascent), the
-neighbor oracles are direct full scans, the gradient oracle is central
-finite differences, the k-means++ oracle recomputes every point's D² at
-every draw, the k-means oracle measures every point against every
-centroid and re-averages every cluster at every iteration, the prune
-oracle ranks by a full stable sort, the ingest oracle loads every source
-whole and copies each split out of the fusion, and the dense-SIFT oracle
-weights each window, one at a time, with the full 2-D spatial weight.
+interior-point method (the solver under test is coordinate ascent finished
+by an active-set Newton step), the neighbor oracles are direct full scans,
+the gradient oracle is central finite differences, the k-means++ oracle
+recomputes every point's D² at every draw, the k-means oracle measures
+every point against every centroid and re-averages every cluster at every
+iteration, the prune oracle ranks by a full stable sort, the ingest oracle
+loads every source whole and copies each split out of the fusion, and the
+dense-SIFT oracle weights each window, one at a time, with the full 2-D
+spatial weight.
 """
 
 from __future__ import annotations

@@ -215,7 +215,7 @@ class TestKmeans:
         rng = np.random.default_rng(4)
         a = rng.normal(0.0, 0.01, (50, 3))
         b = rng.normal(10.0, 0.01, (60, 3))
-        cents, _ = kmeans(np.vstack([a, b]), 2, seed=1, return_history=True)
+        cents = kmeans(np.vstack([a, b]), 2, seed=1)
         means = sorted([a.mean(axis=0), b.mean(axis=0)], key=lambda m: m[0])
         got = sorted(cents.tolist(), key=lambda m: m[0])
         assert np.allclose(got[0], means[0], atol=1e-6)
@@ -224,8 +224,11 @@ class TestKmeans:
     def test_wcss_non_increasing(self):
         rng = np.random.default_rng(5)
         pts = rng.normal(size=(200, 8))
-        _, history = kmeans(pts, 10, seed=2, return_history=True)
-        for prev, nxt in zip(history, history[1:]):
+        # the cost of the centroids after each iteration, through the last
+        _, iterations = kmeans_full(pts, 10, seed=2)
+        costs = [_nearest(pts, kmeans(pts, 10, seed=2, max_iters=i))[1].sum()
+                 for i in range(1, iterations + 1)]
+        for prev, nxt in zip(costs, costs[1:]):
             assert nxt <= prev * (1.0 + 1e-12)
 
     def test_deterministic(self):
@@ -244,21 +247,18 @@ class TestKmeans:
     def test_worker_count_invariance(self):
         rng = np.random.default_rng(14)
         pts = rng.normal(size=(500, 6))
-        a, history_a = kmeans(pts, 8, seed=3, workers=1, return_history=True)
-        b, history_b = kmeans(pts, 8, seed=3, workers=4, return_history=True)
-        assert np.array_equal(a, b)
-        assert history_a == history_b  # one cost sum, whatever the chunking
+        assert np.array_equal(kmeans(pts, 8, seed=3, workers=1), kmeans(pts, 8, seed=3, workers=4))
 
-    def test_fewer_distinct_points_than_k_stops(self):
+    def test_fewer_distinct_points_than_k_stops(self, monkeypatch):
         # The empty-cluster repair moves a duplicate onto an empty centroid
         # and the next assignment sends it back to the lowest id at its spot:
         # the loop must still stop when the assignment repeats.
         rng = np.random.default_rng(16)
         pts = rng.normal(size=(6, 5))[np.arange(600) % 6]
-        _, history = kmeans(pts, 30, seed=4, max_iters=100, return_history=True)
-        assert len(history) < 100
-        _, history_2 = kmeans(pts, 30, seed=4, max_iters=100, return_history=True, workers=2)
-        assert history_2 == history
+        passes = _count_passes(monkeypatch, pts)
+        cents = kmeans(pts, 30, seed=4, max_iters=100)
+        assert len(passes) < 100
+        assert np.array_equal(kmeans(pts, 30, seed=4, max_iters=100, workers=2), cents)
 
     @pytest.mark.parametrize("workers", [1, 4])
     @pytest.mark.parametrize("case", ["sift", "duplicated", "tight clusters", "lattice",

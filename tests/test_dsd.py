@@ -197,6 +197,8 @@ class TestDsdTrain:
             if entry.phase == "sparse":
                 for frac in entry.zero_fracs.values():
                     assert frac >= 0.6
+        # biases are never pruned: a pruned bias vector would be 60% zeros
+        assert all(np.mean(layer.b == 0.0) < 0.6 for layer in model.layers)
 
     def test_excluded_layer_untouched(self):
         train, val = blob_data(2)
