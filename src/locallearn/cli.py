@@ -5,11 +5,11 @@ predict-global, predict-local, knn-baseline, dsd-train, sensitivity-scan,
 eval, pipeline.
 
 Exit codes: 0 success, 2 validation error, 3 compute error.  Errors print
-``error: <ErrorName>: <detail>`` on stderr.  The ``--seed`` flag falls
-back to the LOCALLEARN_SEED environment variable, then to the manifest's
-``seed`` for ingest and pipeline, then to 0.  Timings go
-to stderr and sidecar ``timing.txt`` files only, so written reports are
-byte-reproducible.
+``error: <ErrorName>: <detail>`` on stderr.  The commands that draw
+random numbers take ``--seed``, which falls back to $LOCALLEARN_SEED,
+then to the manifest's ``seed`` for ingest and pipeline, then to 0.
+Timings go to stderr and sidecar ``timing.txt`` files only, so written
+reports are byte-reproducible.
 """
 
 from __future__ import annotations
@@ -69,12 +69,6 @@ def _labeled_matrix(features_path, labels_path, args, label_map=None):
     if label_map is None:
         label_map = _load_label_map(args, labels.values())
     return core.attach_labels(matrix, labels, label_map), label_map
-
-
-def _write_predictions(path, sample_ids, pred_ids, label_map) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for sid, p in zip(sample_ids, pred_ids):
-            fh.write(f"{sid},{label_map.name_of(int(p))}\n")
 
 
 def cmd_ingest(args) -> int:
@@ -227,7 +221,7 @@ def cmd_predict_global(args) -> int:
     else:
         label_map = _load_label_map(args)
     preds = svm.predict_ova_batch(model, matrix.values)
-    _write_predictions(args.out, matrix.sample_ids, preds, label_map)
+    core.write_labels(label_map.named(matrix.sample_ids, preds), args.out)
     sys.stdout.write(f"predicted {matrix.n_samples} samples\n")
     return 0
 
@@ -238,7 +232,7 @@ def cmd_predict_local(args) -> int:
     test = core.load_features(args.test)
     cfg = LocalLearnerConfig(k=args.k, svm=svm.SvmConfig(C=args.C, seed=seed))
     preds, _, timing = local_predict_batch(train, test, cfg, workers=args.workers)
-    _write_predictions(args.out, test.sample_ids, preds, label_map)
+    core.write_labels(label_map.named(test.sample_ids, preds), args.out)
     sys.stderr.write(
         f"timing: search {timing.search_s:.2f}s solve {timing.solve_s:.2f}s "
         f"wall {timing.total_s:.2f}s\n"
@@ -252,7 +246,7 @@ def cmd_knn_baseline(args) -> int:
     train, label_map = _labeled_matrix(args.train, args.train_labels, args)
     test = core.load_features(args.test)
     preds = knn_classify_batch(train, test, args.k)
-    _write_predictions(args.out, test.sample_ids, preds, label_map)
+    core.write_labels(label_map.named(test.sample_ids, preds), args.out)
     sys.stdout.write(f"predicted {test.n_samples} samples\n")
     return 0
 
@@ -396,8 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add(name, func, **kwargs):
         p = sub.add_parser(name, **kwargs)
         p.set_defaults(func=func)
-        p.add_argument("--seed", type=int, default=None,
-                       help="random seed (default: $LOCALLEARN_SEED or 0)")
         return p
 
     p = add("ingest", cmd_ingest, help="validate a manifest and materialize splits")
@@ -504,6 +496,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-C", type=float, default=100.0)
     p.add_argument("--workers", type=int, default=1)
 
+    # Only the commands that call ``_resolve_seed`` take ``--seed``.
+    for name in ("ingest", "build-vocab", "train-global", "predict-local", "dsd-train", "pipeline"):
+        sub.choices[name].add_argument("--seed", type=int, default=None,
+                                       help="random seed (default: $LOCALLEARN_SEED or 0)")
     return parser
 
 

@@ -390,7 +390,7 @@ class LabelMap:
 
     def named(self, sample_ids, class_ids) -> dict[str, str]:
         """Sample id -> class name, from parallel sample and class ids."""
-        return {sid: self.names[c] for sid, c in zip(sample_ids, class_ids)}
+        return {sid: self.name_of(c) for sid, c in zip(sample_ids, class_ids)}
 
     def name_of(self, class_id: int) -> str:
         if not 0 <= class_id < len(self.names):
@@ -431,6 +431,7 @@ def read_labels(path) -> dict[str, str]:
 
 
 def write_labels(labels: Mapping[str, str], path) -> None:
+    """Write ``sample_id,class_name`` lines, sorted by sample id."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for sid in sorted(labels):
             fh.write(f"{sid},{labels[sid]}\n")

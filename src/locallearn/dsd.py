@@ -30,6 +30,7 @@ from .errors import DimMismatch, MalformedFile, NonFiniteGradient, ValidationErr
 
 MODEL_MAGIC = b"LLMB"
 SCAN_RATES = (0.3, 0.4, 0.5, 0.6)
+LR_DECAY = 0.1  # the learning rate's factor when validation error stagnates
 
 
 @dataclass(frozen=True)
@@ -39,7 +40,6 @@ class TrainerConfig:
     lr: float = 0.1
     momentum: float = 0.9
     batch_size: int = 512
-    lr_decay: float = 0.1
     patience: int = 10
     seed: int = 0
     flip_augment: bool = False
@@ -49,8 +49,6 @@ class TrainerConfig:
             raise ValidationError(f"lr must be finite and positive, got {self.lr}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValidationError("momentum must be in [0, 1)")
-        if not 0.0 < self.lr_decay <= 1.0:
-            raise ValidationError(f"lr_decay must be in (0, 1], got {self.lr_decay}")
         if self.batch_size < 1:
             raise ValidationError("batch size must be >= 1")
         if self.patience < 0:
@@ -336,7 +334,7 @@ def dsd_train(
 
     Sparse phases recompute the per-layer prune mask from current weight
     magnitudes at the end of every epoch.  The learning rate decays by
-    ``cfg.lr_decay`` whenever validation error fails to improve for more
+    ``LR_DECAY`` whenever validation error fails to improve for more
     than ``cfg.patience`` consecutive epochs.
 
     Flip augmentation draws from 2n rows, the last n the mirrored images,
@@ -404,7 +402,7 @@ def dsd_train(
             else:
                 stall += 1
                 if stall > cfg.patience:
-                    lr *= cfg.lr_decay
+                    lr *= LR_DECAY
                     stall = 0
             epoch += 1
     return logs

@@ -198,8 +198,10 @@ def _feature_grad(X: np.ndarray, y: np.ndarray):
 
 def gram(Xs: np.ndarray) -> np.ndarray:
     """G = Xs Xs' + 1, the Gram matrix of the rows of Xs with the bias's
-    constant feature."""
-    K = Xs @ Xs.T
+    constant feature.  A row whose squared norm overflows gives an infinite
+    diagonal, which ``_solve_rows`` rejects."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        K = Xs @ Xs.T
     K += 1.0
     return K
 
@@ -279,16 +281,21 @@ def _solve_rows(X: np.ndarray, rows, Y: np.ndarray, cfg: SvmConfig, K: np.ndarra
     (m, n), C = Y.shape, float(cfg.C)
     if K is None and n <= _GRAM_LIMIT:
         K = gram(Xs)
+    # diag(G) is the check that no row's squared norm, nor then any product
+    # of two rows (|x . z| <= |x| |z|), overflows.
+    diag = np.diagonal(K) if K is not None else np.einsum("ij,ij->i", Xs, Xs) + 1.0
+    if not np.isfinite(diag).all():
+        raise ValidationError("a row's squared norm overflows float64")
     width = Xs.shape[1] + 1
     if K is not None:
-        diag, block = np.diagonal(K), lambda F: K if F.size == n else K[F][:, F]
+        block = lambda F: K if F.size == n else K[F][:, F]
         grad_of = lambda y: _gram_grad(K, y)
         first = _first_steps(grad_of, block, Y, diag, width, cfg)
         inputs, start = lambda p: (grad_of(Y[p]), block), 0
     else:
         # Newton waits for a pass: from alpha = 0 every row with 1 / Q_ii < C
         # is free, and a first step would need the Gram matrix of them all.
-        diag, first, start, held = np.einsum("ij,ij->i", Xs, Xs) + 1.0, [None] * m, _WARM_PASSES, {}
+        first, start, held = [None] * m, _WARM_PASSES, {}
 
         def inputs(p):
             if p not in held:  # the last problem's cache is freed here, before this one grows

@@ -1,12 +1,14 @@
+import argparse
 import threading
+import warnings
 
 import numpy as np
 import pytest
 
 from locallearn import bovw, core, dsd, pipeline, svm
-from locallearn.cli import main
+from locallearn.cli import build_parser, main
 from locallearn.errors import ValidationError
-from locallearn.synth import texture_corpus, two_arcs
+from locallearn.synth import gaussian_blobs, texture_corpus, two_arcs
 
 
 @pytest.fixture()
@@ -135,9 +137,9 @@ class TestTrainPredictEval:
             out = tmp_path / out_name
             args = [cmd, "--train", d / "train.fv", "--train-labels", d / "labels.csv",
                     "--labelmap", d / "classes.txt", "--test", d / "test.fv",
-                    "-k", "20", "--out", out, "--seed", "1"]
+                    "-k", "20", "--out", out]
             if cmd == "predict-local":
-                args += ["-C", "100", "--workers", "2"]
+                args += ["-C", "100", "--workers", "2", "--seed", "1"]
             assert run(args) == 0
             assert len(out.read_text().strip().splitlines()) == 60
             if cmd == "predict-local":
@@ -187,6 +189,37 @@ class TestIngestAndPipeline:
         assert outputs[0] == outputs[1]
         comparison = (tmp_path / "p1" / "comparison.txt").read_text()
         assert "local-svm" in comparison and "global-svm" in comparison and "knn" in comparison
+
+    def test_each_command_writes_the_pipeline_file(self, tmp_path):
+        # The source lists its ids out of sorted order: the commands used to
+        # write rows in that order, where the pipeline sorts by sample id.
+        X, y = gaussian_blobs(20, 3, spread=1.5, seed=6)
+        ids = [f"s{i}" for i in np.random.default_rng(6).permutation(len(X))]
+        core.save_features(core.FeatureMatrix(X, ids), tmp_path / "a.fv")
+        core.write_labels({sid: "uvw"[c] for sid, c in zip(ids, y)}, tmp_path / "labels.csv")
+        (tmp_path / "classes.txt").write_text("u\nv\nw\n")
+        (tmp_path / "splits.csv").write_text(
+            "".join(f"{sid},{'test' if i % 4 == 0 else 'train'}\n" for i, sid in enumerate(ids)))
+        (tmp_path / "m.conf").write_text("source a a.fv\nlabels labels.csv\nlabelmap classes.txt\n"
+                                          "splits splits.csv\n")
+        ing, pipe = tmp_path / "ingested", tmp_path / "pipeline"
+        assert run(["ingest", "--manifest", tmp_path / "m.conf", "--out-dir", ing]) == 0
+        test_ids = core.load_features(ing / "test.features").sample_ids
+        assert list(test_ids) != sorted(test_ids)
+        solver = ["-C", "100", "--seed", "4"]
+        assert run(["pipeline", "--manifest", tmp_path / "m.conf", "--out", pipe, "-k", "10",
+                    *solver]) == 0
+        train = ["--train", ing / "train.features", "--train-labels", ing / "train.labels",
+                 "--labelmap", ing / "labelmap.txt", "--test", ing / "test.features", "-k", "10"]
+        assert run(["train-global", "--features", ing / "train.features", "--labels",
+                    ing / "train.labels", "--labelmap", ing / "labelmap.txt", *solver,
+                    "--out", tmp_path / "m.ova"]) == 0
+        assert run(["predict-global", "--model", tmp_path / "m.ova", "--features",
+                    ing / "test.features", "--out", tmp_path / "global-svm.predictions"]) == 0
+        assert run(["predict-local", *train, *solver, "--out", tmp_path / "local-svm.predictions"]) == 0
+        assert run(["knn-baseline", *train, "--out", tmp_path / "knn.predictions"]) == 0
+        for name in ("global-svm.predictions", "local-svm.predictions", "knn.predictions"):
+            assert (tmp_path / name).read_bytes() == (pipe / name).read_bytes(), name
 
     def test_timing_reports_global_training_within_wall_time(self, arcs_dataset, tmp_path):
         d, _ = arcs_dataset
@@ -338,6 +371,36 @@ class TestMalformedInputExits2:
         assert err.startswith("error: NoTrainedClasses:") and err.count("\n") == 1, err
         assert not (tmp_path / "p.csv").exists()
 
+    def test_class_outside_the_label_map_exits_2_without_output(self, arcs_dataset, tmp_path,
+                                                                 capsys):
+        # The model's class 2 wins every row, and the map names 2 classes:
+        # the old writer had opened --out and left it empty.
+        d, _ = arcs_dataset
+        model = tmp_path / "m.ova"
+        model.write_text("#locallearn-ova v1\n#n_classes 3\n0 -5 0 0\n2 5 0 0\n")
+        assert run(["predict-global", "--model", model, "--features", d / "test.fv",
+                    "--labelmap", d / "classes.txt", "--out", tmp_path / "p.csv"]) == 2
+        assert capsys.readouterr().err == "error: UnknownClassName: class id 2 out of range\n"
+        assert not (tmp_path / "p.csv").exists()
+
+    @pytest.mark.parametrize("command", ["train-global", "predict-local"])
+    def test_rows_overflowing_float64_exit_2(self, tmp_path, capsys, command):
+        # Trained to a finite model of accuracy 1/3 and exit 0, or with a
+        # traceback and exit 1 when RuntimeWarning is an error.
+        X, y = gaussian_blobs(30, 3, seed=1)
+        ids = [f"s{i}" for i in range(len(X))]
+        core.save_features(core.FeatureMatrix(X * 1e160, ids), tmp_path / "f.fv")
+        core.write_labels({sid: "uvw"[c] for sid, c in zip(ids, y)}, tmp_path / "l.csv")
+        args = {"train-global": ["--features", tmp_path / "f.fv", "--labels", tmp_path / "l.csv"],
+                "predict-local": ["--train", tmp_path / "f.fv", "--train-labels", tmp_path / "l.csv",
+                                  "--test", tmp_path / "f.fv", "-k", "20"]}[command]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run([command, *args, "-C", "100", "--out", tmp_path / "out"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: ValidationError: a row's squared norm overflows float64\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", ["train-global", "predict-local"])
     def test_nan_C_exits_2(self, arcs_dataset, tmp_path, capsys, command):
         d, _ = arcs_dataset
@@ -406,6 +469,32 @@ class TestMalformedInputExits2:
         assert capsys.readouterr().err == f"error: ValidationError: seed must be >= 0, got {seed}\n"
         assert not (tmp_path / "out").exists()
 
+    def test_seed_only_on_commands_that_use_it(self):
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        seeded = {name for name, p in sub.choices.items()
+                  if any("--seed" in a.option_strings for a in p._actions)}
+        assert seeded == {"ingest", "build-vocab", "train-global", "predict-local", "dsd-train",
+                          "pipeline"}
+        assert len(sub.choices) == 12
+
+    @pytest.mark.parametrize("argv", [
+        ["encode", "--images", "{m}", "--vocab", "{m}"],
+        ["fuse", "--source", "a={m}"],
+        ["predict-global", "--model", "{m}", "--features", "{m}"],
+        ["knn-baseline", "--train", "{m}", "--train-labels", "{m}", "--test", "{m}"],
+        ["sensitivity-scan", "--model", "{m}", "--features", "{m}", "--labels", "{m}"],
+        ["eval", "--predictions", "{m}", "--truth", "{m}"],
+    ], ids=lambda argv: argv[0])
+    def test_seed_rejected_before_any_file_is_read_where_unused(self, tmp_path, capsys, argv):
+        # These commands draw no random numbers; `eval --seed -5` used to
+        # accept the flag and go on to read its files.
+        missing = tmp_path / "missing"
+        with pytest.raises(SystemExit) as exc:
+            run([*(a.format(m=missing) for a in argv), "--seed", "-5", "--out", tmp_path / "out"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed -5" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_negative_manifest_seed_exits_2_before_ingest(self, arcs_dataset, tmp_path, capsys,
                                                           monkeypatch):
         d, _ = arcs_dataset
@@ -458,9 +547,6 @@ class TestMalformedInputExits2:
 
 class TestDsdCommands:
     def _features(self, tmp_path):
-        rng = np.random.default_rng(1)
-        from locallearn.synth import gaussian_blobs
-
         X, y = gaussian_blobs(40, 3, spread=1.0, seed=4)
         ids = [f"s{i}" for i in range(len(X))]
         names = ("u", "v", "w")

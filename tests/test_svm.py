@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 import weakref
 from pathlib import Path
 
@@ -825,6 +826,22 @@ class TestOva:
                    for info in infos)
         plain = train_ova(X, y, cfg)
         assert np.array_equal(plain.W, model.W) and np.array_equal(plain.b, model.b)
+
+    @pytest.mark.parametrize("gram_limit", [svm_mod._GRAM_LIMIT, 1], ids=["gram", "feature-space"])
+    def test_rows_overflowing_float64_rejected_before_any_solve(self, gram_limit, monkeypatch):
+        # At 1e160 a squared norm overflows: the Gram path used to warn and
+        # return a finite model of accuracy 1/3 with every problem unconverged.
+        monkeypatch.setattr(svm_mod, "_GRAM_LIMIT", gram_limit)
+        X, y = gaussian_blobs(30, 3, seed=1)
+        cfg = SvmConfig(C=100.0)
+        first, newton = _spy(monkeypatch, "_first_steps"), _spy(monkeypatch, "_newton")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValidationError, match="a row's squared norm overflows float64"):
+                train_ova(X * 1e160, y, cfg)
+            assert first == [] and newton == []
+            model = train_ova(X * 1e150, y, cfg)
+        assert (predict_ova_batch(model, X * 1e150) == y).mean() > 0.9
 
     def test_single_class_constant_model(self):
         # One class gets one zero row and a zero bias: it wins every row
