@@ -10,8 +10,15 @@ product of one 1-D profile (bin interpolation times the Gaussian) with
 itself, so its sums are separable: one along x, then one along y, over
 strided views of the orientation maps.  Each pyramid level owns a k-means
 vocabulary; a cell's bit for a word is set iff some descriptor centered in
-the cell has that word as its exact nearest centroid at that level.  One
-helper, ``_nearest``, makes that decision for both k-means and encoding.
+the cell has that word as its nearest centroid at that level.
+
+A descriptor's word is the lowest-id argmin over centroids of the float64
+squared distance summed elementwise, Σ(s·c - s·p)², for a power of two s
+(1 unless the data lie far outside unit scale).  One helper, ``_nearest``,
+makes that decision for both k-means and encoding: a float32 product
+proposes the few centroids within its rounding bound of the row's best,
+and the elementwise sum, which no BLAS kernel touches, picks among them.
+So a word is the same at any chunking, worker count and BLAS kernel.
 
 Default vocabulary sizes follow the full-scale recipe (17000/14000/11000/
 8000 over 1x1..4x4 grids); ``DESK_VOCAB_SIZES`` ships a small profile for
@@ -27,6 +34,7 @@ centroid rows as little-endian f64.  Version 1 files, which also hold a
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import struct
 from dataclasses import dataclass
@@ -41,7 +49,10 @@ from .errors import DimMismatch, ImageTooSmall, LevelMismatch, MalformedFile, Va
 VOCAB_MAGIC = b"LLVB"
 FULL_VOCAB_SIZES = (17000, 14000, 11000, 8000)
 DESK_VOCAB_SIZES = (100, 80, 60, 40)
-_CHUNK_BYTES = 16 * 2**20  # distance block per chunk; 4,000 x 340 k-means rows fit one
+_CHUNK_BYTES = 16 * 2**20  # float32 distance block per chunk; 4,000 x 340 k-means rows fit one
+_U32 = 2.0**-24  # float32 unit roundoff
+_TINY32 = float(np.finfo(np.float32).tiny)
+_SAFE32 = 2.0**120  # (|p| + max|c|)² below this: no float32 partial sum overflows
 
 
 def read_pgm(path) -> np.ndarray:
@@ -133,17 +144,19 @@ class DescriptorSet:
 
 def _orientation_maps(img01: np.ndarray, n_orient: int) -> np.ndarray:
     """(n_orient, H, W) gradient magnitude split linearly across the two
-    adjacent orientation bins."""
+    adjacent orientation bins: one scatter into each pixel's lower bin, then
+    one add into its upper bin (the same bin when n_orient is 1)."""
     gy, gx = np.gradient(img01)
     mag = np.hypot(gx, gy)
     ang = np.mod(np.arctan2(gy, gx), 2.0 * np.pi)
     pos = ang * n_orient / (2.0 * np.pi)
-    lo = np.floor(pos).astype(np.intp) % n_orient
-    frac = pos - np.floor(pos)
+    lo = np.floor(pos)
+    frac = pos - lo
+    lo = lo.astype(np.intp) % n_orient
+    pixel = np.indices(img01.shape, sparse=True)
     maps = np.zeros((n_orient,) + img01.shape)
-    for b in range(n_orient):
-        maps[b] += np.where(lo == b, mag * (1.0 - frac), 0.0)
-        maps[b] += np.where((lo + 1) % n_orient == b, mag * frac, 0.0)
+    maps[(lo,) + pixel] = mag * (1.0 - frac)
+    maps[((lo + 1) % n_orient,) + pixel] += mag * frac
     return maps
 
 
@@ -161,9 +174,12 @@ def _axis_weights(bin_size: int, n_bins: int) -> np.ndarray:
     return tri * gauss[None, :]
 
 
-def _window_grid(shape: tuple[int, ...], cfg: DenseSiftConfig) -> list:
-    """(bin size, row starts, column starts) of the descriptor windows of an
-    image of ``shape``, in ``dense_sift``'s order."""
+@functools.lru_cache(maxsize=32)
+def _window_grid(shape: tuple[int, ...], cfg: DenseSiftConfig) -> tuple:
+    """The descriptor windows of an image of ``shape``, in ``dense_sift``'s
+    order: per bin size, (bin size, row starts, column starts, axis
+    weights), then the x, y and scale of every window.  Cached per (shape,
+    config); the arrays are read-only."""
     if len(shape) != 2:
         raise ValidationError("image must be a 2-D grayscale array")
     h, w = shape
@@ -172,11 +188,20 @@ def _window_grid(shape: tuple[int, ...], cfg: DenseSiftConfig) -> list:
         raise ImageTooSmall(
             f"image {w}x{h} cannot fit a {largest}x{largest} descriptor window"
         )
-    grid = []
+    grid, xs, ys, scales = [], [], [], []
     for b in cfg.bin_sizes:
         side = cfg.spatial_bins * b
-        grid.append((b, np.arange(0, h - side + 1, cfg.step), np.arange(0, w - side + 1, cfg.step)))
-    return grid
+        starts_y = np.arange(0, h - side + 1, cfg.step)
+        starts_x = np.arange(0, w - side + 1, cfg.step)
+        grid.append((b, starts_y, starts_x, _axis_weights(b, cfg.spatial_bins)))
+        gy, gx = np.meshgrid(starts_y + side // 2, starts_x + side // 2, indexing="ij")
+        xs.append(gx.ravel())
+        ys.append(gy.ravel())
+        scales.append(np.full(gx.size, b, dtype=np.intp))
+    centres = tuple(np.concatenate(c) for c in (xs, ys, scales))
+    for array in [a for entry in grid for a in entry[1:]] + list(centres):
+        array.setflags(write=False)
+    return tuple(grid), centres
 
 
 def dense_sift(img: np.ndarray, cfg: DenseSiftConfig = DenseSiftConfig()) -> DescriptorSet:
@@ -190,16 +215,14 @@ def dense_sift(img: np.ndarray, cfg: DenseSiftConfig = DenseSiftConfig()) -> Des
     ``NonFiniteValue`` before any arithmetic.
     """
     img = np.asarray(img)
-    grid = _window_grid(img.shape, cfg)
+    grid, (xs, ys, scales) = _window_grid(img.shape, cfg)
     img01 = img.astype(np.float64) / 255.0 if img.dtype == np.uint8 else img.astype(np.float64)
     check_finite(img01, "image: ")
     omaps = _orientation_maps(img01, cfg.orientations)
-    vec_blocks, xs_all, ys_all, sc_all = [], [], [], []
-    for b, starts_y, starts_x in grid:
+    blocks = []
+    for b, starts_y, starts_x, axis in grid:
         side = cfg.spatial_bins * b
-        half = side // 2
         n_windows = starts_y.size * starts_x.size
-        axis = _axis_weights(b, cfg.spatial_bins)
         # No `optimize`: with it, einsum may hand a contraction to BLAS.
         cols = sliding_window_view(omaps, side, axis=2)[:, :, :: cfg.step]  # (O, H, nx, side)
         across = np.einsum("oyxj,cj->oyxc", cols, axis)
@@ -213,17 +236,8 @@ def dense_sift(img: np.ndarray, cfg: DenseSiftConfig = DenseSiftConfig()) -> Des
         np.minimum(desc, 0.2, out=desc)
         renorm = np.linalg.norm(desc[keep], axis=1)
         desc[keep] /= renorm[:, None]
-        gy, gx = np.meshgrid(starts_y + half, starts_x + half, indexing="ij")
-        vec_blocks.append(desc)
-        xs_all.append(gx.ravel())
-        ys_all.append(gy.ravel())
-        sc_all.append(np.full(n_windows, b, dtype=np.intp))
-    return DescriptorSet(
-        vectors=np.vstack(vec_blocks),
-        x=np.concatenate(xs_all),
-        y=np.concatenate(ys_all),
-        scale=np.concatenate(sc_all),
-    )
+        blocks.append(desc)
+    return DescriptorSet(vectors=np.vstack(blocks), x=xs.copy(), y=ys.copy(), scale=scales.copy())
 
 
 def kmeans(
@@ -235,27 +249,33 @@ def kmeans(
 ) -> np.ndarray:
     """Euclidean k-means with k-means++ seeding; deterministic given seed.
 
+    A point's word is its ``_nearest`` word, scaled by the power of two of
+    the points (a centroid, their mean, is no longer than the longest);
+    the points' scaled, float32 and norm forms are built once per call.
+
     Seeding recomputes a point's D² only where the new seed can be closer
     than its nearest one (triangle inequality, with margins for rounding),
     so every draw equals a full update's.  Lloyd's iterations measure only
     the points whose word can change (Hamerly's bounds): a point keeps its
     word unmeasured when an upper bound on its distance to its centroid,
-    plus a margin for the rounding of a computed squared distance, is below
-    both a lower bound on its distance to every other centroid and half its
-    centroid's distance to the nearest other one.  Only clusters whose
-    members changed are re-averaged, over the same rows in the same order,
-    so the centroids are those of a loop that measures every point.
+    plus a margin for the rounding of an elementwise squared distance, is
+    below both a lower bound on its distance to every other centroid and
+    half its centroid's distance to the nearest other one.  The lower
+    bounds come from ``_nearest``'s float32 pass, less its error bound.
+    Only clusters whose members changed are re-averaged, over the same rows
+    in the same order, so the centroids are those of a loop that measures
+    every point.
 
     Empty clusters are repaired by stealing the farthest point of the
     cluster with the largest within-cluster sum of squares; a repair resets
     every bound.  When k exceeds the point count, every point becomes a
     centroid and the remaining slots are filled with copies of the points
-    farthest from the data mean.  Nearest-centroid ties break to the lowest
-    centroid id.  It stops when an assignment repeats an earlier one, from
-    which the iterations would cycle (as they do with fewer distinct points
-    than k).  The assignment step's row chunks are mapped by one
-    ``core.fan_out(workers)`` per call; every row's answer is independent
-    of the chunking, so the outcome is the same at any worker count.
+    farthest from the data mean.  It stops when an assignment repeats an
+    earlier one, from which the iterations would cycle (as they do with
+    fewer distinct points than k).  The assignment step's row chunks are
+    mapped by one ``core.fan_out(workers)`` per call; a word does not
+    depend on the chunk that holds its row, so the outcome is the same at
+    any worker count.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[0] < 1:
@@ -277,26 +297,29 @@ def kmeans(
         centroids = points[_kmeanspp(points, k, rng)]
         assign, seen = np.full(n, -1, dtype=np.intp), set()
         upper, lower = np.empty(n), np.empty(n)
-        # Four times Higham's bound γ_{d+2}·(|p| + |c|)² on the rounding of a
-        # computed squared distance, as a centroid (a mean of points, or a
+        shift = _shift(points)
+        scaled = _Scaled(points, shift)  # bounds are in these units
+        # Four times Higham's bound γ_{d+2}·(|p| + |c|)² on the rounding of an
+        # elementwise squared distance, as a centroid (a mean of points, or a
         # point) is no longer than the longest point; `tiny` covers underflow.
-        err = (8.0 * (points.shape[1] + 2) * np.finfo(float).eps
-               * float(np.einsum("ij,ij->i", points, points).max()) + np.finfo(float).tiny)
+        err = (8.0 * (points.shape[1] + 2) * np.finfo(float).eps * scaled.norm_max**2
+               + np.finfo(float).tiny)
         margin = np.sqrt(2.0 * err)
         measure_all = True
         for _ in range(max_iters):
             stale = None
+            cents = _Scaled(centroids, shift, centroids=True)
             if not measure_all:
-                _, _, gap2 = _nearest(centroids, centroids, fan, workers, second=True)
-                half_gap = 0.5 * np.sqrt(np.maximum(gap2 - err, 0.0))
+                _, _, gap2 = _nearest(_Scaled(centroids, shift), cents, fan, workers, bounds=True)
+                half_gap = 0.5 * np.sqrt(np.maximum(gap2, 0.0))
                 settled = upper + margin < np.maximum(lower, half_gap[assign])
                 stale = np.flatnonzero(~settled)  # NaN bounds are measured too
-            words, d2_min, d2_next = _nearest(points, centroids, fan, workers, stale, second=True)
+            words, d2_min, d2_next = _nearest(scaled, cents, fan, workers, stale, bounds=True)
             at = slice(None) if stale is None else stale
             new_assign = assign.copy()
             new_assign[at] = words
             upper[at] = np.sqrt(d2_min + err)
-            lower[at] = np.sqrt(np.maximum(d2_next - err, 0.0))
+            lower[at] = np.sqrt(np.maximum(d2_next, 0.0))
             key = hashlib.blake2b(new_assign).digest()
             if np.array_equal(new_assign, assign) or key in seen:
                 break
@@ -306,18 +329,18 @@ def kmeans(
             dirty = dirty[dirty >= 0]
             assign = new_assign
             counts = np.bincount(assign, minlength=k)
-            before = centroids[dirty]
+            before = cents.exact[dirty]
             # stable order keeps each cluster's rows in index order
             order = np.argsort(assign, kind="stable")
             ends = np.cumsum(counts)
             for c in dirty[counts[dirty] > 0]:
                 centroids[c] = points[order[ends[c] - counts[c]:ends[c]]].mean(axis=0)
-            before -= centroids[dirty]
-            shift = np.zeros(k)
-            shift[dirty] = np.sqrt(np.einsum("ij,ij->i", before, before) + err)
+            before -= np.ldexp(centroids[dirty], shift)
+            drift = np.zeros(k)
+            drift[dirty] = np.sqrt(np.einsum("ij,ij->i", before, before) + err)
             del before, order  # not held through the repair and next assignment
-            upper += shift[assign]
-            lower -= shift.max()
+            upper += drift[assign]
+            lower -= drift.max()
             empty = np.flatnonzero(counts == 0)
             for e in empty:
                 costs = np.linalg.norm(points - centroids[assign], axis=1)
@@ -370,62 +393,120 @@ def _sq_diffs(diffs: np.ndarray) -> np.ndarray:
     return diffs.sum(axis=1)
 
 
-def _sq_dists(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    p2 = np.einsum("ij,ij->i", points, points)[:, None]
-    c2 = np.einsum("ij,ij->i", centroids, centroids)[None, :]
-    d2 = points @ centroids.T
-    d2 *= -2.0
-    d2 += p2
-    d2 += c2
-    np.maximum(d2, 0.0, out=d2)
-    return d2
+def _shift(values: np.ndarray) -> int:
+    """The exponent of the power of two that scales ``values`` for a
+    nearest-centroid search: 0 while the largest magnitude lies in
+    [2^-32, 2^32] (or is 0), else the one that brings it into [1/2, 1)."""
+    top = float(np.abs(values).max(initial=0.0))
+    if top == 0.0 or 2.0**-32 <= top <= 2.0**32:
+        return 0
+    return -int(np.frexp(top)[1])
+
+
+class _Scaled:
+    """Rows times 2**shift, as ``_nearest`` reads them: ``exact`` in float64,
+    for the elementwise distances that decide a word, their squared norms
+    ``sq``, and ``single``, a float32 copy with one more column for the
+    candidate pass.  As points that column is 1; as centroids the row is
+    -2c and the column |c|², stored transposed, so one product gives
+    |c|² - 2p·c."""
+
+    def __init__(self, values: np.ndarray, shift: int, centroids: bool = False):
+        exact = np.ldexp(values, shift) if shift else np.ascontiguousarray(values, np.float64)
+        n, dim = exact.shape
+        self.shift, self.exact = shift, exact
+        self.sq = np.einsum("ij,ij->i", exact, exact)
+        self.norm_max = float(np.sqrt(self.sq.max(initial=0.0)))
+        single = np.empty((n, dim + 1), dtype=np.float32)
+        with np.errstate(over="ignore"):  # rows past float32's range keep every centroid
+            if centroids:
+                np.multiply(exact, -2.0, out=single[:, :dim], casting="same_kind")
+                single[:, dim] = self.sq
+            else:
+                single[:, :dim] = exact
+                single[:, dim] = 1.0
+        self.single = np.ascontiguousarray(single.T) if centroids else single
 
 
 def _nearest(
-    points: np.ndarray,
-    centroids: np.ndarray,
+    points: _Scaled,
+    centroids: _Scaled,
     fan=map,
     workers: int = 1,
     rows: np.ndarray | None = None,
-    second: bool = False,
+    bounds: bool = False,
 ):
-    """Each point's exact nearest centroid and the squared distance to it;
-    with ``second``, also its second-smallest squared distance (the
-    smallest again at a tie).
+    """Each point's word; with ``bounds``, also (words, the squared
+    distance to the word, a lower bound on the squared distance to every
+    other centroid), all in units of the scaled rows.
 
-    Ties go to the lowest centroid id.  Rows are taken in chunks whose
-    distance block stays within ``_CHUNK_BYTES``, and of at most
-    ceil(n / workers) rows, mapped by ``fan`` (a ``core.fan_out`` map for
-    threads).  ``rows`` restricts the search to those rows of ``points``,
-    gathered a chunk at a time; a gathered chunk and its distances fit the
-    block that all n rows would use.  Every row's answer is independent of
-    the chunking.
+    A word is the lowest-id argmin over centroids of the float64 sum
+    Σ(s·c - s·p)², squared and summed elementwise (no BLAS), with s =
+    2**shift shared by both sides.  A float32 product first gives every
+    centroid's |c|² - 2p·c, which differs from the squared distance by the
+    same |p|² for all of them, to within E = 8(d+2)·u₃₂·(|p| + max|c|)² +
+    8(d+2)·tiny₃₂: Higham's γ term for the product and its sums, the
+    float32 conversion and underflow, and the float64 rounding.  So the
+    word is among the centroids whose float32 value lies within 2E of the
+    row's float32 minimum: a row with one such centroid has it as its word
+    without further work, and the rows with more (and any whose float32
+    sums could overflow) are decided by the elementwise sum over those
+    centroids alone.  The float32 pass only prunes; it cannot change a
+    word, so a word does not depend on the chunking, the worker count or
+    the BLAS kernel.  The distance returned is the word's elementwise
+    value; the bound is the second float32 value less E, 0 on rows the
+    elementwise pass decided (infinite when k is 1).
+
+    Rows are taken in chunks whose float32 block stays within
+    ``_CHUNK_BYTES``, and of at most ceil(n / workers) rows, mapped by
+    ``fan`` (a ``core.fan_out`` map for threads).  ``rows`` restricts the
+    search to those rows of ``points``, gathered a chunk at a time; a
+    gathered chunk's float32 rows and its block fit the block that all n
+    rows would use.
     """
-    n, dim = points.shape
-    k = centroids.shape[0]
+    n, dim = points.exact.shape
+    k = centroids.exact.shape[0]
     m = n if rows is None else rows.size
     words = np.empty(m, dtype=np.intp)
-    d2_min = np.empty(m)
-    d2_next = np.empty(m) if second else None
-    step = min(_CHUNK_BYTES // (8 * k), -(-n // workers))
+    d2_min = np.empty(m) if bounds else None
+    d2_next = np.empty(m) if bounds else None
+    step = min(_CHUNK_BYTES // (4 * k), -(-n // workers))
     if rows is not None:
-        step = step * k // (k + dim)
+        step = step * k // (k + dim + 1)
     step = max(1, min(step, -(-m // workers)))
 
     def chunk(start: int) -> None:
         stop = min(start + step, m)
-        block = points[start:stop] if rows is None else points[rows[start:stop]]
-        d2 = _sq_dists(block, centroids)
-        at = np.arange(stop - start)
-        w = np.argmin(d2, axis=1)
+        at = slice(start, stop) if rows is None else rows[start:stop]
+        i = np.arange(stop - start)
+        reach = (np.sqrt(points.sq[at]) + centroids.norm_max) ** 2
+        err = 8.0 * (dim + 2) * (_U32 * reach + _TINY32)
+        safe = reach < _SAFE32  # no float32 partial sum can overflow
+        with np.errstate(over="ignore", invalid="ignore"):  # unsafe rows keep every centroid
+            y = points.single[at] @ centroids.single  # |c|² - 2p·c
+            w = np.argmin(y, axis=1)
+            limit = np.nextafter((y[i, w] + 2.0 * err).astype(np.float32), np.float32(np.inf))
+            y[i, w] = np.inf
+            runner_up = y.min(axis=1)
+        many = np.flatnonzero(~(safe & (runner_up > limit)))
+        if many.size:
+            close = y[many] <= limit[many, None]
+            close[np.arange(many.size), w[many]] = True
+            close[~safe[many]] = True
+            r, c = np.divmod(np.flatnonzero(close), k)  # row-major, as np.nonzero, but faster
+            at_many = start + many if rows is None else rows[start + many]
+            d2 = _sq_diffs(centroids.exact[c] - points.exact[at_many[r]])
+            # by row, then distance; stable, so ties keep the lowest id first
+            first = np.lexsort((d2, r))[np.flatnonzero(np.diff(r, prepend=-1))]
+            w[many] = c[first]
         words[start:stop] = w
-        d2_min[start:stop] = d2[at, w]
-        if second:
-            d2[at, w] = np.inf
-            d2_next[start:stop] = d2.min(axis=1)
+        if bounds:
+            d2_min[start:stop] = _sq_diffs(centroids.exact[w] - points.exact[at])
+            d2_next[start:stop] = runner_up + points.sq[at] - err
+            d2_next[start + many] = 0.0
 
     list(fan(chunk, range(0, m, step)))
-    return (words, d2_min, d2_next) if second else (words, d2_min)
+    return (words, d2_min, d2_next) if bounds else words
 
 
 @dataclass(frozen=True)
@@ -450,8 +531,20 @@ class PyramidConfig:
 
 @dataclass
 class VocabularyLevel:
+    """One pyramid level's grid and centroid rows.  The centroids are
+    frozen (read-only), so the search form ``_nearest`` reads, derived from
+    them once, cannot go stale; it is neither compared nor saved."""
+
     grid: int
     centroids: np.ndarray
+
+    def __post_init__(self):
+        self.centroids = np.ascontiguousarray(self.centroids, dtype=np.float64)
+        self.centroids.setflags(write=False)
+
+    @functools.cached_property
+    def _search(self) -> _Scaled:
+        return _Scaled(self.centroids, _shift(self.centroids), centroids=True)
 
 
 @dataclass
@@ -505,8 +598,7 @@ def build_vocab(
     check_workers(workers)
     if not images:
         raise ValidationError("need at least one training image")
-    counts = [sum(ys.size * xs.size for _, ys, xs in _window_grid(np.shape(img), sift))
-              for img in images]
+    counts = [_window_grid(np.shape(img), sift)[1][0].size for img in images]  # windows' x
     ends = np.cumsum(counts)
     ids = _sample_ids(int(ends[-1]), subsample_cap, [seed, 17])
     sample = np.empty((ids.size, sift.descriptor_dim))
@@ -551,8 +643,10 @@ def encode(
 
     Output blocks follow pyramid level order; within a level, cells in
     row-major order; within a cell, word index.  Entry is 1 iff some
-    descriptor centered in the cell has the word as its nearest centroid
-    at that level (ties to the lowest word id).
+    descriptor centered in the cell has the word as its ``_nearest`` word
+    at that level (scaled by the power of two of the level's centroids):
+    its exact nearest centroid by the elementwise squared distance, ties
+    to the lowest word id.
     """
     if len(vocab.levels) != len(pyramid.levels):
         raise LevelMismatch(
@@ -572,9 +666,13 @@ def encode(
     width, height = image_size
     out = np.zeros(pyramid.encoded_dim)
     offset = 0
+    points = {}  # the descriptors scaled as each level's centroids, one form per shift
     for lv in vocab.levels:
         grid, k = lv.grid, lv.centroids.shape[0]
-        words, _ = _nearest(descriptors.vectors, lv.centroids)
+        shift = lv._search.shift
+        if shift not in points:
+            points[shift] = _Scaled(descriptors.vectors, shift)
+        words = _nearest(points[shift], lv._search)
         cells = (_cell_index(descriptors.y, height, grid) * grid
                  + _cell_index(descriptors.x, width, grid))
         out[offset + cells * k + words] = 1.0

@@ -119,25 +119,41 @@ def kmeanspp_full(points: np.ndarray, k: int, rng) -> np.ndarray:
     return chosen
 
 
+def search_shift(values: np.ndarray) -> int:
+    """The exponent of the power of two s by which the package scales a
+    nearest-centroid search: 0 while the largest magnitude lies in
+    [2^-32, 2^32] (or is 0), else the one that brings it into [1/2, 1)."""
+    top = float(np.max(np.abs(values), initial=0.0))
+    if top == 0.0 or 2.0**-32 <= top <= 2.0**32:
+        return 0
+    return -int(np.frexp(top)[1])
+
+
+def brute_words(points: np.ndarray, centroids: np.ndarray, shift: int) -> np.ndarray:
+    """Each point's visual word by a full scan: the lowest-id argmin of the
+    elementwise squared distance Σ(s·c - s·p)², s = 2**shift."""
+    cents = np.ldexp(centroids, shift)
+    return np.array([int(np.argmin(np.sum((cents - p) ** 2, axis=1)))
+                     for p in np.ldexp(points, shift)], dtype=np.intp)
+
+
 def kmeans_full(points: np.ndarray, k: int, seed, max_iters: int = 100):
     """Lloyd's k-means, k < n, that measures every point against every
     centroid and re-averages every non-empty cluster at every iteration:
     (centroids, iterations).  It keeps the package's k-means++ draws, its
-    rounding of a squared distance (|p|² + |c|² - 2p·c, clamped at 0, ties
-    to the lowest id), its empty-cluster repair and its stop rule, so a loop
-    that skips only the points whose word cannot change agrees with it bit
-    for bit."""
+    word (the lowest-id argmin of the elementwise squared distance
+    Σ(s·c - s·p)², s the power of two ``search_shift`` gives the points),
+    its empty-cluster repair and its stop rule, so a loop that skips only
+    the points whose word cannot change agrees with it bit for bit."""
     points = np.asarray(points, dtype=np.float64)
     n = points.shape[0]
     centroids = points[kmeanspp_full(points, k, np.random.default_rng(seed))]
-    p2 = np.einsum("ij,ij->i", points, points)[:, None]
+    shift = search_shift(points)
+    scaled = np.ldexp(points, shift)
     assign, seen = np.full(n, -1), set()
     for iteration in range(1, max_iters + 1):
-        d2 = points @ centroids.T
-        d2 *= -2.0
-        d2 += p2
-        d2 += np.einsum("ij,ij->i", centroids, centroids)[None, :]
-        new_assign = np.argmin(np.maximum(d2, 0.0), axis=1)
+        d2 = ((np.ldexp(centroids, shift)[None, :, :] - scaled[:, None, :]) ** 2).sum(axis=2)
+        new_assign = np.argmin(d2, axis=1)
         if np.array_equal(new_assign, assign) or new_assign.tobytes() in seen:
             break
         seen.add(new_assign.tobytes())

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import hashlib
 import os
@@ -41,9 +42,17 @@ from locallearn.errors import (
     ValidationError,
 )
 
+from locallearn.core import fan_out
 from locallearn.synth import texture_corpus
 
-from oracles import brute_dense_sift, brute_nn_euclidean, kmeans_full, kmeanspp_full
+from oracles import (
+    brute_dense_sift,
+    brute_nn_euclidean,
+    brute_words,
+    kmeans_full,
+    kmeanspp_full,
+    search_shift,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -168,10 +177,26 @@ class TestDenseSift:
             dense_sift(img)
         assert (info.value.row, info.value.col) == (17, 30)
 
+    @pytest.mark.parametrize("n_orient", [1, 2, 3, 8])
+    def test_orientation_maps_equal_a_pass_per_bin(self, n_orient):
+        # Two scatters fill the maps that 2 * n_orient masked passes did.
+        img = np.random.default_rng(n_orient).uniform(0.0, 1.0, (23, 31))
+        gy, gx = np.gradient(img)
+        mag = np.hypot(gx, gy)
+        pos = np.mod(np.arctan2(gy, gx), 2.0 * np.pi) * n_orient / (2.0 * np.pi)
+        lo = np.floor(pos).astype(np.intp) % n_orient
+        frac = pos - np.floor(pos)
+        want = np.zeros((n_orient,) + img.shape)
+        for b in range(n_orient):
+            want[b] += np.where(lo == b, mag * (1.0 - frac), 0.0)
+            want[b] += np.where((lo + 1) % n_orient == b, mag * frac, 0.0)
+        assert bovw._orientation_maps(img, n_orient).tobytes() == want.tobytes()
+
     def test_descriptor_bits_do_not_depend_on_the_blas_kernel(self):
         # The window sums run in numpy's einsum loops, not in BLAS, whose
         # kernels (chosen per CPU, or forced) differ in the last bits.
-        digests = {_sift_digest_in_fresh_process(coretype) for coretype in (None, "Prescott")}
+        digests = {_digest_in_fresh_process("sift_digest", coretype)
+                   for coretype in (None, "Prescott")}
         assert digests == {sift_digest()}
 
 
@@ -187,14 +212,14 @@ def sift_digest() -> str:
     return h.hexdigest()
 
 
-def _sift_digest_in_fresh_process(coretype: str | None) -> str:
-    """``sift_digest`` in a fresh process, under OpenBLAS's default kernel or,
-    if given, one forced to ``coretype`` (read at start-up)."""
+def _digest_in_fresh_process(name: str, coretype: str | None) -> str:
+    """``test_bovw.<name>()`` in a fresh process, under OpenBLAS's default
+    kernel or, if given, one forced to ``coretype`` (read at start-up)."""
     env = {name: value for name, value in os.environ.items() if name != "OPENBLAS_CORETYPE"}
     if coretype is not None:
         env["OPENBLAS_CORETYPE"] = coretype
     env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")])
-    proc = subprocess.run([sys.executable, "-c", "import test_bovw; print(test_bovw.sift_digest())"],
+    proc = subprocess.run([sys.executable, "-c", f"import test_bovw; print(test_bovw.{name}())"],
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip()
@@ -226,8 +251,10 @@ class TestKmeans:
         pts = rng.normal(size=(200, 8))
         # the cost of the centroids after each iteration, through the last
         _, iterations = kmeans_full(pts, 10, seed=2)
-        costs = [_nearest(pts, kmeans(pts, 10, seed=2, max_iters=i))[1].sum()
-                 for i in range(1, iterations + 1)]
+        costs = []
+        for i in range(1, iterations + 1):
+            cents = kmeans(pts, 10, seed=2, max_iters=i)
+            costs.append(sum(np.sum((cents - p) ** 2, axis=1).min() for p in pts))
         for prev, nxt in zip(costs, costs[1:]):
             assert nxt <= prev * (1.0 + 1e-12)
 
@@ -273,6 +300,20 @@ class TestKmeans:
         assert got.tobytes() == want.tobytes()
         assert len(passes) == iterations
 
+    @pytest.mark.parametrize("case, k", [("tight clusters", 12), ("tight clusters", 16),
+                                         ("subnormal", 10), ("subnormal", 20),
+                                         ("subnormal", 40)])
+    def test_distances_below_rounding_of_a_product_still_converge(self, monkeypatch, case, k):
+        # 1e-9 noise around unit-scale clusters, and points at 1e-161, are
+        # lost in the cancellation of |p|² + |c|² - 2p·c: there the words
+        # never repeated, and all 100 iterations ran.
+        points = _seeding_cases()[case][0]
+        passes = _count_passes(monkeypatch, points)
+        got = kmeans(points, k, seed=[7, k], max_iters=100)
+        assert len(passes) <= 10
+        want, iterations = kmeans_full(points, k, seed=[7, k])
+        assert got.tobytes() == want.tobytes() and len(passes) == iterations
+
     def test_pruned_loop_measures_fewer_rows(self, monkeypatch):
         points, k = _kmeans_cases()["sift"]
         passes = _count_passes(monkeypatch, points)
@@ -288,7 +329,7 @@ def _count_passes(monkeypatch, points) -> list[int]:
 
     def counting(rows_of, centroids, *args, **kwargs):
         out = nearest(rows_of, centroids, *args, **kwargs)
-        if rows_of is points:
+        if len(rows_of.exact) == len(points):  # the gaps' call has k < n rows
             passes.append(len(out[0]))
         return out
 
@@ -299,8 +340,7 @@ def _count_passes(monkeypatch, points) -> list[int]:
 @functools.cache
 def _kmeans_cases():
     """The seeding cases' points, each with a k at which the loop skips
-    points (except at the subnormal scale, where nothing may be skipped),
-    and fewer distinct points than k."""
+    points, and fewer distinct points than k."""
     seeding = _seeding_cases()
     cases = {name: (seeding[name][0], k) for name, k in (
         ("sift", 20), ("duplicated", 10), ("tight clusters", 10), ("lattice", 40),
@@ -359,23 +399,129 @@ class TestKmeansppSeeding:
         assert all(np.array_equal(g, w) for g, w in zip(got.draws, want.draws))
 
 
+def _search(points, centroids, **kwargs):
+    """``_nearest`` as ``encode`` calls it: both sides scaled by the
+    centroids' power of two."""
+    shift = bovw._shift(centroids)
+    return _nearest(bovw._Scaled(points, shift), bovw._Scaled(centroids, shift, centroids=True),
+                    **kwargs)
+
+
+def _brute(points, centroids):
+    return brute_words(points, centroids, search_shift(centroids))
+
+
+@functools.cache
+def _bisector_set(n: int = 4000, k: int = 340, dim: int = 128):
+    """(points, centroids): unit centroids, and points each equidistant from
+    two of them up to rounding (a random pair's midpoint plus 0.05 along a
+    unit direction perpendicular to their difference), built elementwise,
+    without BLAS."""
+    rng = np.random.default_rng(41)
+    cents = rng.random((k, dim))
+    cents /= np.sqrt((cents * cents).sum(axis=1))[:, None]
+    a = rng.integers(0, k, n)
+    b = (a + rng.integers(1, k, n)) % k
+    u = cents[b] - cents[a]
+    t = rng.normal(size=(n, dim))
+    t -= ((t * u).sum(axis=1) / (u * u).sum(axis=1))[:, None] * u
+    t /= np.sqrt((t * t).sum(axis=1))[:, None]
+    return (cents[a] + cents[b]) / 2.0 + 0.05 * t, cents
+
+
+def near_tie_digest() -> str:
+    """blake2b of the words of the bisector set."""
+    points, cents = _bisector_set()
+    return hashlib.blake2b(_search(points, cents).tobytes()).hexdigest()
+
+
 class TestNearest:
     def test_matches_oracle_at_every_chunking(self, monkeypatch):
         rng = np.random.default_rng(15)
         cents = rng.normal(size=(37, 6))
         pts = rng.normal(size=(200, 6))
         oracle = [brute_nn_euclidean(cents, q) for q in pts]
-        for chunk_bytes in (bovw._CHUNK_BYTES, 8 * 37 * 7, 1):  # 1, 29 and 200 chunks
+        for chunk_bytes in (bovw._CHUNK_BYTES, 4 * 37 * 7, 1):  # 1, 29 and 200 chunks
             monkeypatch.setattr(bovw, "_CHUNK_BYTES", chunk_bytes)
-            words, d2 = _nearest(pts, cents)
+            words, d2, _ = _search(pts, cents, bounds=True)
             assert words.tolist() == [w for w, _ in oracle]
             assert np.allclose(np.sqrt(d2), [d for _, d in oracle], atol=1e-12)
 
     def test_ties_go_to_lowest_id(self):
         cents = np.array([[1.0, 1.0]] * 5 + [[3.0, 3.0]] * 5)
-        words, d2 = _nearest(np.array([[1.0, 1.0], [3.0, 3.0], [2.0, 2.0]]), cents)
+        words, d2, _ = _search(np.array([[1.0, 1.0], [3.0, 3.0], [2.0, 2.0]]), cents, bounds=True)
         assert words.tolist() == [0, 5, 0]  # the last query is equidistant
         assert d2.tolist() == [0.0, 0.0, 2.0]
+
+    def test_near_ties_exact_at_any_chunking_rows_workers_and_blas_kernel(self, monkeypatch):
+        # Each point is equidistant from two centroids up to rounding, so a
+        # distance rounded by a BLAS product would pick its word by the
+        # block's shape and the kernel; the elementwise decision cannot.
+        points, cents = _bisector_set()
+        want = _brute(points, cents)
+        subsets = (np.arange(len(points))[::-1], np.arange(1, len(points), 3))
+        for rows_per_chunk in (1, 7, 64, len(points)):
+            monkeypatch.setattr(bovw, "_CHUNK_BYTES", 4 * len(cents) * rows_per_chunk)
+            for workers in (1, 2, 3) if rows_per_chunk > 1 else (1,):
+                with fan_out(workers) as fan:
+                    got = _search(points, cents, fan=fan, workers=workers)
+                    assert np.array_equal(got, want), (rows_per_chunk, workers)
+                    for rows in subsets:
+                        got = _search(points, cents, fan=fan, workers=workers, rows=rows)
+                        assert np.array_equal(got, want[rows]), (rows_per_chunk, workers)
+        digest = hashlib.blake2b(want.tobytes()).hexdigest()
+        assert {_digest_in_fresh_process("near_tie_digest", coretype)
+                for coretype in (None, "Prescott")} == {digest}
+
+    @pytest.mark.parametrize("scale", [1e-160, 1e-150, 1.0, 1e150])  # 1e-160: subnormal squares
+    def test_matches_brute_force_at_every_scale(self, scale):
+        points, cents = _bisector_set(300, 40, 16)
+        rng = np.random.default_rng(43)
+        points = np.vstack([points, rng.random((100, 16)), np.zeros((3, 16))]) * scale
+        cents = cents * scale
+        assert bovw._shift(cents) != 0 or scale == 1.0  # the scaled path runs
+        words, d2, _ = _search(points, cents, bounds=True)
+        assert np.array_equal(words, _brute(points, cents))
+        assert np.all(d2 > 0.0)  # no squared distance underflows
+
+    def test_zero_descriptors_take_the_shortest_centroid(self):
+        cents = np.array([[3.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.5, 0.5]])
+        assert _search(np.zeros((4, 2)), cents).tolist() == [3] * 4
+        assert _search(np.ones((2, 2)), np.zeros((3, 2))).tolist() == [0, 0]
+
+    def test_duplicate_centroids_tie_to_the_lowest_id(self):
+        points, cents = _bisector_set(300, 40, 16)
+        cents = cents.copy()
+        cents[[9, 17, 30]] = cents[[2, 2, 5]]
+        near = np.vstack([points, cents, cents + 1e-9])
+        words = _search(near, cents)
+        assert np.array_equal(words, _brute(near, cents))
+        assert not np.isin(words, [9, 17, 30]).any()
+
+    def test_centroids_one_ulp_apart(self):
+        rng = np.random.default_rng(44)
+        base = rng.random((20, 8))
+        cents = np.vstack([base, np.nextafter(base, np.inf)])  # word i and i + 20 differ by an ulp
+        points = np.vstack([base, np.nextafter(base, -np.inf), np.nextafter(base, np.inf),
+                            np.nextafter(np.nextafter(base, np.inf), np.inf)])
+        words = _search(points, cents)
+        assert np.array_equal(words, _brute(points, cents))
+        assert np.array_equal(words[:40], np.tile(np.arange(20), 2))
+        assert np.array_equal(words[40:], np.tile(np.arange(20, 40), 2))
+
+    def test_single_centroid(self):
+        points = np.random.default_rng(45).normal(size=(50, 4))
+        words, d2, bound = _search(points, np.ones((1, 4)), bounds=True)
+        assert words.tolist() == [0] * 50
+        assert np.array_equal(d2, np.sum((1.0 - points) ** 2, axis=1))
+        assert np.all(bound == np.inf)  # no other centroid
+
+    def test_empty_rows(self):
+        points, cents = _bisector_set(300, 40, 16)
+        empty = np.array([], dtype=np.intp)
+        assert _search(points, cents, rows=empty).shape == (0,)
+        words, d2, bound = _search(points, cents, rows=empty, bounds=True)
+        assert words.shape == d2.shape == bound.shape == (0,)
 
 
 class TestEncode:
@@ -590,6 +736,22 @@ class TestVocabulary:
             blob += struct.pack("<III", lv.grid, *lv.centroids.shape)
             blob += lv.centroids.astype("<f8").tobytes()
         return blob
+
+    def test_centroids_are_read_only_and_search_form_is_neither_compared_nor_saved(self, tmp_path):
+        vocab, pyr = self._small_vocab()
+        level = vocab.levels[0]
+        with pytest.raises(ValueError, match="read-only"):
+            level.centroids[0, 0] = 1.0
+        save_vocab(vocab, tmp_path / "before.llvb")
+        rng = np.random.default_rng(13)
+        encode(DescriptorSet(rng.normal(size=(5, 16)), rng.integers(0, 32, 5),
+                             rng.integers(0, 32, 5), np.full(5, 4)), vocab, pyr, (32, 32))
+        assert "_search" in vars(level)  # derived once, on first use
+        save_vocab(vocab, tmp_path / "after.llvb")
+        assert (tmp_path / "after.llvb").read_bytes() == (tmp_path / "before.llvb").read_bytes()
+        assert [f.name for f in dataclasses.fields(level)] == ["grid", "centroids"]
+        assert level == VocabularyLevel(level.grid, level.centroids)
+        assert "_search" not in repr(level)
 
     def test_loads_version_1(self, tmp_path):
         vocab, _ = self._small_vocab()
