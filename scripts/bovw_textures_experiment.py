@@ -20,7 +20,7 @@ from locallearn.bovw import (
     DESK_VOCAB_SIZES,
     DenseSiftConfig,
     PyramidConfig,
-    build_vocab_from_descriptors,
+    build_vocab,
     dense_sift,
     encode,
 )
@@ -57,11 +57,8 @@ def main() -> int:
     train_rows = [i for i in range(n) if i % 2 == 0]
     test_rows = [i for i in range(n) if i % 2 == 1]
     t0 = time.perf_counter()
-    pooled = np.vstack([desc_sets[i].vectors for i in train_rows])
-    vocab = build_vocab_from_descriptors(
-        pooled, sift, pyramid, seed=args.seed,
-        subsample_cap=args.subsample_cap,
-    )
+    vocab = build_vocab([images[i] for i in train_rows], sift, pyramid, seed=args.seed,
+                        subsample_cap=args.subsample_cap)
     print(f"vocabulary built in {time.perf_counter() - t0:.1f}s")
 
     t0 = time.perf_counter()

@@ -41,7 +41,6 @@ from .bovw import (
     PyramidConfig,
     Vocabulary,
     build_vocab,
-    build_vocab_from_descriptors,
     dense_sift,
     encode,
     kmeans,

@@ -28,8 +28,7 @@ Images are 8-bit grayscale arrays; ``read_pgm``/``write_pgm`` handle the
 only supported container (binary PGM, P5).  The vocabulary serializes to
 a binary format: magic ``LLVB``, u32 version (2), u32 level count, the
 extraction settings, then per level u32 grid, u32 k, u32 dim and the
-centroid rows as little-endian f64.  Version 1 files, which also hold a
-24-byte forest block after the level count, still load.
+centroid rows as little-endian f64.
 """
 
 from __future__ import annotations
@@ -136,7 +135,6 @@ class DescriptorSet:
     vectors: np.ndarray  # (n, dim)
     x: np.ndarray
     y: np.ndarray
-    scale: np.ndarray
 
     def __len__(self) -> int:
         return self.vectors.shape[0]
@@ -178,8 +176,8 @@ def _axis_weights(bin_size: int, n_bins: int) -> np.ndarray:
 def _window_grid(shape: tuple[int, ...], cfg: DenseSiftConfig) -> tuple:
     """The descriptor windows of an image of ``shape``, in ``dense_sift``'s
     order: per bin size, (bin size, row starts, column starts, axis
-    weights), then the x, y and scale of every window.  Cached per (shape,
-    config); the arrays are read-only."""
+    weights), then the x and y of every window's centre.  Cached per
+    (shape, config); the arrays are read-only."""
     if len(shape) != 2:
         raise ValidationError("image must be a 2-D grayscale array")
     h, w = shape
@@ -188,7 +186,7 @@ def _window_grid(shape: tuple[int, ...], cfg: DenseSiftConfig) -> tuple:
         raise ImageTooSmall(
             f"image {w}x{h} cannot fit a {largest}x{largest} descriptor window"
         )
-    grid, xs, ys, scales = [], [], [], []
+    grid, xs, ys = [], [], []
     for b in cfg.bin_sizes:
         side = cfg.spatial_bins * b
         starts_y = np.arange(0, h - side + 1, cfg.step)
@@ -197,8 +195,7 @@ def _window_grid(shape: tuple[int, ...], cfg: DenseSiftConfig) -> tuple:
         gy, gx = np.meshgrid(starts_y + side // 2, starts_x + side // 2, indexing="ij")
         xs.append(gx.ravel())
         ys.append(gy.ravel())
-        scales.append(np.full(gx.size, b, dtype=np.intp))
-    centres = tuple(np.concatenate(c) for c in (xs, ys, scales))
+    centres = (np.concatenate(xs), np.concatenate(ys))
     for array in [a for entry in grid for a in entry[1:]] + list(centres):
         array.setflags(write=False)
     return tuple(grid), centres
@@ -215,7 +212,7 @@ def dense_sift(img: np.ndarray, cfg: DenseSiftConfig = DenseSiftConfig()) -> Des
     ``NonFiniteValue`` before any arithmetic.
     """
     img = np.asarray(img)
-    grid, (xs, ys, scales) = _window_grid(img.shape, cfg)
+    grid, (xs, ys) = _window_grid(img.shape, cfg)
     img01 = img.astype(np.float64) / 255.0 if img.dtype == np.uint8 else img.astype(np.float64)
     check_finite(img01, "image: ")
     omaps = _orientation_maps(img01, cfg.orientations)
@@ -237,7 +234,7 @@ def dense_sift(img: np.ndarray, cfg: DenseSiftConfig = DenseSiftConfig()) -> Des
         renorm = np.linalg.norm(desc[keep], axis=1)
         desc[keep] /= renorm[:, None]
         blocks.append(desc)
-    return DescriptorSet(vectors=np.vstack(blocks), x=xs.copy(), y=ys.copy(), scale=scales.copy())
+    return DescriptorSet(vectors=np.vstack(blocks), x=xs.copy(), y=ys.copy())
 
 
 def kmeans(
@@ -572,13 +569,6 @@ def _sample_ids(n: int, cap: int, seed) -> np.ndarray:
     return np.sort(rng.choice(n, size=cap, replace=False))
 
 
-def subsample_rows(points: np.ndarray, cap: int, seed) -> np.ndarray:
-    """Uniform without-replacement row subsample (identity when under cap);
-    surviving rows keep their relative order."""
-    rows = _sample_ids(points.shape[0], cap, seed)
-    return points if rows.size == points.shape[0] else points[rows]
-
-
 def build_vocab(
     images,
     sift: DenseSiftConfig,
@@ -590,10 +580,11 @@ def build_vocab(
     """Cluster descriptors of all training images into one vocabulary per
     pyramid level.
 
-    The same as ``build_vocab_from_descriptors`` on every image's
-    descriptors stacked, without the stack: the sample's row ids are drawn
-    first from the count the window grid gives, and each image keeps only
-    its drawn rows as it is extracted.
+    The sample is the ``_sample_ids`` rows of every image's descriptors
+    stacked, without the stack: its row ids are drawn first from the count
+    the window grid gives, and each image keeps only its drawn rows as it
+    is extracted.  Level ``li`` is ``kmeans`` of the sample, seeded
+    ``[seed, 23, li]``.
     """
     check_workers(workers)
     if not images:
@@ -605,22 +596,8 @@ def build_vocab(
     for img, first, end in zip(images, ends - counts, ends):
         lo, hi = np.searchsorted(ids, (first, end))
         sample[lo:hi] = dense_sift(img, sift).vectors[ids[lo:hi] - first]
-    return build_vocab_from_descriptors(sample, sift, pyramid, seed, subsample_cap, workers)
-
-
-def build_vocab_from_descriptors(
-    descriptors: np.ndarray,
-    sift: DenseSiftConfig,
-    pyramid: PyramidConfig,
-    seed: int,
-    subsample_cap: int = 200_000,
-    workers: int = 1,
-) -> Vocabulary:
-    sample = subsample_rows(descriptors, subsample_cap, [seed, 17])
-    levels = []
-    for li, (grid, k) in enumerate(zip(pyramid.levels, pyramid.vocab_sizes)):
-        centroids = kmeans(sample, k, seed=[seed, 23, li], workers=workers)
-        levels.append(VocabularyLevel(grid, centroids))
+    levels = [VocabularyLevel(grid, kmeans(sample, k, seed=[seed, 23, li], workers=workers))
+              for li, (grid, k) in enumerate(zip(pyramid.levels, pyramid.vocab_sizes))]
     return Vocabulary(levels=levels, sift=sift)
 
 
@@ -702,11 +679,10 @@ def load_vocab(path) -> Vocabulary:
         raise MalformedFile(f"{path}: bad vocabulary magic")
     try:
         version, n_levels = struct.unpack_from("<II", blob, 4)
-        if version not in (1, 2):
+        if version != 2:
             raise MalformedFile(f"{path}: unsupported vocabulary version {version}")
-        off = 12 if version == 2 else 36  # v1 holds a 24-byte kd-forest block here
-        (n_bins,) = struct.unpack_from("<I", blob, off)
-        off += 4
+        (n_bins,) = struct.unpack_from("<I", blob, 12)
+        off = 16
         bin_sizes = struct.unpack_from(f"<{n_bins}I", blob, off)
         off += 4 * n_bins
         step, orient, sbins, contrast = struct.unpack_from("<IIId", blob, off)

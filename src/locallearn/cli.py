@@ -139,6 +139,7 @@ def _image_dir(path) -> tuple[list[str], list[np.ndarray]]:
 
 def cmd_build_vocab(args) -> int:
     seed = _resolve_seed(args.seed)
+    core.check_workers(args.workers)
     sift, pyramid, subsample_cap = _read_bovw_config(args.config)
     _, images = _image_dir(args.images)
     vocab = bovw.build_vocab(
@@ -151,6 +152,7 @@ def cmd_build_vocab(args) -> int:
 
 
 def cmd_encode(args) -> int:
+    core.check_workers(args.workers)
     vocab = bovw.load_vocab(args.vocab)
     pyramid = bovw.PyramidConfig(
         levels=tuple(lv.grid for lv in vocab.levels),
@@ -198,9 +200,8 @@ def _report_solver(solves: int, nonconverged: int, gram_entries: int | None = No
 
 
 def cmd_train_global(args) -> int:
-    seed = _resolve_seed(args.seed)
+    cfg = svm.SvmConfig(C=args.C, seed=_resolve_seed(args.seed))
     matrix, label_map = _labeled_matrix(args.features, args.labels, args)
-    cfg = svm.SvmConfig(C=args.C, seed=seed)
     model, infos = svm.train_ova(
         matrix.values, matrix.labels, cfg,
         n_classes=label_map.n_classes, class_names=label_map.names, return_infos=True,
@@ -227,10 +228,10 @@ def cmd_predict_global(args) -> int:
 
 
 def cmd_predict_local(args) -> int:
-    seed = _resolve_seed(args.seed)
+    cfg = LocalLearnerConfig(k=args.k, svm=svm.SvmConfig(C=args.C, seed=_resolve_seed(args.seed)))
+    core.check_workers(args.workers)
     train, label_map = _labeled_matrix(args.train, args.train_labels, args)
     test = core.load_features(args.test)
-    cfg = LocalLearnerConfig(k=args.k, svm=svm.SvmConfig(C=args.C, seed=seed))
     preds, _, timing = local_predict_batch(train, test, cfg, workers=args.workers)
     core.write_labels(label_map.named(test.sample_ids, preds), args.out)
     sys.stderr.write(
@@ -243,9 +244,10 @@ def cmd_predict_local(args) -> int:
 
 
 def cmd_knn_baseline(args) -> int:
+    k = LocalLearnerConfig(k=args.k).k
     train, label_map = _labeled_matrix(args.train, args.train_labels, args)
     test = core.load_features(args.test)
-    preds = knn_classify_batch(train, test, args.k)
+    preds = knn_classify_batch(train, test, k)
     core.write_labels(label_map.named(test.sample_ids, preds), args.out)
     sys.stdout.write(f"predicted {test.n_samples} samples\n")
     return 0
@@ -253,7 +255,6 @@ def cmd_knn_baseline(args) -> int:
 
 def cmd_dsd_train(args) -> int:
     seed = _resolve_seed(args.seed)
-    matrix, label_map = _labeled_matrix(args.features, args.labels, args)
     schedule = dsd.parse_schedule(args.schedule, exclude=args.exclude or ())
     image_shape = None
     if args.flip_augment:
@@ -264,12 +265,18 @@ def cmd_dsd_train(args) -> int:
             raise ValidationError(
                 f"--flip-augment expects ROWSxCOLS, got {args.flip_augment!r}"
             )
+        dsd.check_image_shape(image_shape)
     cfg = dsd.TrainerConfig(
         lr=args.lr, momentum=args.momentum, batch_size=args.batch,
         patience=args.patience, seed=seed, flip_augment=image_shape is not None,
     )
     if (args.val_features is None) != (args.val_labels is None):
         raise ValidationError("--val-features and --val-labels must be given together")
+    if args.val_features is None and not 0.0 < args.val_fraction < 1.0:
+        raise ValidationError(f"--val-fraction must be in (0, 1), got {args.val_fraction}")
+    if args.hidden < 0:
+        raise ValidationError(f"--hidden must be >= 0, got {args.hidden}")
+    matrix, label_map = _labeled_matrix(args.features, args.labels, args)
     if args.val_features is not None:
         val_matrix, _ = _labeled_matrix(args.val_features, args.val_labels, args, label_map)
         Xt, yt = matrix.values, matrix.labels
@@ -277,16 +284,12 @@ def cmd_dsd_train(args) -> int:
         if Xv.shape[1] != matrix.dim:  # the model's input dim, checked before training
             raise DimMismatch(f"X has shape {Xv.shape}, model expects rows of dim {matrix.dim}")
     else:
-        if not 0.0 < args.val_fraction < 1.0:
-            raise ValidationError(f"--val-fraction must be in (0, 1), got {args.val_fraction}")
         rng = np.random.default_rng([seed, 41])
         order = rng.permutation(matrix.n_samples)
         n_val = max(1, int(matrix.n_samples * args.val_fraction))
         val_rows, train_rows = order[:n_val], order[n_val:]
         Xt, yt = matrix.values[train_rows], matrix.labels[train_rows]
         Xv, yv = matrix.values[val_rows], matrix.labels[val_rows]
-    if args.hidden < 0:
-        raise ValidationError(f"--hidden must be >= 0, got {args.hidden}")
     dims = [matrix.dim] + ([args.hidden] if args.hidden > 0 else []) + [label_map.n_classes]
     model = dsd.init_mlp(dims, seed=seed)
     unknown = sorted(set(args.exclude or ()) - set(model.layer_names()))
@@ -312,16 +315,19 @@ def cmd_dsd_train(args) -> int:
 
 
 def cmd_sensitivity_scan(args) -> int:
+    try:
+        rates = tuple(float(r) for r in args.rates.split(","))
+    except ValueError:
+        raise ValidationError(f"--rates expects comma-separated numbers, got {args.rates!r}")
+    for rate in rates:  # the scan's own rate and threshold checks, on no data
+        dsd.prune_mask(np.zeros(0), rate)
+    dsd.select_rates(dsd.SensitivityTable(0.0, rates, {}), args.threshold)
     model = dsd.load_mlp(args.model)
     matrix, label_map = _labeled_matrix(args.features, args.labels, args)
     width = model.layers[-1].W.shape[1]
     if label_map.n_classes != width:  # ids from another map would score wrong
         raise ValidationError(f"the label map has {label_map.n_classes} classes, the model {width} "
                               "outputs; pass the --labelmap the model was trained with")
-    try:
-        rates = tuple(float(r) for r in args.rates.split(","))
-    except ValueError:
-        raise ValidationError(f"--rates expects comma-separated numbers, got {args.rates!r}")
     table = dsd.sensitivity_scan(model, matrix.values, matrix.labels, rates)
     selected = dsd.select_rates(table, max_drop_points=args.threshold)
     lines = ["layer,rate,val_acc"]

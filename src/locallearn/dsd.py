@@ -289,10 +289,15 @@ def prune_mask(weights: np.ndarray, sparsity: float) -> np.ndarray:
     return mask.reshape(weights.shape)
 
 
-def _check_images(X: np.ndarray, image_shape: tuple[int, int]) -> None:
+def check_image_shape(image_shape: tuple[int, int]) -> None:
     h, w = image_shape
     if h < 1 or w < 1:
         raise ValidationError(f"image sides must be >= 1, got {h}x{w}")
+
+
+def _check_images(X: np.ndarray, image_shape: tuple[int, int]) -> None:
+    check_image_shape(image_shape)
+    h, w = image_shape
     if X.shape[1] != h * w:
         raise ValidationError(f"rows of dim {X.shape[1]} are not {h}x{w} images")
 

@@ -189,7 +189,7 @@ def spatial_weights(bin_size: int, n_bins: int) -> np.ndarray:
 
 
 def brute_dense_sift(img: np.ndarray, cfg):
-    """(vectors, x, y, scale) of dense SIFT with ``cfg`` (a
+    """(vectors, x, y) of dense SIFT with ``cfg`` (a
     ``DenseSiftConfig``): each pixel's gradient magnitude split between its
     two nearest orientation bins, then every window in a plain loop, its
     (orientations, side, side) block weighted by ``spatial_weights``, laid
@@ -206,7 +206,7 @@ def brute_dense_sift(img: np.ndarray, cfg):
         omaps[int(lo[r, c]) % n_orient, r, c] += m * (1.0 - frac)
         omaps[(int(lo[r, c]) + 1) % n_orient, r, c] += m * frac
     h, w = img01.shape
-    vectors, xs, ys, scales = [], [], [], []
+    vectors, xs, ys = [], [], []
     for b in cfg.bin_sizes:
         side = cfg.spatial_bins * b
         weights = spatial_weights(b, cfg.spatial_bins)
@@ -223,8 +223,7 @@ def brute_dense_sift(img: np.ndarray, cfg):
                 vectors.append(vec)
                 xs.append(x0 + side // 2)
                 ys.append(y0 + side // 2)
-                scales.append(b)
-    return np.array(vectors), np.array(xs), np.array(ys), np.array(scales)
+    return np.array(vectors), np.array(xs), np.array(ys)
 
 
 def prune_mask_sorted(weights: np.ndarray, sparsity: float) -> np.ndarray:

@@ -14,7 +14,7 @@ from locallearn.bovw import (
     DESK_VOCAB_SIZES,
     DenseSiftConfig,
     PyramidConfig,
-    build_vocab_from_descriptors,
+    build_vocab,
     dense_sift,
     encode,
 )
@@ -160,10 +160,8 @@ def test_c06_bovw_end_to_end_textures():
     desc_sets = [dense_sift(img, sift) for img in images]
     train_rows = [i for i in range(200) if i % 2 == 0]
     test_rows = [i for i in range(200) if i % 2 == 1]
-    pooled = np.vstack([desc_sets[i].vectors for i in train_rows])
-    vocab = build_vocab_from_descriptors(
-        pooled, sift, pyramid, seed=5, subsample_cap=10_000,
-    )
+    vocab = build_vocab([images[i] for i in train_rows], sift, pyramid, seed=5,
+                        subsample_cap=10_000)
     feats = np.vstack(
         [encode(desc_sets[i], vocab, pyramid, (48, 48)) for i in range(200)]
     )

@@ -23,14 +23,12 @@ from locallearn.bovw import (
     _kmeanspp,
     _nearest,
     build_vocab,
-    build_vocab_from_descriptors,
     dense_sift,
     encode,
     kmeans,
     load_vocab,
     read_pgm,
     save_vocab,
-    subsample_rows,
     write_pgm,
 )
 from locallearn.errors import (
@@ -42,6 +40,7 @@ from locallearn.errors import (
     ValidationError,
 )
 
+from locallearn.cli import main as cli_main
 from locallearn.core import fan_out
 from locallearn.synth import texture_corpus
 
@@ -145,7 +144,7 @@ class TestDenseSift:
         descs = dense_sift(img, DenseSiftConfig(bin_sizes=(4,), step=2))
         assert descs.x.min() == 8 and descs.x.max() == 18
         assert descs.y.min() == 8 and descs.y.max() == 12
-        assert set(descs.scale.tolist()) == {4}
+        assert len(descs) == 6 * 3
         assert descs.vectors.shape[1] == 128
 
     @pytest.mark.parametrize("bin_sizes", [(4,), (4, 6, 8, 10)])
@@ -159,11 +158,11 @@ class TestDenseSift:
         for shape in ((48, 48), (53, 61)):
             img = rng.integers(0, 256, shape, dtype=np.uint8)
             got = dense_sift(img, cfg)
-            vectors, x, y, scale = brute_dense_sift(img, cfg)
+            vectors, x, y = brute_dense_sift(img, cfg)
             assert got.vectors.shape == vectors.shape
             np.testing.assert_array_equal((got.vectors == 0).all(axis=1), (vectors == 0).all(axis=1))
             assert np.abs(got.vectors - vectors).max() <= 1e-12
-            for a, b in ((got.x, x), (got.y, y), (got.scale, scale)):
+            for a, b in ((got.x, x), (got.y, y)):
                 np.testing.assert_array_equal(a, b)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -289,7 +288,7 @@ class TestKmeans:
 
     @pytest.mark.parametrize("workers", [1, 4])
     @pytest.mark.parametrize("case", ["sift", "duplicated", "tight clusters", "lattice",
-                                      "subnormal", "fewer distinct than k"])
+                                      "subnormal", "fewer distinct than k", "near ties"])
     def test_pruned_matches_full_loop(self, monkeypatch, case, workers):
         # Skipping a point must never change a word: the centroids are the
         # full loop's, byte for byte, after as many iterations.
@@ -348,6 +347,10 @@ def _kmeans_cases():
     # 6 distinct points for k = 30: empty-cluster repairs, then a cycle
     cases["fewer distinct than k"] = (
         np.random.default_rng(16).normal(size=(6, 5))[np.arange(600) % 6], 30)
+    # a disc of points on the bisector of two centroids, split 6 ways: as the
+    # centroids drift, points come within a rounding of a tie between two of
+    # them, where a lower bound 3E too high skips a point whose word changes
+    cases["near ties"] = (_bisector_set(200, 2, 3)[0], 6)
     return cases
 
 
@@ -534,12 +537,7 @@ class TestEncode:
 
     def _descset(self, vectors, xs, ys):
         vectors = np.asarray(vectors, dtype=np.float64)
-        return DescriptorSet(
-            vectors=vectors,
-            x=np.asarray(xs),
-            y=np.asarray(ys),
-            scale=np.full(len(xs), 4),
-        )
+        return DescriptorSet(vectors=vectors, x=np.asarray(xs), y=np.asarray(ys))
 
     def test_toy_example_exact_bits(self):
         # 2 words, levels {1x1, 2x2}; one descriptor in the top-left
@@ -656,17 +654,12 @@ class TestVocabulary:
         assert np.array_equal(v1.levels[0].centroids, v2.levels[0].centroids)
 
     def test_subsample_cap_respected(self):
-        rng = np.random.default_rng(11)
-        pool = rng.normal(size=(5000, 8))
-        sub = subsample_rows(pool, 1200, seed=4)
-        assert sub.shape == (1200, 8)
-        rows_as_set = {tuple(r) for r in sub}
-        all_rows = {tuple(r) for r in pool}
-        assert rows_as_set <= all_rows
-        under = subsample_rows(pool[:100], 1200, seed=4)
-        assert np.array_equal(under, pool[:100])
+        ids = bovw._sample_ids(5000, 1200, seed=4)
+        assert ids.shape == (1200,)
+        assert np.all(np.diff(ids) > 0) and 0 <= ids[0] and ids[-1] < 5000  # distinct, sorted
+        assert np.array_equal(bovw._sample_ids(100, 1200, seed=4), np.arange(100))
         with pytest.raises(ValidationError):
-            subsample_rows(pool, -1, seed=4)
+            bovw._sample_ids(5000, -1, seed=4)
 
     @pytest.mark.parametrize("cap", [700, 5000])
     def test_build_vocab_equals_vocab_of_stacked_descriptors(self, cap):
@@ -676,11 +669,13 @@ class TestVocabulary:
         pyr = PyramidConfig(levels=(1, 2), vocab_sizes=(12, 8))
         stacked = np.vstack([dense_sift(img, sift).vectors for img in imgs])
         assert len(stacked) == 4 * 289
+        if len(stacked) > cap:
+            stacked = stacked[np.sort(np.random.default_rng([2, 17]).choice(len(stacked), cap,
+                                                                             replace=False))]
         got = build_vocab(imgs, sift, pyr, seed=2, subsample_cap=cap)
-        want = build_vocab_from_descriptors(stacked, sift, pyr, seed=2, subsample_cap=cap)
-        for lv, lv_want in zip(got.levels, want.levels):
-            assert lv.grid == lv_want.grid
-            assert lv.centroids.tobytes() == lv_want.centroids.tobytes()
+        assert [lv.grid for lv in got.levels] == [1, 2]
+        for li, (lv, k) in enumerate(zip(got.levels, pyr.vocab_sizes)):
+            assert lv.centroids.tobytes() == kmeans(stacked, k, seed=[2, 23, li]).tobytes()
 
     def test_build_vocab_keeps_only_the_sample(self):
         # Stacking every image's descriptors held 2x their bytes at once.
@@ -697,11 +692,11 @@ class TestVocabulary:
         assert peak < pooled_bytes / 2
 
     def _small_vocab(self):
-        rng = np.random.default_rng(12)
-        descs = rng.normal(size=(300, 16))
-        sift = DenseSiftConfig(bin_sizes=(4, 6), step=3)
+        descs = np.random.default_rng(12).normal(size=(300, 16))
         pyr = PyramidConfig(levels=(1, 2), vocab_sizes=(6, 4))
-        return build_vocab_from_descriptors(descs, sift, pyr, seed=5), pyr
+        levels = [VocabularyLevel(g, kmeans(descs, k, seed=[5, 23, li]))
+                  for li, (g, k) in enumerate(zip(pyr.levels, pyr.vocab_sizes))]
+        return Vocabulary(levels, DenseSiftConfig(bin_sizes=(4, 6), step=3)), pyr
 
     def test_save_load_roundtrip(self, tmp_path):
         vocab, pyr = self._small_vocab()
@@ -716,26 +711,9 @@ class TestVocabulary:
         # the loaded vocabulary encodes identically
         rng = np.random.default_rng(13)
         descs = DescriptorSet(rng.normal(size=(50, 16)), rng.integers(0, 32, 50),
-                              rng.integers(0, 32, 50), np.full(50, 4))
+                              rng.integers(0, 32, 50))
         assert np.array_equal(encode(descs, vocab, pyr, (32, 32)),
                               encode(descs, back, pyr, (32, 32)))
-
-    @staticmethod
-    def _pack_v1(vocab) -> bytes:
-        """A version-1 file: as version 2, plus the kd-forest settings block
-        (trees, leaf capacity, budget, top-variance dims, seed) that
-        version 1 kept after the level count."""
-        s = vocab.sift
-        blob = b"LLVB" + struct.pack("<II", 1, len(vocab.levels))
-        blob += struct.pack("<IIIIq", 4, 96, 512, 5, 7)
-        blob += struct.pack("<I", len(s.bin_sizes))
-        blob += struct.pack(f"<{len(s.bin_sizes)}I", *s.bin_sizes)
-        blob += struct.pack("<IIId", s.step, s.orientations, s.spatial_bins,
-                            s.contrast_threshold)
-        for lv in vocab.levels:
-            blob += struct.pack("<III", lv.grid, *lv.centroids.shape)
-            blob += lv.centroids.astype("<f8").tobytes()
-        return blob
 
     def test_centroids_are_read_only_and_search_form_is_neither_compared_nor_saved(self, tmp_path):
         vocab, pyr = self._small_vocab()
@@ -745,7 +723,7 @@ class TestVocabulary:
         save_vocab(vocab, tmp_path / "before.llvb")
         rng = np.random.default_rng(13)
         encode(DescriptorSet(rng.normal(size=(5, 16)), rng.integers(0, 32, 5),
-                             rng.integers(0, 32, 5), np.full(5, 4)), vocab, pyr, (32, 32))
+                             rng.integers(0, 32, 5)), vocab, pyr, (32, 32))
         assert "_search" in vars(level)  # derived once, on first use
         save_vocab(vocab, tmp_path / "after.llvb")
         assert (tmp_path / "after.llvb").read_bytes() == (tmp_path / "before.llvb").read_bytes()
@@ -753,14 +731,22 @@ class TestVocabulary:
         assert level == VocabularyLevel(level.grid, level.centroids)
         assert "_search" not in repr(level)
 
-    def test_loads_version_1(self, tmp_path):
+    def test_version_1_is_malformed(self, tmp_path, capsys):
+        # Only version 2 is written; version 1 also held a kd-forest block.
         vocab, _ = self._small_vocab()
-        (tmp_path / "v1.llvb").write_bytes(self._pack_v1(vocab))
-        back = load_vocab(tmp_path / "v1.llvb")
-        assert back.sift == vocab.sift
-        for lv, lv2 in zip(vocab.levels, back.levels):
-            assert lv.grid == lv2.grid
-            assert np.array_equal(lv.centroids, lv2.centroids)
+        path = tmp_path / "v1.llvb"
+        save_vocab(vocab, path)
+        path.write_bytes(path.read_bytes().replace(struct.pack("<4sI", b"LLVB", 2),
+                                                   struct.pack("<4sI", b"LLVB", 1), 1))
+        with pytest.raises(MalformedFile, match="unsupported vocabulary version 1$"):
+            load_vocab(path)
+        (tmp_path / "imgs").mkdir()
+        write_pgm(tmp_path / "imgs" / "a.pgm", np.zeros((32, 32), dtype=np.uint8))
+        assert cli_main(["encode", "--images", str(tmp_path / "imgs"), "--vocab", str(path),
+                         "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: MalformedFile: {path}: unsupported vocabulary version 1\n")
+        assert not (tmp_path / "out").exists()
 
     def test_nan_contrast_header_rejected(self, tmp_path):
         vocab, _ = self._small_vocab()
@@ -776,14 +762,14 @@ class TestVocabulary:
         vocab, _ = self._small_vocab()
         save_vocab(vocab, tmp_path / "v2.llvb")
         path = tmp_path / "cut.llvb"
-        for blob in ((tmp_path / "v2.llvb").read_bytes(), self._pack_v1(vocab)):
-            for length in range(len(blob)):
-                path.write_bytes(blob[:length])
-                with pytest.raises(MalformedFile):
-                    load_vocab(path)
-            path.write_bytes(blob + b"\0")
-            with pytest.raises(MalformedFile, match="trailing"):
+        blob = (tmp_path / "v2.llvb").read_bytes()
+        for length in range(len(blob)):
+            path.write_bytes(blob[:length])
+            with pytest.raises(MalformedFile):
                 load_vocab(path)
+        path.write_bytes(blob + b"\0")
+        with pytest.raises(MalformedFile, match="trailing"):
+            load_vocab(path)
 
     def test_flip_invariance_on_symmetric_image(self):
         # A horizontally symmetric image equals its flip, so the whole

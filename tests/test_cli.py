@@ -332,6 +332,38 @@ class TestBovwCommands:
         assert len(threads) == 2 and set(threads) == {threading.main_thread()}
 
 
+# (argv, error) of a bad setting per command; {d} is an image directory and
+# {g} a garbage file
+_BAD_SETTINGS = [
+    (["build-vocab", "--images", "{d}", "--config", "{g}", "--workers", "0"],
+     "workers must be >= 1, got 0"),
+    (["encode", "--images", "{d}", "--vocab", "{g}", "--workers", "0"],
+     "workers must be >= 1, got 0"),
+    (["train-global", "--features", "{g}", "--labels", "{g}", "-C", "-1"],
+     "C must be finite and positive, got -1.0"),
+    (["predict-local", "--train", "{g}", "--train-labels", "{g}", "--test", "{g}", "-k", "0"],
+     "k must be >= 1, got 0"),
+    (["predict-local", "--train", "{g}", "--train-labels", "{g}", "--test", "{g}",
+      "--workers", "0"], "workers must be >= 1, got 0"),
+    (["knn-baseline", "--train", "{g}", "--train-labels", "{g}", "--test", "{g}", "-k", "0"],
+     "k must be >= 1, got 0"),
+    *[(["dsd-train", "--features", "{g}", "--labels", "{g}", *flags], error) for flags, error in [
+        (["--schedule", "D1", "--batch", "0"], "batch size must be >= 1"),
+        (["--schedule", "S1@0.5"], "the first phase must be dense"),
+        (["--schedule", "D1", "--hidden", "-1"], "--hidden must be >= 0, got -1"),
+        (["--schedule", "D1", "--val-fraction", "0"], "--val-fraction must be in (0, 1), got 0.0"),
+        (["--schedule", "D1", "--flip-augment", "4by4"], "--flip-augment expects ROWSxCOLS"),
+        (["--schedule", "D1", "--flip-augment", "0x4"], "image sides must be >= 1, got 0x4"),
+    ]],
+    *[(["sensitivity-scan", "--model", "{g}", "--features", "{g}", "--labels", "{g}", *flags],
+       error) for flags, error in [
+        (["--rates", "x"], "--rates expects comma-separated numbers, got 'x'"),
+        (["--rates", "0.3,1.5"], "sparsity 1.5 outside [0, 1)"),
+        (["--threshold", "nan"], "threshold must be finite and >= 0, got nan"),
+    ]],
+]
+
+
 class TestMalformedInputExits2:
     def test_manifest_non_integer_dim(self, arcs_dataset, tmp_path, capsys):
         d, _ = arcs_dataset
@@ -537,6 +569,26 @@ class TestMalformedInputExits2:
                     "--out", tmp_path / "v.llvb"]) == 2
         assert capsys.readouterr().err == "error: ValidationError: workers must be >= 1, got 0\n"
         assert described == [] and not (tmp_path / "v.llvb").exists()
+
+    @pytest.mark.parametrize("argv, error", _BAD_SETTINGS,
+                             ids=[" ".join(a[:1] + a[-2:]) for a, _ in _BAD_SETTINGS])
+    def test_bad_setting_exits_2_before_any_file_is_read(self, tmp_path, capsys, monkeypatch,
+                                                         argv, error):
+        # Every input is garbage: reading one first would report its fault
+        # instead of the setting's.
+        (tmp_path / "imgs").mkdir()
+        for path in (tmp_path / "junk", tmp_path / "imgs" / "a.pgm"):
+            path.write_bytes(b"\0garbage\n")
+        read = []
+        for module, name in ((core, "load_features"), (core, "read_labels"), (core, "read_lines"),
+                             (bovw, "read_pgm"), (bovw, "load_vocab"), (dsd, "load_mlp")):
+            monkeypatch.setattr(module, name, lambda *a, _f=getattr(module, name), **k:
+                                read.append(a) or _f(*a, **k))
+        argv = [a.format(d=tmp_path / "imgs", g=tmp_path / "junk") for a in argv]
+        assert run([*argv, "--out", tmp_path / "out"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: ValidationError: {error}") and err.count("\n") == 1
+        assert read == [] and not (tmp_path / "out").exists()
 
     def test_negative_seed_rejected_by_configs(self):
         with pytest.raises(ValidationError, match="seed must be >= 0"):
