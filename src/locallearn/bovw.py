@@ -8,7 +8,10 @@ orientation assignment) on a regular grid at several bin sizes.  Low
 contrast descriptors are zeroed.  A window's spatial weight is the outer
 product of one 1-D profile (bin interpolation times the Gaussian) with
 itself, so its sums are separable: one along x, then one along y, over
-strided views of the orientation maps.  Each pyramid level owns a k-means
+strided views of the orientation maps.  A spatial bin's interpolation
+weight is a triangle of half-width bin_size, so each bin's sums run over
+its support, the at most 2 * bin_size taps where its weight is nonzero,
+and skip the exact zeros outside it.  Each pyramid level owns a k-means
 vocabulary; a cell's bit for a word is set iff some descriptor centered in
 the cell has that word as its nearest centroid at that level.
 
@@ -176,8 +179,10 @@ def _axis_weights(bin_size: int, n_bins: int) -> np.ndarray:
 def _window_grid(shape: tuple[int, ...], cfg: DenseSiftConfig) -> tuple:
     """The descriptor windows of an image of ``shape``, in ``dense_sift``'s
     order: per bin size, (bin size, row starts, column starts, axis
-    weights), then the x and y of every window's centre.  Cached per
-    (shape, config); the arrays are read-only."""
+    weights, supports), then the x and y of every window's centre.  A
+    spatial bin's support is the tap range [lo, hi) outside which its axis
+    weights are 0.0, at most 2 * bin size taps.  Cached per (shape,
+    config); the arrays are read-only."""
     if len(shape) != 2:
         raise ValidationError("image must be a 2-D grayscale array")
     h, w = shape
@@ -191,12 +196,14 @@ def _window_grid(shape: tuple[int, ...], cfg: DenseSiftConfig) -> tuple:
         side = cfg.spatial_bins * b
         starts_y = np.arange(0, h - side + 1, cfg.step)
         starts_x = np.arange(0, w - side + 1, cfg.step)
-        grid.append((b, starts_y, starts_x, _axis_weights(b, cfg.spatial_bins)))
+        axis = _axis_weights(b, cfg.spatial_bins)
+        supports = tuple((int(t[0]), int(t[-1]) + 1) for t in map(np.flatnonzero, axis))
+        grid.append((b, starts_y, starts_x, axis, supports))
         gy, gx = np.meshgrid(starts_y + side // 2, starts_x + side // 2, indexing="ij")
         xs.append(gx.ravel())
         ys.append(gy.ravel())
     centres = (np.concatenate(xs), np.concatenate(ys))
-    for array in [a for entry in grid for a in entry[1:]] + list(centres):
+    for array in [a for entry in grid for a in entry[1:4]] + list(centres):
         array.setflags(write=False)
     return tuple(grid), centres
 
@@ -207,34 +214,42 @@ def dense_sift(img: np.ndarray, cfg: DenseSiftConfig = DenseSiftConfig()) -> Des
     Descriptors are L2-normalized, clamped at 0.2, renormalized; windows
     with pre-normalization norm below the contrast threshold yield the
     zero vector.  Order: bin sizes in config order, then row-major grid.
-    The window sums run in numpy's own einsum loops, not in BLAS, whose
-    kernels differ by CPU in the last bits.  A NaN or infinite pixel raises
-    ``NonFiniteValue`` before any arithmetic.
+    Each spatial bin's separable sums run over its support alone, in
+    numpy's own einsum loops, not in BLAS, whose kernels differ by CPU in
+    the last bits.  A NaN or infinite pixel raises ``NonFiniteValue``
+    before any arithmetic.
     """
     img = np.asarray(img)
     grid, (xs, ys) = _window_grid(img.shape, cfg)
     img01 = img.astype(np.float64) / 255.0 if img.dtype == np.uint8 else img.astype(np.float64)
     check_finite(img01, "image: ")
     omaps = _orientation_maps(img01, cfg.orientations)
-    blocks = []
-    for b, starts_y, starts_x, axis in grid:
-        side = cfg.spatial_bins * b
-        n_windows = starts_y.size * starts_x.size
+    n_bins = cfg.spatial_bins
+    desc = np.empty((xs.size, cfg.descriptor_dim))  # a new array per call: workers share none
+    start = 0
+    for b, starts_y, starts_x, axis, supports in grid:
+        side = n_bins * b
+        ny, nx = starts_y.size, starts_x.size
         # No `optimize`: with it, einsum may hand a contraction to BLAS.
         cols = sliding_window_view(omaps, side, axis=2)[:, :, :: cfg.step]  # (O, H, nx, side)
-        across = np.einsum("oyxj,cj->oyxc", cols, axis)
+        across = np.empty(cols.shape[:3] + (n_bins,))
+        for c, (lo, hi) in enumerate(supports):
+            np.einsum("oyxj,j->oyx", cols[..., lo:hi], axis[c, lo:hi], out=across[..., c])
         rows = sliding_window_view(across, side, axis=1)[:, :: cfg.step]  # (O, ny, nx, c, side)
-        desc = np.einsum("oyxci,ri->yxrco", rows, axis).reshape(n_windows, cfg.descriptor_dim)
-        norms = np.linalg.norm(desc, axis=1)
-        low = norms < cfg.contrast_threshold
-        desc[low] = 0.0
-        keep = ~low
-        desc[keep] /= norms[keep, None]
-        np.minimum(desc, 0.2, out=desc)
-        renorm = np.linalg.norm(desc[keep], axis=1)
-        desc[keep] /= renorm[:, None]
-        blocks.append(desc)
-    return DescriptorSet(vectors=np.vstack(blocks), x=xs.copy(), y=ys.copy())
+        out = desc[start : start + ny * nx].reshape(ny, nx, n_bins, n_bins, cfg.orientations)
+        for r, (lo, hi) in enumerate(supports):
+            out[:, :, r] = np.einsum("oyxci,i->yxco", rows[..., lo:hi], axis[r, lo:hi])
+        start += ny * nx
+    norms = np.linalg.norm(desc, axis=1)
+    low = norms < cfg.contrast_threshold
+    desc[low] = 0.0
+    norms[low] = 1.0  # a zeroed row is divided by 1
+    desc /= norms[:, None]
+    np.minimum(desc, 0.2, out=desc)
+    renorm = np.linalg.norm(desc, axis=1)
+    renorm[low] = 1.0
+    desc /= renorm[:, None]
+    return DescriptorSet(vectors=desc, x=xs.copy(), y=ys.copy())
 
 
 def kmeans(

@@ -276,6 +276,9 @@ def cmd_dsd_train(args) -> int:
         raise ValidationError(f"--val-fraction must be in (0, 1), got {args.val_fraction}")
     if args.hidden < 0:
         raise ValidationError(f"--hidden must be >= 0, got {args.hidden}")
+    unknown = sorted(set(args.exclude or ()) - set(dsd.mlp_layer_names(2 if args.hidden else 1)))
+    if unknown:
+        raise ValidationError(f"--exclude names no layer of the model: {', '.join(unknown)}")
     matrix, label_map = _labeled_matrix(args.features, args.labels, args)
     if args.val_features is not None:
         val_matrix, _ = _labeled_matrix(args.val_features, args.val_labels, args, label_map)
@@ -292,9 +295,6 @@ def cmd_dsd_train(args) -> int:
         Xv, yv = matrix.values[val_rows], matrix.labels[val_rows]
     dims = [matrix.dim] + ([args.hidden] if args.hidden > 0 else []) + [label_map.n_classes]
     model = dsd.init_mlp(dims, seed=seed)
-    unknown = sorted(set(args.exclude or ()) - set(model.layer_names()))
-    if unknown:
-        raise ValidationError(f"--exclude names no layer of the model: {', '.join(unknown)}")
     logs = dsd.dsd_train(model, (Xt, yt), (Xv, yv), schedule, cfg, image_shape=image_shape)
     dsd.save_mlp(model, args.out)
     if args.log:

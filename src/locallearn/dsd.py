@@ -210,16 +210,21 @@ def _check_labels(X: np.ndarray, y: np.ndarray, what: str = "") -> None:
         raise ValidationError(f"{what}labels of shape {y.shape} do not match {X.shape[0]} rows")
 
 
+def mlp_layer_names(n_layers: int) -> list[str]:
+    """The names ``init_mlp`` gives the layers of an MLP with ``n_layers``."""
+    return [f"fc{i + 1}" for i in range(n_layers)]
+
+
 def init_mlp(dims: Sequence[int], seed: int = 0, std: float = 0.1) -> MlpModel:
     """Gaussian-initialized MLP; ``dims`` runs input, hidden..., classes."""
     if len(dims) < 2:
         raise ValidationError("dims must name at least input and output sizes")
     rng = np.random.default_rng(seed)
     layers = []
-    for i in range(len(dims) - 1):
+    for i, name in enumerate(mlp_layer_names(len(dims) - 1)):
         layers.append(
             Layer(
-                name=f"fc{i + 1}",
+                name=name,
                 W=rng.normal(0.0, std, (dims[i], dims[i + 1])),
                 b=np.zeros(dims[i + 1]),
             )

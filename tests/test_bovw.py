@@ -147,11 +147,14 @@ class TestDenseSift:
         assert len(descs) == 6 * 3
         assert descs.vectors.shape[1] == 128
 
-    @pytest.mark.parametrize("bin_sizes", [(4,), (4, 6, 8, 10)])
+    @pytest.mark.parametrize("bin_sizes", [(4,), (4, 6, 8, 10), (1, 3, 5)])
     @pytest.mark.parametrize("step", [1, 2, 3, 5])
-    @pytest.mark.parametrize("spatial_bins, orientations", [(2, 4), (2, 8), (4, 4), (4, 8)])
+    @pytest.mark.parametrize("spatial_bins, orientations",
+                             [(2, 4), (2, 8), (4, 4), (4, 8), (1, 8), (3, 4), (4, 1)])
     def test_matches_window_by_window_oracle(self, bin_sizes, step, spatial_bins, orientations):
-        # 53x61: w - side is not a multiple of every step.
+        # 53x61: w - side is not a multiple of every step.  Bin size 1 has
+        # one-tap supports, spatial_bins 1 a whole-window one, and odd bin
+        # sizes supports that end next to an exact zero.
         cfg = DenseSiftConfig(bin_sizes=bin_sizes, step=step, spatial_bins=spatial_bins,
                               orientations=orientations)
         rng = np.random.default_rng([step, spatial_bins, orientations, len(bin_sizes)])
@@ -164,6 +167,29 @@ class TestDenseSift:
             assert np.abs(got.vectors - vectors).max() <= 1e-12
             for a, b in ((got.x, x), (got.y, y)):
                 np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("spatial_bins", range(1, 7))
+    def test_supports_hold_every_nonzero_axis_weight(self, spatial_bins):
+        cfg = DenseSiftConfig(bin_sizes=tuple(range(1, 13)), spatial_bins=spatial_bins)
+        grid, _ = bovw._window_grid((72, 72), cfg)
+        for b, _, _, axis, supports in grid:
+            assert len(supports) == spatial_bins
+            for row, (lo, hi) in zip(axis, supports):
+                assert 0 <= lo < hi <= row.size and hi - lo <= 2 * b
+                assert row[lo] != 0.0 and row[hi - 1] != 0.0
+                assert not row[:lo].any() and not row[hi:].any()
+
+    def test_descriptors_never_share_a_buffer(self):
+        # `encode --workers` runs dense_sift in pool threads: a cached
+        # output array would be overwritten by another thread's image.
+        imgs = texture_corpus(4, size=48, seed=3)[0]
+        serial = [dense_sift(img).vectors for img in imgs]
+        with fan_out(4) as fan:
+            pooled = [d.vectors for d in fan(dense_sift, imgs)]
+        assert [v.tobytes() for v in pooled] == [v.tobytes() for v in serial]
+        for i, a in enumerate(serial + pooled):
+            for b in (serial + pooled)[i + 1:]:
+                assert not np.shares_memory(a, b)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

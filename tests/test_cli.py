@@ -354,6 +354,7 @@ _BAD_SETTINGS = [
         (["--schedule", "D1", "--val-fraction", "0"], "--val-fraction must be in (0, 1), got 0.0"),
         (["--schedule", "D1", "--flip-augment", "4by4"], "--flip-augment expects ROWSxCOLS"),
         (["--schedule", "D1", "--flip-augment", "0x4"], "image sides must be >= 1, got 0x4"),
+        (["--schedule", "D1", "--exclude", "fc3"], "--exclude names no layer of the model: fc3"),
     ]],
     *[(["sensitivity-scan", "--model", "{g}", "--features", "{g}", "--labels", "{g}", *flags],
        error) for flags, error in [
