@@ -29,8 +29,8 @@ tests and experiments.
 
 Images are 8-bit grayscale arrays; ``read_pgm``/``write_pgm`` handle the
 only supported container (binary PGM, P5).  The vocabulary serializes to
-a binary format: magic ``LLVB``, u32 version (2), u32 level count, the
-extraction settings, then per level u32 grid, u32 k, u32 dim and the
+a ``core.BinaryFile``: magic ``LLVB``, u32 version (2), u32 level count,
+the extraction settings, then per level u32 grid, u32 k, u32 dim and the
 centroid rows as little-endian f64.
 """
 
@@ -45,12 +45,13 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import check_finite, check_workers, fan_out
+from .core import BinaryFile, check_finite, check_workers, fan_out
 from .errors import DimMismatch, ImageTooSmall, LevelMismatch, MalformedFile, ValidationError
 
 VOCAB_MAGIC = b"LLVB"
 FULL_VOCAB_SIZES = (17000, 14000, 11000, 8000)
 DESK_VOCAB_SIZES = (100, 80, 60, 40)
+SUBSAMPLE_CAP = 200_000  # descriptors sampled for k-means, by default
 _CHUNK_BYTES = 16 * 2**20  # float32 distance block per chunk; 4,000 x 340 k-means rows fit one
 _U32 = 2.0**-24  # float32 unit roundoff
 _TINY32 = float(np.finfo(np.float32).tiny)
@@ -287,11 +288,12 @@ def kmeans(
     fewer distinct points than k).  The assignment step's row chunks are
     mapped by one ``core.fan_out(workers)`` per call; a word does not
     depend on the chunk that holds its row, so the outcome is the same at
-    any worker count.
+    any worker count.  A NaN or infinite point raises ``NonFiniteValue``.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[0] < 1:
         raise ValidationError("need a non-empty 2-D point set")
+    check_finite(points, "points: ")
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
     n = points.shape[0]
@@ -572,6 +574,12 @@ class Vocabulary:
             if not np.isfinite(lv.centroids).all():
                 raise ValidationError("vocabulary centroids must be finite")
 
+    @property
+    def pyramid(self) -> PyramidConfig:
+        """The pyramid the levels encode: each one's grid and word count."""
+        return PyramidConfig(tuple(lv.grid for lv in self.levels),
+                             tuple(lv.centroids.shape[0] for lv in self.levels))
+
 
 def _sample_ids(n: int, cap: int, seed) -> np.ndarray:
     """Sorted ids of a uniform without-replacement sample of ``cap`` of ``n``
@@ -589,7 +597,7 @@ def build_vocab(
     sift: DenseSiftConfig,
     pyramid: PyramidConfig,
     seed: int,
-    subsample_cap: int = 200_000,
+    subsample_cap: int = SUBSAMPLE_CAP,
     workers: int = 1,
 ) -> Vocabulary:
     """Cluster descriptors of all training images into one vocabulary per
@@ -640,16 +648,9 @@ def encode(
     its exact nearest centroid by the elementwise squared distance, ties
     to the lowest word id.
     """
-    if len(vocab.levels) != len(pyramid.levels):
-        raise LevelMismatch(
-            f"vocabulary has {len(vocab.levels)} levels, pyramid {len(pyramid.levels)}"
-        )
-    for lv, (grid, k) in zip(vocab.levels, zip(pyramid.levels, pyramid.vocab_sizes)):
-        if lv.grid != grid or lv.centroids.shape[0] != k:
-            raise LevelMismatch(
-                f"vocabulary level (grid {lv.grid}, k {lv.centroids.shape[0]}) does "
-                f"not match pyramid level (grid {grid}, k {k})"
-            )
+    if vocab.pyramid != pyramid:
+        raise LevelMismatch(f"vocabulary pyramid {vocab.pyramid} does not match {pyramid}")
+    for lv in vocab.levels:
         if lv.centroids.shape[1] != descriptors.vectors.shape[1]:
             raise DimMismatch(
                 f"descriptor dim {descriptors.vectors.shape[1]} vs vocabulary "
@@ -675,11 +676,8 @@ def encode(
 def save_vocab(vocab: Vocabulary, path) -> None:
     s = vocab.sift
     with open(path, "wb") as fh:
-        fh.write(VOCAB_MAGIC)
-        fh.write(struct.pack("<II", 2, len(vocab.levels)))
-        fh.write(struct.pack("<I", len(s.bin_sizes)))
-        for b in s.bin_sizes:
-            fh.write(struct.pack("<I", b))
+        fh.write(VOCAB_MAGIC + struct.pack(f"<III{len(s.bin_sizes)}I", 2, len(vocab.levels),
+                                           len(s.bin_sizes), *s.bin_sizes))
         fh.write(struct.pack("<IIId", s.step, s.orientations, s.spatial_bins,
                              s.contrast_threshold))
         for lv in vocab.levels:
@@ -689,31 +687,14 @@ def save_vocab(vocab: Vocabulary, path) -> None:
 
 
 def load_vocab(path) -> Vocabulary:
-    blob = Path(path).read_bytes()
-    if blob[:4] != VOCAB_MAGIC:
-        raise MalformedFile(f"{path}: bad vocabulary magic")
-    try:
-        version, n_levels = struct.unpack_from("<II", blob, 4)
-        if version != 2:
-            raise MalformedFile(f"{path}: unsupported vocabulary version {version}")
-        (n_bins,) = struct.unpack_from("<I", blob, 12)
-        off = 16
-        bin_sizes = struct.unpack_from(f"<{n_bins}I", blob, off)
-        off += 4 * n_bins
-        step, orient, sbins, contrast = struct.unpack_from("<IIId", blob, off)
-        off += struct.calcsize("<IIId")
-        sift = DenseSiftConfig(tuple(bin_sizes), step, orient, sbins, contrast)
+    with open(path, "rb") as fh:
+        f = BinaryFile(fh, path, "vocabulary", VOCAB_MAGIC, 2)
+        n_levels, n_bins = f.read("<II")
+        bin_sizes = f.read(f"<{n_bins}I")
+        sift = DenseSiftConfig(bin_sizes, *f.read("<IIId"))
         levels = []
         for _ in range(n_levels):
-            grid, k, dim = struct.unpack_from("<III", blob, off)
-            off += 12
-            if len(blob) - off < 8 * k * dim:
-                raise MalformedFile(f"{path}: truncated vocabulary centroid block")
-            cents = np.frombuffer(blob, dtype="<f8", count=k * dim, offset=off)
-            off += k * dim * 8
-            levels.append(VocabularyLevel(grid, cents.reshape(k, dim).copy()))
-    except struct.error as exc:
-        raise MalformedFile(f"{path}: truncated vocabulary file: {exc}")
-    if off != len(blob):
-        raise MalformedFile(f"{path}: {len(blob) - off} trailing bytes")
+            grid, k, dim = f.read("<III")
+            levels.append(VocabularyLevel(grid, f.floats(k * dim).reshape(k, dim)))
+        f.end()
     return Vocabulary(levels=levels, sift=sift)

@@ -88,14 +88,23 @@ def cmd_ingest(args) -> int:
     return 0
 
 
-_BOVW_KEYS = ("levels", "vocab", "bin-sizes", "step", "contrast-threshold", "subsample-cap")
+def _ints(text: str) -> tuple[int, ...]:
+    return tuple(int(v) for v in text.split(","))
+
+
+# config key -> (the setting it gives, how its value is parsed)
+_BOVW_KEYS = {"bin-sizes": ("bin_sizes", _ints), "step": ("step", int),
+              "contrast-threshold": ("contrast_threshold", float),
+              "levels": ("levels", _ints), "vocab": ("vocab_sizes", _ints),
+              "subsample-cap": ("cap", int)}
 
 
 def _read_bovw_config(path) -> tuple[bovw.DenseSiftConfig, bovw.PyramidConfig, int]:
-    """Key-value config for build-vocab: levels, vocab, bin-sizes, step,
-    contrast-threshold, subsample-cap.  Returns the SIFT and pyramid
-    settings and the subsample cap."""
-    values: dict[str, str] = {}
+    """The SIFT and pyramid settings and the subsample cap of a build-vocab
+    config: the keys given, over the defaults of ``DenseSiftConfig``,
+    ``PyramidConfig`` and ``build_vocab``.  A value that fails alone names
+    its line; a fault between keys (levels against vocab) names the file."""
+    given: dict[str, object] = {}
     for lineno, raw in enumerate(core.read_lines(path), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -105,28 +114,24 @@ def _read_bovw_config(path) -> tuple[bovw.DenseSiftConfig, bovw.PyramidConfig, i
             raise MalformedFile(f"{path}:{lineno}: expected 'key value'")
         if parts[0] not in _BOVW_KEYS:
             raise MalformedFile(f"{path}:{lineno}: unknown key {parts[0]!r}")
-        if parts[0] in values:
+        name, parse = _BOVW_KEYS[parts[0]]
+        if name in given:
             raise MalformedFile(f"{path}:{lineno}: duplicate key {parts[0]!r}")
-        values[parts[0]] = parts[1].strip()
-
-    def ints(key, default):
-        return tuple(int(v) for v in values[key].split(",")) if key in values else default
-
+        try:
+            given[name] = value = parse(parts[1].strip())
+            if name == "cap" and value < 1:
+                raise ValidationError(f"subsample cap must be >= 1, got {value}")
+            elif name in ("levels", "vocab_sizes"):
+                bovw.PyramidConfig(value, value)  # checks this one tuple alone
+            elif name != "cap":
+                bovw.DenseSiftConfig(**{name: value})
+        except (ValueError, ValidationError) as exc:
+            raise MalformedFile(f"{path}:{lineno}: {parts[0]}: {exc}")
+    cap = given.pop("cap", bovw.SUBSAMPLE_CAP)
+    pyramid = {k: given.pop(k) for k in ("levels", "vocab_sizes") if k in given}
     try:
-        sift = bovw.DenseSiftConfig(
-            bin_sizes=ints("bin-sizes", (4, 6, 8, 10)),
-            step=int(values.get("step", "2")),
-            contrast_threshold=float(values.get("contrast-threshold", "0.005")),
-        )
-        pyramid = bovw.PyramidConfig(
-            levels=ints("levels", (1, 2, 3, 4)),
-            vocab_sizes=ints("vocab", bovw.FULL_VOCAB_SIZES),
-        )
-        cap = int(values.get("subsample-cap", "200000"))
-        if cap < 1:
-            raise ValidationError(f"subsample cap must be >= 1, got {cap}")
-        return sift, pyramid, cap
-    except (ValueError, ValidationError) as exc:
+        return bovw.DenseSiftConfig(**given), bovw.PyramidConfig(**pyramid), cap
+    except ValidationError as exc:
         raise MalformedFile(f"{path}: {exc}")
 
 
@@ -154,10 +159,7 @@ def cmd_build_vocab(args) -> int:
 def cmd_encode(args) -> int:
     core.check_workers(args.workers)
     vocab = bovw.load_vocab(args.vocab)
-    pyramid = bovw.PyramidConfig(
-        levels=tuple(lv.grid for lv in vocab.levels),
-        vocab_sizes=tuple(lv.centroids.shape[0] for lv in vocab.levels),
-    )
+    pyramid = vocab.pyramid  # a vocabulary without one fails before any image is read
     ids, images = _image_dir(args.images)
 
     def one(img):

@@ -6,9 +6,9 @@ robustly.  Both round-trip bit-exactly:
 
 * text: first line ``#locallearn-features v1 dim=<D>``, then one
   ``sample_id,v1,...,vD`` line per sample.  UTF-8, LF line endings.
-* binary: magic ``LLFB``, u32 version=1, u32 dim, u64 n_samples, then per
-  sample a u16 id length, the UTF-8 id bytes, and D f64 values.  All
-  integers and floats little-endian.
+* binary, a ``BinaryFile`` as vocabulary and MLP files are: magic
+  ``LLFB``, u32 version=1, u32 dim, u64 n_samples, then per sample a u16
+  id length, the UTF-8 id bytes, and D f64 values, all little-endian.
 
 ``FeatureRows`` reads either format one row at a time; ``load_features``
 and fusion both read through it.  A file's rows and a ``FeatureMatrix``'s
@@ -204,6 +204,57 @@ class FeatureMatrix:
         return f"FeatureMatrix(n={self.n_samples}, dim={self.dim}, {has_labels})"
 
 
+class BinaryFile:
+    """An open container ``fh`` of a ``kind`` file at ``path``, read field
+    by field after its magic and u32 version.  Each read checks its length
+    against the bytes left first, and every fault names the file."""
+
+    def __init__(self, fh, path, kind: str, magic: bytes, version: int):
+        self.fh, self.path, self.kind = fh, path, kind
+        self.size = os.fstat(fh.fileno()).st_size
+        if fh.read(len(magic)) != magic:
+            raise MalformedFile(f"{path}: bad {kind} magic")
+        (got,) = self.read("<I")
+        if got != version:
+            raise MalformedFile(f"{path}: unsupported {kind} version {got}")
+
+    def need(self, size: int, what: str) -> None:
+        if size > self.size - self.fh.tell():
+            raise MalformedFile(f"{self.path}: {what}, more than the file holds")
+
+    def _take(self, size: int) -> bytes:
+        self.need(size, f"truncated {self.kind} file: {size} bytes asked for")
+        return self.fh.read(size)
+
+    def read(self, fmt: str) -> tuple:
+        return struct.unpack(fmt, self._take(struct.calcsize(fmt)))
+
+    def floats(self, count: int) -> np.ndarray:
+        """``count`` little-endian f64 values, in a new writable array."""
+        return np.frombuffer(self._take(8 * count), dtype="<f8").copy()
+
+    def text(self, what: str) -> str:
+        raw = self._take(*self.read("<H"))
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise MalformedFile(f"{self.path}: {what} is not UTF-8: {exc}")
+
+    def end(self) -> None:
+        trailing = self.size - self.fh.tell()
+        if trailing:
+            raise MalformedFile(f"{self.path}: {trailing} trailing bytes")
+
+    @staticmethod
+    def packed_text(text: str, what: str) -> bytes:
+        """The u16-length UTF-8 string ``text`` reads; over 65,535 bytes is
+        a ValidationError."""
+        raw = text.encode("utf-8")
+        if len(raw) > 0xFFFF:
+            raise ValidationError(f"{what} too long: {text[:32]!r}...")
+        return struct.pack("<H", len(raw)) + raw
+
+
 def save_features(matrix: FeatureMatrix, path, fmt: str = "text") -> None:
     """Write a feature file in the text or binary format."""
     path = Path(path)
@@ -214,14 +265,9 @@ def save_features(matrix: FeatureMatrix, path, fmt: str = "text") -> None:
                 fh.write(sid + "," + ",".join(repr(v) for v in row.tolist()) + "\n")
     elif fmt == "binary":
         with open(path, "wb") as fh:
-            fh.write(BINARY_MAGIC)
-            fh.write(struct.pack("<IIQ", 1, matrix.dim, matrix.n_samples))
+            fh.write(BINARY_MAGIC + struct.pack("<IIQ", 1, matrix.dim, matrix.n_samples))
             for sid, row in zip(matrix.sample_ids, matrix.values):
-                raw = sid.encode("utf-8")
-                if len(raw) > 0xFFFF:
-                    raise ValidationError(f"sample id too long: {sid[:32]!r}...")
-                fh.write(struct.pack("<H", len(raw)))
-                fh.write(raw)
+                fh.write(BinaryFile.packed_text(sid, "sample id"))
                 fh.write(row.astype("<f8").tobytes())
     else:
         raise ValidationError(f"unknown feature format {fmt!r}")
@@ -283,14 +329,10 @@ class FeatureRows:
         return _checked_rows(self._rows(), self.path)
 
     def _binary_header(self) -> tuple[int, int]:
-        head = self._fh.read(struct.calcsize("<IIQ"))
-        if len(head) < struct.calcsize("<IIQ"):
-            raise MalformedFile(f"{self.path}: truncated binary header")
-        version, dim, n = struct.unpack("<IIQ", head)
-        if version != 1:
-            raise MalformedFile(f"{self.path}: unsupported binary version {version}")
-        if n * (2 + 8 * dim) > os.fstat(self._fh.fileno()).st_size - self._fh.tell():
-            raise MalformedFile(f"{self.path}: header names {n} samples, more than the file holds")
+        self._fh.seek(0)
+        self._binary = BinaryFile(self._fh, self.path, "binary feature", BINARY_MAGIC, 1)
+        dim, n = self._binary.read("<IQ")
+        self._binary.need(n * (2 + 8 * dim), f"header names {n} samples")
         return dim, n
 
     def _binary_rows(self):
@@ -308,9 +350,7 @@ class FeatureRows:
             except UnicodeDecodeError as exc:
                 raise MalformedFile(f"{path}: sample {i} id is not UTF-8: {exc}")
             yield sid, values
-        trailing = os.fstat(fh.fileno()).st_size - fh.tell()
-        if trailing:
-            raise MalformedFile(f"{path}: {trailing} trailing bytes")
+        self._binary.end()
 
     def _text_lines(self):
         """(line number, line) from the start of the file, split as

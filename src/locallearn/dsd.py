@@ -14,18 +14,18 @@ measures validation accuracy so ``select_rates`` can pick, per layer, the
 highest rate whose accuracy drop stays within a threshold (layers failing
 every rate are excluded from pruning).
 
-Models serialize to a small binary container (magic ``LLMB``).
+Models serialize to a ``core.BinaryFile`` (magic ``LLMB``).
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
+from .core import BinaryFile
 from .errors import DimMismatch, MalformedFile, NonFiniteGradient, ValidationError
 
 MODEL_MAGIC = b"LLMB"
@@ -171,7 +171,7 @@ class MlpModel:
 
     def accuracy(self, X: np.ndarray, y: np.ndarray) -> float:
         y = np.asarray(y)
-        _check_labels(np.asarray(X), y)
+        _check_labels(self, np.asarray(X), y)
         return float(np.mean(self.predict(X) == y))
 
     def loss_and_grads(self, X: np.ndarray, y: np.ndarray):
@@ -204,10 +204,14 @@ class MlpModel:
         }
 
 
-def _check_labels(X: np.ndarray, y: np.ndarray, what: str = "") -> None:
-    """``ValidationError`` unless ``y`` is one label per row of ``X``."""
+def _check_labels(model: MlpModel, X: np.ndarray, y: np.ndarray, what: str = "") -> None:
+    """``ValidationError`` unless ``y`` is one class id per row of ``X``,
+    each below the model's output width."""
     if y.shape != X.shape[:1]:
         raise ValidationError(f"{what}labels of shape {y.shape} do not match {X.shape[0]} rows")
+    width = model.layers[-1].W.shape[1]
+    if y.size and (y.min() < 0 or y.max() >= width):
+        raise ValidationError(f"{what}labels must be class ids in [0, {width})")
 
 
 def mlp_layer_names(n_layers: int) -> list[str]:
@@ -357,9 +361,9 @@ def dsd_train(
     n = X.shape[0]
     if n == 0:
         raise ValidationError("training set is empty")
-    _check_labels(X, y, "training ")
+    _check_labels(model, X, y, "training ")
     Xv, yv = val
-    _check_labels(np.asarray(Xv), np.asarray(yv), "validation ")
+    _check_labels(model, np.asarray(Xv), np.asarray(yv), "validation ")
     if np.asarray(yv).size == 0:
         raise ValidationError("validation set is empty")
     n_draw = n
@@ -463,46 +467,21 @@ def select_rates(table: SensitivityTable, max_drop_points: float = 0.5) -> dict[
 
 def save_mlp(model: MlpModel, path) -> None:
     with open(path, "wb") as fh:
-        fh.write(MODEL_MAGIC)
-        fh.write(struct.pack("<II", 1, len(model.layers)))
+        fh.write(MODEL_MAGIC + struct.pack("<II", 1, len(model.layers)))
         for layer in model.layers:
-            raw = layer.name.encode("utf-8")
-            fh.write(struct.pack("<H", len(raw)))
-            fh.write(raw)
+            fh.write(BinaryFile.packed_text(layer.name, "layer name"))
             fh.write(struct.pack("<II", *layer.W.shape))
             fh.write(layer.W.astype("<f8").tobytes())
             fh.write(layer.b.astype("<f8").tobytes())
 
 
 def load_mlp(path) -> MlpModel:
-    blob = Path(path).read_bytes()
-    if blob[:4] != MODEL_MAGIC:
-        raise MalformedFile(f"{path}: bad model magic")
-    try:
-        version, n_layers = struct.unpack_from("<II", blob, 4)
-        if version != 1:
-            raise MalformedFile(f"{path}: unsupported model version {version}")
-        off = 12
+    with open(path, "rb") as fh:
+        f = BinaryFile(fh, path, "model", MODEL_MAGIC, 1)
         layers = []
-        for _ in range(n_layers):
-            (name_len,) = struct.unpack_from("<H", blob, off)
-            off += 2
-            try:
-                name = blob[off : off + name_len].decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise MalformedFile(f"{path}: layer name is not UTF-8: {exc}")
-            off += name_len
-            rows, cols = struct.unpack_from("<II", blob, off)
-            off += 8
-            if len(blob) - off < 8 * (rows + 1) * cols:
-                raise MalformedFile(f"{path}: truncated weights of layer {name!r}")
-            W = np.frombuffer(blob, dtype="<f8", count=rows * cols, offset=off)
-            off += rows * cols * 8
-            b = np.frombuffer(blob, dtype="<f8", count=cols, offset=off)
-            off += cols * 8
-            layers.append(Layer(name, W.reshape(rows, cols).copy(), b.copy()))
-    except struct.error as exc:
-        raise MalformedFile(f"{path}: truncated model file: {exc}")
-    if off != len(blob):
-        raise MalformedFile(f"{path}: {len(blob) - off} trailing bytes")
+        for _ in range(*f.read("<I")):
+            name = f.text("layer name")
+            rows, cols = f.read("<II")
+            layers.append(Layer(name, f.floats(rows * cols).reshape(rows, cols), f.floats(cols)))
+        f.end()
     return MlpModel(layers)

@@ -94,10 +94,10 @@ def run_pipeline(
     truth = label_map.named(test.sample_ids, test.labels)
 
     t_global = time.perf_counter()
-    ova, infos = train_ova(train.values, train.labels, svm_cfg, n_classes=label_map.n_classes,
+    ova, infos = train_ova(train, train.labels, svm_cfg, n_classes=label_map.n_classes,
                            class_names=label_map.names, return_infos=True)
     global_train_s = time.perf_counter() - t_global
-    global_pred = predict_ova_batch(ova, test.values)
+    global_pred = predict_ova_batch(ova, test)
 
     local_pred, knn_pred, timing = local_predict_batch(train, test, local_cfg, workers=workers)
 

@@ -39,7 +39,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import FeatureMatrix, read_lines
+from .core import FeatureMatrix, check_finite, read_lines
 from .errors import (
     DimMismatch,
     MalformedFile,
@@ -83,11 +83,13 @@ class SvmConfig:
 
 
 def _as_values(X) -> np.ndarray:
+    """X's rows; a 2-D array's NaN or infinity is ``NonFiniteValue``."""
     if isinstance(X, FeatureMatrix):
         return X.values
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ValidationError("X must be 2-D")
+    check_finite(X)
     return X
 
 
@@ -406,8 +408,8 @@ def train_ova(
 
 
 def train_ova_rows(X, labels, rows, cfg: SvmConfig, K: np.ndarray | None = None) -> tuple[OvaModel, list[dict]]:
-    """The OvA model of the given rows of X (an index array, or a slice),
-    with the solver info of each of its binary problems.
+    """The OvA model of the given rows (an index array, or a slice) of X, a
+    float64 array not checked here, with the solver info of each problem.
 
     The rows enter the problems in the order given, so every row in order
     trains exactly what ``train_ova`` does.  A single-class row set gets
@@ -415,15 +417,15 @@ def train_ova_rows(X, labels, rows, cfg: SvmConfig, K: np.ndarray | None = None)
     rows' Gram matrix (a block of a wider ``gram`` product) and replaces
     their own.
     """
-    Xv, labels = _as_values(X), np.asarray(labels, dtype=np.int64)[rows]
+    labels = np.asarray(labels, dtype=np.int64)[rows]
     classes = np.unique(labels)
     if classes.size == 1:
-        W, b, infos = np.zeros((1, Xv.shape[1])), np.zeros(1), []
+        W, b, infos = np.zeros((1, X.shape[1])), np.zeros(1), []
     else:
         # Two classes pose one dual (y -> -y leaves (y y')K alone): solve
         # for the second, and the first's weights are the negation.
         solved = classes[1:] if classes.size == 2 else classes
-        W, b, _, infos = _solve_rows(Xv, rows, np.where(labels == solved[:, None], 1.0, -1.0), cfg, K)
+        W, b, _, infos = _solve_rows(X, rows, np.where(labels == solved[:, None], 1.0, -1.0), cfg, K)
         if classes.size == 2:
             W, b, infos = np.vstack([-W, W]), np.append(-b, b), infos * 2
     return OvaModel(classes, W, b, int(classes.max()) + 1), infos

@@ -257,6 +257,16 @@ class TestKmeans:
         cents = kmeans(pts, 6, seed=0)
         assert sorted(map(tuple, cents.tolist())) == sorted(map(tuple, pts.tolist()))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("k", [2, 3])  # k-means++ draws, and k covering the points
+    def test_non_finite_point_names_its_row_and_column(self, bad, k):
+        # A NaN or infinity escaped from the k-means++ draw as a raw ValueError.
+        points = np.array([[1.0, 1.0], [2.0, 2.0], [0.0, 0.0]])
+        points[2, 1] = bad
+        with pytest.raises(NonFiniteValue, match="non-finite value at row 2, col 1") as exc:
+            kmeans(points, k, seed=0)
+        assert (exc.value.row, exc.value.col) == (2, 1)
+
     def test_workers_below_one_rejected_where_k_covers_points(self):
         with pytest.raises(ValidationError, match="workers must be >= 1, got 0"):
             kmeans(np.eye(4), 5, seed=0, workers=0)
@@ -740,6 +750,17 @@ class TestVocabulary:
                               rng.integers(0, 32, 50))
         assert np.array_equal(encode(descs, vocab, pyr, (32, 32)),
                               encode(descs, back, pyr, (32, 32)))
+
+    def test_pyramid_is_derived_from_the_levels(self):
+        vocab, pyr = self._small_vocab()
+        assert vocab.pyramid == pyr
+        with pytest.raises(AttributeError):
+            vocab.pyramid = PyramidConfig()
+        descs = DescriptorSet(np.zeros((1, 16)), np.zeros(1, int), np.zeros(1, int))
+        for other in (PyramidConfig((1, 3), (6, 4)), PyramidConfig((1, 2), (6, 5)),
+                      PyramidConfig((1,), (6,))):
+            with pytest.raises(LevelMismatch, match="does not match"):
+                encode(descs, vocab, other, (32, 32))
 
     def test_centroids_are_read_only_and_search_form_is_neither_compared_nor_saved(self, tmp_path):
         vocab, pyr = self._small_vocab()

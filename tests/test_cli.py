@@ -1,11 +1,12 @@
 import argparse
+import inspect
 import threading
 import warnings
 
 import numpy as np
 import pytest
 
-from locallearn import bovw, core, dsd, pipeline, svm
+from locallearn import bovw, cli, core, dsd, pipeline, svm
 from locallearn.cli import build_parser, main
 from locallearn.errors import ValidationError
 from locallearn.synth import gaussian_blobs, texture_corpus, two_arcs
@@ -283,6 +284,18 @@ class TestBovwCommands:
         assert err.startswith("error: ImageTooSmall: ") and err.count("\n") == 1
         assert not (tmp_path / "out.fv").exists()
 
+    def test_vocab_without_levels_exits_2_before_any_image_is_read(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        vocab = tmp_path / "v.llvb"
+        bovw.save_vocab(bovw.Vocabulary([], bovw.DenseSiftConfig()), vocab)
+        bovw.write_pgm(tmp_path / "a.pgm", texture_corpus(1, size=32, seed=0)[0][0])
+        read = []
+        monkeypatch.setattr(bovw, "read_pgm", lambda *a: read.append(a))
+        assert run(["encode", "--images", tmp_path, "--vocab", vocab,
+                    "--out", tmp_path / "out.fv"]) == 2
+        assert capsys.readouterr().err == "error: ValidationError: pyramid needs at least one level\n"
+        assert read == [] and not (tmp_path / "out.fv").exists()
+
     @pytest.mark.parametrize("line,detail", [
         ("vocab-size 5", ":3: unknown key 'vocab-size'"),
         ("trees 1", ":3: unknown key 'trees'"),
@@ -307,8 +320,32 @@ class TestBovwCommands:
         assert run(["build-vocab", "--images", img_dir, "--config", cfg,
                     "--out", tmp_path / "v.llvb"]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: MalformedFile: {cfg}") and detail in err
+        assert err.startswith(f"error: MalformedFile: {cfg}:3: ") and detail in err
         assert described == [] and not (tmp_path / "v.llvb").exists()
+
+    @pytest.mark.parametrize("text,detail", [
+        ("levels 1,2\nvocab 5\n", "levels and vocab_sizes lengths differ"),
+        ("levels 1,2\n", "levels and vocab_sizes lengths differ"),
+    ])
+    def test_fault_between_keys_names_the_file(self, tmp_path, capsys, text, detail):
+        cfg = tmp_path / "bovw.conf"
+        cfg.write_text(text)
+        (tmp_path / "imgs").mkdir()
+        assert run(["build-vocab", "--images", tmp_path / "imgs", "--config", cfg,
+                    "--out", tmp_path / "v.llvb"]) == 2
+        assert capsys.readouterr().err == f"error: MalformedFile: {cfg}: {detail}\n"
+
+    def test_config_keys_override_the_library_defaults_alone(self, tmp_path):
+        cfg = tmp_path / "bovw.conf"
+        cfg.write_text("# nothing set\n")
+        assert cli._read_bovw_config(cfg) == (
+            bovw.DenseSiftConfig(), bovw.PyramidConfig(), bovw.SUBSAMPLE_CAP)
+        cap = inspect.signature(bovw.build_vocab).parameters["subsample_cap"].default
+        assert cap == bovw.SUBSAMPLE_CAP
+        cfg.write_text("step 3\nvocab 9,8,7,6\n")
+        assert cli._read_bovw_config(cfg) == (
+            bovw.DenseSiftConfig(step=3), bovw.PyramidConfig(vocab_sizes=(9, 8, 7, 6)),
+            bovw.SUBSAMPLE_CAP)
 
     def test_encode_one_worker_stays_in_main_thread(self, tmp_path, monkeypatch):
         img_dir = tmp_path / "imgs"

@@ -312,6 +312,24 @@ class TestDsdTrain:
             dsd_train(model, train, (Xv[:0], yv[:0]), parse_schedule("D4"), cfg)
         assert np.array_equal(model.layers[0].W, before)
 
+    @pytest.mark.parametrize("case", ["train-above", "train-negative", "val-above", "scan-above"])
+    def test_class_ids_outside_the_output_width_rejected(self, case):
+        # With 2 outputs, training ids up to 7 raised a raw IndexError,
+        # negative ones trained on the last class, and out-of-range
+        # validation or scan ids only scored as misses.
+        rng = np.random.default_rng(14)
+        X, y = rng.normal(size=(10, 6)), np.tile([0, 1], 5)
+        bad = {"train-above": np.arange(10) % 8, "train-negative": y - 1}.get(case, y + 1)
+        model = init_mlp([6, 2], seed=1)
+        before = model.layers[0].W.copy()
+        with pytest.raises(ValidationError, match=r"labels must be class ids in \[0, 2\)"):
+            if case == "scan-above":
+                sensitivity_scan(model, X, bad)
+            else:
+                train, val = ((X, bad), (X, y)) if case.startswith("train") else ((X, y), (X, bad))
+                dsd_train(model, train, val, parse_schedule("D1"), TrainerConfig(batch_size=4))
+        assert np.array_equal(model.layers[0].W, before)
+
     @pytest.mark.parametrize("n_labels", [1, 7, 11])
     def test_accuracy_rejects_label_length_mismatch(self, n_labels):
         model = init_mlp([6, 2], seed=1)
@@ -404,3 +422,12 @@ class TestModelIO:
         (tmp_path / "m.llmb").write_bytes(b"JUNK")
         with pytest.raises(MalformedFile):
             load_mlp(tmp_path / "m.llmb")
+
+    def test_layer_name_over_65535_bytes_is_validation_error(self, tmp_path):
+        model = init_mlp([2, 2], seed=0)
+        model.layers[0].name = "n" * 65_536
+        with pytest.raises(ValidationError, match="layer name too long"):
+            save_mlp(model, tmp_path / "m.llmb")
+        model.layers[0].name = "é" * 32_767  # 65,534 bytes: the longest that fits
+        save_mlp(model, tmp_path / "m.llmb")
+        assert load_mlp(tmp_path / "m.llmb").layer_names() == [model.layers[0].name]

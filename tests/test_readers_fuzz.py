@@ -92,15 +92,33 @@ with tempfile.TemporaryDirectory() as _tmp:
     SEEDS = {name: (Path(_tmp) / file).read_bytes() for name, (file, _, _) in READERS.items()}
 
 
+def _mlp(*layers) -> bytes:
+    """An LLMB v1 file of ``(name bytes, rows, cols, f64 values)`` layers."""
+    blob = b"LLMB" + struct.pack("<II", 1, len(layers))
+    for name, rows, cols, values in layers:
+        blob += (struct.pack("<H", len(name)) + name + struct.pack("<II", rows, cols)
+                 + np.asarray(values, dtype="<f8").tobytes())
+    return blob
+
+
 def _mlp_layer(name: bytes, rows: int, cols: int, n_values: int) -> bytes:
-    return (b"LLMB" + struct.pack("<II", 1, 1) + struct.pack("<H", len(name)) + name
-            + struct.pack("<II", rows, cols) + bytes(8 * n_values))
+    return _mlp((name, rows, cols, np.zeros(n_values)))
+
+
+def _vocab(bin_sizes, settings, levels) -> bytes:
+    """An LLVB v2 file: SIFT ``bin_sizes``, then ``settings`` (step,
+    orientations, spatial bins, contrast threshold), then ``(grid,
+    centroids)`` levels."""
+    blob = (b"LLVB" + struct.pack("<III", 2, len(levels), len(bin_sizes))
+            + struct.pack(f"<{len(bin_sizes)}I", *bin_sizes) + struct.pack("<IIId", *settings))
+    for grid, centroids in levels:
+        blob += struct.pack("<III", grid, *centroids.shape) + centroids.astype("<f8").tobytes()
+    return blob
 
 
 def _vocab_with_contrast(contrast: float) -> bytes:
     """A one-level LLVB v2 file whose SIFT settings carry ``contrast``."""
-    return (b"LLVB" + struct.pack("<III", 2, 1, 1) + struct.pack("<I", 4)
-            + struct.pack("<IIId", 4, 8, 4, contrast) + struct.pack("<III", 1, 1, 2) + bytes(16))
+    return _vocab((4,), (4, 8, 4, contrast), [(1, np.zeros((1, 2)))])
 
 
 # Malformed inputs that once escaped as raw exceptions (exit 1 at the CLI).
@@ -163,6 +181,8 @@ def fuzz_file(tmp_path_factory):
 @example(case=("vocab", _vocab_with_contrast(np.nan)))  # loaded, then NaN descriptors
 @example(case=("mlp", REGRESSIONS["mlp"]))  # W block cut short
 @example(case=("mlp", _mlp_layer(b"\xff", 1, 1, 2)))  # layer name not UTF-8
+@example(case=("mlp", _mlp_layer(b"fc1", 2**32 - 1, 2**32 - 1, 0)))  # 2^64 weights asked for
+@example(case=("vocab", b"LLVB" + struct.pack("<III", 2, 1, 2**32 - 1)))  # 2^32 bin sizes asked for
 @example(case=("pgm", REGRESSIONS["pgm"]))
 @example(case=("bovw-conf", b"levels 1\n\xff\n"))
 def test_malformed_bytes_raise_only_validation_errors(fuzz_file, case):
@@ -296,3 +316,31 @@ def test_split_id_no_source_has(tmp_path, capsys):
         assert err.startswith("error: IdMismatch: ") and err.count("\n") == 1, err
         assert str(tmp_path / "f.bin") in err
         assert not (tmp_path / "out").exists()
+
+
+# Every writer's bytes equal the hand packers' for the same content, with
+# multi-byte UTF-8 ids and names, so no refactor of a writer moves a byte.
+def test_binary_feature_writer_bytes(tmp_path):
+    ids, rows = ["a", "é", "日本", "x\U0001d11e"], np.random.default_rng(3).normal(size=(4, 3))
+    core.save_features(core.FeatureMatrix(rows, ids), tmp_path / "f.bin", fmt="binary")
+    assert (tmp_path / "f.bin").read_bytes() == _binary(ids, rows)
+
+
+def test_vocab_writer_bytes(tmp_path):
+    rng = np.random.default_rng(4)
+    levels = [(1, rng.normal(size=(3, 4))), (3, rng.normal(size=(2, 4)))]
+    sift = bovw.DenseSiftConfig(bin_sizes=(4, 7, 9), step=3, orientations=6, spatial_bins=2,
+                                contrast_threshold=0.0125)
+    bovw.save_vocab(bovw.Vocabulary([bovw.VocabularyLevel(*lv) for lv in levels], sift),
+                    tmp_path / "v.llvb")
+    assert (tmp_path / "v.llvb").read_bytes() == _vocab((4, 7, 9), (3, 6, 2, 0.0125), levels)
+
+
+def test_mlp_writer_bytes(tmp_path):
+    model = dsd.init_mlp([3, 4, 2], seed=5)
+    model.layers[0].name, model.layers[1].name = "fc1", "tête-λ"
+    model.layers[1].b[:] = [0.5, -2.0]
+    dsd.save_mlp(model, tmp_path / "m.llmb")
+    assert (tmp_path / "m.llmb").read_bytes() == _mlp(
+        *[(l.name.encode("utf-8"), *l.W.shape, np.concatenate([l.W.ravel(), l.b]))
+          for l in model.layers])

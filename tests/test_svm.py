@@ -13,6 +13,7 @@ import locallearn.svm as svm_mod
 from locallearn.errors import (
     DimMismatch,
     MalformedFile,
+    NonFiniteValue,
     NoTrainedClasses,
     SingleClass,
     ValidationError,
@@ -772,6 +773,13 @@ class TestDecision:
         with pytest.raises(DimMismatch):
             decisions(m, [[1.0, 2.0, 3.0]])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_row_rejected(self, bad):
+        # A NaN row's decisions were [nan, nan], and it was predicted class 0.
+        m = OvaModel([0, 1], [[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0])
+        with pytest.raises(NonFiniteValue, match="non-finite value at row 1, col 0"):
+            predict_ova_batch(m, [[1.0, 2.0], [bad, 0.0]])
+
     def test_model_must_be_finite(self):
         with pytest.raises(ValidationError):
             OvaModel([0], [[np.nan]], [0.0])
@@ -842,6 +850,16 @@ class TestOva:
             assert first == [] and newton == []
             model = train_ova(X * 1e150, y, cfg)
         assert (predict_ova_batch(model, X * 1e150) == y).mean() > 0.9
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rows_rejected_as_non_finite(self, bad):
+        # They were reported as "a row's squared norm overflows float64".
+        X, y = gaussian_blobs(10, 2, seed=1)
+        X[3, 1] = bad
+        for train in (lambda: train_ova(X, y, SvmConfig()),
+                      lambda: train_binary(X, np.where(y == 0, -1.0, 1.0), SvmConfig())):
+            with pytest.raises(NonFiniteValue, match="non-finite value at row 3, col 1"):
+                train()
 
     def test_single_class_constant_model(self):
         # One class gets one zero row and a zero bias: it wins every row
