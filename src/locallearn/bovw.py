@@ -45,7 +45,7 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import BinaryFile, check_finite, check_workers, fan_out
+from .core import BinaryFile, check_finite, check_workers, fan_out, reading
 from .errors import DimMismatch, ImageTooSmall, LevelMismatch, MalformedFile, ValidationError
 
 VOCAB_MAGIC = b"LLVB"
@@ -687,7 +687,9 @@ def save_vocab(vocab: Vocabulary, path) -> None:
 
 
 def load_vocab(path) -> Vocabulary:
-    with open(path, "rb") as fh:
+    """Read a version-2 vocabulary file; a file whose levels state no
+    pyramid (no level, or a level of no word) fails here, not at first use."""
+    with open(path, "rb") as fh, reading(path):
         f = BinaryFile(fh, path, "vocabulary", VOCAB_MAGIC, 2)
         n_levels, n_bins = f.read("<II")
         bin_sizes = f.read(f"<{n_bins}I")
@@ -697,4 +699,6 @@ def load_vocab(path) -> Vocabulary:
             grid, k, dim = f.read("<III")
             levels.append(VocabularyLevel(grid, f.floats(k * dim).reshape(k, dim)))
         f.end()
-    return Vocabulary(levels=levels, sift=sift)
+        vocab = Vocabulary(levels=levels, sift=sift)
+        vocab.pyramid  # raises where the levels state none
+    return vocab

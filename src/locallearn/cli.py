@@ -15,6 +15,7 @@ reports are byte-reproducible.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -92,6 +93,19 @@ def _ints(text: str) -> tuple[int, ...]:
     return tuple(int(v) for v in text.split(","))
 
 
+def _bovw_value(name: str, parse, text: str) -> tuple[str, object]:
+    """The setting ``name`` and its value, ``parse`` of ``text``, checked
+    alone over the defaults of the other settings."""
+    value = parse(text)
+    if name == "cap" and value < 1:
+        raise ValidationError(f"subsample cap must be >= 1, got {value}")
+    elif name in ("levels", "vocab_sizes"):
+        bovw.PyramidConfig(value, value)  # checks this one tuple alone
+    elif name != "cap":
+        bovw.DenseSiftConfig(**{name: value})
+    return name, value
+
+
 # config key -> (the setting it gives, how its value is parsed)
 _BOVW_KEYS = {"bin-sizes": ("bin_sizes", _ints), "step": ("step", int),
               "contrast-threshold": ("contrast_threshold", float),
@@ -101,38 +115,16 @@ _BOVW_KEYS = {"bin-sizes": ("bin_sizes", _ints), "step": ("step", int),
 
 def _read_bovw_config(path) -> tuple[bovw.DenseSiftConfig, bovw.PyramidConfig, int]:
     """The SIFT and pyramid settings and the subsample cap of a build-vocab
-    config: the keys given, over the defaults of ``DenseSiftConfig``,
-    ``PyramidConfig`` and ``build_vocab``.  A value that fails alone names
-    its line; a fault between keys (levels against vocab) names the file."""
-    given: dict[str, object] = {}
-    for lineno, raw in enumerate(core.read_lines(path), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split(None, 1)
-        if len(parts) != 2:
-            raise MalformedFile(f"{path}:{lineno}: expected 'key value'")
-        if parts[0] not in _BOVW_KEYS:
-            raise MalformedFile(f"{path}:{lineno}: unknown key {parts[0]!r}")
-        name, parse = _BOVW_KEYS[parts[0]]
-        if name in given:
-            raise MalformedFile(f"{path}:{lineno}: duplicate key {parts[0]!r}")
-        try:
-            given[name] = value = parse(parts[1].strip())
-            if name == "cap" and value < 1:
-                raise ValidationError(f"subsample cap must be >= 1, got {value}")
-            elif name in ("levels", "vocab_sizes"):
-                bovw.PyramidConfig(value, value)  # checks this one tuple alone
-            elif name != "cap":
-                bovw.DenseSiftConfig(**{name: value})
-        except (ValueError, ValidationError) as exc:
-            raise MalformedFile(f"{path}:{lineno}: {parts[0]}: {exc}")
+    config (``core.read_directives``): the keys given, over the defaults of
+    ``DenseSiftConfig``, ``PyramidConfig`` and ``build_vocab``.  A value
+    that fails alone names its line; a fault between keys (levels against
+    vocab) names the file."""
+    grammar = {key: functools.partial(_bovw_value, *setting) for key, setting in _BOVW_KEYS.items()}
+    given = dict(core.read_directives(path, grammar).values())  # setting -> value
     cap = given.pop("cap", bovw.SUBSAMPLE_CAP)
     pyramid = {k: given.pop(k) for k in ("levels", "vocab_sizes") if k in given}
-    try:
+    with core.reading(path, MalformedFile):
         return bovw.DenseSiftConfig(**given), bovw.PyramidConfig(**pyramid), cap
-    except ValidationError as exc:
-        raise MalformedFile(f"{path}: {exc}")
 
 
 def _image_dir(path) -> tuple[list[str], list[np.ndarray]]:
@@ -159,12 +151,11 @@ def cmd_build_vocab(args) -> int:
 def cmd_encode(args) -> int:
     core.check_workers(args.workers)
     vocab = bovw.load_vocab(args.vocab)
-    pyramid = vocab.pyramid  # a vocabulary without one fails before any image is read
     ids, images = _image_dir(args.images)
 
     def one(img):
         descs = bovw.dense_sift(img, vocab.sift)
-        return bovw.encode(descs, vocab, pyramid, (img.shape[1], img.shape[0]))
+        return bovw.encode(descs, vocab, vocab.pyramid, (img.shape[1], img.shape[0]))
 
     with core.fan_out(args.workers) as fan:
         rows = list(fan(one, images))  # in input order
@@ -218,11 +209,11 @@ def cmd_train_global(args) -> int:
 
 def cmd_predict_global(args) -> int:
     model = svm.load_ova(args.model)
-    matrix = core.load_features(args.features)
     if model.class_names is not None and not args.labelmap:
         label_map = core.LabelMap(model.class_names)
     else:
         label_map = _load_label_map(args)
+    matrix = core.load_features(args.features)
     preds = svm.predict_ova_batch(model, matrix.values)
     core.write_labels(label_map.named(matrix.sample_ids, preds), args.out)
     sys.stdout.write(f"predicted {matrix.n_samples} samples\n")

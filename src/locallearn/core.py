@@ -18,8 +18,11 @@ Labels live in separate files of ``sample_id,class_name`` lines keyed by
 sample id, never by position.  A label map file lists one class name per
 line; line order defines the integer class ids.
 
-A dataset manifest is a plain key-value text file; ``parse_manifest``
-documents the grammar.  ``fan_out`` is the one worker-thread policy.
+A dataset manifest and a BOVW config are key-value text files, read by
+``read_directives``, the one reader of that grammar; ``parse_manifest``
+documents the manifest's keys.  ``reading`` names a file in a
+``ValidationError`` raised while it is read.  ``fan_out`` is the one
+worker-thread policy.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
+from functools import partial
 from itertools import accumulate
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -81,12 +85,26 @@ def read_lines(path) -> list[str]:
         raise MalformedFile(f"{path}: not UTF-8: {exc}")
 
 
-def _check_id(sample_id: str, prefix: str = "") -> None:
+@contextmanager
+def reading(path, error: type[ValidationError] = ValidationError):
+    """Name the file ``path`` in a ValidationError raised in the block: its
+    message gains a ``<path>: `` prefix unless it starts with ``<path>:``
+    already.  The error keeps its class and attributes if it is an
+    ``error``, and is raised as an ``error`` otherwise."""
+    try:
+        yield
+    except ValidationError as exc:
+        if not str(exc).startswith(f"{path}:"):
+            exc.args = (f"{path}: {exc}",)
+        raise exc if isinstance(exc, error) else error(*exc.args)
+
+
+def _check_id(sample_id: str) -> None:
     if not sample_id:
-        raise ValidationError(f"{prefix}empty sample id")
+        raise ValidationError("empty sample id")
     for ch in _ID_FORBIDDEN:
         if ch in sample_id:
-            raise ValidationError(f"{prefix}sample id {sample_id!r} contains {ch!r}")
+            raise ValidationError(f"sample id {sample_id!r} contains {ch!r}")
 
 
 def check_finite(values: np.ndarray, prefix: str = "", first_row: int = 0) -> None:
@@ -98,17 +116,16 @@ def check_finite(values: np.ndarray, prefix: str = "", first_row: int = 0) -> No
         raise NonFiniteValue(f"{prefix}non-finite value at row {row}, col {col}", row=row, col=col)
 
 
-def _checked_rows(rows, where=""):
+def _checked_rows(rows):
     """Yield each ``(sample_id, values)`` of ``rows`` once it is checked:
     finite values (``check_finite``), id syntax and an id not seen before.
-    The first faulty row raises; ``where`` (a file path) prefixes every
-    message."""
-    prefix, seen = f"{where}: " if where else "", set()
+    The first faulty row raises."""
+    seen = set()
     for row, (sid, values) in enumerate(rows):
-        check_finite(values[None], prefix, row)
-        _check_id(sid, prefix)
+        check_finite(values[None], first_row=row)
+        _check_id(sid)
         if sid in seen:
-            raise ValidationError(f"{prefix}duplicate sample id {sid!r}")
+            raise ValidationError(f"duplicate sample id {sid!r}")
         seen.add(sid)
         yield sid, values
 
@@ -326,7 +343,8 @@ class FeatureRows:
         self._fh.close()
 
     def items(self):
-        return _checked_rows(self._rows(), self.path)
+        with reading(self.path):
+            yield from _checked_rows(self._rows())
 
     def _binary_header(self) -> tuple[int, int]:
         self._fh.seek(0)
@@ -378,15 +396,17 @@ class FeatureRows:
         m = _HEADER_RE.match(header)
         if m is None:
             raise MalformedFile(f"{self.path}: bad header {header[:64]!r}")
-        dim = _parse_int(m.group(1), self.path, 1)
-        if dim > 0xFFFFFFFF:  # the binary format's u32 dim field
-            raise MalformedFile(f"{self.path}: header dim={dim} is out of range")
-        self.dim, n = dim, 0  # _check_count reads self.dim
+        try:  # int() refuses more than 4,300 digits
+            self.dim, n = int(m.group(1)), 0  # _check_count reads self.dim
+        except ValueError:
+            raise MalformedFile(f"{self.path}:1: expected an integer, got {m.group(1)!r}")
+        if self.dim > 0xFFFFFFFF:  # the binary format's u32 dim field
+            raise MalformedFile(f"{self.path}: header dim={self.dim} is out of range")
         for lineno, line in lines:
             if line:
                 self._check_count(lineno, line.count(","))
                 n += 1
-        return dim, n
+        return self.dim, n
 
     def _text_rows(self):
         lines = self._text_lines()
@@ -439,8 +459,8 @@ class LabelMap:
 
     @classmethod
     def from_file(cls, path) -> "LabelMap":
-        lines = read_lines(path)
-        return cls(tuple(ln.strip() for ln in lines if ln.strip()))
+        with reading(path):
+            return cls(tuple(ln.strip() for ln in read_lines(path) if ln.strip()))
 
     def save(self, path) -> None:
         Path(path).write_text(
@@ -525,7 +545,9 @@ class SourceSpec:
 
 @dataclass(frozen=True)
 class DatasetManifest:
-    """Parsed dataset manifest naming feature sources, labels, and splits."""
+    """Parsed dataset manifest naming feature sources, labels, and splits.
+    ``parse_manifest`` checks each value (a ``seed`` >= 0, a ``cap`` >= 1)
+    at its line; the sources are checked here, as a whole."""
 
     sources: tuple[SourceSpec, ...]
     labels_path: Path
@@ -541,16 +563,72 @@ class DatasetManifest:
         names = [s.name for s in self.sources]
         if len(set(names)) != len(names):
             raise ValidationError("duplicate source name in manifest")
-        if self.seed < 0:
-            raise ValidationError(f"manifest seed must be >= 0, got {self.seed}")
-        if self.cap is not None and self.cap < 1:
-            raise ValidationError(f"manifest cap must be >= 1, got {self.cap}")
+
+
+def read_directives(path, grammar, repeatable=()) -> dict:
+    """The values of a key-value file, by key.
+
+    One ``<key> <value>`` directive per line; ``#`` starts a comment, and
+    blank lines are skipped.  ``grammar`` maps each key to the parser of
+    its value, which raises ValueError or ValidationError on a bad one.  A
+    key in ``repeatable`` gives the list of its values in line order, any
+    other key its one value.  A line without a value, an unknown key and a
+    repeated key are MalformedFile at their line, and a bad value is
+    ``MalformedFile: <path>:<line>: <key>: <detail>``.
+    """
+    given: dict = {key: [] for key in repeatable}
+    for lineno, raw in enumerate(read_lines(path), start=1):
+        parts = raw.split("#", 1)[0].split(None, 1)
+        if not parts:
+            continue
+        if len(parts) != 2:
+            raise MalformedFile(f"{path}:{lineno}: expected 'key value'")
+        key, text = parts[0], parts[1].strip()
+        if key not in grammar:
+            raise MalformedFile(f"{path}:{lineno}: unknown key {key!r}")
+        if key in given and key not in repeatable:
+            raise MalformedFile(f"{path}:{lineno}: duplicate key {key!r}")
+        try:
+            value = grammar[key](text)
+        except (ValueError, ValidationError) as exc:
+            raise MalformedFile(f"{path}:{lineno}: {key}: {exc}")
+        given[key] = given[key] + [value] if key in repeatable else value
+    return given
+
+
+def _at_least(least: int, text: str) -> int:
+    """``text`` as an integer of at least ``least``; ValueError otherwise."""
+    if re.fullmatch(r"[+-]?\d+", text) is None or int(text) < least:
+        raise ValueError(f"expected an integer >= {least}, got {text!r}")
+    return int(text)
+
+
+def _on_off(text: str) -> bool:
+    if text not in ("on", "off"):
+        raise ValueError(f"expected on|off, got {text!r}")
+    return text == "on"
+
+
+def _source(base: Path, text: str) -> SourceSpec:
+    """A ``source`` value, ``<name> <path> [dim=<D>] [normalize=on|off]``,
+    its path resolved against ``base``."""
+    tokens = text.split()
+    if len(tokens) < 2:
+        raise ValueError("expected a name and a path")
+    options = {}
+    for option in tokens[2:]:
+        key, _, value = option.partition("=")
+        if key not in ("dim", "normalize"):
+            raise ValueError(f"unknown option {option!r}")
+        try:
+            options[key] = _at_least(1, value) if key == "dim" else _on_off(value)
+        except ValueError as exc:
+            raise ValueError(f"{key}: {exc}") from None
+    return SourceSpec(tokens[0], base / tokens[1], options.get("dim"), options.get("normalize", True))
 
 
 def parse_manifest(path) -> DatasetManifest:
-    """Parse a manifest file.
-
-    Grammar (one directive per line, ``#`` starts a comment)::
+    """Parse a manifest file, ``read_directives`` of the keys::
 
         source <name> <path> [dim=<D>] [normalize=on|off]
         labels <path>
@@ -561,70 +639,29 @@ def parse_manifest(path) -> DatasetManifest:
         renormalize on|off
 
     Paths are resolved relative to the manifest's directory.  ``source``
-    may repeat; declaration order is the fusion order.  ``dim`` and ``cap``
-    are >= 1, checked here, before any data file is read.
+    may repeat; declaration order is the fusion order.  ``labels``,
+    ``labelmap``, ``splits`` and one ``source`` are required; ``seed`` is
+    >= 0, ``dim`` and ``cap`` are >= 1, checked here, before any data file
+    is read.  A fault of the whole file is ``MalformedFile: <path>: ...``.
     """
     path = Path(path)
-    base = path.parent
-    sources: list[SourceSpec] = []
-    scalars: dict[str, str] = {}
-    for lineno, raw in enumerate(read_lines(path), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        key = tokens[0]
-        if key == "source":
-            if len(tokens) < 3:
-                raise MalformedFile(f"{path}:{lineno}: source needs a name and a path")
-            name, src_path = tokens[1], base / tokens[2]
-            dim: int | None = None
-            normalize = True
-            for opt in tokens[3:]:
-                if opt.startswith("dim="):
-                    dim = _parse_int(opt[4:], path, lineno)
-                    if dim < 1:
-                        raise MalformedFile(f"{path}:{lineno}: dim must be >= 1, got {dim}")
-                elif opt.startswith("normalize="):
-                    normalize = _parse_on_off(opt[10:], path, lineno)
-                else:
-                    raise MalformedFile(f"{path}:{lineno}: unknown option {opt!r}")
-            sources.append(SourceSpec(name, src_path, dim, normalize))
-        elif key in ("labels", "labelmap", "splits", "seed", "cap", "renormalize"):
-            if len(tokens) != 2:
-                raise MalformedFile(f"{path}:{lineno}: {key} takes one value")
-            if key in scalars:
-                raise MalformedFile(f"{path}:{lineno}: duplicate {key}")
-            scalars[key] = tokens[1]
-        else:
-            raise MalformedFile(f"{path}:{lineno}: unknown directive {key!r}")
-    for required in ("labels", "labelmap", "splits"):
-        if required not in scalars:
-            raise MalformedFile(f"{path}: missing required directive {required!r}")
-    return DatasetManifest(
-        sources=tuple(sources),
-        labels_path=base / scalars["labels"],
-        labelmap_path=base / scalars["labelmap"],
-        splits_path=base / scalars["splits"],
-        seed=_parse_int(scalars.get("seed", "0"), path, 0),
-        cap=_parse_int(scalars["cap"], path, 0) if "cap" in scalars else None,
-        renormalize=_parse_on_off(scalars.get("renormalize", "off"), path, 0),
-    )
 
+    def file(text: str) -> Path:
+        if len(text.split()) != 1:
+            raise ValueError(f"expected one path, got {text!r}")
+        return path.parent / text
 
-def _parse_int(value: str, path, lineno) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise MalformedFile(f"{path}:{lineno}: expected an integer, got {value!r}")
-
-
-def _parse_on_off(value: str, path, lineno) -> bool:
-    if value == "on":
-        return True
-    if value == "off":
-        return False
-    raise MalformedFile(f"{path}:{lineno}: expected on|off, got {value!r}")
+    given = read_directives(path, {
+        "source": partial(_source, path.parent), "labels": file, "labelmap": file, "splits": file,
+        "seed": partial(_at_least, 0), "cap": partial(_at_least, 1), "renormalize": _on_off,
+    }, repeatable=("source",))
+    with reading(path, MalformedFile):
+        for required in ("labels", "labelmap", "splits"):
+            if required not in given:
+                raise ValidationError(f"missing required key {required!r}")
+        return DatasetManifest(tuple(given["source"]), given["labels"], given["labelmap"],
+                               given["splits"], given.get("seed", 0), given.get("cap"),
+                               given.get("renormalize", False))
 
 
 def split_ranges(splits: Mapping[str, str]) -> dict[str, tuple[int, int]]:

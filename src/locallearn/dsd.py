@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import BinaryFile
+from .core import BinaryFile, reading
 from .errors import DimMismatch, MalformedFile, NonFiniteGradient, ValidationError
 
 MODEL_MAGIC = b"LLMB"
@@ -476,7 +476,7 @@ def save_mlp(model: MlpModel, path) -> None:
 
 
 def load_mlp(path) -> MlpModel:
-    with open(path, "rb") as fh:
+    with open(path, "rb") as fh, reading(path):
         f = BinaryFile(fh, path, "model", MODEL_MAGIC, 1)
         layers = []
         for _ in range(*f.read("<I")):
@@ -484,4 +484,4 @@ def load_mlp(path) -> MlpModel:
             rows, cols = f.read("<II")
             layers.append(Layer(name, f.floats(rows * cols).reshape(rows, cols), f.floats(cols)))
         f.end()
-    return MlpModel(layers)
+        return MlpModel(layers)

@@ -39,7 +39,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import FeatureMatrix, check_finite, read_lines
+from .core import FeatureMatrix, check_finite, read_lines, reading
 from .errors import (
     DimMismatch,
     MalformedFile,
@@ -497,5 +497,6 @@ def load_ova(path) -> OvaModel:
         n_classes = max(seen, default=-1) + 1
     rows.sort(key=lambda row: row[1])
     W = np.array([w for _, _, _, w in rows]) if rows else np.zeros((0, 0))
-    return OvaModel([cls for _, cls, _, _ in rows], W, [b for _, _, b, _ in rows],
-                    n_classes, class_names)
+    with reading(path):
+        return OvaModel([cls for _, cls, _, _ in rows], W, [b for _, _, b, _ in rows],
+                        n_classes, class_names)

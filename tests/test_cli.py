@@ -293,7 +293,7 @@ class TestBovwCommands:
         monkeypatch.setattr(bovw, "read_pgm", lambda *a: read.append(a))
         assert run(["encode", "--images", tmp_path, "--vocab", vocab,
                     "--out", tmp_path / "out.fv"]) == 2
-        assert capsys.readouterr().err == "error: ValidationError: pyramid needs at least one level\n"
+        assert capsys.readouterr().err == f"error: ValidationError: {vocab}: pyramid needs at least one level\n"
         assert read == [] and not (tmp_path / "out.fv").exists()
 
     @pytest.mark.parametrize("line,detail", [
@@ -576,12 +576,12 @@ class TestMalformedInputExits2:
             out = ["--out"] if command == "pipeline" else ["--out-dir"]
             assert run([command, "--manifest", d / "manifest.conf", *out, tmp_path / "o"]) == 2
             err = capsys.readouterr().err
-            assert err == "error: ValidationError: manifest seed must be >= 0, got -1\n"
+            assert err == f"error: MalformedFile: {d / 'manifest.conf'}:5: seed: expected an integer >= 0, got '-1'\n"
         assert ingested == []
 
     @pytest.mark.parametrize("edit, error", [
-        (("seed 3\n", "seed 3\ncap 0\n"), "ValidationError: manifest cap must be >= 1, got 0"),
-        (("dim=2", "dim=0"), "MalformedFile: {manifest}:1: dim must be >= 1, got 0"),
+        (("seed 3\n", "seed 3\ncap 0\n"), "MalformedFile: {manifest}:6: cap: expected an integer >= 1, got '0'"),
+        (("dim=2", "dim=0"), "MalformedFile: {manifest}:1: source: dim: expected an integer >= 1, got '0'"),
     ], ids=["cap", "dim"])
     def test_manifest_count_below_one_exits_2_before_any_source_is_read(
             self, arcs_dataset, tmp_path, capsys, monkeypatch, edit, error):

@@ -294,6 +294,19 @@ class TestLabels:
             attach_labels(m, {"p": "a"}, LabelMap(("a",)))
 
 
+def test_reading_names_the_file_once_and_keeps_the_error():
+    # A path that starts the message ("label" of "label map ...") is still prefixed.
+    with pytest.raises(NonFiniteValue) as info, core_mod.reading("label"):
+        raise NonFiniteValue("label map value at row 1, col 2", row=1, col=2)
+    assert str(info.value) == "label: label map value at row 1, col 2"
+    assert (info.value.row, info.value.col) == (1, 2)
+    with pytest.raises(MalformedFile, match=r"^label:3: bad line$"), core_mod.reading("label"):
+        raise MalformedFile("label:3: bad line")
+    with pytest.raises(MalformedFile, match=r"^label: no source$"), \
+            core_mod.reading("label", MalformedFile):
+        raise ValidationError("no source")
+
+
 class TestManifest:
     def test_parse(self, tmp_path):
         (tmp_path / "m.conf").write_text(

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from locallearn import bovw, cli, core, dsd, svm
+from locallearn import bovw, cli, core, dsd, pipeline, svm
 from locallearn.errors import IdMismatch, MalformedFile, NonFiniteValue, ValidationError
 from locallearn.features import fuse
 from locallearn.pipeline import ingest_and_fuse
@@ -204,6 +204,80 @@ def test_cli_exits_2_with_one_line_error(tmp_path, capsys, name):
     assert cli.main([a.format(d=tmp_path) for a in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert f"{tmp_path / file}:" in err, err
+
+
+def _manifest(old: str, new: str) -> bytes:
+    return SEEDS["manifest"].replace(old.encode(), new.encode())
+
+
+_SIFT = (4, 8, 4, 0.01)  # valid step, orientations, spatial bins, contrast threshold
+
+# fault -> (reader whose file is replaced, its bytes, the error line after
+# "error: ", with {f} the file); a manifest's value fault names its line and key
+FILE_FAULTS = {
+    "labelmap-repeated-name": ("labelmap", b"x\ny\nx\n",
+                               "ValidationError: {f}: label map names must be unique"),
+    "labelmap-no-name": ("labelmap", b"\n\n",
+                         "ValidationError: {f}: label map must name at least one class"),
+    "ova-nan-weight": ("ova", b"#locallearn-ova v1\n0 0.5 nan 1.0\n1 0.5 1.0 1.0\n",
+                       "ValidationError: {f}: model parameters must be finite"),
+    "vocab-nan-centroid": ("vocab", _vocab((4,), _SIFT, [(1, np.array([[0.0, np.nan]]))]),
+                           "ValidationError: {f}: vocabulary centroids must be finite"),
+    "vocab-nan-contrast": ("vocab", _vocab_with_contrast(np.nan), "ValidationError: {f}: "
+                           "contrast_threshold must be finite and > 0, got nan"),
+    "vocab-step-0": ("vocab", _vocab((4,), (0, 8, 4, 0.01), [(1, np.zeros((1, 2)))]),
+                     "ValidationError: {f}: step must be >= 1"),
+    "vocab-no-level": ("vocab", _vocab((4,), _SIFT, []),
+                       "ValidationError: {f}: pyramid needs at least one level"),
+    "vocab-k-0": ("vocab", _vocab((4,), _SIFT, [(1, np.zeros((0, 2)))]),
+                  "ValidationError: {f}: grids and vocab sizes must be >= 1"),
+    "mlp-no-layer": ("mlp", _mlp(), "ValidationError: {f}: model needs at least one layer"),
+    "manifest-seed-x": ("manifest", _manifest("seed 3", "seed x"),
+                        "MalformedFile: {f}:5: seed: expected an integer >= 0, got 'x'"),
+    "manifest-seed-negative": ("manifest", _manifest("seed 3", "seed -1"),
+                               "MalformedFile: {f}:5: seed: expected an integer >= 0, got '-1'"),
+    "manifest-cap-0": ("manifest", _manifest("cap 5", "cap 0"),
+                       "MalformedFile: {f}:6: cap: expected an integer >= 1, got '0'"),
+    "manifest-cap-fraction": ("manifest", _manifest("cap 5", "cap 1.5"),
+                              "MalformedFile: {f}:6: cap: expected an integer >= 1, got '1.5'"),
+    "manifest-renormalize-maybe": ("manifest", _manifest("renormalize off", "renormalize maybe"),
+                                   "MalformedFile: {f}:7: renormalize: expected on|off, got 'maybe'"),
+    "manifest-labels-two-paths": ("manifest", _manifest("labels labels.csv", "labels a b"),
+                                  "MalformedFile: {f}:2: labels: expected one path, got 'a b'"),
+    "manifest-repeated-source-name": ("manifest", _manifest("cap 5", "cap 5\nsource deep f.bin"),
+                                      "MalformedFile: {f}: duplicate source name in manifest"),
+    "manifest-dim-0": ("manifest", _manifest("dim=2", "dim=0"),
+                       "MalformedFile: {f}:1: source: dim: expected an integer >= 1, got '0'"),
+    "manifest-no-source": ("manifest", _manifest("source deep f.fv dim=2", "# no source"),
+                           "MalformedFile: {f}: manifest names no feature sources"),
+}
+
+# reader -> a command that reads its file before any data file
+FIRST_READ = {
+    "labelmap": ["predict-global", "--model", "{d}/model.ova", "--features", "{d}/f.fv",
+                 "--labelmap", "{d}/classes.txt", "--out", "{d}/p.csv"],
+    "mlp": [*READERS["mlp"][2], "--out", "{d}/scan.csv"],
+    **{name: READERS[name][2] for name in ("ova", "vocab", "manifest")},
+}
+
+
+@pytest.mark.parametrize("fault", sorted(FILE_FAULTS))
+def test_file_faults_name_their_file_and_exit_2_before_any_data_is_read(tmp_path, capsys,
+                                                                        monkeypatch, fault):
+    _write_seeds(tmp_path)
+    name, blob, error = FILE_FAULTS[fault]
+    file = tmp_path / READERS[name][0]
+    file.write_bytes(blob)
+    before = sorted(tmp_path.rglob("*"))
+    read = []
+    for module, reader in ((core, "load_features"), (core, "FeatureRows"), (core, "read_labels"),
+                           (core, "read_splits"), (bovw, "read_pgm"), (pipeline, "FeatureRows"),
+                           (pipeline, "read_labels"), (pipeline, "read_splits")):
+        monkeypatch.setattr(module, reader, lambda *a, **k: read.append(a))
+    assert cli.main([a.format(d=tmp_path) for a in FIRST_READ[name]]) == 2
+    assert capsys.readouterr().err == "error: " + error.format(f=file) + "\n"
+    assert read == [] and sorted(tmp_path.rglob("*")) == before
 
 
 FEATURES = ("features-binary", "features-text")
