@@ -52,12 +52,10 @@ def _write_text(path, text: str) -> None:
         fh.write(text)
 
 
-def _load_label_map(args, names=None) -> core.LabelMap:
+def _load_label_map(args, names) -> core.LabelMap:
     """``--labelmap``, else the sorted distinct class ``names``."""
     if getattr(args, "labelmap", None):
         return core.LabelMap.from_file(args.labelmap)
-    if names is None:
-        raise ValidationError("a --labelmap file is required here")
     return core.LabelMap(tuple(sorted(set(names))))
 
 
@@ -195,11 +193,8 @@ def _report_solver(solves: int, nonconverged: int, gram_entries: int | None = No
 def cmd_train_global(args) -> int:
     cfg = svm.SvmConfig(C=args.C, seed=_resolve_seed(args.seed))
     matrix, label_map = _labeled_matrix(args.features, args.labels, args)
-    model, infos = svm.train_ova(
-        matrix.values, matrix.labels, cfg,
-        n_classes=label_map.n_classes, class_names=label_map.names, return_infos=True,
-    )
-    svm.save_ova(model, args.out)
+    model, infos = svm.train_ova(matrix.values, matrix.labels, cfg, return_infos=True)
+    svm.save_ova(model, label_map, args.out)
     _report_solver(len(infos), sum(not info["converged"] for info in infos))
     sys.stdout.write(
         f"trained {model.classes.size} one-vs-all model(s), dim {matrix.dim}\n"
@@ -208,11 +203,8 @@ def cmd_train_global(args) -> int:
 
 
 def cmd_predict_global(args) -> int:
-    model = svm.load_ova(args.model)
-    if model.class_names is not None and not args.labelmap:
-        label_map = core.LabelMap(model.class_names)
-    else:
-        label_map = _load_label_map(args)
+    label_map = core.LabelMap.from_file(args.labelmap) if args.labelmap else None
+    model, label_map = svm.load_ova(args.model, label_map)
     matrix = core.load_features(args.features)
     preds = svm.predict_ova_batch(model, matrix.values)
     core.write_labels(label_map.named(matrix.sample_ids, preds), args.out)

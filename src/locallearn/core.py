@@ -396,12 +396,13 @@ class FeatureRows:
         m = _HEADER_RE.match(header)
         if m is None:
             raise MalformedFile(f"{self.path}: bad header {header[:64]!r}")
-        try:  # int() refuses more than 4,300 digits
-            self.dim, n = int(m.group(1)), 0  # _check_count reads self.dim
-        except ValueError:
-            raise MalformedFile(f"{self.path}:1: expected an integer, got {m.group(1)!r}")
-        if self.dim > 0xFFFFFFFF:  # the binary format's u32 dim field
-            raise MalformedFile(f"{self.path}: header dim={self.dim} is out of range")
+        # The binary format's dim field is a u32, of at most 10 digits past
+        # any leading zeros; int() refuses more than 4,300 digits.
+        digits = m.group(1).lstrip("0") or "0"
+        if len(digits) > 10 or int(digits) > 0xFFFFFFFF:
+            shown = digits if len(digits) <= 20 else digits[:20] + "..."
+            raise MalformedFile(f"{self.path}: header dim={shown} is out of range")
+        self.dim, n = int(digits), 0  # _check_count reads self.dim
         for lineno, line in lines:
             if line:
                 self._check_count(lineno, line.count(","))

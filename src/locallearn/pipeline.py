@@ -37,6 +37,14 @@ class IngestResult:
     fused: dict[str, FeatureMatrix]  # split -> labeled fused matrix
 
 
+def _seed(manifest: DatasetManifest, seed: int | None) -> int:
+    """``seed``, else the manifest's; a negative seed is a ValidationError."""
+    seed = manifest.seed if seed is None else seed
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 def ingest_and_fuse(manifest: DatasetManifest, seed: int | None = None) -> IngestResult:
     """Read the manifest's labels and splits, fuse its sources into one
     labeled matrix with rows grouped by split, and split it.
@@ -46,7 +54,7 @@ def ingest_and_fuse(manifest: DatasetManifest, seed: int | None = None) -> Inges
     ingest needs memory for about one fused matrix.  The train split is
     capped per class if the manifest says so, which copies it.
     """
-    seed = manifest.seed if seed is None else seed
+    seed = _seed(manifest, seed)
     label_map = LabelMap.from_file(manifest.labelmap_path)
     labels = read_labels(manifest.labels_path)
     splits = read_splits(manifest.splits_path)
@@ -83,7 +91,7 @@ def run_pipeline(
     train/test splits, returning one report per method.  The k-NN baseline
     is the majority vote over the local SVM's own neighborhoods."""
     check_workers(workers)
-    seed = manifest.seed if seed is None else seed
+    seed = _seed(manifest, seed)
     svm_cfg = SvmConfig(C=C, seed=seed)
     local_cfg = LocalLearnerConfig(k=k, svm=svm_cfg)
     data = ingest_and_fuse(manifest, seed=seed)
@@ -94,8 +102,7 @@ def run_pipeline(
     truth = label_map.named(test.sample_ids, test.labels)
 
     t_global = time.perf_counter()
-    ova, infos = train_ova(train, train.labels, svm_cfg, n_classes=label_map.n_classes,
-                           class_names=label_map.names, return_infos=True)
+    ova, infos = train_ova(train, train.labels, svm_cfg, return_infos=True)
     global_train_s = time.perf_counter() - t_global
     global_pred = predict_ova_batch(ova, test)
 

@@ -27,26 +27,20 @@ class poses no problem: its model is that class with a zero row and a zero
 bias.  ``decisions`` computes every decision value, for local, global and
 command-line prediction alike.
 
-Models serialize to a text format: header line ``#locallearn-ova v1``,
-``#n_classes`` and ``#classes`` lines, then one ``class_id b w1 ... wD``
-line per trained class; any other line starting with ``#`` is ignored.
+A model file is a text feature file (``core.save_features``) keyed by
+class name: one row ``<class name>,b,w1,...,wD`` per trained class, in
+ascending class id.  Its class ids and names meet only in ``save_ova``
+and ``load_ova``, through a ``LabelMap``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .core import FeatureMatrix, check_finite, read_lines, reading
-from .errors import (
-    DimMismatch,
-    MalformedFile,
-    NoTrainedClasses,
-    SingleClass,
-    ValidationError,
-)
+from .core import FeatureMatrix, LabelMap, check_finite, load_features, reading, save_features
+from .errors import DimMismatch, NoTrainedClasses, SingleClass, ValidationError
 from .features import _ROWS
 
 # Newton's source is chosen by sample count alone, so identical data always
@@ -361,8 +355,6 @@ class OvaModel:
     classes: np.ndarray  # (m,) int64, ascending
     W: np.ndarray  # (m, d), C-contiguous
     b: np.ndarray  # (m,)
-    n_classes: int = 0
-    class_names: tuple[str, ...] | None = None
 
     def __post_init__(self):
         self.classes = np.asarray(self.classes, dtype=np.int64)
@@ -377,14 +369,7 @@ class OvaModel:
             raise ValidationError("model parameters must be finite")
 
 
-def train_ova(
-    X,
-    labels,
-    cfg: SvmConfig,
-    n_classes: int | None = None,
-    class_names: Sequence[str] | None = None,
-    return_infos: bool = False,
-):
+def train_ova(X, labels, cfg: SvmConfig, return_infos: bool = False):
     """Train one binary model per class present in ``labels``.
 
     Classes absent from the data stay untrained (decision -inf at predict
@@ -398,12 +383,9 @@ def train_ova(
         raise ValidationError("labels length does not match X")
     if labels.size == 0:
         raise ValidationError("cannot train on an empty dataset")
-    if labels.min() < 0 or (n_classes is not None and labels.max() >= n_classes):
-        raise ValidationError("labels must be class ids in [0, n_classes)")
+    if labels.min() < 0:
+        raise ValidationError("labels must be non-negative class ids")
     model, infos = train_ova_rows(Xv, labels, slice(None), cfg)
-    if n_classes is not None:
-        model.n_classes = n_classes
-    model.class_names = tuple(class_names) if class_names is not None else None
     return (model, infos) if return_infos else model
 
 
@@ -428,7 +410,7 @@ def train_ova_rows(X, labels, rows, cfg: SvmConfig, K: np.ndarray | None = None)
         W, b, _, infos = _solve_rows(X, rows, np.where(labels == solved[:, None], 1.0, -1.0), cfg, K)
         if classes.size == 2:
             W, b, infos = np.vstack([-W, W]), np.append(-b, b), infos * 2
-    return OvaModel(classes, W, b, int(classes.max()) + 1), infos
+    return OvaModel(classes, W, b), infos
 
 
 def decisions(model: OvaModel, X) -> np.ndarray:
@@ -448,55 +430,24 @@ def predict_ova_batch(model: OvaModel, X) -> np.ndarray:
     return model.classes[np.argmax(decisions(model, X), axis=1)]
 
 
-def save_ova(model: OvaModel, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("#locallearn-ova v1\n")
-        fh.write(f"#n_classes {model.n_classes}\n")
-        if model.class_names is not None:
-            fh.write("#classes " + ",".join(model.class_names) + "\n")
-        for cls, b, w in zip(model.classes.tolist(), model.b.tolist(), model.W):
-            fh.write(" ".join([str(cls), repr(b)] + [repr(v) for v in w.tolist()]) + "\n")
+def save_ova(model: OvaModel, label_map: LabelMap, path) -> None:
+    """Write ``model`` as a text feature file keyed by class name, one row
+    ``<name>,b,w1,...,wD`` per trained class in ascending class id; a class
+    id that ``label_map`` does not name is UnknownClassName."""
+    names = [label_map.name_of(cls) for cls in model.classes.tolist()]
+    save_features(FeatureMatrix(np.column_stack([model.b, model.W]), names), path)
 
 
-def load_ova(path) -> OvaModel:
-    lines = read_lines(path)
-    if not lines or lines[0].strip() != "#locallearn-ova v1":
-        raise MalformedFile(f"{path}: bad model header")
-    n_classes: int | None = None
-    class_names: tuple[str, ...] | None = None
-    rows: list[tuple[int, int, float, list[float]]] = []  # line, class id, b, w
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        try:
-            if line.startswith("#"):
-                key, _, value = line.partition(" ")
-                if key in ("#n_classes", "#classes") and not value.strip():
-                    raise MalformedFile(f"{path}:{lineno}: {key} has no value")
-                if key == "#n_classes":
-                    n_classes = int(value)
-                elif key == "#classes":
-                    class_names = tuple(value.strip().split(","))
-                continue
-            parts = line.split()
-            if len(parts) < 3:
-                raise MalformedFile(f"{path}:{lineno}: expected 'class_id b w1 ... wD'")
-            rows.append((lineno, int(parts[0]), float(parts[1]), [float(p) for p in parts[2:]]))
-        except ValueError as exc:
-            raise MalformedFile(f"{path}:{lineno}: {exc}")
-    seen: set[int] = set()
-    for lineno, cls, _, w in rows:
-        if cls < 0 or (n_classes is not None and cls >= n_classes):
-            raise MalformedFile(f"{path}:{lineno}: class id {cls} out of range")
-        if cls in seen:
-            raise MalformedFile(f"{path}:{lineno}: repeated class id {cls}")
-        if len(w) != len(rows[0][3]):
-            raise MalformedFile(f"{path}:{lineno}: inconsistent weight dim")
-        seen.add(cls)
-    if n_classes is None:
-        n_classes = max(seen, default=-1) + 1
-    rows.sort(key=lambda row: row[1])
-    W = np.array([w for _, _, _, w in rows]) if rows else np.zeros((0, 0))
+def load_ova(path, label_map: LabelMap | None = None) -> tuple[OvaModel, LabelMap]:
+    """The model of a file ``save_ova`` wrote, in either feature format,
+    with its label map: ``label_map``, which gives each row's class its id
+    (a name it lacks is UnknownClassName), or else the row names in file
+    order.  A file with no row is NoTrainedClasses."""
+    rows = load_features(path)
     with reading(path):
-        return OvaModel([cls for _, cls, _, _ in rows], W, [b for _, _, b, _ in rows],
-                        n_classes, class_names)
+        if not rows.n_samples:
+            raise NoTrainedClasses("OvA model has no trained classes")
+        label_map = LabelMap(rows.sample_ids) if label_map is None else label_map
+        ids = np.array([label_map.id_of(name) for name in rows.sample_ids], dtype=np.int64)
+        order = np.argsort(ids)
+        return OvaModel(ids[order], rows.values[order, 1:], rows.values[order, 0]), label_map

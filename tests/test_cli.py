@@ -1,7 +1,12 @@
 import argparse
 import inspect
+import json
+import os
+import subprocess
+import sys
 import threading
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +15,8 @@ from locallearn import bovw, cli, core, dsd, pipeline, svm
 from locallearn.cli import build_parser, main
 from locallearn.errors import ValidationError
 from locallearn.synth import gaussian_blobs, texture_corpus, two_arcs
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture()
@@ -120,6 +127,22 @@ class TestTrainPredictEval:
         assert (tmp_path / "report.txt").exists()
         assert (tmp_path / "report.csv").exists()
         assert "accuracy" in capsys.readouterr().out
+
+    def test_predict_global_same_with_and_without_labelmap(self, arcs_dataset, tmp_path):
+        # The map names a class that no training row has, between the two
+        # trained ones: the model file's rows take ids 0 and 2 from it, and
+        # 0 and 1 without it, and every prediction names the same class.
+        d, _ = arcs_dataset
+        (tmp_path / "map.txt").write_text("lower\nmiddle\nupper\n")
+        model = tmp_path / "m.ova"
+        assert run(["train-global", "--features", d / "train.fv", "--labels", d / "labels.csv",
+                    "--labelmap", tmp_path / "map.txt", "-C", "100", "--out", model]) == 0
+        predict = ["predict-global", "--model", model, "--features", d / "test.fv"]
+        assert run([*predict, "--labelmap", tmp_path / "map.txt", "--out", tmp_path / "with"]) == 0
+        assert run([*predict, "--out", tmp_path / "without"]) == 0
+        assert (tmp_path / "with").read_bytes() == (tmp_path / "without").read_bytes()
+        assert {line.split(",")[1] for line in (tmp_path / "with").read_text().splitlines()} == {
+            "lower", "upper"}
 
     def test_eval_names_classes_of_truth_and_predictions(self, tmp_path, capsys):
         # Without --labelmap, a predicted class that the truth never names
@@ -413,44 +436,45 @@ class TestMalformedInputExits2:
                     "--out", tmp_path / "p"]) == 2
         assert capsys.readouterr().err.startswith("error: MalformedFile:")
 
-    def test_model_non_integer_class_count(self, arcs_dataset, tmp_path, capsys):
-        d, _ = arcs_dataset
-        model = tmp_path / "m.ova"
-        model.write_text("#locallearn-ova v1\n#n_classes abc\n0 0.5 1.0 1.0\n")
-        assert run(["predict-global", "--model", model, "--features", d / "test.fv",
-                    "--labelmap", d / "classes.txt", "--out", tmp_path / "p.csv"]) == 2
-        assert capsys.readouterr().err.startswith("error: MalformedFile:")
+    def _predict(self, d, model, text):
+        model.write_text(text)
+        return run(["predict-global", "--model", model, "--features", d / "test.fv",
+                    "--labelmap", d / "classes.txt", "--out", model.parent / "p.csv"])
 
-    def test_model_repeated_class_id(self, arcs_dataset, tmp_path, capsys):
+    def test_old_model_format_exits_2_with_one_line(self, arcs_dataset, tmp_path, capsys):
         d, _ = arcs_dataset
         model = tmp_path / "m.ova"
-        model.write_text("#locallearn-ova v1\n#n_classes 2\n0 0.5 1.0 1.0\n0 -9 1.0 1.0\n")
-        assert run(["predict-global", "--model", model, "--features", d / "test.fv",
-                    "--labelmap", d / "classes.txt", "--out", tmp_path / "p.csv"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: MalformedFile:") and ":4: repeated class id 0" in err
+        assert self._predict(d, model, "#locallearn-ova v1\n#n_classes 2\n0 0.5 1.0 1.0\n") == 2
+        assert capsys.readouterr().err == (
+            f"error: MalformedFile: {model}: bad header '#locallearn-ova v1'\n")
         assert not (tmp_path / "p.csv").exists()
 
-    def test_old_constant_model_has_no_trained_classes(self, arcs_dataset, tmp_path, capsys):
+    def test_model_repeated_class_name(self, arcs_dataset, tmp_path, capsys):
         d, _ = arcs_dataset
         model = tmp_path / "m.ova"
-        model.write_text("#locallearn-ova v1\n#n_classes 4\n#constant 3\n")
-        assert run(["predict-global", "--model", model, "--features", d / "test.fv",
-                    "--labelmap", d / "classes.txt", "--out", tmp_path / "p.csv"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: NoTrainedClasses:") and err.count("\n") == 1, err
+        assert self._predict(d, model, "#locallearn-features v1 dim=3\n"
+                                       "lower,0.5,1.0,1.0\nlower,-9,1.0,1.0\n") == 2
+        assert capsys.readouterr().err == (
+            f"error: ValidationError: {model}: duplicate sample id 'lower'\n")
+        assert not (tmp_path / "p.csv").exists()
+
+    def test_model_without_class_rows_has_no_trained_classes(self, arcs_dataset, tmp_path, capsys):
+        d, _ = arcs_dataset
+        model = tmp_path / "m.ova"
+        assert self._predict(d, model, "#locallearn-features v1 dim=3\n") == 2
+        assert capsys.readouterr().err == (
+            f"error: NoTrainedClasses: {model}: OvA model has no trained classes\n")
         assert not (tmp_path / "p.csv").exists()
 
     def test_class_outside_the_label_map_exits_2_without_output(self, arcs_dataset, tmp_path,
                                                                  capsys):
-        # The model's class 2 wins every row, and the map names 2 classes:
-        # the old writer had opened --out and left it empty.
+        # The map names lower and upper; the model's second row names neither.
         d, _ = arcs_dataset
         model = tmp_path / "m.ova"
-        model.write_text("#locallearn-ova v1\n#n_classes 3\n0 -5 0 0\n2 5 0 0\n")
-        assert run(["predict-global", "--model", model, "--features", d / "test.fv",
-                    "--labelmap", d / "classes.txt", "--out", tmp_path / "p.csv"]) == 2
-        assert capsys.readouterr().err == "error: UnknownClassName: class id 2 out of range\n"
+        assert self._predict(d, model, "#locallearn-features v1 dim=3\n"
+                                       "lower,-5,0,0\nmiddle,5,0,0\n") == 2
+        assert capsys.readouterr().err == (
+            f"error: UnknownClassName: {model}: unknown class name 'middle'\n")
         assert not (tmp_path / "p.csv").exists()
 
     @pytest.mark.parametrize("command", ["train-global", "predict-local"])
@@ -852,3 +876,60 @@ class TestSeedEnvFallback:
         assert run(["train-global", "--features", d / "train.fv",
                     "--labels", d / "labels.csv", "--labelmap", d / "classes.txt",
                     "--out", model]) == 2
+
+
+# Runs the command lines of a JSON list, each through ``main``.
+_RUN_ALL = """
+import json, sys
+from locallearn.cli import main
+for argv in json.loads(sys.argv[1]):
+    if main(argv) != 0:
+        sys.exit(f"exit status != 0: {argv}")
+"""
+
+
+class TestBlasThreads:
+    @staticmethod
+    def _inputs(d):
+        """A 600-row, 42-dim, 4-class fused set, and 16 textures."""
+        rng = np.random.default_rng(8)
+        y = np.arange(600) % 4
+        X = rng.normal(size=(600, 42)) + 0.35 * rng.normal(size=(4, 42))[y]
+        ids = [f"s{i:03d}" for i in range(600)]
+        core.save_features(core.FeatureMatrix(X, ids), d / "f.fv")
+        core.write_labels({sid: "abcd"[c] for sid, c in zip(ids, y)}, d / "labels.csv")
+        (d / "classes.txt").write_text("a\nb\nc\nd\n")
+        (d / "splits.csv").write_text("".join(f"{sid},{'test' if i % 5 == 0 else 'train'}\n"
+                                              for i, sid in enumerate(ids)))
+        (d / "m.conf").write_text("source f f.fv\nlabels labels.csv\nlabelmap classes.txt\n"
+                                  "splits splits.csv\n")
+        (d / "imgs").mkdir()
+        for i, img in enumerate(texture_corpus(8, size=48, seed=3)[0]):
+            bovw.write_pgm(d / "imgs" / f"i{i:02d}.pgm", img)
+        (d / "bovw.conf").write_text("levels 1,2\nvocab 64,16\nbin-sizes 4,6\nstep 3\n")
+
+    def test_outputs_byte_identical_at_one_and_two_threads(self, tmp_path):
+        # OpenBLAS reads its thread count at start-up, so each count runs in
+        # its own process; timing.txt holds wall times and is left out.
+        d = tmp_path / "data"
+        d.mkdir()
+        self._inputs(d)
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads-{threads}"
+            jobs = [["pipeline", "--manifest", d / "m.conf", "--out", out / "pipeline", "-k", "60"],
+                    ["build-vocab", "--images", d / "imgs", "--config", d / "bovw.conf",
+                     "--out", out / "v.llvb"],
+                    ["encode", "--images", d / "imgs", "--vocab", out / "v.llvb", "--out", out / "e.fv"],
+                    ["dsd-train", "--features", d / "f.fv", "--labels", d / "labels.csv",
+                     "--schedule", "D3,S2@0.5,D2", "--hidden", "64", "--batch", "64",
+                     "--out", out / "m.llmb", "--log", out / "log.csv"]]
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+            proc = subprocess.run([sys.executable, "-c", _RUN_ALL,
+                                   json.dumps([[str(a) for a in job] for job in jobs])],
+                                  env=env, capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append({p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*"))
+                            if p.is_file() and p.name != "timing.txt"})
+        assert len(outputs[0]) == 15 and outputs[0] == outputs[1]

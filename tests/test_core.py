@@ -165,6 +165,20 @@ class TestFeatureFiles:
         with pytest.raises(MalformedFile):
             load_features(path)
 
+    @pytest.mark.parametrize("digits", ["4294967296", "9" * 20, "9" * 5000, "0" * 5000 + "4294967296"],
+                             ids=["2^32", "20-nines", "5000-nines", "2^32-after-5000-zeros"])
+    def test_dim_above_u32_out_of_range_at_any_digit_count(self, tmp_path, digits):
+        # 5,000 digits read "expected an integer": int() refuses over 4,300.
+        path = tmp_path / "f.fv"
+        path.write_text(f"#locallearn-features v1 dim={digits}\n")
+        with pytest.raises(MalformedFile, match=r": header dim=[1-9]\d*(\.\.\.)? is out of range$"):
+            load_features(path)
+
+    def test_dim_with_leading_zeros_keeps_its_value(self, tmp_path):
+        path = tmp_path / "f.fv"
+        path.write_text("#locallearn-features v1 dim=" + "0" * 5000 + "2\na,1,2\n")
+        assert load_features(path).values.tolist() == [[1.0, 2.0]]
+
     def test_wrong_value_count(self, tmp_path):
         path = tmp_path / "f.fv"
         path.write_text("#locallearn-features v1 dim=3\na,1,2\n")

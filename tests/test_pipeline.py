@@ -114,6 +114,18 @@ class TestIngestAndFuse:
         assert data.fused["train"].n_samples == 20  # 10 per class
         assert data.fused["test"].n_samples == 10
 
+    @pytest.mark.parametrize("call", [ingest_and_fuse, run_pipeline])
+    def test_negative_seed_rejected_before_any_file_is_read(self, tmp_path, call):
+        # ingest_and_fuse passed it on to np.random.default_rng, whose raw
+        # ValueError came only after every file was read.
+        X, y = gaussian_blobs(10, n_classes=2, spread=0.5, seed=4)
+        manifest = parse_manifest(write_dataset(tmp_path, X, y, ("a", "b"), n_train=16,
+                                                extra="cap 5\n"))
+        for name in ("feats.fv", "labels.csv", "classes.txt", "splits.csv"):
+            (tmp_path / name).unlink()
+        with pytest.raises(ValidationError, match="^seed must be >= 0, got -1$"):
+            call(manifest, seed=-1)
+
     def test_fusion_order_and_normalization(self, tmp_path):
         rng = np.random.default_rng(6)
         n = 12

@@ -37,9 +37,8 @@ def _write_seeds(d: Path) -> None:
         "labels labels.csv\nlabelmap classes.txt\nsplits splits.csv\n"
         "seed 3\ncap 5\nrenormalize off\n"
     )
-    model = svm.OvaModel([0, 1], [[1.0, -0.5], [-1.0, 0.5]], [0.25, -0.25],
-                         n_classes=2, class_names=("x", "y"))
-    svm.save_ova(model, d / "model.ova")
+    model = svm.OvaModel([0, 1], [[1.0, -0.5], [-1.0, 0.5]], [0.25, -0.25])
+    svm.save_ova(model, core.LabelMap(("x", "y")), d / "model.ova")
     vocab = bovw.Vocabulary(
         levels=[bovw.VocabularyLevel(1, np.arange(8.0).reshape(2, 4)),
                 bovw.VocabularyLevel(2, np.ones((1, 4)))],
@@ -129,7 +128,7 @@ REGRESSIONS = {
     "labelmap": b"x\n\xff\n",
     "splits": b"a,train\n\xff,test\n",
     "manifest": b"source deep f.fv dim=x\nlabels l\nlabelmap m\nsplits s\n",
-    "ova": b"#locallearn-ova v1\n#n_classes \n0 0.5 1.0 -1.0\n",
+    "ova": b"#locallearn-ova v1\n#n_classes \n0 0.5 1.0 -1.0\n",  # the old model format
     "vocab": SEEDS["vocab"][:-8],
     "mlp": _mlp_layer(b"fc1", 2, 2, 5),
     "pgm": b"P5 -1 -1 255\n\x00",
@@ -173,10 +172,9 @@ def fuzz_file(tmp_path_factory):
 @example(case=("manifest", b"labels \xff\n"))
 @example(case=("manifest", REGRESSIONS["manifest"]))
 @example(case=("ova", REGRESSIONS["ova"]))
-@example(case=("ova", b"#locallearn-ova v1\n#classes \n"))
-@example(case=("ova", b"#locallearn-ova v1\n#constant \n"))
-@example(case=("ova", b"#locallearn-ova v1\n#n_classes abc\n"))
-@example(case=("ova", b"#locallearn-ova v1\n0 0.5 \xff 1.0\n"))
+@example(case=("ova", b"#locallearn-features v1 dim=3\n"))  # no class row
+@example(case=("ova", b"#locallearn-features v1 dim=1\nx,0.5\n"))  # a bias and no weight
+@example(case=("ova", b"#locallearn-features v1 dim=3\nx,0.5,\xff,1.0\n"))
 @example(case=("vocab", REGRESSIONS["vocab"]))
 @example(case=("vocab", _vocab_with_contrast(np.nan)))  # loaded, then NaN descriptors
 @example(case=("mlp", REGRESSIONS["mlp"]))  # W block cut short
@@ -220,8 +218,8 @@ FILE_FAULTS = {
                                "ValidationError: {f}: label map names must be unique"),
     "labelmap-no-name": ("labelmap", b"\n\n",
                          "ValidationError: {f}: label map must name at least one class"),
-    "ova-nan-weight": ("ova", b"#locallearn-ova v1\n0 0.5 nan 1.0\n1 0.5 1.0 1.0\n",
-                       "ValidationError: {f}: model parameters must be finite"),
+    "ova-nan-weight": ("ova", b"#locallearn-features v1 dim=3\nx,0.5,nan,1.0\ny,0.5,1.0,1.0\n",
+                       "NonFiniteValue: {f}: non-finite value at row 0, col 1"),
     "vocab-nan-centroid": ("vocab", _vocab((4,), _SIFT, [(1, np.array([[0.0, np.nan]]))]),
                            "ValidationError: {f}: vocabulary centroids must be finite"),
     "vocab-nan-contrast": ("vocab", _vocab_with_contrast(np.nan), "ValidationError: {f}: "
@@ -271,10 +269,15 @@ def test_file_faults_name_their_file_and_exit_2_before_any_data_is_read(tmp_path
     file.write_bytes(blob)
     before = sorted(tmp_path.rglob("*"))
     read = []
+
+    def spy(real):
+        # A model file is a feature file: the faulty file itself is read.
+        return lambda path, *a, **k: real(path, *a, **k) if Path(path) == file else read.append(path)
+
     for module, reader in ((core, "load_features"), (core, "FeatureRows"), (core, "read_labels"),
                            (core, "read_splits"), (bovw, "read_pgm"), (pipeline, "FeatureRows"),
                            (pipeline, "read_labels"), (pipeline, "read_splits")):
-        monkeypatch.setattr(module, reader, lambda *a, **k: read.append(a))
+        monkeypatch.setattr(module, reader, spy(getattr(module, reader)))
     assert cli.main([a.format(d=tmp_path) for a in FIRST_READ[name]]) == 2
     assert capsys.readouterr().err == "error: " + error.format(f=file) + "\n"
     assert read == [] and sorted(tmp_path.rglob("*")) == before
@@ -418,3 +421,11 @@ def test_mlp_writer_bytes(tmp_path):
     assert (tmp_path / "m.llmb").read_bytes() == _mlp(
         *[(l.name.encode("utf-8"), *l.W.shape, np.concatenate([l.W.ravel(), l.b]))
           for l in model.layers])
+
+
+def test_ova_writer_bytes(tmp_path):
+    # A text feature file keyed by class name, rows in ascending class id.
+    model = svm.OvaModel([0, 2], [[1.0, -0.5], [0.1, 3e-300]], [0.25, -2.0])
+    svm.save_ova(model, core.LabelMap(("x", "unused", "tête-λ")), tmp_path / "m.ova")
+    assert (tmp_path / "m.ova").read_bytes() == (
+        "#locallearn-features v1 dim=3\nx,0.25,1.0,-0.5\ntête-λ,-2.0,0.1,3e-300\n".encode("utf-8"))

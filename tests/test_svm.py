@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -10,12 +11,14 @@ import numpy as np
 import pytest
 
 import locallearn.svm as svm_mod
+from locallearn.core import LabelMap, load_features, save_features
 from locallearn.errors import (
     DimMismatch,
     MalformedFile,
     NonFiniteValue,
     NoTrainedClasses,
     SingleClass,
+    UnknownClassName,
     ValidationError,
 )
 from locallearn.svm import (
@@ -865,8 +868,8 @@ class TestOva:
         # One class gets one zero row and a zero bias: it wins every row
         # with a decision of 0.
         X = np.random.default_rng(0).normal(size=(5, 2))
-        model, infos = train_ova(X, np.full(5, 3), SvmConfig(), n_classes=7, return_infos=True)
-        assert model.classes.tolist() == [3] and model.n_classes == 7 and infos == []
+        model, infos = train_ova(X, np.full(5, 3), SvmConfig(), return_infos=True)
+        assert model.classes.tolist() == [3] and infos == []
         assert model.W.tolist() == [[0.0, 0.0]] and model.b.tolist() == [0.0]
         assert predict_ova_batch(model, X).tolist() == [3] * 5
         assert decisions(model, X).tolist() == [[0.0]] * 5
@@ -877,25 +880,22 @@ class TestOva:
         assert np.array_equal(predict_ova_batch(model, X), y)
 
     def test_argmax_and_tie_rules(self):
-        ova = OvaModel([0, 1], [[1.0], [2.0]], [0.0, 0.0], n_classes=3)
+        ova = OvaModel([0, 1], [[1.0], [2.0]], [0.0, 0.0])
         assert predict_ova_batch(ova, [[1.0]]).tolist() == [1]
-        tie = OvaModel([0, 2], [[1.0], [1.0]], [0.0, 0.0], n_classes=3)
+        tie = OvaModel([0, 2], [[1.0], [1.0]], [0.0, 0.0])
         assert predict_ova_batch(tie, [[0.5]]).tolist() == [0]
 
     def test_one_trained_class_always_wins(self):
-        ova = OvaModel([1], [[1.0, 1.0]], [-100.0], n_classes=4)
+        ova = OvaModel([1], [[1.0, 1.0]], [-100.0])
         assert predict_ova_batch(ova, [[0.0, 0.0]]).tolist() == [1]
 
     def test_no_trained_classes(self):
         with pytest.raises(NoTrainedClasses):
-            predict_ova_batch(OvaModel([], np.zeros((0, 1)), [], n_classes=2), [[1.0]])
+            predict_ova_batch(OvaModel([], np.zeros((0, 1)), []), [[1.0]])
 
-    def test_labels_must_fit_n_classes(self):
-        # Otherwise save_ova would write a model that load_ova rejects.
+    def test_negative_labels_rejected(self):
         X = np.random.default_rng(3).normal(size=(6, 2))
-        with pytest.raises(ValidationError):
-            train_ova(X, [0, 1, 2, 0, 1, 2], SvmConfig(), n_classes=2)
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="labels must be non-negative class ids"):
             train_ova(X, [0, 1, -1, 0, 1, -1], SvmConfig())
 
     def test_empty_batch(self):
@@ -909,9 +909,12 @@ class TestOva:
             predict_ova_batch(model, np.zeros((2, 3)))
 
 
+MAP = LabelMap(("a", "b", "c", "d", "e"))
+
+
 def _write_model(tmp_path, text):
     path = tmp_path / "m.ova"
-    path.write_text("#locallearn-ova v1\n" + text)
+    path.write_text(text, encoding="utf-8")
     return path
 
 
@@ -919,69 +922,83 @@ class TestModelIO:
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(4)
         X = rng.normal(size=(20, 3))
-        labels = rng.integers(0, 3, 20)
-        model = train_ova(X, labels, SvmConfig(C=1.0), class_names=("a", "b", "c"))
-        path = tmp_path / "model.ova"
-        save_ova(model, path)
-        back = load_ova(path)
-        assert back.class_names == ("a", "b", "c")
-        assert back.n_classes == model.n_classes
-        for name in ("classes", "W", "b"):
-            assert np.array_equal(getattr(back, name), getattr(model, name))
+        model = train_ova(X, rng.integers(0, 3, 20), SvmConfig(C=1.0))
+        save_ova(model, MAP, tmp_path / "model.ova")
+        for given, names in ((MAP, MAP.names), (None, ("a", "b", "c"))):
+            back, label_map = load_ova(tmp_path / "model.ova", given)
+            assert label_map.names == names
+            for name in ("classes", "W", "b"):
+                assert np.array_equal(getattr(back, name), getattr(model, name))
 
     def test_roundtrip_decisions_bit_equal(self, tmp_path):
         rng = np.random.default_rng(14)
         X = rng.normal(size=(60, 11))
         model = train_ova(X, rng.integers(0, 4, 60), SvmConfig(C=100.0, seed=2))
-        save_ova(model, tmp_path / "m.ova")
-        back = load_ova(tmp_path / "m.ova")
+        save_ova(model, MAP, tmp_path / "m.ova")
+        back, _ = load_ova(tmp_path / "m.ova")
         assert np.array_equal(decisions(back, X), decisions(model, X))
+
+    def test_either_feature_format_loads(self, tmp_path):
+        model = OvaModel([1, 3], [[1.0, -0.5], [-1.0, 0.5]], [0.25, -0.25])
+        save_ova(model, MAP, tmp_path / "m.ova")
+        save_features(load_features(tmp_path / "m.ova"), tmp_path / "m.bin", fmt="binary")
+        back, _ = load_ova(tmp_path / "m.bin", MAP)
+        assert back.classes.tolist() == [1, 3]
+        assert np.array_equal(back.W, model.W) and np.array_equal(back.b, model.b)
 
     def test_constant_roundtrip(self, tmp_path):
         X = np.random.default_rng(6).normal(size=(4, 3))
-        model = train_ova(X, np.full(4, 2), SvmConfig(), n_classes=5)
-        save_ova(model, tmp_path / "m.ova")
-        back = load_ova(tmp_path / "m.ova")
-        assert back.classes.tolist() == [2] and back.n_classes == 5
+        model = train_ova(X, np.full(4, 2), SvmConfig())
+        save_ova(model, MAP, tmp_path / "m.ova")
+        back, label_map = load_ova(tmp_path / "m.ova", MAP)
+        assert back.classes.tolist() == [2] and label_map is MAP
         assert np.array_equal(decisions(back, X), decisions(model, X))
-        assert predict_ova_batch(back, X).tolist() == [2] * 4
+        back, label_map = load_ova(tmp_path / "m.ova")
+        assert back.classes.tolist() == [0] and label_map.names == ("c",)
 
-    def test_old_constant_line_is_ignored(self, tmp_path):
-        # Files written with a constant-model marker hold no weight line:
-        # the marker is an ignored comment, so no class is trained.
-        model = load_ova(_write_model(tmp_path, "#n_classes 4\n#constant 3\n"))
-        assert model.classes.tolist() == [] and model.n_classes == 4
-        with pytest.raises(NoTrainedClasses):
-            predict_ova_batch(model, [[1.0]])
+    def test_rows_take_their_ids_from_the_label_map(self, tmp_path):
+        # Rows in another order than the map's become ascending class ids,
+        # each with its own weights.
+        path = _write_model(tmp_path, "#locallearn-features v1 dim=2\nd,0.5,1.0\nb,-0.5,2.0\n")
+        model, _ = load_ova(path, MAP)
+        assert model.classes.tolist() == [1, 3]
+        assert model.W.tolist() == [[2.0], [1.0]] and model.b.tolist() == [-0.5, 0.5]
+
+    def test_old_format_is_malformed(self, tmp_path):
+        path = _write_model(tmp_path, "#locallearn-ova v1\n#n_classes 2\n0 0.5 1.0\n")
+        with pytest.raises(MalformedFile, match="bad header '#locallearn-ova v1'"):
+            load_ova(path)
 
     def test_bad_header(self, tmp_path):
         (tmp_path / "m.ova").write_text("#not-a-model\n")
         with pytest.raises(MalformedFile):
             load_ova(tmp_path / "m.ova")
 
-    @pytest.mark.parametrize("line", ["#n_classes abc"])
-    def test_non_integer_header(self, tmp_path, line):
-        (tmp_path / "m.ova").write_text(f"#locallearn-ova v1\n{line}\n0 0.5 1.0\n")
-        with pytest.raises(MalformedFile, match=":2:"):
-            load_ova(tmp_path / "m.ova")
+    @pytest.mark.parametrize("given", [MAP, None], ids=["labelmap", "no-labelmap"])
+    def test_header_only_model_has_no_trained_classes(self, tmp_path, given):
+        path = _write_model(tmp_path, "#locallearn-features v1 dim=3\n")
+        with pytest.raises(NoTrainedClasses,
+                           match=f"^{re.escape(str(path))}: OvA model has no trained classes$"):
+            load_ova(path, given)
 
-    def test_header_only_model_has_no_trained_classes(self, tmp_path):
-        model = load_ova(_write_model(tmp_path, "#n_classes 3\n"))
-        with pytest.raises(NoTrainedClasses):
-            predict_ova_batch(model, [[1.0]])
-
-    def test_repeated_class_id(self, tmp_path):
-        path = _write_model(tmp_path, "0 0.5 1.0 1.0\n1 0.0 1.0 0.0\n0 -9 1.0 1.0\n")
-        with pytest.raises(MalformedFile, match=":4: repeated class id 0"):
+    def test_repeated_class_name(self, tmp_path):
+        path = _write_model(tmp_path,
+                            "#locallearn-features v1 dim=2\na,0.5,1.0\nb,0.0,1.0\na,-9,1.0\n")
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: duplicate sample id 'a'$"):
             load_ova(path)
 
-    @pytest.mark.parametrize("text, line", [
-        ("0 0.5 1.0\n-1 0.5 1.0\n", 3),
-        ("#n_classes 2\n0 0.5 1.0\n2 0.5 1.0\n", 4),
-    ])
-    def test_class_id_out_of_range(self, tmp_path, text, line):
-        with pytest.raises(MalformedFile, match=f":{line}: class id -?\\d+ out of range"):
-            load_ova(_write_model(tmp_path, text))
+    def test_class_id_out_of_range(self, tmp_path):
+        # A class id the map does not name is refused before the file is
+        # opened, so no model file is left behind.
+        model = OvaModel([0, 5], [[1.0], [2.0]], [0.0, 0.0])
+        with pytest.raises(UnknownClassName, match="class id 5 out of range"):
+            save_ova(model, MAP, tmp_path / "m.ova")
+        assert not (tmp_path / "m.ova").exists()
+
+    def test_class_name_outside_the_label_map(self, tmp_path):
+        path = _write_model(tmp_path, "#locallearn-features v1 dim=2\na,0.5,1.0\nz,0.0,1.0\n")
+        with pytest.raises(UnknownClassName, match=f"^{re.escape(str(path))}: unknown class name 'z'$"):
+            load_ova(path, MAP)
 
 
 class TestConfig:
