@@ -14,7 +14,12 @@ measures validation accuracy so ``select_rates`` can pick, per layer, the
 highest rate whose accuracy drop stays within a threshold (layers failing
 every rate are excluded from pruning).
 
-Models serialize to a ``core.BinaryFile`` (magic ``LLMB``).
+A model's arithmetic follows the dtype of its weights: ``init_mlp`` makes
+float32 weights, as CNNs are trained, and rows are cast as they enter the
+network.  The loss and its softmax are taken in float64.
+
+Models serialize to a ``core.BinaryFile`` (magic ``LLMB``) with f64 values;
+``load_mlp`` narrows them to float32.
 """
 
 from __future__ import annotations
@@ -121,11 +126,17 @@ class Layer:
 
 
 class MlpModel:
-    """Fully-connected ReLU stack with a softmax head, float64 throughout."""
+    """Fully-connected ReLU stack with a softmax head, computed in the one
+    float dtype (float32 or float64) that every layer's W and b share."""
 
     def __init__(self, layers: list[Layer]):
         if not layers:
             raise ValidationError("model needs at least one layer")
+        dtypes = {a.dtype for layer in layers for a in (layer.W, layer.b)}
+        if len(dtypes) != 1 or not dtypes <= {np.dtype(np.float32), np.dtype(np.float64)}:
+            raise ValidationError(
+                f"layers must share one float32 or float64 dtype, got {sorted(map(str, dtypes))}")
+        self.dtype = dtypes.pop()
         for prev, nxt in zip(layers, layers[1:]):
             if prev.W.shape[1] != nxt.W.shape[0]:
                 raise ValidationError(
@@ -145,12 +156,13 @@ class MlpModel:
         return [layer.name for layer in self.layers]
 
     def _forward(self, X: np.ndarray):
-        """Returns (pre-activations per layer, activations per layer)."""
+        """Returns (pre-activations per layer, activations per layer), the
+        first activation ``X`` cast to the model's dtype."""
         if X.ndim != 2 or X.shape[1] != self.in_dim:
             raise DimMismatch(f"X has shape {X.shape}, model expects rows of dim {self.in_dim}")
-        acts = [X]
+        a = X.astype(self.dtype, copy=False)
+        acts = [a]
         pres = []
-        a = X
         for i, layer in enumerate(self.layers):
             z = a @ layer.W + layer.b
             pres.append(z)
@@ -160,9 +172,9 @@ class MlpModel:
 
     def probs(self, X: np.ndarray) -> np.ndarray:
         with np.errstate(invalid="ignore", over="ignore"):
-            _, acts = self._forward(np.asarray(X, dtype=np.float64))
-            z = acts[-1]
-            z = z - z.max(axis=1, keepdims=True)
+            _, acts = self._forward(np.asarray(X))
+            z = acts[-1].astype(np.float64)
+            z -= z.max(axis=1, keepdims=True)
             e = np.exp(z)
             return e / e.sum(axis=1, keepdims=True)
 
@@ -175,27 +187,31 @@ class MlpModel:
         return float(np.mean(self.predict(X) == y))
 
     def loss_and_grads(self, X: np.ndarray, y: np.ndarray):
-        """Mean cross-entropy and its gradients w.r.t. every W and b."""
-        X = np.asarray(X, dtype=np.float64)
+        """Mean cross-entropy and its gradients w.r.t. every W and b.
+
+        The softmax and the loss are taken in float64 from the logits, and
+        the output error is cast back to the model's dtype for the products.
+        """
+        X = np.asarray(X)
         y = np.asarray(y, dtype=np.intp)
         n = X.shape[0]
+        # divergence shows up as a non-finite loss or update, checked by callers
         with np.errstate(invalid="ignore", over="ignore"):
-            # divergence shows up as a non-finite loss, checked by callers
             pres, acts = self._forward(X)
-            logits = acts[-1]
-            shifted = logits - logits.max(axis=1, keepdims=True)
+            shifted = acts[-1].astype(np.float64)
+            shifted -= shifted.max(axis=1, keepdims=True)
             e = np.exp(shifted)
             z = e.sum(axis=1, keepdims=True)
             loss = float(np.mean(np.log(z[:, 0]) - shifted[np.arange(n), y]))
-            probs = e / z
-        delta = probs
-        delta[np.arange(n), y] -= 1.0
-        delta /= n
-        grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(self.layers)
-        for i in range(len(self.layers) - 1, -1, -1):
-            grads[i] = (acts[i].T @ delta, delta.sum(axis=0))
-            if i > 0:
-                delta = (delta @ self.layers[i].W.T) * (pres[i - 1] > 0.0)
+            delta = e / z
+            delta[np.arange(n), y] -= 1.0
+            delta /= n
+            delta = delta.astype(self.dtype, copy=False)
+            grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(self.layers)
+            for i in range(len(self.layers) - 1, -1, -1):
+                grads[i] = (acts[i].T @ delta, delta.sum(axis=0))
+                if i > 0:
+                    delta = (delta @ self.layers[i].W.T) * (pres[i - 1] > 0.0)
         return loss, grads
 
     def zero_fractions(self) -> dict[str, float]:
@@ -220,7 +236,8 @@ def mlp_layer_names(n_layers: int) -> list[str]:
 
 
 def init_mlp(dims: Sequence[int], seed: int = 0, std: float = 0.1) -> MlpModel:
-    """Gaussian-initialized MLP; ``dims`` runs input, hidden..., classes."""
+    """Gaussian-initialized float32 MLP (float64 normals, rounded);
+    ``dims`` runs input, hidden..., classes."""
     if len(dims) < 2:
         raise ValidationError("dims must name at least input and output sizes")
     rng = np.random.default_rng(seed)
@@ -229,8 +246,8 @@ def init_mlp(dims: Sequence[int], seed: int = 0, std: float = 0.1) -> MlpModel:
         layers.append(
             Layer(
                 name=name,
-                W=rng.normal(0.0, std, (dims[i], dims[i + 1])),
-                b=np.zeros(dims[i + 1]),
+                W=rng.normal(0.0, std, (dims[i], dims[i + 1])).astype(np.float32),
+                b=np.zeros(dims[i + 1], dtype=np.float32),
             )
         )
     return MlpModel(layers)
@@ -251,7 +268,10 @@ def sgd_step(
     """One momentum step: v <- momentum*v - lr*grad; params <- params + v.
 
     The gradients are scaled in place.  Returns the batch loss.  Raises
-    NonFiniteGradient when the loss or any gradient entry diverges.
+    NonFiniteGradient when the loss diverges or a layer's updated
+    parameters are not finite (a non-finite gradient or velocity, or an
+    overflow in the model's dtype, makes them so); that layer and those
+    before it keep the step.
     """
     if X.shape[0] == 0:
         raise ValidationError("batch must be non-empty")
@@ -260,16 +280,17 @@ def sgd_step(
     if not np.isfinite(loss):
         raise NonFiniteGradient("loss diverged")
     for layer, (vW, vb), (gW, gb) in zip(model.layers, velocity, grads):
-        if not (np.isfinite(gW).all() and np.isfinite(gb).all()):
-            raise NonFiniteGradient(f"gradient diverged in layer {layer.name}")
-        vW *= cfg.momentum
-        gW *= step_lr
-        vW -= gW
-        vb *= cfg.momentum
-        gb *= step_lr
-        vb -= gb
-        layer.W += vW
-        layer.b += vb
+        with np.errstate(invalid="ignore", over="ignore"):
+            vW *= cfg.momentum
+            gW *= step_lr
+            vW -= gW
+            vb *= cfg.momentum
+            gb *= step_lr
+            vb -= gb
+            layer.W += vW
+            layer.b += vb
+        if not (np.isfinite(layer.W).all() and np.isfinite(layer.b).all()):
+            raise NonFiniteGradient(f"update diverged in layer {layer.name}")
     return loss
 
 
@@ -354,9 +375,11 @@ def dsd_train(
     Flip augmentation draws from 2n rows, the last n the mirrored images,
     but mirrors only the rows of each batch: the batches are those of
     ``flip_augment(X)`` and the labels repeated, with no copy of the set.
+    ``X`` is taken in its own dtype; each batch is cast to the model's as
+    it enters the network.
     """
     X, y = train
-    X = np.asarray(X, dtype=np.float64)
+    X = np.asarray(X)
     y = np.asarray(y, dtype=np.intp)
     n = X.shape[0]
     if n == 0:
@@ -476,12 +499,16 @@ def save_mlp(model: MlpModel, path) -> None:
 
 
 def load_mlp(path) -> MlpModel:
+    """The model of an ``LLMB`` file, its f64 values narrowed (rounded) to
+    float32; a value beyond float32's range is a non-finite parameter."""
     with open(path, "rb") as fh, reading(path):
         f = BinaryFile(fh, path, "model", MODEL_MAGIC, 1)
         layers = []
         for _ in range(*f.read("<I")):
             name = f.text("layer name")
             rows, cols = f.read("<II")
-            layers.append(Layer(name, f.floats(rows * cols).reshape(rows, cols), f.floats(cols)))
+            W, b = f.floats(rows * cols).reshape(rows, cols), f.floats(cols)
+            with np.errstate(over="ignore"):
+                layers.append(Layer(name, W.astype(np.float32), b.astype(np.float32)))
         f.end()
         return MlpModel(layers)

@@ -3,7 +3,8 @@
 Nothing here shares code paths with the package: the QP oracle is an
 interior-point method (the solver under test is coordinate ascent finished
 by an active-set Newton step), the neighbor oracles are direct full scans,
-the gradient oracle is central finite differences, the k-means++ oracle
+the gradient oracle is central finite differences (and, for float32,
+float64 products bounded by each product's inner dimension), the k-means++ oracle
 recomputes every point's D² at every draw, the k-means oracle measures
 every point against every centroid and re-averages every cluster at every
 iteration, the prune oracle ranks by a full stable sort, the ingest oracle
@@ -259,6 +260,76 @@ def finite_diff_grads(model, X: np.ndarray, y: np.ndarray, h: float = 1e-6):
             pair.append(g)
         grads.append(tuple(pair))
     return grads
+
+
+def widened(model):
+    """``model`` with every W and b widened, exactly, to float64."""
+    from locallearn.dsd import Layer, MlpModel
+
+    return MlpModel([Layer(l.name, l.W.astype(np.float64), l.b.astype(np.float64))
+                     for l in model.layers])
+
+
+def float32_mlp_bounds(model64, pres, acts, y: np.ndarray):
+    """The float64 value of each result of a float32 MLP's forward pass and
+    ``loss_and_grads``, each from the float32 run's own operands, with a
+    bound on the float32 result's distance from it.
+
+    ``model64`` is the model widened to float64 (``widened``); ``pres`` and
+    ``acts`` the float32 model's forward pass (``acts[0]`` the rows, as the model
+    cast them); ``y`` the labels.  Higham's (2002, §3.1) bound for an inner
+    product of length m computed in float32, |fl(aᵀb) - aᵀb| ≤ γ_m |a|ᵀ|b|
+    with γ_m = mu/(1 - mu), holds in any summation order, with or without
+    fused multiply-adds.  So:
+    - a pre-activation z = a W + b lies within E = γ_{m+1}(|a||W| + |b|)
+      (the bias adds one rounding);
+    - the loss, taken in float64 from the logits, within the mean over rows
+      of 2 max_j E (log-sum-exp and the picked logit move no more than the
+      logits);
+    - the output error δ = (softmax - onehot)/n, taken in float64 from the
+      run's logits and cast to float32, within u|δ|; then gW = aᵀδ and gb
+      = Σδ (length n) and the next layer's error (δ Wᵀ)∘[z > 0] (length k,
+      the run's own mask) are bounded alike, with the error δ carries added
+      through |a| and |W|.
+
+    Returns ([(z, bound) per layer], (loss, bound), [((gW, bound), (gb,
+    bound)) per layer]).
+    """
+    # float32's unit roundoff, with room for the float64 reference's own
+    # rounding (terms of the same form at a few 2**-53)
+    u = 2.0**-24 + 2.0**-50
+
+    def gamma(m):
+        return m * u / (1.0 - m * u)
+
+    acts = [np.asarray(a, dtype=np.float64) for a in acts]
+    n = acts[0].shape[0]
+    rows = np.arange(n)
+    layers = model64.layers
+    forward = [(a @ l.W + l.b, gamma(l.W.shape[0] + 1) * (np.abs(a) @ np.abs(l.W) + np.abs(l.b)))
+               for l, a in zip(layers, acts)]
+
+    def log_softmax(z):
+        top = z.max(axis=1, keepdims=True)
+        return z - top - np.log(np.exp(z - top).sum(axis=1, keepdims=True))
+
+    logits, bound = forward[-1]
+    loss = (float(-np.mean(log_softmax(logits)[rows, y])), float(np.mean(2.0 * bound.max(axis=1))))
+    delta = np.exp(log_softmax(np.asarray(pres[-1], dtype=np.float64)))
+    delta[rows, y] -= 1.0
+    delta /= n
+    err = u * np.abs(delta)
+    grads = [None] * len(layers)
+    for i in range(len(layers) - 1, -1, -1):
+        a, W = np.abs(acts[i]), layers[i].W
+        size = np.abs(delta) + err  # bounds the float32 run's |δ|
+        grads[i] = ((acts[i].T @ delta, gamma(n) * a.T @ size + a.T @ err),
+                    (delta.sum(axis=0), gamma(n) * size.sum(axis=0) + err.sum(axis=0)))
+        if i > 0:
+            mask = np.asarray(pres[i - 1]) > 0.0
+            err = (gamma(W.shape[1]) * size @ np.abs(W).T + err @ np.abs(W).T) * mask
+            delta = (delta @ W.T) * mask
+    return forward, loss, grads
 
 
 def max_rel_grad_err(analytic, numeric) -> float:

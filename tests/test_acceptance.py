@@ -36,7 +36,10 @@ from locallearn.neighbors import CosineIndex, top_k
 from locallearn.svm import SvmConfig, predict_ova_batch, train_binary, train_ova
 from locallearn.synth import as_feature_matrix, gaussian_blobs, texture_corpus, two_arcs
 
-from oracles import box_qp_max, brute_cosine_topk, finite_diff_grads, max_rel_grad_err, svm_dual_gram, svm_dual_value
+from oracles import (
+    box_qp_max, brute_cosine_topk, finite_diff_grads, max_rel_grad_err, svm_dual_gram,
+    svm_dual_value, widened,
+)
 
 
 def report(line: str) -> None:
@@ -182,7 +185,8 @@ def test_c07_mlp_gradients_match_finite_differences():
         d = int(rng.integers(3, 7))
         hidden = int(rng.integers(4, 9))
         k = int(rng.integers(2, 5))
-        model = init_mlp([d, hidden, k], seed=trial, std=0.5)
+        # float64, so central differences of step 1e-6 can see the gradient
+        model = widened(init_mlp([d, hidden, k], seed=trial, std=0.5))
         X = rng.normal(size=(8, d))
         y = rng.integers(0, k, 8)
         _, analytic = model.loss_and_grads(X, y)

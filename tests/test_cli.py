@@ -863,6 +863,18 @@ class TestDsdCommands:
         assert code == 3
         assert "NonFiniteGradient" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_update_overflowing_float32_exits_3(self, tmp_path, capsys):
+        # 1e40 is a finite float64 rate, and lr * gradient overflows float32.
+        self._features(tmp_path)
+        code = run(["dsd-train", "--features", tmp_path / "f.fv",
+                    "--labels", tmp_path / "l.csv", "--labelmap", tmp_path / "map.txt",
+                    "--schedule", "D2", "--hidden", "8", "--lr", "1e40",
+                    "--out", tmp_path / "m.llmb"])
+        assert code == 3
+        assert "NonFiniteGradient: update diverged" in capsys.readouterr().err
+        assert not (tmp_path / "m.llmb").exists()
+
 
 class TestSeedEnvFallback:
     def test_env_seed_used(self, arcs_dataset, tmp_path, monkeypatch):

@@ -9,6 +9,8 @@ from locallearn.dsd import (
     LR_DECAY,
     DsdPhase,
     DsdSchedule,
+    Layer,
+    MlpModel,
     SensitivityTable,
     TrainerConfig,
     dsd_train,
@@ -26,7 +28,9 @@ from locallearn.dsd import (
 from locallearn.errors import MalformedFile, NonFiniteGradient, ValidationError
 from locallearn.synth import gaussian_blobs
 
-from oracles import finite_diff_grads, max_rel_grad_err, prune_mask_sorted
+from oracles import (
+    finite_diff_grads, float32_mlp_bounds, max_rel_grad_err, prune_mask_sorted, widened,
+)
 
 
 class TestSgdStep:
@@ -62,7 +66,7 @@ class TestSgdStep:
 
     def test_analytic_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(2)
-        model = init_mlp([4, 6, 3], seed=5, std=0.5)
+        model = widened(init_mlp([4, 6, 3], seed=5, std=0.5))  # float64, as c07
         X = rng.normal(size=(8, 4))
         y = rng.integers(0, 3, 8)
         _, analytic = model.loss_and_grads(X, y)
@@ -76,6 +80,56 @@ class TestSgdStep:
         with pytest.raises(NonFiniteGradient):
             sgd_step(model, X, np.zeros(1, dtype=int), TrainerConfig(lr=0.1),
                      make_velocity(model))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("lr, weight_scale", [(1e40, 1.0), (1e22, 1e18)])
+    def test_update_overflowing_float32_raises(self, lr, weight_scale):
+        # Both are finite in float64: lr * gradient overflows float32 (for
+        # lr = 1e40 already when lr is cast), and the update is non-finite.
+        rng = np.random.default_rng(3)
+        model = init_mlp([4, 6, 3], seed=5)
+        for layer in model.layers:
+            layer.W *= weight_scale
+        X, y = rng.normal(size=(8, 4)), rng.integers(0, 3, 8)
+        assert np.isfinite(model.loss_and_grads(X, y)[0])
+        with pytest.raises(NonFiniteGradient, match="update diverged"):
+            sgd_step(model, X, y, TrainerConfig(lr=lr), make_velocity(model))
+
+
+class TestFloat32:
+    @pytest.mark.parametrize("dims, n, std", [([6, 9, 4], 8, 0.5), ([2304, 256, 2], 64, 0.1)])
+    def test_loss_and_gradients_within_rounding_bound_of_float64(self, dims, n, std):
+        # The second is one batch at the texture bench's shape: 48x48 pixels.
+        rng = np.random.default_rng(len(dims) + n)
+        model = init_mlp(dims, seed=n, std=std)
+        for layer in model.layers:
+            layer.b[:] = rng.normal(0.0, 0.5, layer.b.shape)
+        X = rng.random((n, dims[0]))
+        y = rng.integers(0, dims[-1], n)
+        pres, acts = model._forward(X)
+        loss, grads = model.loss_and_grads(X, y)
+        forward, (ref_loss, loss_bound), refs = float32_mlp_bounds(widened(model), pres, acts, y)
+        assert acts[0].dtype == np.float32
+        assert abs(loss - ref_loss) <= loss_bound
+        results = list(zip(pres, forward)) + [
+            pair for got, ref in zip(grads, refs) for pair in zip(got, ref)]
+        for got, (ref, bound) in results:
+            assert got.dtype == np.float32
+            assert (np.abs(got - ref) <= bound).all()
+            assert np.median(bound) < 1e-2 * np.abs(ref).max()  # the bound is not vacuous
+
+    def test_init_and_training_keep_float32(self):
+        train, val = blob_data(8)
+        model = init_mlp([2, 8, 4], seed=1)
+        dsd_train(model, train, val, parse_schedule("D2,S1@0.5"), TrainerConfig(batch_size=64))
+        assert {a.dtype for l in model.layers for a in (l.W, l.b)} == {np.dtype(np.float32)}
+
+    @pytest.mark.parametrize("dtypes", [("f4", "f8"), ("f8", "f4"), ("f2", "f2"), ("i8", "i8")])
+    def test_layers_of_mixed_or_non_float_dtype_rejected(self, dtypes):
+        layer = init_mlp([3, 2], seed=0).layers[0]
+        layers = [Layer("fc1", layer.W.astype(dtypes[0]), layer.b.astype(dtypes[1]))]
+        with pytest.raises(ValidationError, match="one float32 or float64 dtype"):
+            MlpModel(layers)
 
 
 class TestPruneMask:
@@ -417,6 +471,32 @@ class TestModelIO:
         assert back.layer_names() == model.layer_names()
         for l1, l2 in zip(model.layers, back.layers):
             assert np.array_equal(l1.W, l2.W) and np.array_equal(l1.b, l2.b)
+
+    def test_load_narrows_to_float32(self, tmp_path):
+        # A float64 model's file loads rounded to float32 values.
+        model = widened(init_mlp([5, 3], seed=11))
+        model.layers[0].W[0, 0] = 0.1
+        save_mlp(model, tmp_path / "m.llmb")
+        back = load_mlp(tmp_path / "m.llmb")
+        assert back.layers[0].W.dtype == back.layers[0].b.dtype == np.float32
+        assert float(back.layers[0].W[0, 0]) == float(np.float32(0.1)) != 0.1
+        assert np.array_equal(back.layers[0].W, model.layers[0].W.astype(np.float32))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_value_beyond_float32_range_rejected(self, tmp_path):
+        model = widened(init_mlp([5, 3], seed=11))
+        model.layers[0].W[1, 2] = 1e300
+        save_mlp(model, tmp_path / "m.llmb")
+        with pytest.raises(ValidationError, match="non-finite parameters"):
+            load_mlp(tmp_path / "m.llmb")
+
+    def test_reloaded_model_scans_as_trained(self, tmp_path):
+        train, val = blob_data(9)
+        model = init_mlp([2, 8, 4], seed=3)
+        dsd_train(model, train, val, parse_schedule("D8"), TrainerConfig(lr=0.2, batch_size=64))
+        save_mlp(model, tmp_path / "m.llmb")
+        back = load_mlp(tmp_path / "m.llmb")
+        assert sensitivity_scan(back, *val) == sensitivity_scan(model, *val)
 
     def test_bad_magic(self, tmp_path):
         (tmp_path / "m.llmb").write_bytes(b"JUNK")
