@@ -45,7 +45,7 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import BinaryFile, check_finite, check_workers, fan_out, reading
+from .core import BinaryFile, as_rows, check_finite, check_workers, fan_out, reading
 from .errors import DimMismatch, ImageTooSmall, LevelMismatch, MalformedFile, ValidationError
 
 VOCAB_MAGIC = b"LLVB"
@@ -288,12 +288,11 @@ def kmeans(
     fewer distinct points than k).  The assignment step's row chunks are
     mapped by one ``core.fan_out(workers)`` per call; a word does not
     depend on the chunk that holds its row, so the outcome is the same at
-    any worker count.  A NaN or infinite point raises ``NonFiniteValue``.
+    any worker count.  The points pass ``core.as_rows`` (prefix ``points: ``).
     """
-    points = np.asarray(points, dtype=np.float64)
-    if points.ndim != 2 or points.shape[0] < 1:
-        raise ValidationError("need a non-empty 2-D point set")
-    check_finite(points, "points: ")
+    points = as_rows(points, "points: ")
+    if points.shape[0] < 1:
+        raise ValidationError("need a non-empty point set")
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
     n = points.shape[0]

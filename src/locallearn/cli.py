@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bovw, core, dsd, report, svm
-from .errors import ComputeError, DimMismatch, MalformedFile, UnknownSource, ValidationError
+from .errors import ComputeError, MalformedFile, UnknownSource, ValidationError
 from .features import fuse
 from .local import LocalLearnerConfig, knn_classify_batch, local_predict_batch
 from .pipeline import ingest_and_fuse, run_pipeline
@@ -269,8 +269,6 @@ def cmd_dsd_train(args) -> int:
         val_matrix, _ = _labeled_matrix(args.val_features, args.val_labels, args, label_map)
         Xt, yt = matrix.values, matrix.labels
         Xv, yv = val_matrix.values, val_matrix.labels
-        if Xv.shape[1] != matrix.dim:  # the model's input dim, checked before training
-            raise DimMismatch(f"X has shape {Xv.shape}, model expects rows of dim {matrix.dim}")
     else:
         rng = np.random.default_rng([seed, 41])
         order = rng.permutation(matrix.n_samples)

@@ -13,6 +13,8 @@ robustly.  Both round-trip bit-exactly:
 ``FeatureRows`` reads either format one row at a time; ``load_features``
 and fusion both read through it.  A file's rows and a ``FeatureMatrix``'s
 pass one check, ``_checked_rows``: finite values, id syntax, unique ids.
+Any other array a numeric routine is handed passes ``as_rows``: 2-D, of
+the routine's width, and finite in the routine's dtype.
 
 Labels live in separate files of ``sample_id,class_name`` lines keyed by
 sample id, never by position.  A label map file lists one class name per
@@ -114,6 +116,28 @@ def check_finite(values: np.ndarray, prefix: str = "", first_row: int = 0) -> No
         row, col = np.argwhere(~np.isfinite(values))[0].tolist()
         row += first_row
         raise NonFiniteValue(f"{prefix}non-finite value at row {row}, col {col}", row=row, col=col)
+
+
+def as_rows(X, prefix: str = "", dim: int | None = None, dtype=np.float64) -> np.ndarray:
+    """The rows of ``X`` for a numeric routine, as ``dtype``.
+
+    A 2-D array with ``dim`` columns when ``dim`` is given, else
+    ``DimMismatch``.  A ``FeatureMatrix``'s float64 values were checked
+    when it was built and are not checked again; anything else is cast to
+    ``dtype`` (a value beyond its range becomes infinite, with no warning)
+    and must be finite after the cast (``check_finite``).  ``prefix``
+    starts either fault's message.
+    """
+    rows = X.values if isinstance(X, FeatureMatrix) else np.asarray(X)
+    if rows.ndim != 2 or dim not in (None, rows.shape[1]):
+        want = "2-D rows" if dim is None else f"rows of dim {dim}"
+        raise DimMismatch(f"{prefix}X has shape {rows.shape}, model expects {want}")
+    if isinstance(X, FeatureMatrix) and rows.dtype == dtype:
+        return rows
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = rows.astype(dtype, copy=False)
+    check_finite(rows, prefix)
+    return rows
 
 
 def _checked_rows(rows):

@@ -16,7 +16,10 @@ every rate are excluded from pruning).
 
 A model's arithmetic follows the dtype of its weights: ``init_mlp`` makes
 float32 weights, as CNNs are trained, and rows are cast as they enter the
-network.  The loss and its softmax are taken in float64.
+network through ``core.as_rows``, so a value beyond float32's range is a
+``NonFiniteValue``, as a NaN is.  The loss and its softmax are taken in
+float64.  A prediction is the first largest logit (the softmax keeps their
+order); a logit that overflows is ``NonFiniteGradient``, never a class.
 
 Models serialize to a ``core.BinaryFile`` (magic ``LLMB``) with f64 values;
 ``load_mlp`` narrows them to float32.
@@ -30,8 +33,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import BinaryFile, reading
-from .errors import DimMismatch, MalformedFile, NonFiniteGradient, ValidationError
+from .core import BinaryFile, as_rows, reading
+from .errors import MalformedFile, NonFiniteGradient, NonFiniteValue, ValidationError
 
 MODEL_MAGIC = b"LLMB"
 SCAN_RATES = (0.3, 0.4, 0.5, 0.6)
@@ -157,10 +160,8 @@ class MlpModel:
 
     def _forward(self, X: np.ndarray):
         """Returns (pre-activations per layer, activations per layer), the
-        first activation ``X`` cast to the model's dtype."""
-        if X.ndim != 2 or X.shape[1] != self.in_dim:
-            raise DimMismatch(f"X has shape {X.shape}, model expects rows of dim {self.in_dim}")
-        a = X.astype(self.dtype, copy=False)
+        first activation the rows of ``X`` in the model's dtype (``as_rows``)."""
+        a = as_rows(X, dim=self.in_dim, dtype=self.dtype)
         acts = [a]
         pres = []
         for i, layer in enumerate(self.layers):
@@ -170,20 +171,18 @@ class MlpModel:
             acts.append(a)
         return pres, acts
 
-    def probs(self, X: np.ndarray) -> np.ndarray:
-        with np.errstate(invalid="ignore", over="ignore"):
-            _, acts = self._forward(np.asarray(X))
-            z = acts[-1].astype(np.float64)
-            z -= z.max(axis=1, keepdims=True)
-            e = np.exp(z)
-            return e / e.sum(axis=1, keepdims=True)
-
     def predict(self, X: np.ndarray) -> np.ndarray:
-        return np.argmax(self.probs(X), axis=1)
+        """Per row, the class of the first largest logit.  A logit that is not
+        finite in the model's dtype raises ``NonFiniteGradient``."""
+        with np.errstate(invalid="ignore", over="ignore"):
+            logits = self._forward(X)[1][-1]
+        if not np.isfinite(logits).all():
+            raise NonFiniteGradient(f"logits overflow {self.dtype}")
+        return np.argmax(logits, axis=1)
 
     def accuracy(self, X: np.ndarray, y: np.ndarray) -> float:
-        y = np.asarray(y)
-        _check_labels(self, np.asarray(X), y)
+        X, y = as_rows(X, dim=self.in_dim, dtype=self.dtype), np.asarray(y)
+        _check_labels(self, X, y)
         return float(np.mean(self.predict(X) == y))
 
     def loss_and_grads(self, X: np.ndarray, y: np.ndarray):
@@ -192,12 +191,11 @@ class MlpModel:
         The softmax and the loss are taken in float64 from the logits, and
         the output error is cast back to the model's dtype for the products.
         """
-        X = np.asarray(X)
         y = np.asarray(y, dtype=np.intp)
-        n = X.shape[0]
         # divergence shows up as a non-finite loss or update, checked by callers
         with np.errstate(invalid="ignore", over="ignore"):
             pres, acts = self._forward(X)
+            n = acts[0].shape[0]
             shifted = acts[-1].astype(np.float64)
             shifted -= shifted.max(axis=1, keepdims=True)
             e = np.exp(shifted)
@@ -347,6 +345,21 @@ def flip_augment(X: np.ndarray, image_shape: tuple[int, int]) -> np.ndarray:
     return out
 
 
+def _check_set(model: MlpModel, X: np.ndarray, what: str, tile: int) -> None:
+    """``as_rows``' checks on the rows of a set for ``model``, cast to its
+    dtype ``tile`` rows at a time, so the set is never copied whole.  A
+    value that is not finite in that dtype is named by its row of the set."""
+    if X.ndim != 2 or X.shape[1] != model.in_dim:
+        as_rows(X, dim=model.in_dim)  # raises DimMismatch on the shape alone
+    for start in range(0, X.shape[0], tile):
+        try:
+            as_rows(X[start:start + tile], dtype=model.dtype)
+        except NonFiniteValue as exc:
+            row = start + exc.row
+            raise NonFiniteValue(f"{what} set: non-finite {model.dtype} value at row {row}, "
+                                 f"col {exc.col}", row=row, col=exc.col) from None
+
+
 @dataclass
 class EpochLog:
     epoch: int
@@ -376,18 +389,20 @@ def dsd_train(
     but mirrors only the rows of each batch: the batches are those of
     ``flip_augment(X)`` and the labels repeated, with no copy of the set.
     ``X`` is taken in its own dtype; each batch is cast to the model's as
-    it enters the network.
+    it enters the network.  Before the first step, both sets' rows pass
+    ``core.as_rows`` in the model's dtype, a batch of rows at a time so
+    neither set is copied; a fault names its row of the set.
     """
-    X, y = train
-    X = np.asarray(X)
-    y = np.asarray(y, dtype=np.intp)
+    X, y = np.asarray(train[0]), np.asarray(train[1], dtype=np.intp)
+    Xv, yv = np.asarray(val[0]), np.asarray(val[1])
+    for what, rows in (("training", X), ("validation", Xv)):
+        _check_set(model, rows, what, cfg.batch_size)
     n = X.shape[0]
     if n == 0:
         raise ValidationError("training set is empty")
     _check_labels(model, X, y, "training ")
-    Xv, yv = val
-    _check_labels(model, np.asarray(Xv), np.asarray(yv), "validation ")
-    if np.asarray(yv).size == 0:
+    _check_labels(model, Xv, yv, "validation ")
+    if yv.size == 0:
         raise ValidationError("validation set is empty")
     n_draw = n
     if cfg.flip_augment:

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import FeatureMatrix, check_finite
-from .errors import DimMismatch, ValidationError
+from .core import as_rows
+from .errors import ValidationError
 from .features import l2_normalize_rows, max_abs_scaled
 
 # Query rows per matrix-matrix product.  Each product streams the whole
@@ -29,18 +29,11 @@ _TILE = 64
 
 
 class CosineIndex:
-    """Read-only cosine-similarity index over a feature matrix, or over a
-    2-D array whose values must be finite (``NonFiniteValue``); a
-    ``FeatureMatrix`` was checked when it was built."""
+    """Read-only cosine-similarity index over the rows of a feature matrix
+    or an array, which pass ``core.as_rows`` (prefix ``index: ``)."""
 
     def __init__(self, matrix):
-        if isinstance(matrix, FeatureMatrix):
-            self.values = matrix.values
-        else:
-            self.values = np.ascontiguousarray(matrix, dtype=np.float64)
-            if self.values.ndim != 2:
-                raise ValidationError("index matrix must be 2-D")
-            check_finite(self.values, "index: ")
+        self.values = np.ascontiguousarray(as_rows(matrix, "index: "))
         self.norms = np.empty(self.n)
         for start in range(0, self.n, _TILE):  # never a scaled copy of every row
             _, norms, scale = max_abs_scaled(self.values[start:start + _TILE])
@@ -66,13 +59,11 @@ class CosineIndex:
 def top_k_batch(index: CosineIndex, queries, k: int) -> tuple[np.ndarray, np.ndarray]:
     """(rows, similarities), each (m, min(k, n)): for each of the m query
     rows, its nearest indexed rows by descending similarity, ties broken
-    by ascending row id.  Query values must be finite (``NonFiniteValue``)."""
+    by ascending row id.  The queries pass ``core.as_rows`` (prefix
+    ``query: ``) at the index's width."""
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
-    queries = np.asarray(queries, dtype=np.float64)
-    if queries.ndim != 2 or queries.shape[1] != index.dim:
-        raise DimMismatch(f"query shape {queries.shape} vs index dim {index.dim}")
-    check_finite(queries, "query: ")
+    queries = as_rows(queries, "query: ", index.dim)
     k = min(k, index.n)
     rows = np.empty((len(queries), k), dtype=np.int64)
     sims = np.empty((len(queries), k))

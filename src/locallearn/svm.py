@@ -39,8 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FeatureMatrix, LabelMap, check_finite, load_features, reading, save_features
-from .errors import DimMismatch, NoTrainedClasses, SingleClass, ValidationError
+from .core import FeatureMatrix, LabelMap, _checked_labels, as_rows, load_features, reading, save_features
+from .errors import NoTrainedClasses, SingleClass, ValidationError
 from .features import _ROWS
 
 # Newton's source is chosen by sample count alone, so identical data always
@@ -76,21 +76,10 @@ class SvmConfig:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
 
 
-def _as_values(X) -> np.ndarray:
-    """X's rows; a 2-D array's NaN or infinity is ``NonFiniteValue``."""
-    if isinstance(X, FeatureMatrix):
-        return X.values
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2:
-        raise ValidationError("X must be 2-D")
-    check_finite(X)
-    return X
-
-
 def train_binary(X, y, cfg: SvmConfig) -> tuple[np.ndarray, float, np.ndarray, dict]:
     """Train one binary L1-hinge SVM; deterministic given (data, cfg, seed).
     Returns the weights, the bias, the dual variables and the solver info."""
-    Xv = _as_values(X)
+    Xv = as_rows(X)
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (Xv.shape[0],):
         raise ValidationError("y length does not match X")
@@ -377,14 +366,10 @@ def train_ova(X, labels, cfg: SvmConfig, return_infos: bool = False):
     ``return_infos`` adds the solver info of each binary model:
     ``(model, infos)``, as ``train_ova_rows``.
     """
-    Xv = _as_values(X)
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.shape != (Xv.shape[0],):
-        raise ValidationError("labels length does not match X")
+    Xv = as_rows(X)
+    labels = _checked_labels(labels, Xv.shape[0])
     if labels.size == 0:
         raise ValidationError("cannot train on an empty dataset")
-    if labels.min() < 0:
-        raise ValidationError("labels must be non-negative class ids")
     model, infos = train_ova_rows(Xv, labels, slice(None), cfg)
     return (model, infos) if return_infos else model
 
@@ -417,11 +402,9 @@ def decisions(model: OvaModel, X) -> np.ndarray:
     """Decision values (n, m) of the rows of X for the model's classes: one
     ``W @ x + b`` per row, never one product over the batch, so a row scores
     the same bits alone or in any batch, and a local model like its equal."""
-    Xv = _as_values(X)
+    Xv = as_rows(X, dim=model.W.shape[1])
     if not model.classes.size:
         raise NoTrainedClasses("OvA model has no trained classes")
-    if Xv.shape[1] != model.W.shape[1]:
-        raise DimMismatch(f"X has dim {Xv.shape[1]}, model expects {model.W.shape[1]}")
     return np.array([model.W @ x for x in Xv]).reshape(-1, model.classes.size) + model.b
 
 

@@ -875,6 +875,50 @@ class TestDsdCommands:
         assert "NonFiniteGradient: update diverged" in capsys.readouterr().err
         assert not (tmp_path / "m.llmb").exists()
 
+    def _beyond_float32(self, tmp_path):
+        """``f.fv`` with one value finite in float64 and beyond float32's range."""
+        m = core.load_features(tmp_path / "f.fv")
+        values = m.values.copy()
+        values[5, 1] = 1e39
+        core.save_features(core.FeatureMatrix(values, m.sample_ids), tmp_path / "f.fv")
+
+    def _scan(self, tmp_path):
+        return run(["sensitivity-scan", "--model", tmp_path / "m.llmb", "--features", tmp_path / "f.fv",
+                    "--labels", tmp_path / "l.csv", "--labelmap", tmp_path / "map.txt",
+                    "--out", tmp_path / "scan.csv"])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_train_on_value_beyond_float32_exits_2(self, tmp_path, capsys):
+        self._features(tmp_path)
+        self._beyond_float32(tmp_path)
+        assert self._train(tmp_path) == 2
+        self._one_error_line(capsys, "error: NonFiniteValue: ")
+        assert not (tmp_path / "m.llmb").exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_scan_of_value_beyond_float32_exits_2(self, tmp_path, capsys):
+        self._features(tmp_path)
+        assert self._train(tmp_path) == 0
+        self._beyond_float32(tmp_path)
+        capsys.readouterr()
+        assert self._scan(tmp_path) == 2
+        self._one_error_line(capsys, "error: NonFiniteValue: non-finite value at row 5, col 1")
+        assert not (tmp_path / "scan.csv").exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_scan_with_overflowing_logits_exits_3(self, tmp_path, capsys):
+        # Weights finite in float32 whose logits are not: no row is a class.
+        self._features(tmp_path)
+        assert self._train(tmp_path) == 0
+        model = dsd.load_mlp(tmp_path / "m.llmb")
+        for layer in model.layers:
+            layer.W *= 1e25
+        dsd.save_mlp(model, tmp_path / "m.llmb")
+        capsys.readouterr()
+        assert self._scan(tmp_path) == 3
+        self._one_error_line(capsys, "error: NonFiniteGradient: logits overflow float32")
+        assert not (tmp_path / "scan.csv").exists()
+
 
 class TestSeedEnvFallback:
     def test_env_seed_used(self, arcs_dataset, tmp_path, monkeypatch):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import locallearn.core as core_mod
+from locallearn import bovw, dsd, neighbors, svm
 from locallearn.core import (
     FeatureMatrix,
     LabelMap,
@@ -134,6 +135,58 @@ def test_matrix_and_file_report_the_same_fault(tmp_path_factory, case):
         assert read is None
     else:
         assert read == (*built[:3], f"{path}: {built[3]}")
+
+
+# Every routine handed rows, as ``(call(X), width, dtype)``: ``width`` is
+# the column count the call expects, None where any width is taken; rows
+# enter a float32 model as float32, so a value beyond its range faults too.
+_X = np.random.default_rng(0).normal(size=(6, 4))
+_Y = np.array([0, 1, 2, 0, 1, 2])
+_D1 = dsd.parse_schedule("D1")
+_ROW_ENTRY_POINTS = {
+    "train_binary": (lambda X: svm.train_binary(X, np.where(_Y == 0, 1.0, -1.0), svm.SvmConfig()),
+                     None, np.float64),
+    "train_ova": (lambda X: svm.train_ova(X, _Y, svm.SvmConfig()), None, np.float64),
+    "decisions": (lambda X: svm.decisions(svm.train_ova(_X, _Y, svm.SvmConfig()), X), 4, np.float64),
+    "CosineIndex": (lambda X: neighbors.CosineIndex(X), None, np.float64),
+    "top_k_batch": (lambda X: neighbors.top_k_batch(neighbors.CosineIndex(_X), X, 2), 4, np.float64),
+    "kmeans": (lambda X: bovw.kmeans(X, 2, seed=0), None, np.float64),
+    "predict": (lambda X: dsd.init_mlp([4, 3]).predict(X), 4, np.float32),
+    "accuracy": (lambda X: dsd.init_mlp([4, 3]).accuracy(X, _Y), 4, np.float32),
+    "dsd_train-training": (lambda X: dsd.dsd_train(dsd.init_mlp([4, 3]), (X, _Y), (_X, _Y), _D1,
+                                                   dsd.TrainerConfig(batch_size=4)), 4, np.float32),
+    "dsd_train-validation": (lambda X: dsd.dsd_train(dsd.init_mlp([4, 3]), (_X, _Y), (X, _Y), _D1,
+                                                     dsd.TrainerConfig(batch_size=4)), 4, np.float32),
+    "sensitivity_scan": (lambda X: dsd.sensitivity_scan(dsd.init_mlp([4, 3]), X, _Y), 4, np.float32),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("entry", sorted(_ROW_ENTRY_POINTS))
+def test_every_routine_checks_the_rows_it_is_handed(entry, monkeypatch):
+    # core.as_rows is the one check: a NaN, an infinity or (in float32) a
+    # value beyond the dtype's range is NonFiniteValue at its row and
+    # column, row 5 lying in dsd_train's second batch; an array that is not
+    # 2-D is ValidationError, and one of the wrong width DimMismatch.  DSD
+    # takes no step before either.
+    call, width, dtype = _ROW_ENTRY_POINTS[entry]
+    steps = []
+    monkeypatch.setattr(dsd, "sgd_step", lambda *a, **k: steps.append(a) or 0.0)
+    bad_values = [np.nan, np.inf, -np.inf] + ([1e39, -1e39] if dtype == np.float32 else [])
+    for bad in bad_values:
+        X = _X.copy()
+        X[5, 2] = bad
+        with pytest.raises(NonFiniteValue) as exc:
+            call(X)
+        assert (exc.value.row, exc.value.col) == (5, 2), bad
+    for X in (_X[:, 0], _X[None], np.float64(1.0)):
+        with pytest.raises(ValidationError):
+            call(X)
+    if width:
+        with pytest.raises(DimMismatch):
+            call(_X[:, :3])
+    assert steps == []
+    call(_X)
 
 
 class TestFeatureFiles:

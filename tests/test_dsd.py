@@ -74,7 +74,9 @@ class TestSgdStep:
         assert max_rel_grad_err(analytic, numeric) < 1e-5
 
     def test_non_finite_loss_raises(self):
-        model = init_mlp([2, 2], seed=0)
+        # 1e308 is out of float32's range, an input fault; in float64 it is
+        # finite and the logits overflow.
+        model = widened(init_mlp([2, 2], seed=0))  # float64, as c07
         model.layers[0].W[:] = 1.0
         X = np.full((1, 2), 1e308)
         with pytest.raises(NonFiniteGradient):
@@ -130,6 +132,19 @@ class TestFloat32:
         layers = [Layer("fc1", layer.W.astype(dtypes[0]), layer.b.astype(dtypes[1]))]
         with pytest.raises(ValidationError, match="one float32 or float64 dtype"):
             MlpModel(layers)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_logits_are_never_a_class(self):
+        # The row is finite in float32 and its first logit, 1e40, is not; the
+        # same weights in float64 predict class 0.
+        model = init_mlp([2, 2], seed=0)
+        model.layers[0].W[:] = [[1e30, 0.0], [0.0, 0.0]]
+        X = np.array([[1e10, 0.0]])
+        assert widened(model).predict(X).tolist() == [0]
+        with pytest.raises(NonFiniteGradient, match="logits overflow float32"):
+            model.predict(X)
+        with pytest.raises(NonFiniteGradient, match="logits overflow float32"):
+            model.accuracy(X, [0])
 
 
 class TestPruneMask:

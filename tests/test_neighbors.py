@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import locallearn.neighbors as neighbors_mod
+import locallearn.core as core_mod
 from locallearn.core import FeatureMatrix
 from locallearn.errors import DimMismatch, NonFiniteValue, ValidationError
 from locallearn.features import max_abs_scaled
@@ -155,7 +155,7 @@ class TestTopKBatch:
     def test_feature_matrix_index_is_not_checked_again(self, monkeypatch):
         matrix = FeatureMatrix(np.ones((5, 4)), [f"s{i}" for i in range(5)])
         checked = []
-        monkeypatch.setattr(neighbors_mod, "check_finite", lambda *a: checked.append(a[1]))
+        monkeypatch.setattr(core_mod, "check_finite", lambda *a: checked.append(a[1]))
         top_k_batch(CosineIndex(matrix), np.ones((1, 4)), 2)
         assert checked == ["query: "]
 
